@@ -5,8 +5,6 @@ Paper shape: QUBE(PO) solves larger instances than QUBE(TO) before the
 budget bites, and its cost curve grows more slowly with the tested length.
 """
 
-import time
-
 from common import save
 from repro.evalx.runner import Budget, solve_po
 from repro.evalx.suites import run_dia_scaling
@@ -40,52 +38,6 @@ def test_fig6_counter_scaling(benchmark):
         # lengths than TO.
         assert po_total <= to_total * 1.3, (po_s.model_name, po_total, to_total)
         assert (po_s.largest_solved or -1) >= (to_s.largest_solved or -1)
-
-
-def test_fig6_engine_comparison(benchmark):
-    """Counters vs watched on the Figure-6 counter series.
-
-    The two propagation backends are decision-for-decision identical, so
-    every point of every series must carry the same cost under both; the
-    comparison is pure wall-clock, recorded alongside the figure artefacts.
-    """
-    phi = diameter_qbf(CounterModel(3), 5, "tree")
-    benchmark.pedantic(
-        lambda: solve_po(phi, budget=SCALING_BUDGET, engine="watched"),
-        rounds=1,
-        iterations=1,
-    )
-
-    lines = [
-        "Propagation backends on the Figure-6 counter series",
-        "(identical decision counts at every point, by the engine contract)",
-    ]
-    for pure in (True, False):
-        runs = {}
-        for engine in ("counters", "watched"):
-            start = time.monotonic()
-            po_series, to_series = run_dia_scaling(
-                "counter", sizes=(2, 3), budget=SCALING_BUDGET, max_n_cap=8,
-                engine=engine, pure_literals=pure,
-            )
-            elapsed = time.monotonic() - start
-            runs[engine] = (po_series, to_series, elapsed)
-
-        ref_po, ref_to, ref_secs = runs["counters"]
-        new_po, new_to, new_secs = runs["watched"]
-        for ref_s, new_s in zip(ref_po + ref_to, new_po + new_to):
-            assert [(n, c) for n, c, _ in ref_s.points] == [
-                (n, c) for n, c, _ in new_s.points
-            ], (ref_s.model_name, pure)
-
-        lines += [
-            "",
-            "pure literals %s" % ("on (default config)" if pure else "off (certified-run config)"),
-            "  engine     wall-clock   speedup",
-            "  counters   %8.2fs      1.00x" % ref_secs,
-            "  watched    %8.2fs    %6.2fx" % (new_secs, ref_secs / new_secs),
-        ]
-    save("fig6_engine_comparison.txt", "\n".join(lines))
 
 
 def test_fig6_semaphore_scaling(benchmark):

@@ -15,7 +15,7 @@ Environment knobs (all optional):
   a solver change can never be contaminated by stale records.
 * ``REPRO_HARD_TIMEOUT=seconds`` — hard per-run cap, enforced by killing
   the worker (only effective with ``REPRO_JOBS > 1``).
-* ``REPRO_ENGINE=counters|watched`` — propagation backend for every suite
+* ``REPRO_ENGINE=counters|native`` — propagation backend for every suite
   run. Decision counts are engine-independent by contract, so recorded
   artefacts are comparable across engines; only wall-clock moves.
 """

@@ -5,7 +5,7 @@ Also declares the optional native propagation kernel (``repro._native``, a
 plain C extension over the flat array layout — see DESIGN.md "Native
 propagation kernel").  The build is best-effort: on a machine without a C
 compiler the extension is skipped with a notice and the package installs
-pure-Python, where ``--engine native`` falls back to the watched backend
+pure-Python, where ``--engine native`` falls back to the counters backend
 (loudly — see repro.core.engine.native).  Build it in place for a source
 checkout with::
 
@@ -20,8 +20,8 @@ class OptionalBuildExt(build_ext):
     """Build the native kernel when possible; never fail the install.
 
     Any compiler/toolchain error degrades to a notice: the pure-Python
-    backends are complete and decision-identical, the extension is purely a
-    speed layer.  ``REPRO_REQUIRE_NATIVE=1`` (checked at *solve* time, not
+    counters backend is complete and decision-identical, the extension is
+    purely a speed layer.  ``REPRO_REQUIRE_NATIVE=1`` (checked at *solve* time, not
     here) is the knob for refusing to run without it.
     """
 
@@ -41,7 +41,7 @@ class OptionalBuildExt(build_ext):
         print(
             "warning: building the optional native kernel failed (%s); "
             "installing pure-Python. `--engine native` will fall back to "
-            "the watched backend." % (exc,)
+            "the counters backend." % (exc,)
         )
 
 

@@ -74,8 +74,8 @@ typedef struct {
     int lits_off, lits_len; /* offsets into the shared literal pool */
     int prim_off, prim_len;
     int sec_off, sec_len;
-    int n_true;
-    int n_false;
+    int n_true;  /* clauses only: a satisfied clause is skipped */
+    int n_false; /* cubes only: a dead cube is skipped */
     unsigned char is_cube;
     unsigned char original;
 } RecC;
@@ -169,8 +169,9 @@ on_clause_unsat(NativeCore *c, RecC *rec)
 }
 
 /* CounterBackend.assign minus the Python Trail push (the wrapper owns it):
- * set lit_val, append to the native trail, walk all four occurrence lists
- * updating the eager counters.  Returns -1 on allocation failure only. */
+ * set lit_val, append to the native trail, walk the two occurrence lists
+ * whose counters the engine reads (clause n_true, cube n_false).  Returns
+ * -1 on allocation failure only. */
 static int
 core_assign(NativeCore *c, int lit)
 {
@@ -191,22 +192,15 @@ core_assign(NativeCore *c, int lit)
         if (++rec->n_true == 1)
             on_clause_sat(c, rec);
     }
-    occ = &c->clause_occ[c->base - lit];
-    for (i = 0; i < occ->len; i++)
-        c->recs[occ->data[i]].n_false += 1;
     occ = &c->cube_occ[c->base - lit];
     for (i = 0; i < occ->len; i++)
         c->recs[occ->data[i]].n_false += 1;
-    occ = &c->cube_occ[c->base + lit];
-    for (i = 0; i < occ->len; i++)
-        c->recs[occ->data[i]].n_true += 1;
     return 0;
 }
 
 /* ---------------------------------------------------------------- examine */
 
-/* PropagationBackend._examine, counter-backend flavour (no watch refresh,
- * no blocker memo: the eager pre-guards make them dead weight here).
+/* PropagationBackend._examine, counter-backend flavour.
  * Returns EV_NONE / EV_CONFLICT / EV_SOLUTION; a unit assignment goes
  * through core_assign and is appended to the push log. */
 static int
@@ -551,14 +545,9 @@ NativeCore_add_record(NativeCore *self, PyObject *args)
             int lit = self->pool.data[rec.lits_off + i];
             if (vec_push(&self->clause_occ[self->base + lit], rid) < 0)
                 return PyErr_NoMemory();
-            if (learned) {
-                int val = self->lit_val[self->base + lit];
-                if (val == 1) {
-                    rec.n_true += 1;
-                    sat = 1;
-                }
-                else if (val == -1)
-                    rec.n_false += 1;
+            if (learned && self->lit_val[self->base + lit] == 1) {
+                rec.n_true += 1;
+                sat = 1;
             }
         }
         if (!learned || !sat) {
@@ -574,13 +563,8 @@ NativeCore_add_record(NativeCore *self, PyObject *args)
             if (vec_push(&self->cube_occ[self->base + lit], rid) < 0)
                 return PyErr_NoMemory();
             self->cube_count[self->base + lit] += 1;
-            if (learned) {
-                int val = self->lit_val[self->base + lit];
-                if (val == 1)
-                    rec.n_true += 1;
-                else if (val == -1)
-                    rec.n_false += 1;
-            }
+            if (learned && self->lit_val[self->base + lit] == -1)
+                rec.n_false += 1;
         }
     }
     self->recs[self->n_recs++] = rec;
@@ -626,15 +610,9 @@ NativeCore_backtrack(NativeCore *self, PyObject *args)
             if (--rec->n_true == 0)
                 on_clause_unsat(self, rec);
         }
-        occ = &self->clause_occ[self->base - lit];
-        for (i = 0; i < occ->len; i++)
-            self->recs[occ->data[i]].n_false -= 1;
         occ = &self->cube_occ[self->base - lit];
         for (i = 0; i < occ->len; i++)
             self->recs[occ->data[i]].n_false -= 1;
-        occ = &self->cube_occ[self->base + lit];
-        for (i = 0; i < occ->len; i++)
-            self->recs[occ->data[i]].n_true -= 1;
         self->lit_val[self->base + lit] = 0;
         self->lit_val[self->base - lit] = 0;
     }

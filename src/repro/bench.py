@@ -2,9 +2,9 @@
 
 Runs the pinned Figure-6 counter series (the same instances, budget and
 double-timeout stopping rule as ``repro.evalx.suites.run_dia_scaling``)
-under every propagation backend this build can run — counters, watched,
-and the compiled native kernel when built — with the pure-literal rule
-both on and off, and emits a schema-versioned ``BENCH_kernels.json``:
+under every propagation backend this build can run — counters, and the
+compiled native kernel when built — with the pure-literal rule both on and
+off, and emits a schema-versioned ``BENCH_kernels.json``:
 
 * throughput per configuration — decisions/sec, propagations/sec,
   clause_visits/sec — plus wall-clock for the whole series;
@@ -12,10 +12,10 @@ both on and off, and emits a schema-versioned ``BENCH_kernels.json``:
   counter backend (the eager reference engine);
 * the recorded pre-kernel baseline (PR 3's layered engine, measured on
   the identical series) with the wall-clock speedup next to it, and the
-  native kernel's decisions/sec speedup over the same-run watched rows;
+  native kernel's decisions/sec speedup over the same-run counters rows;
 * a ``kernel`` block recording whether the compiled extension was
   importable — a missing kernel is reported as an explicit fallback to
-  the watched rows, never silently.
+  the counters rows, never silently.
 
 The series is fully deterministic — pinned models, decision-only budgets —
 so the *decision* columns of two reports are comparable across machines
@@ -42,7 +42,7 @@ from repro.core.engine.native import (
 from repro.evalx.runner import Budget, Measurement, solve_po
 
 #: bump on any change to the JSON layout so downstream tooling can dispatch.
-SCHEMA = "repro-bench/1"
+SCHEMA = "repro-bench/2"
 
 #: The pre-kernel engine (PR 3, commit 1f10356) on this exact series —
 #: ``family="counter"``, sizes (2, 3), Budget(decisions=8000), max_n_cap=8 —
@@ -52,9 +52,7 @@ SCHEMA = "repro-bench/1"
 #: only the *ratio* against a same-machine rerun is meaningful.
 PR3_BASELINE: Dict[str, Dict[str, float]] = {
     "counters/pure=on": {"wall_seconds": 35.09, "decisions": 13103},
-    "watched/pure=on": {"wall_seconds": 34.39, "decisions": 13103},
     "counters/pure=off": {"wall_seconds": 3.52, "decisions": 35669},
-    "watched/pure=off": {"wall_seconds": 4.20, "decisions": 35669},
 }
 PR3_BASELINE_LABEL = "PR-3 layered engine (pre-kernel), same series and budget"
 
@@ -172,17 +170,17 @@ def run_bench(
     immediately — a benchmark that silently timed different search trees
     would be meaningless.
 
-    ``engines`` defaults to every backend this build can run: counters,
-    watched, and native when the compiled kernel is importable. A missing
-    kernel is never silent: the report's ``kernel`` block records the
-    import error and that the native rows fell back to ``watched`` (i.e.
-    are absent — the watched rows ARE the fallback measurement).
+    ``engines`` defaults to every backend this build can run: counters, and
+    native when the compiled kernel is importable. A missing kernel is
+    never silent: the report's ``kernel`` block records the import error
+    and that the native rows fell back to ``counters`` (i.e. are absent —
+    the counters rows ARE the fallback measurement).
     """
     series = dict(QUICK_SERIES if quick else FULL_SERIES)
     if engines is None:
-        # Ask for all three; the fallback branch below records (never
-        # hides) a native row that this build cannot produce.
-        engines = ["counters", "watched", "native"]
+        # Ask for both; the fallback branch below records (never hides) a
+        # native row that this build cannot produce.
+        engines = ["counters", "native"]
     engines = list(engines)
     kernel = {
         "available": native_available(),
@@ -190,12 +188,10 @@ def run_bench(
         "import_error": native_import_error(),
     }
     if "native" in engines and not native_available():
-        # loud skip, mirroring SolverStats.engine_fallback: the watched rows
-        # stand in for native, and the report says so explicitly.
+        # loud skip, mirroring SolverStats.engine_fallback: the counters
+        # rows stand in for native, and the report says so explicitly.
         engines = [e for e in engines if e != "native"]
-        if "watched" not in engines:
-            engines.append("watched")
-        kernel["fallback"] = "watched"
+        kernel["fallback"] = "counters"
     if "counters" not in engines:
         engines.insert(0, "counters")
     else:  # reference first, so every later engine has something to check
@@ -241,7 +237,7 @@ def run_bench(
         "reference_engine": "counters",
         "decision_identity_ok": identity_ok,
         "kernel": kernel,
-        "native_speedup_vs_watched": _native_speedups(configs),
+        "native_speedup_vs_counters": _native_speedups(configs),
         "baseline": {"label": PR3_BASELINE_LABEL, "configs": PR3_BASELINE},
         "configs": configs,
     }
@@ -251,7 +247,7 @@ def run_bench(
 
 
 def _native_speedups(configs: List[dict]) -> Optional[Dict[str, float]]:
-    """decisions/sec ratio of the native rows over the watched rows.
+    """decisions/sec ratio of the native rows over the counters rows.
 
     Same decisions by the identity contract, so the throughput ratio IS the
     wall speedup of the solving itself. None when native didn't run.
@@ -261,9 +257,9 @@ def _native_speedups(configs: List[dict]) -> Optional[Dict[str, float]]:
     for key, c in by_key.items():
         if c["engine"] != "native":
             continue
-        watched = by_key.get(config_key("watched", c["pure_literals"]))
-        if watched and watched["decisions_per_second"] > 0:
-            out[key] = c["decisions_per_second"] / watched["decisions_per_second"]
+        ref = by_key.get(config_key("counters", c["pure_literals"]))
+        if ref and ref["decisions_per_second"] > 0:
+            out[key] = c["decisions_per_second"] / ref["decisions_per_second"]
     return out or None
 
 
@@ -336,13 +332,13 @@ def render_report(report: dict) -> str:
         lines.append("native kernel: available (version %s)" % kernel.get("version"))
     else:
         lines.append(
-            "native kernel: UNAVAILABLE (%s) — native rows fell back to watched"
+            "native kernel: UNAVAILABLE (%s) — native rows fell back to counters"
             % kernel.get("import_error")
         )
-    speedups = report.get("native_speedup_vs_watched")
+    speedups = report.get("native_speedup_vs_counters")
     if speedups:
         for key in sorted(speedups):
-            lines.append("native speedup vs watched (%s): %.2fx decisions/sec"
+            lines.append("native speedup vs counters (%s): %.2fx decisions/sec"
                          % (key.split("/", 1)[1], speedups[key]))
     if any(c.get("baseline") for c in report["configs"]):
         lines.append("baseline: %s" % PR3_BASELINE_LABEL)

@@ -173,8 +173,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print("conflicts   %d" % stats.conflicts)
     print("solutions   %d" % stats.solutions)
     print("learned     %d nogoods, %d goods" % (stats.learned_clauses, stats.learned_cubes))
-    print("visits      %d clause, %d cube (%d watcher swaps)"
-          % (stats.clause_visits, stats.cube_visits, stats.watcher_swaps))
+    print("visits      %d clause, %d cube" % (stats.clause_visits, stats.cube_visits))
     print("time        %.3fs" % result.seconds)
     if result.outcome is Outcome.UNKNOWN:
         if result.interrupted:
@@ -707,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help="kernel benchmark: pinned fig6 series, every available engine "
-        "(counters/watched/native), decision-identity check, "
+        "(counters/native), decision-identity check, "
         "schema-versioned JSON report",
     )
     p_bench.add_argument(

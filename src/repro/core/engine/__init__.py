@@ -5,12 +5,13 @@ Three layers, each behind an explicit seam:
 * :mod:`~repro.core.engine.trail` — the assignment/trail layer, the only
   mutable search state;
 * :mod:`~repro.core.engine.backend` + the two implementations
-  (:mod:`~repro.core.engine.counters`, :mod:`~repro.core.engine.watched`) —
-  the propagation backends, decision-for-decision interchangeable;
+  (:mod:`~repro.core.engine.counters`, the Python reference, and
+  :mod:`~repro.core.engine.native`, its C port) — the propagation backends,
+  decision-for-decision interchangeable;
 * :mod:`~repro.core.engine.search` — decide/backjump/learn over the
   backend interface.
 
-:class:`repro.core.solver.QdpllSolver` is the façade that assembles them.
+:class:`SearchEngine` is also exported as :class:`repro.core.solver.QdpllSolver`.
 """
 
 from repro.core.engine.backend import (
@@ -25,7 +26,6 @@ from repro.core.engine.config import ENGINES, SolverConfig, default_engine
 from repro.core.engine.counters import CounterBackend
 from repro.core.engine.search import BACKENDS, SearchEngine
 from repro.core.engine.trail import Trail
-from repro.core.engine.watched import WatchedBackend
 
 __all__ = [
     "BACKENDS",
@@ -40,6 +40,5 @@ __all__ = [
     "SearchEngine",
     "SolverConfig",
     "Trail",
-    "WatchedBackend",
     "default_engine",
 ]

@@ -1,7 +1,7 @@
 """Propagation backends: the interface and the shared machinery.
 
 A backend owns everything derived from the matrix — occurrence lists,
-satisfaction counters or watch memos, the learned-constraint stores — and
+satisfaction counters, the learned-constraint stores — and
 exposes four operations to the search layer: ``assign``, ``backtrack``,
 ``propagate`` and ``add_learned_clause``/``add_learned_cube``. The search
 layer never looks past this interface.
@@ -11,16 +11,18 @@ identical* to the reference counter backend: same trail, in the same order,
 with the same reasons, the same conflict/solution/model events on the same
 constraint records, and the same learned constraints — given the same
 formula, config and heuristic tie-breaks. Backends may only differ in the
-*cost* of reaching those events (tracked by the ``clause_visits``,
-``cube_visits`` and ``watcher_swaps`` stats, which are explicitly
-backend-dependent). The contract is what makes the old backend a free
-differential-testing oracle for any new one.
+*cost* of reaching those events (tracked by the ``clause_visits`` and
+``cube_visits`` stats, which are explicitly backend-dependent). The
+contract is what makes the reference backend a free differential-testing
+oracle for the compiled one.
 
 The contract is stricter than it may look: conflicts and units must fire
 while scanning the occurrence list of the *currently dequeued* literal, in
 installation order, under eager value semantics (assignments made mid-scan
-are visible to later records in the same scan). See
-:mod:`repro.core.engine.watched` for what that rules out.
+are visible to later records in the same scan). Classic inverted
+watch lists, which examine only the records watching the dequeued literal,
+would find some conflicts one or more dequeues later and so reorder the
+trail.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ MODEL = "model"
 class Rec:
     """Backend-private record of one clause or cube.
 
-    ``n_true``/``n_false`` are the eager satisfaction counters (live under
-    the counter backend, and under the watched backend only as the
-    pure-literal sidecar). ``w1``/``w2``/``blocker`` are the watched
-    backend's lazy memos; the counter backend never touches them.
+    The eager satisfaction counters are kept per kind, each the one the
+    engine reads: ``n_true`` on clauses (a satisfied clause is skipped, and
+    its sat/unsat transitions drive the pure-literal index) and ``n_false``
+    on cubes (a dead cube is skipped, and the pure rule's learned-cube guard
+    reads it). The other counter of each kind stays 0.
 
     ``prim``/``sec`` are the constraint's literals split by the primary
     quantifier of its kind (existential for clauses, universal for cubes),
@@ -59,26 +62,13 @@ class Rec:
     every literal on every visit.
     """
 
-    __slots__ = (
-        "constraint",
-        "n_true",
-        "n_false",
-        "original",
-        "w1",
-        "w2",
-        "blocker",
-        "prim",
-        "sec",
-    )
+    __slots__ = ("constraint", "n_true", "n_false", "original", "prim", "sec")
 
     def __init__(self, constraint: Constraint, original: bool):
         self.constraint = constraint
         self.n_true = 0
         self.n_false = 0
         self.original = original
-        self.w1 = 0
-        self.w2 = 0
-        self.blocker = 0
         self.prim: Tuple[int, ...] = ()
         self.sec: Tuple[int, ...] = ()
 
@@ -99,8 +89,6 @@ class PropagationBackend:
     the pure-literal rule, and the learned-constraint bookkeeping."""
 
     name = "?"
-    #: True when :meth:`_examine` should refresh the record's watch memos.
-    refreshes_watches = False
 
     #: Optional acceleration slots the search layer probes at init. A
     #: backend that owns compiled equivalents of the analysis-layer hot
@@ -133,9 +121,7 @@ class PropagationBackend:
         self.stats = stats
         self.trail = trail
         self.keeper = keeper
-        self._lit_value = trail.lit_value
         self._tab = prefix.tables()
-        self._track_pure = config.pure_literals
         self.clause_occ: Dict[int, List[Rec]] = {}
         self.cube_occ: Dict[int, List[Rec]] = {}
         self.occ_unsat: Dict[int, int] = {}
@@ -263,18 +249,15 @@ class PropagationBackend:
         kills a cube).
 
         Self-guarding: a defused constraint returns None immediately (the
-        counter backend pre-guards with its eager counters, so the bail is
-        only ever taken by lazy backends). When ``refreshes_watches`` is
-        set, the scan re-aims the record's watch memos at the first two
-        unassigned primaries it saw.
+        counter backend pre-guards with its eager counters, so the bail only
+        protects callers that do not).
 
         The scan runs on the flat kernels: literal truth is one probe of the
         trail's literal-indexed value array, the primary/secondary split is
         precomputed per record (``rec.prim``/``rec.sec``), and the blocking
         test inlines ``prec`` over the prefix's flat level/DFS-interval
-        tables. Scanning primaries before secondaries only changes which
-        defused literal lands in the blocker memo — a cost-only cache —
-        never the produced events.
+        tables. Scanning primaries before secondaries never changes the
+        produced events.
         """
         lit_val = self.trail.lit_val
         base = self.trail.base
@@ -290,7 +273,6 @@ class PropagationBackend:
             if val == 0:
                 unassigned_p.append(lit)
             elif val == defused:
-                rec.blocker = lit
                 return None
         unassigned_s: List[int] = []
         for lit in rec.sec:
@@ -298,15 +280,7 @@ class PropagationBackend:
             if val == 0:
                 unassigned_s.append(lit)
             elif val == defused:
-                rec.blocker = lit
                 return None
-        if self.refreshes_watches and unassigned_p:
-            w1 = unassigned_p[0]
-            w2 = unassigned_p[1] if len(unassigned_p) > 1 else 0
-            if w1 != rec.w1 or w2 != rec.w2:
-                rec.w1 = w1
-                rec.w2 = w2
-                self.stats.watcher_swaps += 1
         if not unassigned_p:
             return (SOLUTION if is_cube else CONFLICT, rec)
         if len(unassigned_p) == 1:
@@ -327,7 +301,7 @@ class PropagationBackend:
                 self.assign(-p if is_cube else p, rec)
         return None
 
-    # -- sidecar bookkeeping (occ_unsat / purity candidates) ---------------------
+    # -- pure-literal bookkeeping (occ_unsat / purity candidates) ---------------
 
     def _on_clause_sat(self, rec: Rec) -> None:
         if rec.original:
@@ -359,8 +333,7 @@ class PropagationBackend:
         on this branch cannot become true, so they do not block purity.
 
         Counter-driven by design: the rule reads the ``occ_unsat`` index
-        and the cubes' ``n_false`` sidecar, which every backend maintains
-        whenever ``config.pure_literals`` is on.
+        and the cubes' ``n_false`` counters, which every backend maintains.
         """
         assigned = False
         candidates = sorted(self.pure_candidates)

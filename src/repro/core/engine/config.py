@@ -14,14 +14,19 @@ from typing import Optional
 
 from repro.core.heuristics import POLICIES
 
-#: the propagation backends an engine can be built on. "counters" is the
-#: original eager occurrence-counter scheme; "watched" is the lazy
-#: prefix-aware watched-literal scheme; "native" runs the eager scheme
-#: inside the compiled kernel (repro._native) when the optional extension
-#: is built, degrading loudly to "watched" when it is not (see
-#: repro.core.engine.native). All are decision-for-decision identical —
+#: retired backend names still accepted, and the backend each now runs.
+#: "watched" (a pure-Python watched-literal scheme) was decision-identical
+#: to "counters" and no faster, so old command lines, REPRO_ENGINE settings
+#: and evalx resume keys that name it keep working on "counters".
+ENGINE_ALIASES = {"watched": "counters"}
+
+#: the engine names a config accepts. "counters" is the eager
+#: occurrence-counter scheme; "native" runs the same scheme inside the
+#: compiled kernel (repro._native) when the optional extension is built,
+#: degrading loudly to "counters" when it is not (see
+#: repro.core.engine.native). The two are decision-for-decision identical —
 #: see repro.core.engine.backend for the contract.
-ENGINES = ("counters", "watched", "native")
+ENGINES = ("counters", "native") + tuple(ENGINE_ALIASES)
 
 #: the solver paradigms a config can select. Unlike ENGINES — interchangeable
 #: propagation schemes inside ONE search procedure — a paradigm is a whole
@@ -48,10 +53,10 @@ def default_engine() -> str:
     """Backend default: the REPRO_ENGINE environment knob, else counters.
 
     The environment hook exists so a whole test suite or benchmark run can
-    be flipped onto the watched backend without touching call sites (the CI
-    matrix runs one leg with ``REPRO_ENGINE=watched``). Recorded sweeps
-    should pass ``engine=...`` explicitly instead, so the choice lands in
-    the task fingerprint.
+    be flipped onto another backend without touching call sites (the CI
+    native-kernel job runs the suite with ``REPRO_ENGINE=native``). Recorded
+    sweeps should pass ``engine=...`` explicitly instead, so the choice
+    lands in the task fingerprint.
     """
     return os.environ.get("REPRO_ENGINE", "counters")
 
@@ -62,7 +67,7 @@ def default_require_native() -> bool:
     When truthy (anything but empty/``0``), requesting ``engine="native"``
     on a machine where the compiled kernel is unavailable raises a
     structured :class:`repro.core.engine.native.NativeUnavailableError`
-    instead of falling back to the watched backend. Off by default: the
+    instead of falling back to the counter backend. Off by default: the
     fallback is loud (warning + ``SolverStats.engine_fallback``), never
     silent, so degrading is safe for interactive use while CI perf legs
     can insist on the real kernel.
@@ -106,6 +111,8 @@ class SolverConfig:
     decay_interval: int = 64
     #: propagation backend (see ENGINES). Purely an implementation choice:
     #: every backend must produce the same decisions, trail and outcome.
+    #: An alias (see ENGINE_ALIASES) is replaced by its backend on
+    #: construction, so the config reports the engine that actually runs.
     engine: str = field(default_factory=default_engine)
     #: solver paradigm (see PARADIGMS and :mod:`repro.core.paradigm`). The
     #: search-only switches above are silently irrelevant under the other
@@ -114,7 +121,7 @@ class SolverConfig:
     #: search paradigm checkpoints, and its snapshots predate the field.
     paradigm: str = field(default_factory=default_paradigm)
     #: refuse to run when ``engine="native"`` is requested but the compiled
-    #: kernel is unavailable, instead of degrading to the watched backend.
+    #: kernel is unavailable, instead of degrading to the counter backend.
     #: Selection-policy only — never changes decisions — so it is excluded
     #: from checkpoint config digests, like `engine` and `paranoid`.
     require_native: bool = field(default_factory=default_require_native)
@@ -130,6 +137,7 @@ class SolverConfig:
             raise ValueError("unknown backjump mode %r" % (self.backjump,))
         if self.engine not in ENGINES:
             raise ValueError("unknown engine %r (choose from %s)" % (self.engine, ENGINES))
+        self.engine = ENGINE_ALIASES.get(self.engine, self.engine)
         if self.paradigm not in PARADIGMS:
             raise ValueError(
                 "unknown paradigm %r (choose from %s)" % (self.paradigm, PARADIGMS)

@@ -1,18 +1,18 @@
 """The eager occurrence-counter propagation backend (the reference).
 
-This is the original QUBE-style scheme, moved behind the backend interface
-unchanged: every record keeps live ``n_true``/``n_false`` counters, updated
-by walking all four occurrence lists of a literal at assignment time and
-reversed symmetrically at backtrack time. Propagation dequeues a trail
-literal and examines every clause in which it occurs negatively (skipping
-satisfied ones via ``n_true``) and every live learned cube in which it
-occurs positively (skipping dead ones via ``n_false``).
+This is the original QUBE-style scheme behind the backend interface: each
+record keeps the one live counter the engine reads — ``n_true`` on clauses,
+``n_false`` on cubes — updated by walking the two occurrence lists that move
+them at assignment time and reversed symmetrically at backtrack time.
+Propagation dequeues a trail literal and examines every clause in which it
+occurs negatively (skipping satisfied ones via ``n_true``) and every live
+learned cube in which it occurs positively (skipping dead ones via
+``n_false``).
 
-The scheme is simple and its counters double as the pure-literal index, but
-the eager walks make ``assign``/``backtrack`` cost O(occurrences) even for
-literals that never trigger anything — the cost profile the watched backend
-removes. This backend is the semantic reference that defines the
-equivalence contract (see :mod:`repro.core.engine.backend`).
+The scheme is simple and its counters double as the pure-literal index. It
+is the semantic reference that defines the equivalence contract (see
+:mod:`repro.core.engine.backend`); :mod:`repro.core.engine.native` runs the
+same scheme in C.
 """
 
 from __future__ import annotations
@@ -42,12 +42,8 @@ class CounterBackend(PropagationBackend):
             rec.n_true += 1
             if rec.n_true == 1:
                 self._on_clause_sat(rec)
-        for rec in self.clause_occ[-lit]:
-            rec.n_false += 1
         for rec in self.cube_occ[-lit]:
             rec.n_false += 1
-        for rec in self.cube_occ[lit]:
-            rec.n_true += 1
         if len(trail.lits) > self.stats.max_trail:
             self.stats.max_trail = len(trail.lits)
 
@@ -72,12 +68,8 @@ class CounterBackend(PropagationBackend):
                 rec.n_true -= 1
                 if rec.n_true == 0:
                     self._on_clause_unsat(rec)
-            for rec in clause_occ[-lit]:
-                rec.n_false -= 1
             for rec in cube_occ[-lit]:
                 rec.n_false -= 1
-            for rec in cube_occ[lit]:
-                rec.n_true -= 1
         trail.shrink(to_level, target)
 
     def propagate(self) -> Optional[Tuple[str, object]]:
@@ -117,12 +109,9 @@ class CounterBackend(PropagationBackend):
         sat = False
         for lit in rec.lits:
             self.clause_occ[lit].append(rec)
-            val = lit_val[base + lit]
-            if val == 1:
+            if lit_val[base + lit] == 1:
                 rec.n_true += 1
                 sat = True
-            elif val == -1:
-                rec.n_false += 1
         if not sat:
             for lit in rec.lits:
                 self.occ_unsat[lit] += 1
@@ -137,8 +126,5 @@ class CounterBackend(PropagationBackend):
         for lit in rec.lits:
             self.cube_occ[lit].append(rec)
             self.cube_count[lit] += 1
-            val = lit_val[base + lit]
-            if val == 1:
-                rec.n_true += 1
-            elif val == -1:
+            if lit_val[base + lit] == -1:
                 rec.n_false += 1

@@ -1,6 +1,6 @@
 """The compiled propagation backend and its pure-Python fallback story.
 
-:class:`NativeBackend` is the third :class:`~repro.core.engine.backend.
+:class:`NativeBackend` is the compiled :class:`~repro.core.engine.backend.
 PropagationBackend`: the whole propagation fixpoint — the clause/cube
 examine-and-dequeue loop, eager literal assignment and backtrack over the
 literal-indexed value array, universal reduction's ``≺`` test over the flat
@@ -22,9 +22,9 @@ remain as identity tokens for the search layer and the proof logger.
 
 **Fallback.** When the extension is missing the backend cannot run.  The
 engine-selection layer (:func:`repro.core.engine.search.resolve_backend`)
-then degrades to the watched backend — *loudly*: a
+then degrades to the counter backend it ports — *loudly*: a
 :class:`NativeFallbackWarning` is emitted and the run's
-``SolverStats.engine_fallback`` records ``"watched"`` so benchmark rows and
+``SolverStats.engine_fallback`` records ``"counters"`` so benchmark rows and
 evalx records can never silently change engines.  Set
 ``REPRO_REQUIRE_NATIVE=1`` (or ``SolverConfig(require_native=True)``) to
 turn the fallback into a structured :class:`NativeUnavailableError`.
@@ -75,7 +75,7 @@ class NativeUnavailableError(RuntimeError):
             "the native propagation kernel (repro._native) is unavailable: "
             "%s. Build it with `python setup.py build_ext --inplace` (or "
             "`pip install -e .` with a C compiler on PATH), pick another "
-            "engine (--engine watched/counters), or unset "
+            "engine (--engine counters), or unset "
             "REPRO_REQUIRE_NATIVE / require_native to accept the "
             "pure-Python fallback." % reason
         )

@@ -26,7 +26,6 @@ from repro.core.engine.native import (
     native_import_error,
 )
 from repro.core.engine.trail import Trail
-from repro.core.engine.watched import WatchedBackend
 from repro.core.formula import QBF
 from repro.core.heuristics import ScoreKeeper, make_picker
 from repro.core.learning import (
@@ -43,7 +42,6 @@ from repro.core.result import Outcome, SolveResult, SolverStats
 #: name → class, the registry behind ``SolverConfig.engine``.
 BACKENDS = {
     CounterBackend.name: CounterBackend,
-    WatchedBackend.name: WatchedBackend,
     NativeBackend.name: NativeBackend,
 }
 
@@ -52,10 +50,10 @@ def resolve_backend(config: SolverConfig, stats: SolverStats) -> type:
     """Map ``config.engine`` to a backend class, with the native fallback.
 
     ``native`` on a build without the compiled kernel degrades to the
-    watched backend — recorded in ``stats.engine_fallback`` and announced
-    with a :class:`NativeFallbackWarning`, so no run ever changes engines
-    silently. With ``config.require_native`` (or ``REPRO_REQUIRE_NATIVE=1``)
-    the degradation becomes a structured
+    counter backend it ports — recorded in ``stats.engine_fallback`` and
+    announced with a :class:`NativeFallbackWarning`, so no run ever changes
+    engines silently. With ``config.require_native`` (or
+    ``REPRO_REQUIRE_NATIVE=1``) the degradation becomes a structured
     :class:`~repro.core.engine.native.NativeUnavailableError` instead.
     """
     cls = BACKENDS[config.engine]
@@ -65,14 +63,14 @@ def resolve_backend(config: SolverConfig, stats: SolverStats) -> type:
             raise NativeUnavailableError(reason)
         warnings.warn(
             "engine 'native' requested but the compiled kernel is "
-            "unavailable (%s); falling back to the pure-Python watched "
+            "unavailable (%s); falling back to the pure-Python counters "
             "backend. Build it with `python setup.py build_ext --inplace`, "
             "or set REPRO_REQUIRE_NATIVE=1 to make this an error." % reason,
             NativeFallbackWarning,
             stacklevel=3,
         )
-        stats.engine_fallback = WatchedBackend.name
-        return WatchedBackend
+        stats.engine_fallback = CounterBackend.name
+        return CounterBackend
     return cls
 
 
@@ -357,7 +355,7 @@ class SearchEngine:
 
         Runs only at the pre-decision quiescent point (propagation is at a
         fixpoint), where both backends' trail-aware install paths initialize
-        the new record's counters/watches from the live assignment. An
+        the new record's counters from the live assignment. An
         imported constraint that the current trail already falsifies is not
         re-examined here — the missed conflict costs at most the work until
         the next backtrack, never soundness: imported constraints are

@@ -5,7 +5,7 @@ backtracks — variable values, decision levels, trail positions, implication
 reasons, the literal stack itself, per-level bookkeeping and the propagation
 queue head. Propagation backends and the search layer share one instance;
 neither owns any other mutable search state (the backends' occurrence
-counters and watch memos are derived caches of this trail).
+counters are derived caches of this trail).
 
 Two flat-array kernels live here:
 
@@ -151,8 +151,8 @@ class Trail:
     def unassign(self, lit: int) -> int:
         """Clear one literal's assignment state (values, reason, frontier
         counters) and return its variable. Backends call this from their
-        backtrack loops; occurrence/watch sidecar maintenance stays with
-        the backend, and the caller still ends with :meth:`shrink`."""
+        backtrack loops; occurrence-counter maintenance stays with the
+        backend, and the caller still ends with :meth:`shrink`."""
         v = lit if lit > 0 else -lit
         self.value[v] = 0
         base = self.base

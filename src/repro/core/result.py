@@ -67,14 +67,12 @@ class SolverStats:
     max_trail: int = 0
     #: propagation-layer observability (engine-dependent by design, unlike
     #: the counters above, which every backend must reproduce exactly):
-    #: full constraint-body scans during propagation...
+    #: full constraint-body scans during propagation.
     clause_visits: int = 0
     cube_visits: int = 0
-    #: ...and watch-literal repairs (always 0 under the counter backend).
-    watcher_swaps: int = 0
     #: engine-selection notice: the backend actually used when the requested
-    #: one was unavailable (e.g. ``"watched"`` after ``engine="native"`` on
-    #: a build without the compiled kernel), else "". Never set silently —
+    #: one was unavailable (``"counters"`` after ``engine="native"`` on a
+    #: build without the compiled kernel), else "". Never set silently —
     #: selection also emits a NativeFallbackWarning. Engine metadata, not a
     #: work counter: excluded from cross-backend stat comparisons.
     engine_fallback: str = ""

@@ -21,13 +21,11 @@ orders.
 
 Since the layering refactor the engine itself lives in
 :mod:`repro.core.engine`: the trail, the search layer, and two
-interchangeable propagation backends (``counters``, the original eager
-scheme, and ``watched``, the lazy prefix-aware watch/blocker scheme —
-selected by ``SolverConfig.engine``). This module is the stable façade: it
-re-exports :class:`SolverConfig` from its historical import path and keeps
-:class:`QdpllSolver`'s legacy private attribute names alive as views onto
-the layered state, because the white-box tests and debugging sessions poke
-them.
+interchangeable propagation backends (``counters``, the eager Python
+scheme, and ``native``, its compiled port — selected by
+``SolverConfig.engine``). This module is the stable façade: it re-exports
+:class:`SolverConfig` from its historical import path and names the search
+engine :class:`QdpllSolver`.
 
 Cost accounting uses *decisions* as the primary platform-independent metric;
 wall-clock is also recorded. A run that exhausts its decision or time budget
@@ -37,15 +35,8 @@ reports ``Outcome.UNKNOWN`` — the reproduction's analogue of the paper's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional
 
-from repro.core.engine.backend import (
-    CONFLICT as _CONFLICT,
-    MODEL as _MODEL,
-    PURE as _PURE,
-    SOLUTION as _SOLUTION,
-    Rec as _Rec,
-)
 from repro.core.engine.config import ENGINES, SolverConfig, default_engine
 from repro.core.engine.search import BACKENDS, SearchEngine
 from repro.core.formula import QBF
@@ -63,121 +54,8 @@ __all__ = [
 ]
 
 
-class QdpllSolver(SearchEngine):
-    """One solving session over a fixed QBF — the assembled layered engine.
-
-    All solving behaviour lives in :class:`~repro.core.engine.search.
-    SearchEngine` and the propagation backend it instantiates; this subclass
-    only restores the pre-refactor private names (``_trail``, ``_value``,
-    ``_orig_clauses``, ``_assign``, …) as delegating views so white-box
-    tests and interactive debugging keep working unchanged.
-    """
-
-    # -- trail views -----------------------------------------------------------
-
-    @property
-    def _trail(self) -> List[int]:
-        return self.trail.lits
-
-    @property
-    def _value(self) -> List[int]:
-        return self.trail.value
-
-    @property
-    def _level(self) -> List[int]:
-        return self.trail.level
-
-    @property
-    def _pos(self) -> List[int]:
-        return self.trail.pos
-
-    @property
-    def _reason(self) -> List[object]:
-        return self.trail.reason
-
-    @property
-    def _level_start(self) -> List[int]:
-        return self.trail.level_start
-
-    @property
-    def _decision(self) -> List[Tuple[int, bool]]:
-        return self.trail.decision
-
-    @property
-    def _queue_head(self) -> int:
-        return self.trail.queue_head
-
-    @_queue_head.setter
-    def _queue_head(self, value: int) -> None:
-        self.trail.queue_head = value
-
-    # -- backend views ---------------------------------------------------------
-
-    @property
-    def _orig_clauses(self) -> List[_Rec]:
-        return self.backend.orig_clauses
-
-    @property
-    def _learned_clauses(self) -> Dict[Tuple[int, ...], _Rec]:
-        return self.backend.learned_clauses
-
-    @property
-    def _learned_cubes(self) -> Dict[Tuple[int, ...], _Rec]:
-        return self.backend.learned_cubes
-
-    @property
-    def _pure_candidates(self) -> Set[int]:
-        return self.backend.pure_candidates
-
-    @property
-    def _clause_occ(self) -> Dict[int, List[_Rec]]:
-        return self.backend.clause_occ
-
-    @property
-    def _cube_occ(self) -> Dict[int, List[_Rec]]:
-        return self.backend.cube_occ
-
-    @property
-    def _occ_unsat(self) -> Dict[int, int]:
-        return self.backend.occ_unsat
-
-    @property
-    def _cube_count(self) -> Dict[int, int]:
-        return self.backend.cube_count
-
-    @property
-    def _n_unsat_orig(self) -> int:
-        return self.backend.n_unsat_orig
-
-    @property
-    def _trivially_false(self) -> bool:
-        return self.backend.trivially_false
-
-    # -- operation delegates ---------------------------------------------------
-
-    def _assign(self, lit: int, reason: object) -> None:
-        self.backend.assign(lit, reason)
-
-    def _backtrack(self, to_level: int) -> None:
-        self.backend.backtrack(to_level)
-
-    def _propagate(self) -> Optional[Tuple[str, object]]:
-        return self.backend.propagate()
-
-    def _apply_pure_literals(self) -> bool:
-        return self.backend.apply_pure_literals()
-
-    def _add_learned_clause(self, lits: Tuple[int, ...]) -> _Rec:
-        return self.backend.add_learned_clause(lits)
-
-    def _add_learned_cube(self, lits: Tuple[int, ...]) -> _Rec:
-        return self.backend.add_learned_cube(lits)
-
-    def _on_clause_sat(self, rec: _Rec) -> None:
-        self.backend._on_clause_sat(rec)
-
-    def _on_clause_unsat(self, rec: _Rec) -> None:
-        self.backend._on_clause_unsat(rec)
+#: the public name of the assembled layered engine.
+QdpllSolver = SearchEngine
 
 
 @register_paradigm

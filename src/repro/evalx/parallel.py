@@ -872,6 +872,11 @@ def _run_pool(
             progressed = False
             now = time.monotonic()
             for slot in list(running):
+                # Liveness first: a worker that reports and exits between
+                # the poll and a later liveness check would otherwise read
+                # as dead without a message. Dead before the poll means
+                # any report it sent is already in the pipe.
+                alive = slot.process.is_alive()
                 result = None
                 try:
                     if slot.conn.poll():
@@ -882,7 +887,7 @@ def _run_pool(
                     reap(slot)
                     settle(slot, result[0], result[1])
                     progressed = True
-                elif not slot.process.is_alive():
+                elif not alive:
                     exitcode = slot.process.exitcode
                     reap(slot)
                     if slot.termed_at is not None:

@@ -8,10 +8,7 @@ rebuilds a fresh engine on the same formula, re-installs the learned
 constraints at the empty trail (sound across interruptions for the same
 reason incremental QBF solving keeps clauses across related solves), then
 replays the trail through the backend's own ``assign``, which reconstructs
-the occurrence counters and pure-literal sidecar exactly. The watched
-backend's ``w1``/``w2``/``blocker`` memos are self-repairing cost-only
-caches, so they need no restoring — the resumed run makes the same
-decisions in the same order either way.
+the occurrence counters and pure-literal index exactly.
 
 On disk a checkpoint is two lines of JSON: a header carrying the format
 name, version and a SHA-256 of the payload line, then the payload itself.

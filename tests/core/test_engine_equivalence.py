@@ -4,16 +4,15 @@ The layered engine's contract (see :mod:`repro.core.engine.backend`) says a
 backend choice may change how fast events are found, never *which* events:
 on the same formula and config, every backend must produce the same decision
 sequence, the same trail at each decision, the same outcome and the same
-search statistics (modulo the explicitly backend-dependent visit/swap
+search statistics (modulo the explicitly backend-dependent visit
 counters). These tests check exactly that, on random non-prenex QBFs and
 their prenexings — i.e. QUBE(PO) and QUBE(TO) alike — with the pure-literal
-rule both on and off, and additionally that the watched and native engines'
-runs certify (their clause/term resolution derivations check out
-independently).
+rule both on and off, and additionally that every challenger's runs certify
+(their clause/term resolution derivations check out independently).
 
-The native (compiled) backend joins the parametrization whenever the
-extension is importable; on builds without it those cases skip loudly
-rather than pass vacuously.
+The native (compiled) backend's cases skip loudly rather than pass
+vacuously on builds without the extension, and assert that the kernel
+really ran. Alias legs run the backend they name against the reference.
 """
 
 import dataclasses
@@ -21,29 +20,17 @@ import random
 
 import pytest
 
-from repro.core.engine.native import native_available
 from repro.core.result import Outcome
 from repro.core.solver import QdpllSolver, SolverConfig
 from repro.generators.random_qbf import random_qbf
 from repro.prenexing import prenex
+from tests.engines import ENGINE_LEGS
 
 #: stats that are allowed — expected, even — to differ between backends.
-BACKEND_DEPENDENT = (
-    "clause_visits",
-    "cube_visits",
-    "watcher_swaps",
-    "engine_fallback",
-)
+BACKEND_DEPENDENT = ("clause_visits", "cube_visits")
 
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="compiled kernel (repro._native) not built"
-)
-
-#: every non-reference backend, each checked against the counters reference.
-CHALLENGERS = [
-    "watched",
-    pytest.param("native", marks=needs_native),
-]
+#: every engine name but the reference, each checked against counters.
+CHALLENGERS = [leg for leg in ENGINE_LEGS if leg != "counters"]
 
 
 def _traced_run(formula, config):
@@ -90,6 +77,7 @@ def test_backends_identical_decision_sequences(seed, pure, challenger):
             runs[engine] = _traced_run(variant, config)
         ref_result, ref_snapshots = runs["counters"]
         new_result, new_snapshots = runs[challenger]
+        assert new_result.stats.engine_fallback == ""
         assert new_result.outcome is ref_result.outcome
         assert new_snapshots == ref_snapshots, (
             "trail diverged at decision %d"
@@ -105,12 +93,11 @@ def test_backends_identical_decision_sequences(seed, pure, challenger):
 @pytest.mark.parametrize("challenger", CHALLENGERS)
 @pytest.mark.parametrize("seed", range(8))
 def test_non_reference_runs_certify(seed, challenger):
-    """The watched and native engines' certified runs verify end to end.
+    """Every challenger's certified runs verify end to end.
 
-    Certification forces the pure-literal rule off, so this also pins the
-    watched backend's fully lazy fast path (no occurrence walks at
-    assign/backtrack at all) — and the native kernel's compiled propagation
-    and reduction fast paths — against the independent proof checker.
+    Certification forces the pure-literal rule off, so this pins the native
+    kernel's compiled propagation and reduction fast paths on that path
+    against the independent proof checker.
     """
     from repro.certify import (
         MemorySink,
@@ -134,30 +121,9 @@ def test_non_reference_runs_certify(seed, challenger):
         config = certifying_config(SolverConfig(engine=engine, max_decisions=3000))
         sink = MemorySink()
         result = QdpllSolver(phi, config, proof=ProofLogger(sink)).solve()
+        assert result.stats.engine_fallback == ""
         assert result.outcome is not Outcome.UNKNOWN
         report = check_certificate(phi, sink)
         assert report.status == "verified", report
         outcomes[engine] = result.outcome
     assert outcomes["counters"] is outcomes[challenger]
-
-
-def test_stats_volatility_is_limited_to_visit_counters():
-    """The watched backend earns its keep: on a real instance it must do
-    *fewer* constraint-body scans than the reference, not just the same
-    events — and the reference must never report a watcher swap."""
-    from repro.generators.ncf import NcfParams, generate_ncf
-
-    phi = generate_ncf(NcfParams(dep=6, var=4, cls=12, lpc=5, seed=1))
-    runs = {
-        engine: QdpllSolver(
-            phi, SolverConfig(engine=engine, max_decisions=2000)
-        ).solve()
-        for engine in ("counters", "watched")
-    }
-    assert runs["counters"].stats.watcher_swaps == 0
-    assert _comparable_stats(runs["counters"].stats) == _comparable_stats(
-        runs["watched"].stats
-    )
-    total_visits = lambda s: s.clause_visits + s.cube_visits
-    assert total_visits(runs["watched"].stats) <= total_visits(runs["counters"].stats)
-    assert runs["watched"].stats.watcher_swaps > 0

@@ -4,8 +4,8 @@ pickers: equivalence tests for the flat-array kernels.
 The frontier contract: ``Trail.available_vars()`` (per-block counters
 maintained under push/unassign) must return exactly what the recursive
 quantifier-tree walk ``SearchEngine._available_vars()`` returns — same
-variables, same (DFS) order — in *every* reachable search state, for both
-propagation backends, on prenex (TO) and tree (PO) prefixes alike.
+variables, same (DFS) order — in *every* reachable search state, for every
+engine, on prenex (TO) and tree (PO) prefixes alike.
 """
 
 import random
@@ -21,6 +21,7 @@ from repro.core.literals import EXISTS
 from repro.core.prefix import Prefix
 from repro.generators.random_qbf import random_qbf
 from repro.prenexing.strategies import prenex
+from tests.engines import ENGINE_LEGS
 
 
 def _reference_available(prefix, value):
@@ -95,12 +96,13 @@ def _solve_checking_frontier(phi, engine):
 
     solver._decide = checked
     solver.solve()
+    assert solver.stats.engine_fallback == ""
     # final state (post-backtracks) must agree too
     assert solver.trail.available_vars() == solver._available_vars()
     return checks
 
 
-@pytest.mark.parametrize("engine", ["counters", "watched"])
+@pytest.mark.parametrize("engine", ENGINE_LEGS)
 @pytest.mark.parametrize("pipeline", ["po", "to"])
 @pytest.mark.parametrize("seed", range(12))
 def test_frontier_matches_walk_at_every_decision(seed, pipeline, engine):

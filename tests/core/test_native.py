@@ -1,7 +1,7 @@
 """Native-kernel specifics: fallback policy, strict mode, paranoid replay.
 
 Decision identity between the native backend and the reference is covered
-by the three-way parametrization in ``test_engine_equivalence.py``; this
+by the cross-engine parametrization in ``test_engine_equivalence.py``; this
 module pins everything *around* the kernel — what happens when the compiled
 extension is missing (loud fallback or structured error, never a silent
 engine change), and that the paranoid-mode replay path (which routes every
@@ -9,13 +9,14 @@ kernel assignment back through ``Trail.push`` and its invariant guards)
 still matches the reference decision for decision.
 """
 
+import dataclasses
 import random
-import warnings
 from unittest import mock
 
 import pytest
 
 from repro.core.engine import native as native_mod
+from repro.core.engine.counters import CounterBackend
 from repro.core.engine.native import (
     NativeBackend,
     NativeFallbackWarning,
@@ -25,15 +26,12 @@ from repro.core.engine.native import (
     native_import_error,
 )
 from repro.core.engine.search import resolve_backend
-from repro.core.engine.watched import WatchedBackend
 from repro.core.formula import paper_example
 from repro.core.result import SolverStats
 from repro.core.solver import QdpllSolver, SolverConfig, solve
+from repro.generators.ncf import NcfParams, generate_ncf
 from repro.generators.random_qbf import random_qbf
-
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="compiled kernel (repro._native) not built"
-)
+from tests.engines import needs_native
 
 
 def _without_kernel():
@@ -44,25 +42,29 @@ def _without_kernel():
 
 
 class TestFallback:
-    def test_resolves_to_watched_with_warning_and_stats_notice(self):
+    def test_resolves_to_counters_with_warning_and_stats_notice(self):
         stats = SolverStats()
-        config = SolverConfig(engine="native")
+        config = SolverConfig(engine="native", require_native=False)
         with _without_kernel():
             with pytest.warns(NativeFallbackWarning, match="falling back"):
                 cls = resolve_backend(config, stats)
-        assert cls is WatchedBackend
-        assert stats.engine_fallback == "watched"
+        assert cls is CounterBackend
+        assert stats.engine_fallback == "counters"
 
-    def test_full_solve_lands_on_watched_and_records_it(self):
+    def test_full_solve_lands_on_counters_and_records_it(self):
+        phi = generate_ncf(NcfParams(dep=6, var=4, cls=12, lpc=5, seed=1))
         with _without_kernel():
             with pytest.warns(NativeFallbackWarning):
-                result = solve(paper_example(), SolverConfig(engine="native"))
-        ref = solve(paper_example(), SolverConfig(engine="watched"))
+                config = SolverConfig(
+                    engine="native", require_native=False, max_decisions=2000
+                )
+                result = solve(phi, config)
+        ref = solve(phi, SolverConfig(engine="counters", max_decisions=2000))
         assert result.outcome is ref.outcome
-        assert result.stats.engine_fallback == "watched"
-        # the run really executed on the watched backend, not a half-built
-        # native one: its lazy-scan signature (watcher swaps) must show.
-        assert result.stats.watcher_swaps == ref.stats.watcher_swaps
+        assert result.stats.engine_fallback == "counters"
+        # the run really executed on the counter backend, not a half-built
+        # native one: every counter matches, the visit counts included.
+        assert dataclasses.replace(result.stats, engine_fallback="") == ref.stats
 
     def test_never_set_when_engine_is_pure_python(self):
         result = solve(paper_example(), SolverConfig(engine="counters"))

@@ -2,8 +2,8 @@
 
 The expansion engine implements the semantics directly (iterated cofactor
 expansion over the prefix's partial order), so verdict agreement with the
-search engines on random instances — prenex and tree prefixes, both
-propagation backends, the TO and PO pipelines — is the strongest cheap
+search engines on random instances — prenex and tree prefixes, every
+built propagation backend, the TO and PO pipelines — is the strongest cheap
 evidence that the Solver protocol refactor changed plumbing, not meaning.
 """
 
@@ -19,6 +19,7 @@ from repro.core.result import Outcome
 from repro.core.solver import solve
 from repro.generators.random_qbf import random_prenex_qbf, random_tree_qbf
 from repro.prenexing.strategies import prenex
+from tests.engines import BUILT_BACKENDS
 
 seeds = st.integers(min_value=0, max_value=10_000_000)
 
@@ -33,7 +34,7 @@ def test_expansion_agrees_with_search_on_prenex_qbfs(seed):
     phi = random_prenex_qbf(random.Random(seed))
     truth = _truth(phi)
     assert expand_solve(phi).outcome is truth
-    for engine in ("counters", "watched"):
+    for engine in BUILT_BACKENDS:
         config = SolverConfig(engine=engine, paradigm="search")
         assert solve(phi, config).outcome is truth, engine
 
@@ -49,7 +50,7 @@ def test_expansion_agrees_with_search_on_tree_qbfs(seed):
     truth = _truth(phi)
     for formula in (phi, flat):
         assert expand_solve(formula).outcome is truth
-        for engine in ("counters", "watched"):
+        for engine in BUILT_BACKENDS:
             config = SolverConfig(engine=engine, paradigm="search")
             assert solve(formula, config).outcome is truth, engine
 

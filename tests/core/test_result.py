@@ -97,17 +97,13 @@ def test_every_stats_field_is_exercised_by_some_run():
         # live learned cubes get re-examined (cube_visits) only once the
         # search revisits them from above; this instance is known to
         solve(generate_ncf(NcfParams(dep=4, var=4, cls=15, lpc=4, seed=3))),
-        # the watched backend is the only one that moves watcher_swaps
-        solve(
-            generate_ncf(NcfParams(dep=4, var=3, cls=9, lpc=4, seed=0)),
-            SolverConfig(engine="watched"),
-        ),
     ]
     # engine_fallback (a string, not a counter) only moves when the native
     # kernel is unavailable; simulate that so the field is exercised here too.
     with mock.patch.object(native_mod, "_native", None), warnings.catch_warnings():
         warnings.simplefilter("ignore", native_mod.NativeFallbackWarning)
-        runs.append(solve(paper_example(), SolverConfig(engine="native")))
+        config = SolverConfig(engine="native", require_native=False)
+        runs.append(solve(paper_example(), config))
     for f in fields(SolverStats):
         assert any(
             bool(getattr(r.stats, f.name)) for r in runs

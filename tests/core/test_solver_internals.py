@@ -1,4 +1,9 @@
-"""Targeted behavioural tests of the QDPLL engine internals."""
+"""Targeted behavioural tests of the QDPLL engine internals.
+
+White-box probes go through the engine's layers: ``solver.trail`` for the
+assignment state and ``solver.backend`` for the clause database and the
+propagation operations.
+"""
 
 import pytest
 
@@ -6,19 +11,20 @@ from repro.core.formula import QBF, paper_example
 from repro.core.literals import EXISTS, FORALL
 from repro.core.result import Outcome
 from repro.core.solver import QdpllSolver, SolverConfig, solve
+from tests.engines import BUILT_BACKENDS
 
 
 class TestInstall:
     def test_duplicate_clauses_deduplicated(self):
         phi = QBF.prenex([(EXISTS, [1, 2])], [(1, 2), (1, 2), (2, 1)])
         solver = QdpllSolver(phi)
-        assert len(solver._orig_clauses) == 1
+        assert len(solver.backend.orig_clauses) == 1
 
     def test_install_reduces_universals(self):
         # (x ∨ y) with y universal *after* x reduces to (x) at load time.
         phi = QBF.prenex([(EXISTS, [1]), (FORALL, [2])], [(1, 2)])
         solver = QdpllSolver(phi)
-        assert solver._orig_clauses[0].lits == (1,)
+        assert solver.backend.orig_clauses[0].lits == (1,)
 
     def test_install_detects_trivially_false(self):
         phi = QBF.prenex([(FORALL, [1]), (EXISTS, [2])], [(1,), (2,)])
@@ -44,9 +50,9 @@ class TestInstall:
                 SimpleNamespace(lits=(2, 1)),  # canonicalizes to the same
             ],
         )
-        for engine in ("counters", "watched"):
+        for engine in BUILT_BACKENDS:
             solver = QdpllSolver(raw, SolverConfig(engine=engine))
-            assert [rec.lits for rec in solver._orig_clauses] == [(1, 2)]
+            assert [rec.lits for rec in solver.backend.orig_clauses] == [(1, 2)]
             assert solver.solve().outcome is Outcome.TRUE
 
 
@@ -110,7 +116,7 @@ class TestLearningMachinery:
         result = solver.solve()
         assert result.outcome is Outcome.FALSE
         # Any learned clause must mention only prefix variables.
-        for lits in solver._learned_clauses:
+        for lits in solver.backend.learned_clauses:
             for lit in lits:
                 assert abs(lit) in phi.prefix
 
@@ -147,45 +153,46 @@ class TestBudgets:
 class TestPureLiteralBacktracking:
     """Regression tests: purity must survive backjumps (Section III).
 
-    Pre-fix, ``_backtrack`` never re-seeded ``_pure_candidates`` and
-    ``_apply_pure_literals`` dropped candidates that happened to be assigned
+    Pre-fix, ``backtrack`` never re-seeded ``pure_candidates`` and
+    ``apply_pure_literals`` dropped candidates that happened to be assigned
     when examined, so a variable that is pure in the restored state was never
     reconsidered and the monotone-literal rule silently degraded as search
     deepened.
     """
 
     def _decide(self, solver, lit):
-        solver._level_start.append(len(solver._trail))
-        solver._decision.append((lit, False))
-        solver._assign(lit, None)
+        solver.trail.open_level(lit, flipped=False)
+        solver.backend.assign(lit, None)
 
     def test_backtrack_reseeds_pure_candidates(self):
         # ∃{1,2,3} : (1 ∨ 2) ∧ (¬2 ∨ 3). Variable 1 never occurs negated,
         # so it is pure in *every* state where it is unassigned.
         phi = QBF.prenex([(EXISTS, [1, 2, 3])], [(1, 2), (-2, 3)])
         solver = QdpllSolver(phi)
+        backend = solver.backend
         # Simulate mid-search: the install-time candidates have been consumed.
-        solver._pure_candidates.clear()
+        backend.pure_candidates.clear()
         # Decision level 1: assign 2. Satisfying (1 ∨ 2) re-enqueues vars 1
         # and 2 as purity candidates via _on_clause_sat.
         self._decide(solver, 2)
-        assert {1, 2} <= solver._pure_candidates
+        assert {1, 2} <= backend.pure_candidates
         # The pure rule fires for the unassigned var 1 and examines var 2
         # while it is assigned (the pre-fix code dropped it permanently).
-        assert solver._apply_pure_literals()
-        assert solver._lit_value(1) is True
+        assert backend.apply_pure_literals()
+        assert solver.trail.lit_value(1) is True
         # Backjump to level 0. In the restored state var 1 is unassigned and
         # still pure, exactly as a from-scratch solver would see it.
-        solver._backtrack(0)
-        assert all(solver._value[v] == 0 for v in (1, 2, 3))
-        assert {1, 2} <= solver._pure_candidates, (
+        backend.backtrack(0)
+        assert all(solver.trail.value[v] == 0 for v in (1, 2, 3))
+        assert {1, 2} <= backend.pure_candidates, (
             "backtrack must re-seed purity candidates for unassigned vars"
         )
         # And the rule must actually re-fire, matching the fresh state.
         fresh = QdpllSolver(phi)
-        assert fresh._apply_pure_literals()
-        assert solver._apply_pure_literals()
-        assert solver._lit_value(1) is True and fresh._lit_value(1) is True
+        assert fresh.backend.apply_pure_literals()
+        assert backend.apply_pure_literals()
+        assert solver.trail.lit_value(1) is True
+        assert fresh.trail.lit_value(1) is True
 
     def test_fix_changes_search_but_not_outcomes(self):
         # Differential regression against a replica of the pre-fix
@@ -212,12 +219,8 @@ class TestPureLiteralBacktracking:
                         rec.n_true -= 1
                         if rec.n_true == 0:
                             self._on_clause_unsat(rec)
-                    for rec in self.clause_occ[-lit]:
-                        rec.n_false -= 1
                     for rec in self.cube_occ[-lit]:
                         rec.n_false -= 1
-                    for rec in self.cube_occ[lit]:
-                        rec.n_true -= 1
                 trail.shrink(to_level, target)
 
         class PreFixSolver(QdpllSolver):

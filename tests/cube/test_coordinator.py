@@ -1,7 +1,7 @@
 """Cube-and-conquer end-to-end property tests (ISSUE 7 satellite 3).
 
 For random small QBFs — prenex (totally ordered) and tree (partially
-ordered) prefixes, both engines — ``run_cube`` with 1..4 workers must
+ordered) prefixes, every engine — ``run_cube`` with 1..4 workers must
 return the same verdict as the sequential reference ``solve``, with and
 without constraint sharing, and certified runs must verify.
 
@@ -16,6 +16,7 @@ from repro.core.result import Outcome
 from repro.core.solver import solve
 from repro.cube import run_cube
 from repro.generators.random_qbf import random_prenex_qbf, random_tree_qbf
+from tests.engines import ENGINE_LEGS
 
 
 def _decided_instances(make, seeds, want):
@@ -59,7 +60,7 @@ def test_tree_verdict_matches_sequential(jobs):
 
 
 @pytest.mark.parametrize("share", [True, False])
-@pytest.mark.parametrize("engine", ["counters", "watched"])
+@pytest.mark.parametrize("engine", ENGINE_LEGS)
 def test_engines_and_sharing_agree(engine, share):
     seed, formula, expected = PRENEX[0]
     report = run_cube(

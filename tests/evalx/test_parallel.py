@@ -1,5 +1,6 @@
 """Tests for the fault-isolated multiprocess batch runner."""
 
+import functools
 import json
 import os
 import time
@@ -63,6 +64,58 @@ def hang_on_slow(task):
 
 def always_crash(task):
     raise RuntimeError("no task should have been executed: %s" % task.instance)
+
+
+def report_when_released(go, task):
+    go.wait(30)
+    return execute_task(task)
+
+
+class _LatePollContext:
+    """Multiprocessing context whose pipe loses the race with its worker.
+
+    The first ``poll()`` on the parent's pipe end looks first, then
+    releases the worker (via ``go``) and waits until it has reported and
+    exited: exactly a worker that reports between the parent's poll and
+    its liveness check. One task at a time.
+    """
+
+    def __init__(self, real):
+        self.real = real
+        self.go = real.Event()
+        self.processes = []
+
+    def Process(self, *args, **kwargs):
+        process = self.real.Process(*args, **kwargs)
+        self.processes.append(process)
+        return process
+
+    def Pipe(self, duplex):
+        parent, child = self.real.Pipe(duplex=duplex)
+        return _LatePollConnection(parent, self), child
+
+
+class _LatePollConnection:
+    def __init__(self, conn, ctx):
+        self._conn = conn
+        self._ctx = ctx
+        self._polled = False
+
+    def poll(self):
+        ready = self._conn.poll()
+        if not self._polled:
+            self._polled = True
+            self._ctx.go.set()
+            worker = self._ctx.processes[-1]
+            worker.join(timeout=30)
+            assert worker.exitcode is not None, "worker did not finish"
+        return ready
+
+    def recv(self):
+        return self._conn.recv()
+
+    def close(self):
+        self._conn.close()
 
 
 class TestSerialization:
@@ -161,6 +214,20 @@ class TestPoolFaultIsolation:
         assert by_instance["a"].ok and by_instance["b"].ok
         # The hung worker must have been terminated, not waited out.
         assert elapsed < 20
+
+    def test_report_racing_the_liveness_check_is_not_a_crash(self, monkeypatch):
+        from repro.evalx import parallel
+
+        ctx = _LatePollContext(parallel._mp_context())
+        monkeypatch.setattr(parallel, "_mp_context", lambda: ctx)
+        records = run_tasks(
+            make_tasks(["a"]),
+            jobs=2,
+            executor=functools.partial(report_when_released, ctx.go),
+            max_retries=0,
+        )
+        assert records[0].ok, records[0].error
+        assert records[0].measurement.outcome is Outcome.FALSE
 
     def test_parallel_equals_serial(self):
         tasks = make_tasks(["i%d" % i for i in range(6)])

@@ -1,7 +1,7 @@
 """Property tests: the incremental solver agrees with from-scratch solves.
 
-The contract under test (ISSUE 6): across any push/pop sequence, on both
-engines, in both pipelines (PO = solve the tree as-is, TO = prenex first),
+The contract under test: across any push/pop sequence, on every
+engine, in both pipelines (PO = solve the tree as-is, TO = prenex first),
 with certification on, :class:`repro.incremental.IncrementalSolver` returns
 outcomes identical to a fresh solve of the same effective formula.
 """
@@ -17,6 +17,7 @@ from repro.core.solver import SolverConfig, solve
 from repro.generators.random_qbf import random_prenex_qbf, random_tree_qbf
 from repro.incremental import IncrementalSolver
 from repro.prenexing.strategies import prenex
+from tests.engines import ENGINE_LEGS
 
 
 def _formula(rng, mode):
@@ -59,7 +60,7 @@ def _random_script(rng, prefix, steps=4):
     return script
 
 
-@pytest.mark.parametrize("engine", ["counters", "watched"])
+@pytest.mark.parametrize("engine", ENGINE_LEGS)
 @pytest.mark.parametrize("mode", ["po", "to"])
 def test_push_pop_matches_fresh_solves(engine, mode):
     config = SolverConfig(engine=engine)
@@ -68,7 +69,9 @@ def test_push_pop_matches_fresh_solves(engine, mode):
         phi = _formula(rng, mode)
         inc = IncrementalSolver(config)
         inc.load(phi)
-        assert inc.solve().outcome is solve(phi, config).outcome
+        first = inc.solve()
+        assert first.stats.engine_fallback == ""
+        assert first.outcome is solve(phi, config).outcome
         for op, lit in _random_script(rng, phi.prefix):
             if op == "push":
                 inc.push(lit)
@@ -78,7 +81,7 @@ def test_push_pop_matches_fresh_solves(engine, mode):
             assert inc.solve().outcome is solve(effective, config).outcome
 
 
-@pytest.mark.parametrize("engine", ["counters", "watched"])
+@pytest.mark.parametrize("engine", ENGINE_LEGS)
 def test_certified_incremental_matches_and_stays_valid(engine):
     """With certification on: outcomes agree and no certificate is INVALID.
 
@@ -95,6 +98,7 @@ def test_certified_incremental_matches_and_stays_valid(engine):
         for step in range(3):
             result = inc.solve()
             fresh = solve(inc.effective_formula(), certifying_config(config))
+            assert result.stats.engine_fallback == ""
             assert result.outcome is fresh.outcome
             assert inc.check_last_certificate().status != INVALID
             if free and (inc.depth == 0 or rng.random() < 0.6):

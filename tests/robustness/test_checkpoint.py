@@ -2,9 +2,8 @@
 
 The contract under test: interrupting a run at *any* decision budget and
 resuming it must reproduce the uninterrupted run exactly — same outcome,
-same total decision count, same learned-constraint counts — on both
-propagation backends and for both the TO and PO pipelines, certified or
-not. A snapshot that is torn, garbled, or belongs to another formula or
+same total decision count, same learned-constraint counts — on every
+engine and for both the TO and PO pipelines, certified or not. A snapshot that is torn, garbled, or belongs to another formula or
 configuration must be rejected with :class:`CheckpointError` and never
 crash or silently corrupt a run.
 """
@@ -16,7 +15,7 @@ import pytest
 
 from repro.core.formula import paper_example
 from repro.core.result import Outcome
-from repro.core.solver import ENGINES, QdpllSolver, SolverConfig
+from repro.core.solver import QdpllSolver, SolverConfig
 from repro.evalx.runner import Budget, solve_po, solve_to
 from repro.generators.ncf import NcfParams, generate_ncf
 from repro.robustness import (
@@ -25,6 +24,7 @@ from repro.robustness import (
     save_checkpoint,
 )
 from repro.robustness.checkpoint import Checkpoint, config_digest, formula_digest
+from tests.engines import ENGINE_LEGS, needs_native
 
 
 def small_ncf(seed, dep=6, var=3, ratio=3, lpc=5):
@@ -112,6 +112,7 @@ class TestDigestGuards:
         ).solve(resume_from=path)
         assert result.outcome is not Outcome.UNKNOWN
 
+    @needs_native
     def test_cross_engine_resume_is_compatible(self, tmp_path):
         # The engines are decision-for-decision identical by contract, so
         # the engine choice is cost accounting, not solver state.
@@ -119,8 +120,9 @@ class TestDigestGuards:
         path = make_checkpoint(tmp_path, phi, engine="counters")
         baseline = QdpllSolver(phi, SolverConfig(max_decisions=100000)).solve()
         resumed = QdpllSolver(
-            phi, SolverConfig(max_decisions=100000, engine="watched")
+            phi, SolverConfig(max_decisions=100000, engine="native")
         ).solve(resume_from=path)
+        assert resumed.stats.engine_fallback == ""
         assert resumed.outcome is baseline.outcome
         assert resumed.stats.decisions == baseline.stats.decisions
 
@@ -133,14 +135,13 @@ class TestDigestGuards:
         )
         # budget and engine are excluded on purpose
         assert config_digest(SolverConfig()) == config_digest(
-            SolverConfig(max_decisions=7, engine="watched")
+            SolverConfig(max_decisions=7, engine="native")
         )
 
 
 #: every SolverStats counter a resumed run must reproduce exactly; the
-#: propagation-layer observability counters (clause/cube visits, watcher
-#: swaps) are engine-dependent cost accounting backed by memos the
-#: checkpoint deliberately does not carry.
+#: propagation-layer observability counters (clause/cube visits) are
+#: engine-dependent cost accounting, outside the resume contract.
 SEMANTIC_STATS = (
     "decisions", "propagations", "pure_literals", "conflicts", "solutions",
     "learned_clauses", "learned_cubes", "learned_clause_lits",
@@ -158,7 +159,7 @@ def assert_same_run(resumed, baseline):
 class TestResumeIdentity:
     """The property test: interrupt anywhere, resume, get the same run."""
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", ENGINE_LEGS)
     @pytest.mark.parametrize("mode", ["po", "to"])
     def test_interrupt_anywhere_and_resume(self, tmp_path, engine, mode):
         rng = random.Random(hash((engine, mode)) & 0xFFFF)
@@ -168,6 +169,7 @@ class TestResumeIdentity:
             phi = small_ncf(seed)
             big = Budget(decisions=50000)
             baseline = runner(phi, budget=big, engine=engine)
+            assert baseline.stats.engine_fallback == ""
             if baseline.decisions < 2:
                 continue
             checked += 1
