@@ -1,12 +1,12 @@
 """The cube-and-conquer coordinator: one instance, N worker processes.
 
 Work-splitting is the quantifier-tree decomposition of
-:mod:`repro.cube.splitter`; workers are forked with the same
-process/pipe/signal idioms as the :mod:`repro.evalx.parallel` slot
-machinery, but as a *persistent pool*: each of the ``jobs`` processes is
-forked once and then pulls cube after cube from a job queue, so the
-per-cube overhead is a queue round-trip, not a fork. Each cube runs the
-layered engine on its subproblem:
+:mod:`repro.cube.splitter`; the workers are a persistent
+:class:`repro.evalx.parallel.WorkerPool`: each of the ``jobs`` processes
+is handed cube after cube over its own pipe, one at a time, so the
+per-cube overhead is a pipe round-trip, not a fork (a worker is re-forked
+only after a crashed or cancelled cube). Each cube runs the layered engine
+on its subproblem:
 
 * **incremental fast path** — a non-certified cube over original-outermost
   existential variables is solved through
@@ -20,16 +20,15 @@ layered engine on its subproblem:
 Constraint sharing rides bounded multiprocessing queues (one shared
 outbox, one inbox per worker; everything non-blocking and lossy — see
 :mod:`repro.cube.sharing`). The coordinator relays each export to every
-other worker and keeps a bounded pool to seed respawned workers.
+live worker's inbox; a re-forked worker starts with a fresh, empty inbox.
 
 Verdicts fold up the split tree (existential split: any TRUE branch wins;
 universal split: any FALSE branch wins — :func:`repro.cube.splitter.
 fold_outcomes`), and a worker whose current cube is already settled by a
-sibling is cancelled early: SIGTERM sets the worker's
-:mod:`repro.robustness` interrupt flag, the engine exits UNKNOWN at the
-next quiescent point, and the worker moves on to the next cube. A
-preempted cube that was *not* the cancellation target (the signal raced a
-job hand-off) is simply re-enqueued.
+sibling is cancelled early: the pool SIGTERMs exactly the worker holding
+that cube, which sets its :mod:`repro.robustness` interrupt flag; the
+engine exits UNKNOWN at the next quiescent point, and a fresh worker takes
+the next cube.
 
 A worker that exhausts its decision budget flushes a ``repro-ckpt``
 checkpoint (steal-by-checkpoint). The coordinator then either *re-splits*
@@ -47,13 +46,12 @@ identical).
 
 from __future__ import annotations
 
+import functools
 import os
 import queue as stdlib_queue
 import shutil
-import signal
 import tempfile
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -61,7 +59,7 @@ from repro.core.formula import QBF
 from repro.core.literals import EXISTS, var_of
 from repro.core.result import Outcome
 from repro.core.solver import solve
-from repro.evalx.parallel import STATUS_CRASH, STATUS_OK, _mp_context
+from repro.evalx.parallel import STATUS_CANCELLED, STATUS_OK, Job, WorkerPool
 from repro.evalx.runner import Budget
 from repro.robustness.checkpoint import CheckpointError, load_checkpoint
 from repro.robustness.interrupt import global_flag
@@ -76,12 +74,10 @@ DEFAULT_LEAF_DECISIONS = 500
 #: enough that no worker idles, and on the decomposable families the extra
 #: cofactoring keeps cutting total decisions well past ``jobs`` cubes.
 INITIAL_CUBES_PER_JOB = 16
-#: give a signalled/sentinelled worker this long before SIGKILL.
+#: give a cancelled worker this long to report before SIGKILL.
 SHUTDOWN_GRACE_SECONDS = 5.0
-#: cap on the constraint pool used to seed respawned workers.
-POOL_MAX = 256
-#: crashed-worker replacements tolerated per pool slot before the pool is
-#: allowed to shrink (and, at zero workers, the run gives up).
+#: lost workers replaced per pool slot before the pool is allowed to
+#: shrink (and, at zero workers, the run gives up).
 MAX_RESPAWNS_PER_JOB = 4
 
 #: crashes tolerated per leaf before it is written off as UNKNOWN.
@@ -104,7 +100,6 @@ class CubeJob:
     ckpt_path: Optional[str] = None
     resume: bool = False
     max_shared_lits: int = MAX_SHARED_LITS
-    preload: List[Tuple[int, bool, Tuple[int, ...]]] = field(default_factory=list)
 
 
 @dataclass
@@ -121,7 +116,7 @@ class CubeReport:
     resplits: int = 0
     cancelled: int = 0
     crashes: int = 0
-    #: crashed workers actually replaced; stops growing once the respawn
+    #: lost workers the pool may replace; stops growing once the respawn
     #: budget (:data:`MAX_RESPAWNS_PER_JOB` × jobs) is exhausted.
     respawns: int = 0
     interrupted: bool = False
@@ -167,7 +162,7 @@ def solve_cube_job(
             + ([("paradigm", job.paradigm)] if job.paradigm != "search" else [])
         )
     )
-    share = outbox is not None or inbox is not None or bool(job.preload)
+    share = outbox is not None or inbox is not None
     fragment: Optional[Dict[str, object]] = None
     exchange: Optional[Exchange] = None
 
@@ -193,7 +188,6 @@ def solve_cube_job(
                 admission,
                 max_lits=job.max_shared_lits,
                 lift_cubes=False,
-                preload=job.preload,
             )
         # retain=False: this solver lives for exactly one cube, so the
         # retention bookkeeping (proof-closure tagging of every learned
@@ -233,7 +227,6 @@ def solve_cube_job(
                 None if job.certify else inbox,
                 admission,
                 max_lits=job.max_shared_lits,
-                preload=[] if job.certify else job.preload,
             )
 
         def run(resume_ckpt):
@@ -290,68 +283,14 @@ def solve_cube_job(
     }
 
 
-#: worker → coordinator message tags (first element after the worker id).
-MSG_START = "start"
-MSG_DONE = "done"
-
-
-def _cube_worker_loop(worker_id, formula, jobq, resultq, outbox, inbox) -> None:
-    """Persistent worker: pull cubes until the ``None`` sentinel.
-
-    SIGTERM is the *cancel current cube* signal, not a shutdown: it sets
-    the interrupt flag, the engine winds up UNKNOWN at the next quiescent
-    point, and the loop clears the flag before the next cube.
-    """
-    flag = global_flag()
-    flag.clear()
-    try:
-        # Forked children inherit the parent's signal wakeup fd (asyncio
-        # loops set one); left in place, this worker's SIGTERM bytes would
-        # land in the parent loop's self-pipe and read as a parent
-        # shutdown. Detach before installing our own handler.
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    signal.signal(signal.SIGTERM, flag.set)
-    while True:
-        try:
-            job = jobq.get()
-        except (EOFError, OSError):  # queue torn down: coordinator is gone
-            return
-        if job is None:
-            return
-        flag.clear()
-        job.worker_id = worker_id
-        try:
-            resultq.put((worker_id, MSG_START, job.key))
-            payload = solve_cube_job(job, formula, outbox, inbox, interrupt=flag)
-            resultq.put((worker_id, MSG_DONE, (STATUS_OK, payload)))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException:
-            try:
-                resultq.put(
-                    (worker_id, MSG_DONE, (STATUS_CRASH, traceback.format_exc()))
-                )
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                return
+def _solve_leaf(formula: QBF, worker_id: int, outbox, inbox, job: CubeJob):
+    """Pool body of a cube worker: one cube under the worker's interrupt
+    flag, which the pool's SIGTERM sets to cancel it."""
+    job.worker_id = worker_id
+    return solve_cube_job(job, formula, outbox, inbox, interrupt=global_flag())
 
 
 # -- the coordinator ---------------------------------------------------------
-
-
-class _Worker:
-    __slots__ = ("id", "proc", "inbox", "current_key", "cancel_key")
-
-    def __init__(self, worker_id: int, proc, inbox):
-        self.id = worker_id
-        self.proc = proc
-        self.inbox = inbox
-        #: key of the cube this worker is believed to be solving.
-        self.current_key: Optional[int] = None
-        #: key this worker was SIGTERM'd over (to tell a targeted cancel
-        #: from a collateral preemption when the UNKNOWN result arrives).
-        self.cancel_key: Optional[int] = None
 
 
 def _settled_above(node: SplitNode) -> bool:
@@ -383,6 +322,7 @@ class _Coordinator:
         workdir: Optional[str],
         max_shared_lits: int,
         max_escalations: int,
+        mem_limit_mb: Optional[float],
     ):
         self.formula = formula
         self.jobs = jobs
@@ -400,17 +340,20 @@ class _Coordinator:
         self.max_escalations = max_escalations
         self._own_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-cube-")
-        self.ctx = _mp_context()
-        self.jobq = None
-        self.resultq = None
+        self.workers = WorkerPool(
+            jobs,
+            self._make_body,
+            persistent=True,
+            mem_limit_mb=mem_limit_mb,
+            term_grace=SHUTDOWN_GRACE_SECONDS,
+        )
         self.outbox = None
-        self.pool: List[Tuple[int, bool, Tuple[int, ...]]] = []
+        self.inboxes: Dict[int, object] = {}
         self.pending: List[SplitNode] = []
-        self.workers: Dict[int, _Worker] = {}
-        self.nodes: Dict[int, SplitNode] = {}
-        self.outstanding: Dict[int, SplitNode] = {}
+        self.running: Dict[Job, SplitNode] = {}
+        #: workers lost to failed jobs (each one exits; see WorkerPool).
+        self.lost = 0
         self.next_key = 0
-        self.next_worker = 0
         self.report = CubeReport(
             outcome=Outcome.UNKNOWN,
             seconds=0.0,
@@ -426,7 +369,6 @@ class _Coordinator:
     def _stamp(self, node: SplitNode) -> None:
         if node.key < 0:
             node.key = self.next_key
-            self.nodes[node.key] = node
             self.next_key += 1
         if not node.budget:
             node.budget = self.leaf_decisions
@@ -441,56 +383,50 @@ class _Coordinator:
         check = getattr(flag, "is_set", None)
         return bool(check() if check is not None else flag())
 
-    # -- worker lifecycle ---------------------------------------------------
+    # -- workers and the sharing bus ----------------------------------------
 
-    def _spawn_worker(self) -> None:
-        worker_id = self.next_worker
-        self.next_worker += 1
-        inbox = self.ctx.Queue(maxsize=1024) if self.share else None
-        proc = self.ctx.Process(
-            target=_cube_worker_loop,
-            args=(worker_id, self.formula, self.jobq, self.resultq, self.outbox, inbox),
-            daemon=True,
-        )
-        proc.start()
-        self.workers[worker_id] = _Worker(worker_id, proc, inbox)
-        self.report.workers_launched += 1
+    def _make_body(self, worker_id: int):
+        """Called by the pool before each fork: a fresh inbox for the new
+        worker, and the cube body it runs."""
+        inbox = None
+        if self.share:
+            inbox = self.workers.context.Queue(maxsize=1024)
+            inbox.cancel_join_thread()  # lossy bus: never block exit on it
+            self.inboxes[worker_id] = inbox
+        return functools.partial(_solve_leaf, self.formula, worker_id, self.outbox, inbox)
 
-    def _enqueue(self, node: SplitNode, resume: bool) -> None:
+    def _capacity(self) -> int:
+        """Concurrent cubes: ``jobs``, less every lost worker beyond the
+        respawn budget — a poison formula that kills every worker it
+        touches must not fork forever. At zero the run gives up and folds
+        what it has (the serve layer then degrades to a scratch solve)."""
+        budget = MAX_RESPAWNS_PER_JOB * self.jobs
+        self.report.respawns = min(self.lost, budget)
+        return self.jobs - max(0, self.lost - budget)
+
+    def _submit(self, node: SplitNode, resume: bool) -> None:
         self._stamp(node)
         node.attempts += 1
-        self.outstanding[node.key] = node
-        self.jobq.put(
-            CubeJob(
-                worker_id=-1,
-                key=node.key,
-                path=node.path,
-                budget_decisions=node.budget,
-                engine=self.engine,
-                paradigm=self.paradigm,
-                certify=self.certify,
-                ckpt_path=self._ckpt_path(node),
-                resume=resume,
-                max_shared_lits=self.max_shared_lits,
-                preload=[],
-            )
+        job = CubeJob(
+            worker_id=-1,
+            key=node.key,
+            path=node.path,
+            budget_decisions=node.budget,
+            engine=self.engine,
+            paradigm=self.paradigm,
+            certify=self.certify,
+            ckpt_path=self._ckpt_path(node),
+            resume=resume,
+            max_shared_lits=self.max_shared_lits,
         )
-
-    def _cancel_current(self, worker: _Worker) -> None:
-        """Abort the cube ``worker`` is on (SIGTERM → interrupt flag)."""
-        if worker.cancel_key == worker.current_key:
-            return  # already signalled for this cube
-        worker.cancel_key = worker.current_key
-        if worker.proc.is_alive():
-            try:
-                os.kill(worker.proc.pid, signal.SIGTERM)
-            except (ProcessLookupError, OSError):  # pragma: no cover
-                pass
-        self.report.cancelled += 1
+        self.running[self.workers.submit(job)] = node
 
     def _drain_bus(self) -> None:
         if self.outbox is None:
             return
+        live = self.workers.worker_ids()
+        for worker_id in [w for w in self.inboxes if w not in live]:
+            self.inboxes.pop(worker_id).close()
         while True:
             try:
                 item = self.outbox.get_nowait()
@@ -498,14 +434,9 @@ class _Coordinator:
                 return
             except (EOFError, OSError):  # pragma: no cover - torn bus
                 return
-            self.pool.append(item)
-            if len(self.pool) > POOL_MAX:
-                del self.pool[: len(self.pool) - POOL_MAX]
-            for worker in self.workers.values():
-                if worker.inbox is None:
-                    continue
+            for inbox in self.inboxes.values():
                 try:
-                    worker.inbox.put_nowait(item)
+                    inbox.put_nowait(item)
                 except stdlib_queue.Full:
                     pass
                 except (BrokenPipeError, OSError):  # pragma: no cover
@@ -521,25 +452,21 @@ class _Coordinator:
         for reason, count in (stats.get("import_rejected") or {}).items():
             self.rejected_totals[reason] = self.rejected_totals.get(reason, 0) + count
 
-    def _on_done(self, worker: _Worker, status: str, payload, shutdown: bool) -> None:
-        key = worker.current_key
-        worker.current_key = None
-        cancelled = worker.cancel_key is not None and worker.cancel_key == key
-        worker.cancel_key = None
-        node = self.nodes.get(key) if key is not None else None
-        if key is not None:
-            self.outstanding.pop(key, None)
-        if node is None:  # pragma: no cover - protocol confusion
-            return
-        if status != STATUS_OK:
+    def _on_done(self, job: Job, shutdown: bool) -> None:
+        node = self.running.pop(job)
+        if job.status != STATUS_OK:
+            self.lost += 1
+            if job.status == STATUS_CANCELLED:
+                node.cancelled = True
+                return
             self.report.crashes += 1
-            self._respawn(worker)
-            if not shutdown and not cancelled and not _settled_above(node):
+            if not shutdown and not _settled_above(node):
                 if node.attempts <= MAX_CRASHES:
                     self.pending.append(node)
                 else:
                     node.outcome = Outcome.UNKNOWN
             return
+        payload = job.result
         outcome = Outcome[payload["outcome"]]
         self.report.total_decisions += int(payload.get("decisions", 0))
         self._absorb_share(payload.get("share"))
@@ -550,45 +477,13 @@ class _Coordinator:
             if frag is not None:
                 node.fragment = LeafFragment.from_payload(frag)
             return
-        # UNKNOWN: preempted or out of budget.
+        # UNKNOWN: cancelled or out of budget.
         node.interrupted = bool(payload.get("interrupted"))
-        if cancelled or _settled_above(node):
+        if job.cancelled or _settled_above(node):
             node.cancelled = True
             return
-        if shutdown:
-            return
-        if node.interrupted:
-            # Collateral preemption: the cancel signal raced the job
-            # hand-off and hit the wrong cube. Just run it again (the
-            # checkpoint, if flushed, resumes the partial work).
-            self.pending.append(node)
-            return
-        self._escalate(node)
-
-    def _respawn(self, worker: _Worker) -> None:
-        """Replace a crashed worker process (its queues are abandoned).
-
-        Bounded: after :data:`MAX_RESPAWNS_PER_JOB` × ``jobs`` replacements
-        the pool stops respawning and shrinks instead — a poison formula
-        that kills every worker it touches must not fork-bomb the host.
-        When the last worker is gone the main loop gives up and folds what
-        it has (the serve layer then degrades to a scratch solve).
-        """
-        proc = worker.proc
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=SHUTDOWN_GRACE_SECONDS)
-        if proc.is_alive():  # pragma: no cover - stuck worker
-            proc.kill()
-            proc.join(timeout=1.0)
-        if worker.inbox is not None:
-            worker.inbox.cancel_join_thread()
-            worker.inbox.close()
-        self.workers.pop(worker.id, None)
-        if self.report.respawns >= MAX_RESPAWNS_PER_JOB * self.jobs:
-            return  # respawn budget exhausted: let the pool shrink
-        self.report.respawns += 1
-        self._spawn_worker()
+        if not shutdown:
+            self._escalate(node)
 
     def _escalate(self, node: SplitNode) -> None:
         """A leaf blew its budget.
@@ -634,62 +529,47 @@ class _Coordinator:
             self.formula, self.initial_cubes, seed=self.seed, max_depth=self.max_depth
         )
         self.report.root = root
-        self.jobq = self.ctx.Queue()
-        self.resultq = self.ctx.Queue()
         if self.share:
-            self.outbox = self.ctx.Queue(maxsize=4096)
+            self.outbox = self.workers.context.Queue(maxsize=4096)
+            self.outbox.cancel_join_thread()  # workers never block exit on it
         for leaf in root.leaves():
             self._stamp(leaf)
             self.pending.append(leaf)
         self.pending.sort(key=lambda n: n.path)
-        for _ in range(self.jobs):
-            self._spawn_worker()
-        shutdown = False
         try:
             while True:
-                now = time.monotonic()
-                decided = fold_outcomes(root)
                 timed_out = (
                     self.wall_timeout is not None
-                    and now - started > self.wall_timeout
+                    and time.monotonic() - started > self.wall_timeout
                 )
                 if self._interrupted() or timed_out:
                     self.report.interrupted = self.report.interrupted or self._interrupted()
-                    shutdown = True
-                if decided is not None or shutdown:
+                    break
+                if fold_outcomes(root) is not None:
                     break
                 # Cancel workers grinding cubes a sibling already settled.
-                for worker in self.workers.values():
-                    key = worker.current_key
-                    if key is None or worker.cancel_key == key:
-                        continue
-                    node = self.nodes.get(key)
-                    if node is not None and _settled_above(node):
-                        self._cancel_current(worker)
-                # Keep the job queue primed a few cubes deep per worker —
-                # easy cubes drain in milliseconds, and a shallow queue
-                # starves the pool on coordinator poll latency — but still
-                # bounded, so re-splits and budget escalations see
-                # reasonably fresh state when they dequeue.
-                while self.pending and len(self.outstanding) < 4 * self.jobs:
+                for job, node in self.running.items():
+                    if not job.cancelled and _settled_above(node):
+                        self.workers.cancel(job)
+                        self.report.cancelled += 1
+                # Hand each idle worker one cube.
+                capacity = self._capacity()
+                while self.pending and len(self.running) < capacity:
                     node = self.pending.pop(0)
                     if _settled_above(node):
                         node.cancelled = True
                         continue
-                    resume = node.attempts > 0 and os.path.exists(
-                        self._ckpt_path(node)
-                    )
-                    self._enqueue(node, resume=resume)
-                if not self.outstanding and not self.pending:
-                    break
-                if not self.workers:
-                    # Respawn budget exhausted and the last worker is dead:
-                    # nothing will ever drain the queue — fold what settled.
+                    resume = node.attempts > 0 and os.path.exists(self._ckpt_path(node))
+                    self._submit(node, resume=resume)
+                if not self.running:
+                    # Everything settled, or the respawn budget is spent
+                    # and no worker is left: fold what settled.
                     break
                 self._drain_bus()
-                self._pump_results(shutdown=False, timeout=0.02)
+                for job in self.workers.wait(timeout=0.02):
+                    self._on_done(job, shutdown=False)
         finally:
-            self._shutdown_pool()
+            self._shutdown()
             if self._own_workdir:
                 shutil.rmtree(self.workdir, ignore_errors=True)
         report = self.report
@@ -699,6 +579,8 @@ class _Coordinator:
         report.outcome = Outcome.UNKNOWN if folded is None else folded
         report.seconds = time.monotonic() - started
         report.leaves = len(root.leaves())
+        report.workers_launched = self.workers.forks
+        self._capacity()
         report.share = dict(self.share_totals)
         report.share["import_rejected"] = dict(self.rejected_totals)
         if self.certify:
@@ -710,71 +592,21 @@ class _Coordinator:
             ).status
         return report
 
-    def _pump_results(self, shutdown: bool, timeout: float) -> None:
+    def _shutdown(self) -> None:
+        """Cancel the cubes still running and absorb what they report (a
+        worker may have finished a decisive cube just as we stopped — keep
+        its verdict and fragment), then stop the workers."""
         try:
-            worker_id, tag, body = self.resultq.get(timeout=timeout)
-        except stdlib_queue.Empty:
-            self._check_worker_health()
-            return
-        except (EOFError, OSError):  # pragma: no cover - torn queue
-            return
-        while True:
-            worker = self.workers.get(worker_id)
-            if worker is not None:
-                if tag == MSG_START:
-                    worker.current_key = body
-                    node = self.nodes.get(body)
-                    if node is not None and (shutdown or _settled_above(node)):
-                        self._cancel_current(worker)
-                elif tag == MSG_DONE:
-                    status, payload = body
-                    self._on_done(worker, status, payload, shutdown=shutdown)
-            try:
-                worker_id, tag, body = self.resultq.get_nowait()
-            except stdlib_queue.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover
-                return
-
-    def _check_worker_health(self) -> None:
-        """A worker that died without a message loses its current cube."""
-        for worker in list(self.workers.values()):
-            if worker.proc.is_alive():
-                continue
-            self._on_done(worker, STATUS_CRASH, "worker died silently", shutdown=False)
-
-    def _shutdown_pool(self) -> None:
-        # Abort in-flight cubes, then send one sentinel per worker.
-        for worker in self.workers.values():
-            if worker.proc.is_alive():
-                try:
-                    os.kill(worker.proc.pid, signal.SIGTERM)
-                except (ProcessLookupError, OSError):  # pragma: no cover
-                    pass
-        for _ in self.workers:
-            try:
-                self.jobq.put_nowait(None)
-            except (stdlib_queue.Full, OSError):  # pragma: no cover
-                break
-        deadline = time.monotonic() + SHUTDOWN_GRACE_SECONDS
-        # Absorb any final results (a worker may have finished a decisive
-        # cube just as we shut down — keep its verdict and fragment).
-        for worker in self.workers.values():
-            while worker.proc.is_alive() and time.monotonic() < deadline:
-                self._pump_results(shutdown=True, timeout=0.05)
-                worker.proc.join(timeout=0.05)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=1.0)
-        self._pump_results(shutdown=True, timeout=0.0)
-        for q in [self.jobq, self.resultq, self.outbox] + [
-            w.inbox for w in self.workers.values()
-        ]:
-            if q is None:
-                continue
-            q.cancel_join_thread()
-            q.close()
-        self.workers.clear()
+            for job in self.running:
+                self.workers.cancel(job)
+            while self.running:
+                for job in self.workers.wait():
+                    self._on_done(job, shutdown=True)
+        finally:
+            self.workers.close()
+            for q in [self.outbox, *self.inboxes.values()]:
+                if q is not None:
+                    q.close()
 
 
 def run_cube(
@@ -794,6 +626,7 @@ def run_cube(
     workdir: Optional[str] = None,
     max_shared_lits: int = MAX_SHARED_LITS,
     max_escalations: int = 8,
+    mem_limit_mb: Optional[float] = None,
 ) -> CubeReport:
     """Solve ``formula`` cube-and-conquer style across ``jobs`` processes.
 
@@ -809,6 +642,10 @@ def run_cube(
     an incapable paradigm is refused upfront with a
     :class:`~repro.core.paradigm.CapabilityError` instead of crashing a
     worker mid-solve.
+
+    ``mem_limit_mb`` caps each worker's address space (``RLIMIT_AS``), as
+    for :func:`repro.evalx.parallel.run_tasks`; ``jobs=1`` runs in-process
+    and is not capped.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -883,5 +720,6 @@ def run_cube(
         workdir=workdir,
         max_shared_lits=max_shared_lits,
         max_escalations=max_escalations,
+        mem_limit_mb=mem_limit_mb,
     )
     return coordinator.run()

@@ -197,7 +197,6 @@ class Exchange:
         max_lits: int = MAX_SHARED_LITS,
         export: bool = True,
         lift_cubes: bool = True,
-        preload: Sequence[BusItem] = (),
     ):
         self.sender_id = sender_id
         self._assumed = tuple(assumptions)
@@ -211,9 +210,6 @@ class Exchange:
         #: are valid in the original space verbatim (the assumption units
         #: never join a cube derivation), so cubes export unlifted.
         self.lift_cubes = lift_cubes
-        #: constraints already on the bus when this worker started, handed
-        #: over in the job payload; consumed by the first drain.
-        self._preload: List[BusItem] = list(preload)
         self._seen: set = set()
         self.exported = 0
         self.export_dropped = 0
@@ -238,12 +234,6 @@ class Exchange:
             self.export_dropped += 1
 
     def drain(self) -> Iterator[Tuple[bool, Tuple[int, ...]]]:
-        if self._preload:
-            preload, self._preload = self._preload, []
-            for sender, is_cube, lits in preload:
-                got = self._admit(sender, is_cube, lits)
-                if got is not None:
-                    yield got
         if self._inbox is None:
             return
         while True:
@@ -253,24 +243,14 @@ class Exchange:
                 return
             except (EOFError, OSError):  # bus torn down mid-drain
                 return
-            got = self._admit(sender, is_cube, lits)
-            if got is not None:
-                yield got
-
-    def _admit(
-        self, sender: int, is_cube: bool, lits
-    ) -> Optional[Tuple[bool, Tuple[int, ...]]]:
-        if sender == self.sender_id:
-            return None
-        clean = self.admission.admit(is_cube, lits)
-        if clean is None:
-            return None
-        key = (is_cube, clean)
-        if key in self._seen:
-            return None
-        self._seen.add(key)
-        self.imported += 1
-        return is_cube, clean
+            if sender == self.sender_id:
+                continue
+            clean = self.admission.admit(is_cube, lits)
+            if clean is None or (is_cube, clean) in self._seen:
+                continue
+            self._seen.add((is_cube, clean))
+            self.imported += 1
+            yield is_cube, clean
 
     # -- the sender-side lift ----------------------------------------------
 

@@ -2,8 +2,8 @@
 
 The paper's Section VII experiments are embarrassingly parallel: hundreds of
 independent QUBE(TO)/QUBE(PO) runs per suite. This module fans those runs
-out over a ``multiprocessing`` worker pool with the three properties a
-trustworthy batch harness needs:
+out over forked worker processes with the three properties a trustworthy
+batch harness needs:
 
 * **hard wall-clock timeouts** — a run that exceeds ``wall_timeout`` has
   its worker killed, not merely asked to stop via the solver's cooperative
@@ -20,6 +20,13 @@ trustworthy batch harness needs:
   against the same file skips every (instance, solver, config) key already
   recorded, so an interrupted sweep continues where it left off.
 
+The processes themselves belong to :class:`WorkerPool`, the one place that
+forks, waits on, signals and kills solver workers. Sweeps, the portfolio
+race (:func:`repro.portfolio.race`, one :func:`run_tasks` call) and the
+cube-and-conquer coordinator (:mod:`repro.cube.coordinator`, persistent
+workers) all run on it, so memory ceilings, injected faults and the kill
+escalation behave the same in every tier.
+
 ``jobs=1`` is the serial degenerate case: tasks run in-process, in order,
 with no worker processes involved, so existing single-process results stay
 bit-for-bit reproducible (crashes are still captured as failure records).
@@ -35,7 +42,8 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait as _wait_ready
+from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.formula import QBF
 from repro.core.result import Outcome, SolverStats
@@ -61,6 +69,10 @@ STATUS_DISAGREEMENT = "disagreement"
 #: ceiling, so the record is written immediately (any checkpoint an earlier
 #: attempt salvaged stays on disk for a future run at a higher ceiling).
 STATUS_MEMOUT = "memout"
+#: the job was cancelled before it settled (``run_tasks``' ``stop_when``, or
+#: :meth:`WorkerPool.cancel`). The record carries the measurement the worker
+#: reported on its way out, if any, and is never written to a results log.
+STATUS_CANCELLED = "cancelled"
 
 #: results JSONL schema, in the ``schema`` field of every row. Version 1
 #: rows (no ``schema`` field) predate certification and still load; rows
@@ -217,6 +229,11 @@ class Record:
     #: record (0.0 on first-attempt successes; serialized only when spent).
     backoff: float = 0.0
 
+    @classmethod
+    def of(cls, task: "Task", status: str, **fields) -> "Record":
+        """A record keyed by ``task``'s instance, solver and fingerprint."""
+        return cls(task.instance, task.solver, task.fingerprint(), status, **fields)
+
     @property
     def key(self) -> Tuple[str, str, str]:
         return (self.instance, self.solver, self.fingerprint)
@@ -280,7 +297,7 @@ def execute_task(task: Task) -> Measurement:
     preempted attempt is resumed (a torn or foreign one is ignored — the
     run simply restarts), and the solver flushes a fresh snapshot if this
     attempt is preempted in turn. The solver polls the process-global
-    interrupt flag, which :func:`_worker_main` wires to SIGTERM.
+    interrupt flag, which pool workers wire to SIGTERM (:func:`_worker_main`).
     """
     overrides = dict(task.overrides)
     ckpt_path = task.checkpoint_path()
@@ -387,133 +404,374 @@ class ResultsLog:
         self.close()
 
 
-# -- the pool -----------------------------------------------------------------
+# -- the worker pool ----------------------------------------------------------
 
 
-def _apply_worker_rlimits(
-    mem_limit_mb: Optional[float], cpu_limit: Optional[float], flag
-) -> None:
-    """Install per-worker resource ceilings (POSIX; silently off elsewhere).
+def _mp_context():
+    """Prefer fork (fast, no re-import requirements for test executors)."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
 
-    ``mem_limit_mb`` caps the address space (``RLIMIT_AS``): an allocation
-    beyond it raises :class:`MemoryError` inside the worker, which
-    :func:`_worker_main` reports as a structured ``memout`` — instead of
-    the kernel OOM-killing the host (or the whole pool's parent).
 
-    ``cpu_limit`` is a *soft* CPU-seconds ceiling: ``SIGXCPU`` is routed to
-    the interrupt flag, so a cooperative solver checkpoints and reports a
-    partial measurement; the hard ceiling a few seconds later is the
-    kernel's non-negotiable SIGKILL backstop for a wedged loop.
+def _apply_memory_limit(mem_limit_mb: Optional[float]) -> None:
+    """Cap this process's address space (``RLIMIT_AS``; POSIX only).
+
+    An allocation beyond the ceiling raises :class:`MemoryError` inside the
+    worker, which reports it as a structured ``memout`` instead of the
+    kernel OOM-killing the host (or the pool's parent).
     """
+    if mem_limit_mb is None or mem_limit_mb <= 0:
+        return
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platforms
         return
-    if mem_limit_mb is not None and mem_limit_mb > 0:
-        limit = int(mem_limit_mb * 1024 * 1024)
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        if hard != resource.RLIM_INFINITY:
-            limit = min(limit, hard)
-        try:
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        except (ValueError, OSError):  # pragma: no cover - exotic rlimits
-            pass
-    if cpu_limit is not None and cpu_limit > 0:
-        soft = max(1, int(cpu_limit))
-        hard_cap = soft + 5
-        _, hard = resource.getrlimit(resource.RLIMIT_CPU)
-        if hard != resource.RLIM_INFINITY:
-            soft = min(soft, hard)
-            hard_cap = min(hard_cap, hard)
-        try:
-            signal.signal(signal.SIGXCPU, flag.set)
-            resource.setrlimit(resource.RLIMIT_CPU, (soft, hard_cap))
-        except (ValueError, OSError):  # pragma: no cover - exotic rlimits
-            pass
+    limit = int(mem_limit_mb * 1024 * 1024)
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    except (ValueError, OSError):  # pragma: no cover - exotic rlimits
+        pass
+
+
+def _run_job(job, body, attempt: int, faults, mem_limit_mb) -> Tuple[str, object]:
+    """Run one job in the worker; returns the ``(status, payload)`` report.
+
+    A :class:`MemoryError` (from the ceiling or from the solver itself) is
+    a ``memout``, whose message is built without ``traceback.format_exc()``:
+    under genuine memory pressure the formatting allocation itself can die.
+    """
+    try:
+        if faults is not None:
+            faults.on_worker_start(job, attempt)
+        return STATUS_OK, body(job)
+    except MemoryError as exc:
+        if mem_limit_mb:
+            return STATUS_MEMOUT, "worker exceeded its memory ceiling (%.0f MiB): %s" % (
+                mem_limit_mb, exc,
+            )
+        return STATUS_MEMOUT, "solver ran out of memory: %s" % exc
+    except Exception:
+        return STATUS_CRASH, traceback.format_exc()
+
+
+def _send(conn, message) -> bool:
+    try:
+        conn.send(message)
+        return True
+    except Exception:
+        return False  # the other end is gone; the pool sees the worker's exit
 
 
 def _worker_main(
-    task: Task,
-    executor: Callable[[Task], Measurement],
+    job,
+    body: Callable[[object], object],
     conn,
     attempt: int = 1,
     faults: Optional[FaultPlan] = None,
     mem_limit_mb: Optional[float] = None,
-    cpu_limit: Optional[float] = None,
+    persistent: bool = False,
 ) -> None:
-    """Worker body: run the task, ship the result (or the traceback) back.
+    """Worker process: run ``job``, report it, and (persistent) take the next.
 
-    SIGTERM is routed to the process-global interrupt flag, so a graceful
-    parent-side preemption lets the solver flush a checkpoint and report a
-    partial measurement instead of dying mid-search; an executor that never
-    polls the flag is covered by the parent's SIGKILL escalation.
+    The prologue runs once per fork, with SIGTERM still blocked (see
+    :meth:`WorkerPool.submit`). It clears the interrupt flag inherited from
+    the parent and detaches the parent's signal wakeup fd: asyncio loops set
+    one, and left in place, *this worker's* SIGTERM would be written into
+    the parent loop's self-pipe and read back as a shutdown of the parent.
+    It then routes SIGTERM to the interrupt flag and unblocks it, so a
+    cancel sent at any time after the fork preempts the job (the solver
+    flushes its checkpoint and reports a partial measurement instead of
+    dying mid-search), and caps the address space at ``mem_limit_mb``.
 
-    With ``mem_limit_mb`` set, the worker's address space is capped before
-    the task runs; a :class:`MemoryError` (from the ceiling or from the
-    solver itself) is reported as a ``memout`` — a structured failure the
-    parent records without retrying — rather than a generic crash. The
-    report message is built without ``traceback.format_exc()``: under
-    genuine memory pressure the formatting allocation itself can die.
+    Each job is reported as ``(status, payload)``. The worker exits after a
+    failed job (the pool forks a fresh one), after its one job unless
+    ``persistent``, and when the parent sends ``None``. The pool signals a
+    worker only while it holds a job and never hands a signalled worker
+    another one, so the flag needs no clearing between jobs.
 
-    ``KeyboardInterrupt``/``SystemExit`` are reported as a crash record but
-    then *re-raised*: swallowing them would leave the worker running after
-    the user (or the interpreter) asked it to stop.
+    ``KeyboardInterrupt``/``SystemExit`` are reported as a crash but then
+    *re-raised*: swallowing them would leave the worker running after the
+    user (or the interpreter) asked it to stop.
     """
     flag = global_flag()
-    flag.clear()  # fork inherits the parent's flag state; start clean
+    flag.clear()
     try:
-        # A forked child inherits the parent's signal wakeup fd (asyncio
-        # event loops set one). Left in place, *this worker's* SIGTERM
-        # would be written into the parent loop's self-pipe and read back
-        # as a shutdown of the parent — reset it before installing ours.
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     signal.signal(signal.SIGTERM, flag.set)
-    _apply_worker_rlimits(mem_limit_mb, cpu_limit, flag)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+    _apply_memory_limit(mem_limit_mb)
     try:
-        if faults is not None:
-            faults.on_worker_start(task, attempt)
-        measurement = executor(task)
-        conn.send((STATUS_OK, measurement_to_dict(measurement)))
-    except MemoryError as exc:
-        try:
-            conn.send((
-                STATUS_MEMOUT,
-                "worker exceeded its memory ceiling%s: %s"
-                % (
-                    " (%.0f MiB)" % mem_limit_mb if mem_limit_mb else "",
-                    exc,
-                ),
-            ))
-        except Exception:
-            pass  # parent sees the dead process and records a crash
-    except BaseException as exc:
-        try:
-            conn.send((STATUS_CRASH, traceback.format_exc()))
-        except Exception:
-            pass  # parent will see the dead process and record a crash
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
+        while job is not None:
+            try:
+                report = _run_job(job, body, attempt, faults, mem_limit_mb)
+            except BaseException:
+                _send(conn, (STATUS_CRASH, traceback.format_exc()))
+                raise
+            if not _send(conn, report) or not persistent or report[0] != STATUS_OK:
+                return
+            try:
+                job, attempt = conn.recv() or (None, 0)
+            except (EOFError, OSError):
+                return
     finally:
         conn.close()
 
 
-@dataclass
-class _Slot:
-    """One live worker process and its bookkeeping."""
+@dataclass(eq=False)
+class Job:
+    """One unit of pool work, from :meth:`WorkerPool.submit` to the
+    :meth:`WorkerPool.wait` call that hands it back done."""
 
+    work: object
+    started: float = 0.0
+    #: monotonic time at which the pool SIGTERMs the worker (None: never).
+    deadline: Optional[float] = None
+    #: filled in when the job is done: a report status (``ok``, ``crash``,
+    #: ``memout``) or, for a worker that died without reporting,
+    #: ``crash``/``hard-timeout``/``cancelled`` by why it was signalled.
+    status: Optional[str] = None
+    #: the body's return value when ``status`` is ``ok``, else error text.
+    result: object = None
+    seconds: float = 0.0
+    #: :meth:`WorkerPool.cancel` signalled this job's worker.
+    cancelled: bool = False
+    #: the deadline passed and the pool signalled this job's worker.
+    timed_out: bool = False
+
+    def finish(self, status: str, result: object) -> "Job":
+        self.status, self.result = status, result
+        self.seconds = time.monotonic() - self.started
+        return self
+
+
+@dataclass(eq=False)
+class _Worker:
+    id: int
     process: multiprocessing.process.BaseProcess
     conn: object
-    index: int
-    task: Task
-    attempt: int
-    started: float
-    deadline: Optional[float]
-    #: when the parent sent SIGTERM (graceful preemption); None before.
+    job: Optional[Job] = None
+    #: when the pool sent SIGTERM for the current job; None before.
     termed_at: Optional[float] = None
-    #: backoff seconds accumulated by this task's earlier retries.
-    backoff: float = 0.0
+    killed: bool = False
+
+
+class WorkerPool:
+    """Forked solver workers: one fork, wait, signal and kill path.
+
+    Up to ``size`` workers, each holding at most one :class:`Job`. The pool
+    forks a worker when a job arrives and no worker is idle, handing it the
+    job at the fork (inherited, not pickled); a persistent worker gets later
+    jobs over its own duplex pipe. ``make_body(worker_id)`` is called in the
+    parent just before each fork and returns the function the new worker
+    runs on every job, so per-worker resources (a sharing inbox) are
+    inherited by exactly that worker.
+
+    Two re-fork policies: one-shot workers (the default) exit after their
+    job, so every job starts from the parent's memory image; ``persistent``
+    workers run job after job. Either way a worker whose job failed, or
+    that was signalled, exits and is replaced by a fresh fork on demand.
+
+    :meth:`wait` blocks on the workers' pipes and process sentinels at once
+    (no polling) and always reads a worker's report before it counts the
+    worker's exit as a crash. A job past its deadline, or one passed to
+    :meth:`cancel`, gets SIGTERM (the worker's interrupt flag) and, after
+    ``term_grace`` seconds without a report, SIGKILL.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        make_body: Callable[[int], Callable[[object], object]],
+        persistent: bool = False,
+        mem_limit_mb: Optional[float] = None,
+        faults: Optional[FaultPlan] = None,
+        term_grace: float = 2.0,
+    ):
+        self.size = size
+        self.persistent = persistent
+        self.mem_limit_mb = mem_limit_mb
+        self.faults = faults
+        self.term_grace = term_grace
+        #: the multiprocessing context workers are forked from; queues a
+        #: worker should inherit must come from it too.
+        self.context = _mp_context()
+        #: workers forked so far (also the next worker's id).
+        self.forks = 0
+        self._make_body = make_body
+        self._workers: Dict[int, _Worker] = {}
+
+    def worker_ids(self) -> Set[int]:
+        """Ids of the live workers, busy or idle."""
+        return set(self._workers)
+
+    def submit(self, work, attempt: int = 1, timeout: Optional[float] = None) -> Job:
+        """Start ``work`` on an idle worker, forking one if needed."""
+        now = time.monotonic()
+        job = Job(work, now, None if timeout is None else now + timeout)
+        for worker in self._workers.values():
+            if worker.job is None:
+                if _send(worker.conn, (work, attempt)):
+                    worker.job = job
+                    return job
+                self._retire(worker, 0.0)  # died while idle
+                break
+        if len(self._workers) >= self.size:
+            raise RuntimeError("all %d workers are busy" % self.size)
+        parent_conn, child_conn = self.context.Pipe(duplex=True)
+        worker_id = self.forks
+        self.forks += 1
+        process = self.context.Process(
+            target=_worker_main,
+            args=(
+                work, self._make_body(worker_id), child_conn, attempt,
+                self.faults, self.mem_limit_mb, self.persistent,
+            ),
+            daemon=True,
+        )
+        # The worker is born with SIGTERM blocked and unblocks it once its
+        # prologue has detached the wakeup fd: an early cancel must not be
+        # written into the parent's event loop as the parent's own SIGTERM.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        child_conn.close()
+        self._workers[worker_id] = _Worker(worker_id, process, parent_conn, job)
+        return job
+
+    def cancel(self, job: Job) -> None:
+        """SIGTERM the worker holding ``job`` (a no-op once it is done)."""
+        for worker in self._workers.values():
+            if worker.job is job:
+                job.cancelled = True
+                self._terminate(worker)
+                return
+
+    def wait(self, timeout: Optional[float] = None) -> List[Job]:
+        """Block until some jobs are done (returned) or ``timeout`` passes."""
+        end = None if timeout is None else time.monotonic() + timeout
+        while True:
+            done = self._enforce_deadlines()
+            if done:
+                return done
+            now = time.monotonic()
+            wakes = [end] if end is not None else []
+            for worker in self._workers.values():
+                if worker.termed_at is not None:
+                    wakes.append(worker.termed_at + self.term_grace)
+                elif worker.job is not None and worker.job.deadline is not None:
+                    wakes.append(worker.job.deadline)
+            delay = max(0.0, min(wakes) - now) if wakes else None
+            if not self._workers:
+                time.sleep(delay or 0.0)  # only a retry backoff to wait out
+                return []
+            workers = list(self._workers.values())
+            ready = set(
+                _wait_ready(
+                    [w.conn for w in workers] + [w.process.sentinel for w in workers],
+                    delay,
+                )
+            )
+            for worker in workers:
+                if worker.conn in ready or worker.process.sentinel in ready:
+                    job = self._collect(worker)
+                    if job is not None:
+                        done.append(job)
+            if done or (end is not None and time.monotonic() >= end):
+                return done
+
+    def close(self) -> None:
+        """Stop every worker: busy ones get SIGTERM, all are told to exit,
+        and whatever is still alive after ``term_grace`` is killed."""
+        for worker in self._workers.values():
+            if worker.job is not None:
+                self._terminate(worker)
+        deadline = time.monotonic() + self.term_grace
+        for worker in list(self._workers.values()):
+            self._retire(worker, max(0.0, deadline - time.monotonic()))
+
+    # -- internals ----------------------------------------------------------
+
+    def _terminate(self, worker: _Worker) -> None:
+        if worker.termed_at is None:
+            worker.process.terminate()
+            worker.termed_at = time.monotonic()
+
+    def _enforce_deadlines(self) -> List[Job]:
+        """SIGTERM jobs past their deadline; SIGKILL workers past the grace."""
+        done: List[Job] = []
+        now = time.monotonic()
+        for worker in list(self._workers.values()):
+            job = worker.job
+            if job is None:
+                continue
+            if worker.termed_at is None:
+                if job.deadline is not None and now >= job.deadline:
+                    job.timed_out = True
+                    self._terminate(worker)
+            elif now - worker.termed_at >= self.term_grace:
+                # The grace expired without a report: the worker is wedged
+                # (or its body never polls the flag); SIGKILL cannot be
+                # ignored.
+                worker.process.kill()
+                worker.killed = True
+                worker.process.join()
+                done.append(self._collect(worker))
+        return done
+
+    def _collect(self, worker: _Worker) -> Optional[Job]:
+        """Settle ``worker`` after its pipe or sentinel fired: read its
+        report if it sent one, else count its exit; return its done job."""
+        report = None
+        try:
+            if worker.conn.poll():
+                report = worker.conn.recv()
+        except (EOFError, OSError):
+            report = None  # the worker is gone without a (whole) report
+        job = worker.job
+        if report is not None and job is not None:
+            status, result = report
+            if self.persistent and status == STATUS_OK and worker.termed_at is None:
+                worker.job = None
+            else:
+                self._retire(worker, self.term_grace)
+            return job.finish(status, result)
+        self._retire(worker, self.term_grace)
+        if job is None:
+            return None  # an idle worker died: the next job forks afresh
+        how = (
+            "SIGKILL after %.1fs grace" % self.term_grace
+            if worker.killed
+            else "exitcode %s" % (worker.process.exitcode,)
+        )
+        elapsed = time.monotonic() - job.started
+        if job.timed_out:
+            return job.finish(
+                STATUS_HARD_TIMEOUT, "hard wall-clock timeout after %.1fs (%s)" % (elapsed, how)
+            )
+        if job.cancelled:
+            return job.finish(STATUS_CANCELLED, "cancelled after %.1fs (%s)" % (elapsed, how))
+        return job.finish(STATUS_CRASH, "worker died without reporting (%s)" % how)
+
+    def _retire(self, worker: _Worker, grace: float) -> None:
+        self._workers.pop(worker.id, None)
+        _send(worker.conn, None)  # a persistent worker waits for its next job
+        worker.process.join(grace)
+        if worker.process.is_alive():  # a worker stuck on its way out
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
+
+
+# -- sweeps on the pool -------------------------------------------------------
 
 
 @dataclass
@@ -545,14 +803,6 @@ def _backoff_delay(base: float, key: Tuple[str, str, str], attempt: int) -> floa
     return base * (2.0 ** (attempt - 1)) * (0.5 + 0.5 * _retry_jitter(key, attempt))
 
 
-def _mp_context():
-    """Prefer fork (fast, no re-import requirements for test executors)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
 def run_tasks(
     tasks: Sequence[Task],
     jobs: int = 1,
@@ -560,14 +810,13 @@ def run_tasks(
     wall_timeout: Optional[float] = None,
     max_retries: int = 1,
     executor: Optional[Callable[[Task], Measurement]] = None,
-    poll_interval: float = 0.01,
     term_grace: float = 2.0,
     retry_backoff: float = 0.5,
     faults: Optional[FaultPlan] = None,
     checkpoint_dir: Optional[str] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
-    cpu_limit: Optional[float] = None,
+    stop_when: Optional[Callable[[Record], bool]] = None,
 ) -> List[Record]:
     """Run ``tasks`` and return one :class:`Record` per task, in task order.
 
@@ -575,7 +824,8 @@ def run_tasks(
         tasks: the runs to schedule. Keys (instance, solver, fingerprint)
             should be unique; duplicate keys share one record.
         jobs: worker processes. ``1`` runs serially in-process (the exact
-            legacy execution model); ``>1`` uses the fault-isolated pool.
+            legacy execution model); ``>1`` forks one :class:`WorkerPool`
+            worker per task attempt.
         results: a :class:`ResultsLog`, a path string, or None. When given,
             already-recorded keys are skipped (resume) and every new record
             is appended as it completes.
@@ -589,9 +839,10 @@ def run_tasks(
             ``checkpoint_dir`` set, a hard-timeout retry resumes from the
             checkpoint the SIGTERM salvaged, so the wall clock resets but
             the search doesn't.
-        executor: the task body, a picklable module-level callable mapping
-            Task -> Measurement. Defaults to :func:`execute_task`; tests
-            substitute crashing/hanging bodies to exercise fault isolation.
+        executor: the task body, a module-level callable mapping Task ->
+            Measurement. Defaults to :func:`execute_task`, looked up when
+            ``run_tasks`` is called; tests substitute crashing/hanging
+            bodies to exercise fault isolation.
         term_grace: seconds between SIGTERM and SIGKILL on a wall timeout.
         retry_backoff: base seconds of the exponential crash-retry backoff
             (deterministically jittered per task); 0 disables the delay.
@@ -606,10 +857,10 @@ def run_tasks(
             holding the whole sweep's state). A worker that breaches it
             produces a ``memout`` record instead of a host-level OOM kill;
             memouts are never retried.
-        cpu_limit: soft per-worker CPU-seconds ceiling (POSIX, ``jobs > 1``
-            only); SIGXCPU flips the worker's interrupt flag so a
-            cooperative solver checkpoints, with a kernel SIGKILL backstop
-            a few seconds later.
+        stop_when: called with every record as it is made, in completion
+            order. Once it returns True, running tasks are cancelled and
+            queued ones never start; both get ``cancelled`` records, which
+            are not written to ``results``.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -641,16 +892,17 @@ def run_tasks(
         # (and a rerun with the same seed) sees the same assignments.
         faults.bind(FaultPlan.label(p.task) for p in pending)
 
-    def finish(index: int, task: Task, record: Record) -> None:
+    def finish(index: int, task: Task, record: Record) -> bool:
+        """Store ``record``; True when ``stop_when`` asks to stop."""
         out[index] = record
-        done[task.key] = record
-        if log is not None:
-            log.append(record)
+        if record.status != STATUS_CANCELLED:
+            done[task.key] = record
+            if log is not None:
+                log.append(record)
+        return stop_when is not None and stop_when(record)
 
     if jobs == 1:
-        for p in pending:
-            record = _run_serial(p.task, executor, max_retries, retry_backoff, faults)
-            finish(p.index, p.task, record)
+        _run_serial(pending, executor, max_retries, retry_backoff, faults, finish)
     else:
         _run_pool(
             pending,
@@ -659,12 +911,10 @@ def run_tasks(
             wall_timeout,
             max_retries,
             finish,
-            poll_interval,
             term_grace,
             retry_backoff,
             faults,
             mem_limit_mb,
-            cpu_limit,
         )
 
     if log is not None and not isinstance(results, ResultsLog):
@@ -673,67 +923,93 @@ def run_tasks(
     return out  # type: ignore[return-value]
 
 
+def _cancelled_record(task: Task, attempts: int = 0, measurement=None) -> Record:
+    return Record.of(task, STATUS_CANCELLED, measurement=measurement, attempts=attempts)
+
+
+def _settle(
+    entry: _Pending,
+    status: str,
+    result: object,
+    seconds: float,
+    max_retries: int,
+    retry_backoff: float,
+    timed_out: bool = False,
+):
+    """The retry policy for one finished attempt: its :class:`Record`, or
+    the :class:`_Pending` retry to run instead.
+
+    ``result`` is the :class:`Measurement` when ``status`` is ``ok``, else
+    the error text; ``timed_out`` says the pool SIGTERMed the attempt at its
+    wall-clock deadline.
+    """
+    task, attempt = entry.task, entry.attempt
+    measurement = result if status == STATUS_OK else None
+    error = None if status == STATUS_OK else result
+    if status == STATUS_OK and timed_out and measurement.interrupted:
+        # Our SIGTERM preempted it: the worker reported gracefully (its
+        # checkpoint is on disk), but the *task* still overran the wall
+        # clock — classify as a hard timeout so a retry can resume.
+        status = STATUS_HARD_TIMEOUT
+        error = "hard wall-clock timeout after %.1fs (checkpoint salvaged)" % seconds
+    if status == STATUS_OK:
+        return Record.of(
+            task, STATUS_OK, measurement=measurement, attempts=attempt, backoff=entry.backoff
+        )
+    if attempt <= max_retries:
+        if status == STATUS_CRASH:
+            # Exponential backoff with deterministic jitter: don't hammer a
+            # transiently failing (e.g. OOMing) box.
+            delay = _backoff_delay(retry_backoff, task.key, attempt)
+            return _Pending(
+                entry.index, task, attempt + 1, time.monotonic() + delay, entry.backoff + delay
+            )
+        if status == STATUS_HARD_TIMEOUT:
+            # Immediate requeue: time was the failure, not the machine. With
+            # checkpointing on, the retry resumes the salvaged frontier
+            # instead of re-spending the whole wall budget.
+            return _Pending(entry.index, task, attempt + 1, backoff=entry.backoff)
+    # Memouts are final: the same allocation fails the same way again.
+    return Record.of(
+        task,
+        status,
+        measurement=measurement or _failure_measurement(task, seconds),
+        attempts=attempt,
+        error=error,
+        backoff=entry.backoff,
+    )
+
+
 def _run_serial(
-    task: Task,
+    pending: List[_Pending],
     executor: Callable[[Task], Measurement],
     max_retries: int,
-    retry_backoff: float = 0.0,
-    faults: Optional[FaultPlan] = None,
-) -> Record:
-    """In-process execution: crash-as-record with retries, like the pool.
+    retry_backoff: float,
+    faults: Optional[FaultPlan],
+    finish: Callable[[int, Task, Record], bool],
+) -> None:
+    """In-process execution, in task order, with the pool's job body and
+    retry policy.
 
     ``KeyboardInterrupt``/``SystemExit`` propagate — a serial sweep must
     stop promptly on Ctrl-C, not convert the interrupt into a crash row and
     march on.
     """
-    attempts = 0
-    backoff_spent = 0.0
-    while True:
-        attempts += 1
-        start = time.monotonic()
-        try:
-            if faults is not None:
-                faults.on_worker_start(task, attempts)
-            measurement = executor(task)
-        except MemoryError as exc:
-            # Deterministic failure: the same allocation fails the same way
-            # on a retry, so record the memout immediately.
-            return Record(
-                instance=task.instance,
-                solver=task.solver,
-                fingerprint=task.fingerprint(),
-                status=STATUS_MEMOUT,
-                measurement=_failure_measurement(task, time.monotonic() - start),
-                attempts=attempts,
-                error="solver ran out of memory: %s" % exc,
-                backoff=backoff_spent,
+    for n, entry in enumerate(pending):
+        while True:
+            start = time.monotonic()
+            status, result = _run_job(entry.task, executor, entry.attempt, faults, None)
+            settled = _settle(
+                entry, status, result, time.monotonic() - start, max_retries, retry_backoff
             )
-        except Exception:
-            if attempts <= max_retries:
-                delay = _backoff_delay(retry_backoff, task.key, attempts)
-                if delay > 0:
-                    time.sleep(delay)
-                    backoff_spent += delay
-                continue
-            return Record(
-                instance=task.instance,
-                solver=task.solver,
-                fingerprint=task.fingerprint(),
-                status=STATUS_CRASH,
-                measurement=_failure_measurement(task, time.monotonic() - start),
-                attempts=attempts,
-                error=traceback.format_exc(),
-                backoff=backoff_spent,
-            )
-        return Record(
-            instance=task.instance,
-            solver=task.solver,
-            fingerprint=task.fingerprint(),
-            status=STATUS_OK,
-            measurement=measurement,
-            attempts=attempts,
-            backoff=backoff_spent,
-        )
+            if isinstance(settled, Record):
+                break
+            time.sleep(max(0.0, settled.not_before - time.monotonic()))
+            entry = settled
+        if finish(entry.index, entry.task, settled):
+            for rest in pending[n + 1 :]:
+                finish(rest.index, rest.task, _cancelled_record(rest.task))
+            return
 
 
 def _run_pool(
@@ -742,197 +1018,63 @@ def _run_pool(
     executor: Callable[[Task], Measurement],
     wall_timeout: Optional[float],
     max_retries: int,
-    finish: Callable[[int, Task, Record], None],
-    poll_interval: float,
+    finish: Callable[[int, Task, Record], bool],
     term_grace: float = 2.0,
     retry_backoff: float = 0.5,
     faults: Optional[FaultPlan] = None,
     mem_limit_mb: Optional[float] = None,
-    cpu_limit: Optional[float] = None,
 ) -> None:
-    ctx = _mp_context()
+    """One-shot pool workers, one per attempt: every task starts from the
+    parent's memory image, so a sweep's peak RSS is one task's, not the
+    accumulation of everything a reused worker ever solved."""
+
+    def measure(task: Task) -> Dict[str, object]:
+        return measurement_to_dict(executor(task))
+
+    pool = WorkerPool(
+        jobs, lambda worker_id: measure, mem_limit_mb=mem_limit_mb, faults=faults,
+        term_grace=term_grace,
+    )
     queue: List[_Pending] = list(pending)
-    running: List[_Slot] = []
-
-    def spawn(entry: _Pending) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_main,
-            args=(
-                entry.task, executor, child_conn, entry.attempt, faults,
-                mem_limit_mb, cpu_limit,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # parent keeps only the read end
-        now = time.monotonic()
-        running.append(
-            _Slot(
-                process=process,
-                conn=parent_conn,
-                index=entry.index,
-                task=entry.task,
-                attempt=entry.attempt,
-                started=now,
-                deadline=(now + wall_timeout) if wall_timeout is not None else None,
-                backoff=entry.backoff,
-            )
-        )
-
-    def reap(slot: _Slot) -> None:
-        running.remove(slot)
-        slot.conn.close()
-        slot.process.join(timeout=5.0)
-        if slot.process.is_alive():  # pragma: no cover - stuck worker
-            slot.process.kill()
-            slot.process.join()
-
-    def settle(slot: _Slot, status: str, payload: object) -> None:
-        """Turn a worker's exit into a record or a retry."""
-        task, attempt = slot.task, slot.attempt
-        elapsed = time.monotonic() - slot.started
-        measurement: Optional[Measurement] = None
-        if status == STATUS_OK and isinstance(payload, dict):
-            measurement = measurement_from_dict(payload)
-        if (
-            status == STATUS_OK
-            and slot.termed_at is not None
-            and measurement is not None
-            and measurement.interrupted
-        ):
-            # Our SIGTERM preempted it: the worker reported gracefully (its
-            # checkpoint is on disk), but the *task* still overran the wall
-            # clock — classify as a hard timeout so a retry can resume.
-            status = STATUS_HARD_TIMEOUT
-            payload = "hard wall-clock timeout after %.1fs (checkpoint salvaged)" % elapsed
-        if status == STATUS_OK:
-            finish(
-                slot.index,
-                task,
-                Record(
-                    instance=task.instance,
-                    solver=task.solver,
-                    fingerprint=task.fingerprint(),
-                    status=STATUS_OK,
-                    measurement=measurement,
-                    attempts=attempt,
-                    backoff=slot.backoff,
-                ),
-            )
-            return
-        if attempt <= max_retries:
-            if status == STATUS_CRASH:
-                # Exponential backoff with deterministic jitter: don't
-                # hammer a transiently failing (e.g. OOMing) box.
-                delay = _backoff_delay(retry_backoff, task.key, attempt)
-                queue.append(
-                    _Pending(
-                        slot.index,
-                        task,
-                        attempt + 1,
-                        not_before=time.monotonic() + delay,
-                        backoff=slot.backoff + delay,
-                    )
-                )
-                return
-            if status == STATUS_HARD_TIMEOUT:
-                # Immediate requeue: time was the failure, not the machine.
-                # With checkpointing on, the retry resumes the salvaged
-                # frontier instead of re-spending the whole wall budget.
-                queue.append(
-                    _Pending(slot.index, task, attempt + 1, backoff=slot.backoff)
-                )
-                return
-        finish(
-            slot.index,
-            task,
-            Record(
-                instance=task.instance,
-                solver=task.solver,
-                fingerprint=task.fingerprint(),
-                status=status,
-                measurement=measurement or _failure_measurement(task, elapsed),
-                attempts=attempt,
-                error=payload if isinstance(payload, str) else None,
-                backoff=slot.backoff,
-            ),
-        )
-
+    running: Dict[Job, _Pending] = {}
+    stopped = False
     try:
         while queue or running:
+            now = time.monotonic()
             while len(running) < jobs:
-                now = time.monotonic()
-                ready = next(
-                    (i for i, p in enumerate(queue) if p.not_before <= now), None
-                )
+                ready = next((i for i, p in enumerate(queue) if p.not_before <= now), None)
                 if ready is None:
                     break
-                spawn(queue.pop(ready))
-            progressed = False
-            now = time.monotonic()
-            for slot in list(running):
-                # Liveness first: a worker that reports and exits between
-                # the poll and a later liveness check would otherwise read
-                # as dead without a message. Dead before the poll means
-                # any report it sent is already in the pipe.
-                alive = slot.process.is_alive()
-                result = None
-                try:
-                    if slot.conn.poll():
-                        result = slot.conn.recv()
-                except (EOFError, OSError):
-                    result = None  # died without sending: handled below
-                if result is not None:
-                    reap(slot)
-                    settle(slot, result[0], result[1])
-                    progressed = True
-                elif not alive:
-                    exitcode = slot.process.exitcode
-                    reap(slot)
-                    if slot.termed_at is not None:
-                        # Died after our SIGTERM without reporting: a hard
-                        # timeout that didn't manage to checkpoint.
-                        settle(
-                            slot,
-                            STATUS_HARD_TIMEOUT,
-                            "hard wall-clock timeout after %.1fs (exitcode %s)"
-                            % (now - slot.started, exitcode),
-                        )
-                    else:
-                        # Dead without a message: hard crash (OOM, segfault).
-                        settle(
-                            slot,
-                            STATUS_CRASH,
-                            "worker died without reporting (exitcode %s)" % (exitcode,),
-                        )
-                    progressed = True
-                elif slot.deadline is not None and now > slot.deadline:
-                    if slot.termed_at is None:
-                        # Kill escalation, step 1: SIGTERM. The worker's
-                        # handler flips the interrupt flag; a cooperative
-                        # solver checkpoints and reports within the grace.
-                        slot.process.terminate()
-                        slot.termed_at = now
-                    elif now - slot.termed_at > term_grace:
-                        # Step 2: the grace expired without a report — the
-                        # worker is wedged (or the executor never polls the
-                        # flag); SIGKILL cannot be ignored.
-                        slot.process.kill()
-                        reap(slot)
-                        settle(
-                            slot,
-                            STATUS_HARD_TIMEOUT,
-                            "hard wall-clock timeout after %.1fs (SIGKILL after %.1fs grace)"
-                            % (now - slot.started, term_grace),
-                        )
-                        progressed = True
-            if not progressed:
-                time.sleep(poll_interval)
+                entry = queue.pop(ready)
+                running[pool.submit(entry.task, entry.attempt, wall_timeout)] = entry
+            # With a slot free, wake when the earliest retry backoff ends.
+            timeout = None
+            if queue and len(running) < jobs:
+                timeout = max(0.0, min(p.not_before for p in queue) - now)
+            for job in pool.wait(timeout):
+                entry = running.pop(job)
+                ok = job.status == STATUS_OK
+                result = measurement_from_dict(job.result) if ok else job.result
+                if job.cancelled:
+                    settled = _cancelled_record(entry.task, entry.attempt, result if ok else None)
+                else:
+                    retries = 0 if stopped else max_retries
+                    settled = _settle(
+                        entry, job.status, result, job.seconds, retries, retry_backoff,
+                        job.timed_out,
+                    )
+                    if isinstance(settled, _Pending):
+                        queue.append(settled)
+                        continue
+                if finish(entry.index, entry.task, settled) and not stopped:
+                    stopped = True
+                    for waiting in queue:
+                        finish(waiting.index, waiting.task, _cancelled_record(waiting.task))
+                    queue.clear()
+                    for other in running:
+                        pool.cancel(other)
     finally:
-        for slot in list(running):  # interrupted: leave no orphans behind
-            slot.process.terminate()
-            reap(slot)
+        pool.close()  # interrupted: leave no orphans behind
 
 
 # -- pair plumbing on top of records ------------------------------------------

@@ -7,9 +7,9 @@ TRUE/FALSE — the siblings are cancelled with the same SIGTERM → grace →
 SIGKILL escalation the batch pool uses, so a cooperative entrant still
 reports its partial (interrupted) measurement.
 
-Entrants are ordinary :class:`repro.evalx.parallel.Task` objects executed
-by :func:`repro.evalx.parallel.execute_task` in forked workers
-(:func:`_worker_main`), which is what makes the race fault-isolated: a
+Entrants are ordinary :class:`repro.evalx.parallel.Task` objects, and a
+race is one :func:`repro.evalx.parallel.run_tasks` call that stops at the
+first determinate verdict. That is what makes the race fault-isolated: a
 crashing paradigm loses the race instead of taking the process down.
 ``jobs=1`` is the deterministic degenerate case — entrants run serially
 in-process, in declaration order, stopping at the first verdict — so a
@@ -36,12 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.formula import QBF
 from repro.core.result import Outcome
 from repro.evalx.parallel import (
-    STATUS_OK,
+    STATUS_CANCELLED,
+    STATUS_HARD_TIMEOUT,
+    Record,
     Task,
-    _mp_context,
-    _worker_main,
-    execute_task,
-    measurement_from_dict,
+    run_tasks,
 )
 from repro.evalx.runner import Budget, Measurement, solve_po
 from repro.evalx.suites import paradigm_overrides
@@ -204,7 +203,7 @@ def race(
     faults: Optional[FaultPlan] = None,
     wall_timeout: Optional[float] = None,
     term_grace: float = 2.0,
-    poll_interval: float = 0.005,
+    mem_limit_mb: Optional[float] = None,
 ) -> PortfolioResult:
     """Race the portfolio on one instance; first determinate verdict wins.
 
@@ -226,6 +225,8 @@ def race(
             labeled lane's verdict on arrival (label = ``instance|name``).
         wall_timeout: hard per-lane seconds (pool mode only), with the
             usual SIGTERM → ``term_grace`` → SIGKILL escalation.
+        mem_limit_mb: per-lane address-space ceiling in MiB (pool mode
+            only), as for :func:`repro.evalx.parallel.run_tasks`.
     """
     field_: List[Entrant] = []
     for name in entrants:
@@ -242,17 +243,38 @@ def race(
     if not field_:
         raise ValueError("empty portfolio")
     tasks = [e.task(formula, instance, budget, strategy, engine) for e in field_]
-    if faults is not None:
-        faults.bind(FaultPlan.label(t) for t in tasks)
+
+    measurements: List[Measurement] = []
+    cancelled: List[str] = []
+    errors: Dict[str, str] = {}
+
+    def settled(record: Record) -> bool:
+        """File a lane's record on arrival; True (a verdict) stops the race."""
+        m = record.measurement
+        if record.status in (STATUS_CANCELLED, STATUS_HARD_TIMEOUT):
+            cancelled.append(record.solver)
+            # Keep what a stopped lane reported on its way out; a hard
+            # timeout's stand-in measurement was never reported.
+            if m is None or not (m.interrupted or record.status == STATUS_CANCELLED):
+                return False
+        elif not record.ok:
+            errors[record.solver] = record.error or record.status
+            return False
+        measurements.append(_apply_flip(m, FaultPlan.label(record), faults))
+        return not run_all and not m.timed_out
 
     effective_jobs = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
     start = time.perf_counter()
-    if effective_jobs == 1:
-        measurements, cancelled, errors = _race_serial(tasks, faults, run_all)
-    else:
-        measurements, cancelled, errors = _race_pool(
-            tasks, effective_jobs, faults, run_all, wall_timeout, term_grace, poll_interval
-        )
+    run_tasks(
+        tasks,
+        jobs=effective_jobs,
+        max_retries=0,
+        faults=faults,
+        wall_timeout=wall_timeout,
+        term_grace=term_grace,
+        mem_limit_mb=mem_limit_mb,
+        stop_when=settled,
+    )
     seconds = time.perf_counter() - start
 
     determinate = [m for m in measurements if not m.timed_out]
@@ -282,139 +304,3 @@ def race(
         formula, instance, budget, engine, determinate
     )
     return result
-
-
-def _race_serial(
-    tasks: Sequence[Task], faults: Optional[FaultPlan], run_all: bool
-) -> Tuple[List[Measurement], List[str], Dict[str, str]]:
-    """jobs=1: in-process, in order, stop at the first verdict."""
-    import traceback
-
-    measurements: List[Measurement] = []
-    errors: Dict[str, str] = {}
-    for i, task in enumerate(tasks):
-        try:
-            if faults is not None:
-                faults.on_worker_start(task, 1)
-            m = execute_task(task)
-        except Exception:
-            errors[task.solver] = traceback.format_exc()
-            continue
-        measurements.append(_apply_flip(m, FaultPlan.label(task), faults))
-        if not run_all and not measurements[-1].timed_out:
-            return measurements, [t.solver for t in tasks[i + 1 :]], errors
-    return measurements, [], errors
-
-
-def _race_pool(
-    tasks: Sequence[Task],
-    jobs: int,
-    faults: Optional[FaultPlan],
-    run_all: bool,
-    wall_timeout: Optional[float],
-    term_grace: float,
-    poll_interval: float,
-) -> Tuple[List[Measurement], List[str], Dict[str, str]]:
-    """Forked lanes; first verdict SIGTERMs the rest (grace, then SIGKILL)."""
-    ctx = _mp_context()
-    queue = list(tasks)
-    running: List[dict] = []
-    measurements: List[Measurement] = []
-    errors: Dict[str, str] = {}
-    cancelled: List[str] = []
-    have_verdict = False
-
-    def spawn(task: Task) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_main, args=(task, execute_task, child_conn, 1, faults), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        now = time.monotonic()
-        running.append(
-            {
-                "process": process,
-                "conn": parent_conn,
-                "task": task,
-                "deadline": (now + wall_timeout) if wall_timeout is not None else None,
-                "termed_at": None,
-            }
-        )
-
-    def reap(slot: dict) -> None:
-        running.remove(slot)
-        slot["conn"].close()
-        slot["process"].join(timeout=5.0)
-        if slot["process"].is_alive():  # pragma: no cover - stuck worker
-            slot["process"].kill()
-            slot["process"].join()
-
-    def cancel_siblings() -> None:
-        nonlocal have_verdict
-        have_verdict = True
-        for waiting in queue:
-            cancelled.append(waiting.solver)
-        queue.clear()
-        now = time.monotonic()
-        for other in running:
-            if other["termed_at"] is None:
-                other["process"].terminate()
-                other["termed_at"] = now
-
-    try:
-        while queue or running:
-            while queue and len(running) < jobs and not have_verdict:
-                spawn(queue.pop(0))
-            progressed = False
-            now = time.monotonic()
-            for slot in list(running):
-                task = slot["task"]
-                payload = None
-                try:
-                    if slot["conn"].poll():
-                        payload = slot["conn"].recv()
-                except (EOFError, OSError):
-                    payload = None
-                if payload is not None:
-                    reap(slot)
-                    status, body = payload
-                    if status == STATUS_OK and isinstance(body, dict):
-                        m = _apply_flip(
-                            measurement_from_dict(body), FaultPlan.label(task), faults
-                        )
-                        measurements.append(m)
-                        if slot["termed_at"] is not None:
-                            cancelled.append(task.solver)
-                        elif not run_all and not m.timed_out and not have_verdict:
-                            cancel_siblings()
-                    else:
-                        errors[task.solver] = body if isinstance(body, str) else "crash"
-                    progressed = True
-                elif not slot["process"].is_alive():
-                    exitcode = slot["process"].exitcode
-                    reap(slot)
-                    if slot["termed_at"] is not None:
-                        cancelled.append(task.solver)
-                    else:
-                        errors[task.solver] = (
-                            "worker died without reporting (exitcode %s)" % (exitcode,)
-                        )
-                    progressed = True
-                else:
-                    termed = slot["termed_at"]
-                    if termed is None and slot["deadline"] is not None and now > slot["deadline"]:
-                        slot["process"].terminate()
-                        slot["termed_at"] = now
-                    elif termed is not None and now - termed > term_grace:
-                        slot["process"].kill()
-                        reap(slot)
-                        cancelled.append(task.solver)
-                        progressed = True
-            if not progressed:
-                time.sleep(poll_interval)
-    finally:
-        for slot in list(running):  # interrupted: leave no orphans behind
-            slot["process"].terminate()
-            reap(slot)
-    return measurements, cancelled, errors

@@ -30,8 +30,8 @@ Between the protocol and those lanes sits the supervision layer
   for it get an immediate structured ``poisoned`` error carrying the
   last failure, until a cooldown lets a half-open probe through;
 * worker memory blowups come back as ``memout`` records (the daemon's
-  ``--mem-limit`` threads ``RLIMIT_AS`` into every forked worker) instead
-  of host-level OOM kills;
+  ``--mem-limit`` threads ``RLIMIT_AS`` into every forked worker of the
+  solve, cube-solve and portfolio lanes) instead of host-level OOM kills;
 * a wedged family solver is detected (the solve outlives its deadline by
   a grace), abandoned, and its family restarted with exponential backoff
   — requests arriving during the backoff *degrade* to one-shot scratch
@@ -684,6 +684,7 @@ class ServeDaemon:
 
         loop = asyncio.get_running_loop()
         interrupt = self._interrupt
+        mem_limit_mb = self.mem_limit_mb
         async with self._slots:
             report = await loop.run_in_executor(
                 self._pool,
@@ -697,6 +698,7 @@ class ServeDaemon:
                     paradigm=paradigm,
                     wall_timeout=deadline,
                     interrupt=interrupt,
+                    mem_limit_mb=mem_limit_mb,
                 ),
             )
         self.stats["solves"] += 1
@@ -815,6 +817,7 @@ class ServeDaemon:
         budget = Budget(decisions=budget.decisions, seconds=seconds)
 
         loop = asyncio.get_running_loop()
+        mem_limit_mb = self.mem_limit_mb
         async with self._slots:
             result = await loop.run_in_executor(
                 self._pool,
@@ -828,6 +831,7 @@ class ServeDaemon:
                     engine=str(req.get("engine", "counters")),
                     run_all=bool(req.get("run_all", False)),
                     wall_timeout=deadline,
+                    mem_limit_mb=mem_limit_mb,
                 ),
             )
         self.stats["solves"] += 1

@@ -8,13 +8,16 @@ without constraint sharing, and certified runs must verify.
 These tests fork real worker processes; instance counts are kept small.
 """
 
+import multiprocessing
+import os
 import random
+import resource
 
 import pytest
 
 from repro.core.result import Outcome
 from repro.core.solver import solve
-from repro.cube import run_cube
+from repro.cube import coordinator, run_cube
 from repro.generators.random_qbf import random_prenex_qbf, random_tree_qbf
 from tests.engines import ENGINE_LEGS
 
@@ -110,3 +113,51 @@ def test_explicit_search_paradigm_still_runs():
         formula, jobs=1, seed=seed, leaf_decisions=50, paradigm="search"
     )
     assert report.outcome is expected
+
+
+def _fail_first_attempt(marker, how, real):
+    """A cube body whose first cube attempt anywhere fails, once: the
+    marker file is claimed atomically, so exactly one worker fails."""
+
+    def solve_cube_job(job, formula, *args, **kwargs):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return real(job, formula, *args, **kwargs)
+        if how == "exit":
+            os._exit(1)  # no report: the worker just vanishes
+        raise RuntimeError("injected cube crash")
+
+    return solve_cube_job
+
+
+@pytest.mark.parametrize("how", ["exit", "raise"])
+def test_crashed_leaf_is_retried_on_a_fresh_worker(tmp_path, monkeypatch, how):
+    seed, formula, _ = PRENEX[0]
+    expected = solve(formula).outcome
+    marker = str(tmp_path / "crashed")
+    monkeypatch.setattr(
+        coordinator, "solve_cube_job",
+        _fail_first_attempt(marker, how, coordinator.solve_cube_job),
+    )
+    report = run_cube(formula, jobs=2, seed=seed, leaf_decisions=50)
+    assert os.path.exists(marker)
+    assert report.outcome is expected
+    assert report.crashes >= 1
+    assert multiprocessing.active_children() == []
+
+
+def test_cube_workers_run_under_the_memory_ceiling(tmp_path, monkeypatch):
+    seed, formula, expected = PRENEX[0]
+    real = coordinator.solve_cube_job
+
+    def probe(job, formula, *args, **kwargs):
+        with open(str(tmp_path / str(os.getpid())), "w") as handle:
+            handle.write(repr(resource.getrlimit(resource.RLIMIT_AS)))
+        return real(job, formula, *args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "solve_cube_job", probe)
+    report = run_cube(formula, jobs=2, seed=seed, leaf_decisions=50, mem_limit_mb=4096)
+    assert report.outcome is expected
+    seen = {p.read_text() for p in tmp_path.iterdir()}
+    assert seen == {repr((4096 * 1024**2,) * 2)}

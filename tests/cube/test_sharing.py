@@ -97,7 +97,10 @@ def test_exchange_never_installs_rejected_traffic(caplog):
     bad = (99, False, (2, 3))   # quantifier mismatch under the receiver
     good = (99, False, (1, 2))
     ours = (7, False, (1, 4))   # own traffic must be skipped too
-    ex = Exchange(7, (), None, None, filt, preload=[bad, good, ours])
+    inbox = queue.Queue()
+    for item in (bad, good, ours):
+        inbox.put(item)
+    ex = Exchange(7, (), None, inbox, filt)
     with caplog.at_level(logging.INFO, logger="repro.cube"):
         installed = list(ex.drain())
     assert installed == [(False, (1, 2))]

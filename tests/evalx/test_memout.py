@@ -14,6 +14,7 @@ from repro.evalx.parallel import (
     STATUS_MEMOUT,
     STATUS_OK,
     Task,
+    WorkerPool,
     execute_task,
     run_tasks,
 )
@@ -79,6 +80,29 @@ class TestWorkerMemout:
             mem_limit_mb=4096,
         )
         assert resource.getrlimit(resource.RLIMIT_AS) == before
+
+
+def address_space_limit(_):
+    return resource.getrlimit(resource.RLIMIT_AS)
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+def test_every_job_runs_under_the_ceiling_in_both_refork_modes(persistent):
+    # One-shot workers are re-forked per job, persistent ones reused: the
+    # ceiling must hold for the second job either way.
+    pool = WorkerPool(
+        1, lambda worker_id: address_space_limit, persistent=persistent,
+        mem_limit_mb=4096,
+    )
+    seen = []
+    try:
+        for _ in range(2):
+            pool.submit("probe")
+            seen.extend(job.result for job in pool.wait())
+    finally:
+        pool.close()
+    assert seen == [(4096 * 1024**2,) * 2] * 2
+    assert pool.forks == (1 if persistent else 2)
 
 
 class TestInjectedOom:

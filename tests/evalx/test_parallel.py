@@ -31,6 +31,7 @@ from repro.evalx.parallel import (
     stats_to_dict,
 )
 from repro.evalx.runner import Budget, Measurement, SolverDisagreement
+from tests.late_wait import LateWaitContext
 
 
 def make_tasks(names, budget=Budget(decisions=500)):
@@ -71,51 +72,12 @@ def report_when_released(go, task):
     return execute_task(task)
 
 
-class _LatePollContext:
-    """Multiprocessing context whose pipe loses the race with its worker.
+def wait_for_cancel(_):
+    from repro.robustness.interrupt import global_flag
 
-    The first ``poll()`` on the parent's pipe end looks first, then
-    releases the worker (via ``go``) and waits until it has reported and
-    exited: exactly a worker that reports between the parent's poll and
-    its liveness check. One task at a time.
-    """
-
-    def __init__(self, real):
-        self.real = real
-        self.go = real.Event()
-        self.processes = []
-
-    def Process(self, *args, **kwargs):
-        process = self.real.Process(*args, **kwargs)
-        self.processes.append(process)
-        return process
-
-    def Pipe(self, duplex):
-        parent, child = self.real.Pipe(duplex=duplex)
-        return _LatePollConnection(parent, self), child
-
-
-class _LatePollConnection:
-    def __init__(self, conn, ctx):
-        self._conn = conn
-        self._ctx = ctx
-        self._polled = False
-
-    def poll(self):
-        ready = self._conn.poll()
-        if not self._polled:
-            self._polled = True
-            self._ctx.go.set()
-            worker = self._ctx.processes[-1]
-            worker.join(timeout=30)
-            assert worker.exitcode is not None, "worker did not finish"
-        return ready
-
-    def recv(self):
-        return self._conn.recv()
-
-    def close(self):
-        self._conn.close()
+    while not global_flag().is_set():
+        time.sleep(0.001)
+    return "cancelled"
 
 
 class TestSerialization:
@@ -215,19 +177,62 @@ class TestPoolFaultIsolation:
         # The hung worker must have been terminated, not waited out.
         assert elapsed < 20
 
+    def test_hard_timeout_leaves_no_worker_behind(self):
+        import multiprocessing
+
+        records = run_tasks(
+            make_tasks(["slow-1"]), jobs=2, executor=hang_on_slow,
+            wall_timeout=0.3, term_grace=0.3, max_retries=0,
+        )
+        assert records[0].status == STATUS_HARD_TIMEOUT
+        assert "SIGKILL" in records[0].error
+        assert multiprocessing.active_children() == []
+
     def test_report_racing_the_liveness_check_is_not_a_crash(self, monkeypatch):
         from repro.evalx import parallel
 
-        ctx = _LatePollContext(parallel._mp_context())
-        monkeypatch.setattr(parallel, "_mp_context", lambda: ctx)
+        ctx = LateWaitContext(parallel._mp_context())
+        ctx.install(monkeypatch)
         records = run_tasks(
             make_tasks(["a"]),
             jobs=2,
             executor=functools.partial(report_when_released, ctx.go),
             max_retries=0,
         )
+        assert ctx.fired and len(ctx.processes) == 1
         assert records[0].ok, records[0].error
         assert records[0].measurement.outcome is Outcome.FALSE
+
+    def test_cancel_at_birth_stays_out_of_the_parents_event_loop(self):
+        # An asyncio parent (the serve daemon) routes its SIGTERM through a
+        # wakeup fd every fork inherits. A cancel that reaches a worker
+        # before its prologue detached that fd must not read as the
+        # parent's own SIGTERM.
+        import asyncio
+        import signal
+
+        from repro.evalx.parallel import WorkerPool
+
+        hits = []
+
+        async def cancel_at_birth():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, hits.append, "parent")
+            pool = WorkerPool(1, lambda worker_id: wait_for_cancel, term_grace=1.0)
+            try:
+                for _ in range(10):
+                    pool.cancel(pool.submit("job"))
+                    assert [job.result for job in pool.wait()] == ["cancelled"]
+                    await asyncio.sleep(0.01)  # let the loop read its wakeup fd
+            finally:
+                pool.close()
+
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            asyncio.run(cancel_at_birth())
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert hits == []
 
     def test_parallel_equals_serial(self):
         tasks = make_tasks(["i%d" % i for i in range(6)])

@@ -115,3 +115,70 @@ def test_quick_bench_report_shape():
     ):
         assert key in fam
     assert set(fam["single_wall_seconds"]) == set(report["entrants"])
+
+
+def test_report_racing_the_exit_keeps_every_verdict(monkeypatch):
+    # Both lanes report and exit before the racer looks at their pipes, and
+    # the racer sees the exits first. A verdict read as "worker died
+    # without reporting" would drop PO's FALSE and let TO win alone.
+    import os
+
+    from repro.evalx import parallel
+    from tests.late_wait import LateWaitContext
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # pool mode on any host
+    ctx = LateWaitContext(parallel._mp_context())
+    ctx.install(monkeypatch)
+    result = race(
+        paper_example(), "paper", Budget(decisions=4000), jobs=2,
+        entrants=("PO", "TO"), run_all=True,
+    )
+    assert ctx.fired and len(ctx.processes) == 2
+    assert result.jobs == 2
+    assert result.errors == {}
+    assert sorted(m.solver for m in result.measurements) == ["PO", "TO"]
+    assert result.outcome is Outcome.FALSE
+
+
+def test_pool_race_leaves_no_worker_behind(monkeypatch):
+    # TO hangs in its worker and ignores SIGTERM's flag; PO wins, TO is
+    # cancelled, SIGKILLed after the grace, and reaped before race returns.
+    import multiprocessing
+    import os
+    import time
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    plan = FaultPlan(assignments={"paper|TO": "hang"}, hang_seconds=60.0)
+    start = time.monotonic()
+    result = race(
+        paper_example(), "paper", Budget(decisions=4000), jobs=2,
+        entrants=("PO", "TO"), faults=plan, term_grace=0.5,
+    )
+    assert time.monotonic() - start < 30
+    assert result.winner == "PO"
+    assert result.cancelled == ["TO"]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_race_caps_every_lane(monkeypatch, tmp_path):
+    import os
+    import resource
+
+    from repro.evalx import parallel
+
+    real = parallel.execute_task
+
+    def probe(task):
+        with open(str(tmp_path / task.solver), "w") as handle:
+            handle.write(repr(resource.getrlimit(resource.RLIMIT_AS)))
+        return real(task)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(parallel, "execute_task", probe)
+    race(
+        paper_example(), "paper", Budget(decisions=4000), jobs=2,
+        entrants=("PO", "TO"), run_all=True, mem_limit_mb=4096,
+    )
+    limit = repr((4096 * 1024**2,) * 2)
+    for lane in ("PO", "TO"):
+        assert (tmp_path / lane).read_text() == limit

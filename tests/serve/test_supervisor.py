@@ -336,3 +336,46 @@ class TestCachePutGate:
         (record,) = loaded.values()
         assert record.instance == "good"
         assert record.status == STATUS_OK
+
+
+class TestMemoryCeilingReachesEveryLane:
+    """``--mem-limit`` caps the cube-solve and portfolio lanes' workers too,
+    not only the solve lane's."""
+
+    QD_TRUE = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"
+
+    def dispatch(self, tmp_path, monkeypatch, module, name, req):
+        import importlib
+
+        from repro.robustness.interrupt import InterruptFlag
+
+        owner = importlib.import_module(module)
+        real = getattr(owner, name)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("mem_limit_mb"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        daemon = ServeDaemon(
+            socket_path=str(tmp_path / "d.sock"),
+            mem_limit_mb=2048,
+            interrupt=InterruptFlag(),
+        )
+        try:
+            out = asyncio.run(daemon.dispatch(dict(req, formula=self.QD_TRUE)))
+        finally:
+            daemon._pool.shutdown(wait=False)
+        assert out["ok"] and out["outcome"] == "true", out
+        return seen
+
+    def test_cube_solve_forwards_the_ceiling(self, tmp_path, monkeypatch):
+        req = {"kind": "cube-solve", "jobs": 2}
+        seen = self.dispatch(tmp_path, monkeypatch, "repro.cube", "run_cube", req)
+        assert seen == [2048]
+
+    def test_portfolio_forwards_the_ceiling(self, tmp_path, monkeypatch):
+        req = {"kind": "portfolio", "jobs": 2}
+        seen = self.dispatch(tmp_path, monkeypatch, "repro.portfolio", "race", req)
+        assert seen == [2048]
