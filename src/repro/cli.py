@@ -15,8 +15,7 @@ Usage examples::
     python -m repro.cli certify stats proof.jsonl
     python -m repro.cli cube run instance.qtree --jobs 4 --certify
     python -m repro.cli cube bench --quick -o BENCH_cube.json
-    python -m repro.cli solve instance.qtree --paradigm expansion
-    python -m repro.cli portfolio run instance.qtree --jobs 3
+    python -m repro.cli portfolio run instance.qtree --jobs 2
     python -m repro.cli portfolio bench --quick -o BENCH_portfolio.json
 
 ``cube run`` solves ONE instance cube-and-conquer style: the splitter cuts
@@ -40,12 +39,9 @@ resolution derivation to a JSONL certificate, ``check`` replays a
 certificate against a formula with the independent checker (exit 0 only
 when it verifies), ``stats`` summarizes a certificate file.
 
-``solve --paradigm`` picks the solving algorithm behind the shared Solver
-protocol: ``search`` (the QDPLL engine, default), ``expansion`` (iterative
-quantifier expansion), or ``qdll`` (the recursive Figure-1 reference).
-``portfolio run`` races several paradigms on one instance and keeps the
-first determinate verdict; ``portfolio bench`` measures the portfolio
-against the best single paradigm on the Figure-6 series and emits
+``portfolio run`` races QUBE(TO) against QUBE(PO) on one instance and
+keeps the first determinate verdict; ``portfolio bench`` measures the
+portfolio against the best single lane on the Figure-6 series and emits
 ``BENCH_portfolio.json``.
 
 Formats are picked by extension: ``.qdimacs``/``.cnf`` (prenex) or
@@ -60,7 +56,6 @@ from typing import Optional
 
 from repro.core.formula import QBF
 from repro.core.result import Outcome
-from repro.core.engine.config import PARADIGMS, default_paradigm
 from repro.core.solver import ENGINES, SolverConfig, default_engine, solve
 from repro.generators.fpv import FpvParams, generate_fpv
 from repro.generators.ncf import NcfParams, generate_ncf
@@ -110,21 +105,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         max_decisions=args.max_decisions,
         max_seconds=args.max_seconds,
         engine=args.engine,
-        paradigm=args.paradigm,
     )
     checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint is not None and args.paradigm != "search":
-        # Fail before solving: the registry knows which paradigms can
-        # checkpoint, and a clear refusal beats a CapabilityError mid-run.
-        from repro.core.paradigm import get_paradigm
-
-        if not get_paradigm(args.paradigm).capabilities.checkpoint:
-            print(
-                "error: paradigm %r does not support checkpoint/resume; "
-                "drop --checkpoint or use --paradigm search" % args.paradigm,
-                file=sys.stderr,
-            )
-            return 2
     if checkpoint is None:
         result = solve(phi, config)
     else:
@@ -162,13 +144,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 )
     stats = result.stats
     print("result      %s" % result.outcome.value.upper())
-    print("paradigm    %s" % config.paradigm)
-    if config.paradigm == "search":
-        if stats.engine_fallback:
-            print("engine      %s (FELL BACK to %s: compiled kernel unavailable)"
-                  % (config.engine, stats.engine_fallback))
-        else:
-            print("engine      %s" % config.engine)
+    if stats.engine_fallback:
+        print("engine      %s (FELL BACK to %s: compiled kernel unavailable)"
+              % (config.engine, stats.engine_fallback))
+    else:
+        print("engine      %s" % config.engine)
     print("decisions   %d" % stats.decisions)
     print("conflicts   %d" % stats.conflicts)
     print("solutions   %d" % stats.solutions)
@@ -229,20 +209,6 @@ def cmd_evalx_run(args: argparse.Namespace) -> int:
     from repro.evalx.suites import run_dia, run_eval06, run_fpv, run_ncf
     from repro.evalx.table1 import build_row, render_table
 
-    if args.paradigm != "search":
-        # Refuse capability mismatches before launching the sweep: the
-        # registry's flags say what each paradigm can honestly deliver.
-        from repro.core.paradigm import get_paradigm
-
-        caps = get_paradigm(args.paradigm).capabilities
-        if args.certify and not caps.proof:
-            print("error: paradigm %r cannot log proofs; drop --certify"
-                  % args.paradigm, file=sys.stderr)
-            return 2
-        if args.checkpoint_dir and not caps.checkpoint:
-            print("error: paradigm %r cannot checkpoint; drop --checkpoint-dir"
-                  % args.paradigm, file=sys.stderr)
-            return 2
     faults = None
     if args.fault_plan:
         from repro.robustness.faults import FaultPlan
@@ -256,7 +222,6 @@ def cmd_evalx_run(args: argparse.Namespace) -> int:
         wall_timeout=args.wall_timeout,
         certify=args.certify,
         engine=args.engine,
-        paradigm=args.paradigm,
         checkpoint_dir=args.checkpoint_dir,
         faults=faults,
         durable=not args.no_fsync,
@@ -353,32 +318,25 @@ def cmd_cube_run(args: argparse.Namespace) -> int:
     from repro.cube import run_cube
     from repro.robustness import global_flag, handling_signals
 
-    from repro.core.paradigm import CapabilityError
-
     phi = _read(args.input)
     flag = global_flag()
     flag.clear()
     with handling_signals(flag):
-        try:
-            report = run_cube(
-                phi,
-                jobs=args.jobs,
-                leaf_decisions=args.leaf_decisions,
-                certify=args.certify,
-                share=args.share,
-                seed=args.seed,
-                engine=args.engine,
-                paradigm=args.paradigm,
-                max_depth=args.max_depth,
-                initial_cubes=args.initial_cubes,
-                total_decisions=args.max_decisions,
-                wall_timeout=args.wall_timeout,
-                interrupt=flag,
-                max_shared_lits=args.max_shared_lits,
-            )
-        except CapabilityError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+        report = run_cube(
+            phi,
+            jobs=args.jobs,
+            leaf_decisions=args.leaf_decisions,
+            certify=args.certify,
+            share=args.share,
+            seed=args.seed,
+            engine=args.engine,
+            max_depth=args.max_depth,
+            initial_cubes=args.initial_cubes,
+            total_decisions=args.max_decisions,
+            wall_timeout=args.wall_timeout,
+            interrupt=flag,
+            max_shared_lits=args.max_shared_lits,
+        )
     print("result      %s" % report.outcome.value.upper())
     print("jobs        %d (%d worker processes launched)"
           % (report.jobs, report.workers_launched))
@@ -434,7 +392,7 @@ def cmd_cube_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_portfolio_run(args: argparse.Namespace) -> int:
-    """Race the paradigm portfolio on one instance; first verdict wins."""
+    """Race QUBE(TO) against QUBE(PO) on one instance; first verdict wins."""
     import json
 
     from repro.evalx.runner import Budget
@@ -446,13 +404,11 @@ def cmd_portfolio_run(args: argparse.Namespace) -> int:
 
         faults = FaultPlan.from_file(args.fault_plan)
     phi = _read(args.input)
-    entrants = tuple(e.strip() for e in args.entrants.split(",") if e.strip())
     result = race(
         phi,
         instance=args.input,
         budget=Budget(decisions=args.decisions, seconds=args.seconds),
         jobs=args.jobs,
-        entrants=entrants,
         strategy=args.strategy,
         engine=args.engine,
         run_all=args.run_all,
@@ -661,12 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="propagation backend; decision-for-decision identical, only "
         "the speed differs (default: $REPRO_ENGINE or counters)",
     )
-    p_solve.add_argument(
-        "--paradigm", default=default_paradigm(), choices=PARADIGMS,
-        help="solving algorithm behind the Solver protocol: QDPLL search "
-        "(default), iterative quantifier expansion, or the recursive "
-        "Figure-1 reference (default: $REPRO_PARADIGM or search)",
-    )
     p_solve.add_argument("--max-decisions", type=int, default=None)
     p_solve.add_argument("--max-seconds", type=float, default=None)
     p_solve.add_argument(
@@ -839,12 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_crun.add_argument("--engine", default=None, choices=ENGINES,
                         help="propagation backend for every worker")
-    p_crun.add_argument(
-        "--paradigm", default=None, choices=PARADIGMS,
-        help="worker solving paradigm; must be checkpoint-capable (workers "
-        "snapshot their leaves), so incapable paradigms are refused with "
-        "a clear error (default: $REPRO_PARADIGM or search)",
-    )
     p_crun.add_argument("--leaf-decisions", type=int, default=500,
                         help="per-cube decision budget before the "
                         "coordinator re-splits or escalates (default 500)")
@@ -872,8 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_port = sub.add_parser(
         "portfolio",
-        help="paradigm portfolio: race TO-search/PO-search/expansion on one "
-        "instance (run, bench)",
+        help="portfolio: race QUBE(TO) against QUBE(PO) on one instance "
+        "(run, bench)",
     )
     port_sub = p_port.add_subparsers(dest="portfolio_command", required=True)
     p_prun = port_sub.add_parser(
@@ -883,18 +827,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 10=true, 20=false, 2=unknown)",
     )
     p_prun.add_argument("input")
-    p_prun.add_argument("--jobs", type=int, default=3,
+    p_prun.add_argument("--jobs", type=int, default=2,
                         help="concurrent lanes, clamped to the machine's "
-                        "cores; 1 = deterministic serial mode (default 3)")
-    p_prun.add_argument(
-        "--entrants", default=",".join(("PO", "TO", "EXP")), metavar="LIST",
-        help="comma-separated lanes: PO, TO, EXP, or custom "
-        "name:mode:paradigm triples (default: %(default)s)",
-    )
+                        "cores; 1 = deterministic serial mode (default 2)")
     p_prun.add_argument("--strategy", default="eu_au", choices=STRATEGIES,
-                        help="prenexing strategy for TO lanes")
+                        help="prenexing strategy for the TO lane")
     p_prun.add_argument("--engine", default=default_engine(), choices=ENGINES,
-                        help="propagation backend for search lanes")
+                        help="propagation backend for both lanes")
     p_prun.add_argument("--decisions", type=int, default=4000,
                         help="per-lane decision budget (default 4000)")
     p_prun.add_argument("--seconds", type=float, default=None,
@@ -909,20 +848,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_prun.add_argument(
         "--fault-plan", default=None, metavar="PLAN.JSON",
         help="deterministic fault plan; the flip-verdict kind forces a "
-        "cross-paradigm disagreement to exercise certificate triage",
+        "TO/PO disagreement to exercise certificate triage",
     )
     p_prun.add_argument("--json", action="store_true",
                         help="emit the full race record as JSON")
     p_prun.set_defaults(func=cmd_portfolio_run)
     p_pbench = port_sub.add_parser(
         "bench",
-        help="portfolio vs best single paradigm on the fig6 series; emits "
+        help="portfolio vs best single lane on the fig6 series; emits "
         "BENCH_portfolio.json, exits nonzero if the portfolio exceeds the "
         "wall-clock bound",
     )
     p_pbench.add_argument("--quick", action="store_true",
                           help="CI smoke series (one family, short budget)")
-    p_pbench.add_argument("--jobs", type=int, default=3)
+    p_pbench.add_argument("--jobs", type=int, default=2)
     p_pbench.add_argument("-o", "--output", default="BENCH_portfolio.json")
     p_pbench.set_defaults(func=cmd_portfolio_bench)
 
@@ -1001,12 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="propagation backend for every run in the sweep; a non-default "
         "choice lands in the task fingerprints, so results files keyed on "
         "the default stay resumable (default: $REPRO_ENGINE or counters)",
-    )
-    p_run.add_argument(
-        "--paradigm", default=default_paradigm(), choices=PARADIGMS,
-        help="solving algorithm for every run in the sweep; like --engine, "
-        "a non-default choice lands in the task fingerprints so existing "
-        "results files stay resumable (default: $REPRO_PARADIGM or search)",
     )
     p_run.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",

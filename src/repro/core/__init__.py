@@ -10,21 +10,10 @@ from repro.core.constraints import (
     unit_literal,
     universal_reduce,
 )
-from repro.core.expand import ExpansionSolver, expand_solve
 from repro.core.expansion import evaluate
 from repro.core.formula import QBF, paper_example
 from repro.core.heuristics import ScoreKeeper, make_picker, pick_literal
 from repro.core.literals import EXISTS, FORALL, Quant, neg, var_of
-from repro.core.paradigm import (
-    Capabilities,
-    CapabilityError,
-    Solver,
-    available_paradigms,
-    get_paradigm,
-    register_paradigm,
-    registry,
-    solve_formula,
-)
 from repro.core.prefix import Block, Prefix
 from repro.core.result import (
     BudgetExceeded,
@@ -39,13 +28,10 @@ from repro.core.solver import QdpllSolver, SolverConfig, solve
 __all__ = [
     "Block",
     "BudgetExceeded",
-    "Capabilities",
-    "CapabilityError",
     "Clause",
     "Constraint",
     "Cube",
     "EXISTS",
-    "ExpansionSolver",
     "FORALL",
     "Outcome",
     "Prefix",
@@ -54,17 +40,10 @@ __all__ = [
     "Quant",
     "ScoreKeeper",
     "SolveResult",
-    "Solver",
     "SolverConfig",
     "SolverStats",
     "UnknownOutcomeError",
-    "available_paradigms",
     "evaluate",
-    "expand_solve",
-    "get_paradigm",
-    "register_paradigm",
-    "registry",
-    "solve_formula",
     "existential_reduce",
     "is_contradictory",
     "neg",

@@ -180,13 +180,6 @@ def existential_reduce(lits: Sequence[int], prefix: Prefix) -> Tuple[int, ...]:
     return tuple(kept)
 
 
-def reduce_constraint(lits: Sequence[int], prefix: Prefix, is_cube: bool) -> Tuple[int, ...]:
-    """Dispatch to the reduction matching the constraint kind."""
-    if is_cube:
-        return existential_reduce(lits, prefix)
-    return universal_reduce(lits, prefix)
-
-
 def is_contradictory(clause: Sequence[int], prefix: Prefix) -> bool:
     """Lemma 4 test: a clause with no existential literal is contradictory."""
     return all(prefix.is_universal(l) for l in clause)

@@ -28,27 +28,6 @@ ENGINE_ALIASES = {"watched": "counters"}
 #: see repro.core.engine.backend for the contract.
 ENGINES = ("counters", "native") + tuple(ENGINE_ALIASES)
 
-#: the solver paradigms a config can select. Unlike ENGINES — interchangeable
-#: propagation schemes inside ONE search procedure — a paradigm is a whole
-#: solving algorithm: "search" is the QDPLL engine (QUBE(TO)/QUBE(PO)),
-#: "expansion" the iterative quantifier-expansion engine, "qdll" the
-#: recursive Figure-1 reference. They agree on verdicts but not on cost or
-#: capabilities; see repro.core.paradigm for the registry and the
-#: per-paradigm capability flags.
-PARADIGMS = ("search", "expansion", "qdll")
-
-
-def default_paradigm() -> str:
-    """Paradigm default: the REPRO_PARADIGM environment knob, else search.
-
-    Mirrors :func:`default_engine`: the environment hook flips a whole test
-    or benchmark run onto another paradigm without touching call sites;
-    recorded sweeps should pass ``paradigm=...`` explicitly so the choice
-    lands in the task fingerprint.
-    """
-    return os.environ.get("REPRO_PARADIGM", "search")
-
-
 def default_engine() -> str:
     """Backend default: the REPRO_ENGINE environment knob, else counters.
 
@@ -114,12 +93,6 @@ class SolverConfig:
     #: An alias (see ENGINE_ALIASES) is replaced by its backend on
     #: construction, so the config reports the engine that actually runs.
     engine: str = field(default_factory=default_engine)
-    #: solver paradigm (see PARADIGMS and :mod:`repro.core.paradigm`). The
-    #: search-only switches above are silently irrelevant under the other
-    #: paradigms; the budget fields (max_decisions/max_seconds) bind for
-    #: all of them. Excluded from checkpoint config digests — only the
-    #: search paradigm checkpoints, and its snapshots predate the field.
-    paradigm: str = field(default_factory=default_paradigm)
     #: refuse to run when ``engine="native"`` is requested but the compiled
     #: kernel is unavailable, instead of degrading to the counter backend.
     #: Selection-policy only — never changes decisions — so it is excluded
@@ -138,7 +111,3 @@ class SolverConfig:
         if self.engine not in ENGINES:
             raise ValueError("unknown engine %r (choose from %s)" % (self.engine, ENGINES))
         self.engine = ENGINE_ALIASES.get(self.engine, self.engine)
-        if self.paradigm not in PARADIGMS:
-            raise ValueError(
-                "unknown paradigm %r (choose from %s)" % (self.paradigm, PARADIGMS)
-            )

@@ -18,16 +18,13 @@ It optionally records the search tree, which is how
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.constraints import is_contradictory, unit_literal
-from repro.core.engine.config import SolverConfig
 from repro.core.formula import QBF
 from repro.core.literals import EXISTS
-from repro.core.paradigm import Capabilities, Solver, poll_interrupt, register_paradigm
-from repro.core.result import BudgetExceeded, Outcome, SolveResult, SolverStats
+from repro.core.result import BudgetExceeded
 
 
 @dataclass
@@ -146,70 +143,3 @@ def q_dll(
     value = rec(formula, (), root)
     return value, stats, root
 
-
-class _Interrupted(Exception):
-    """Internal: the interrupt flag fired inside a q_dll run."""
-
-
-@register_paradigm
-class QdllReferenceSolver(Solver):
-    """The Figure-1 recursive reference as a registered paradigm.
-
-    Exists so the repository has *no* unregistered solve entry points: the
-    readable reference is reachable through the same seam as the production
-    engines, with honest flags (no proofs, no checkpoints, no exchange).
-    Budgets bind: ``max_decisions`` caps branches, ``max_seconds`` is
-    polled at every branch point, as is the cooperative interrupt flag.
-    """
-
-    name = "qdll"
-    capabilities = Capabilities(proof=False, checkpoint=False, exchange=False, interrupt=True)
-
-    def load(self, formula: QBF) -> None:
-        self.formula = formula
-
-    def _solve_loaded(
-        self,
-        proof: Optional[object],
-        interrupt: Optional[object],
-        resume_from: Optional[object],
-        checkpoint_to: Optional[str],
-        exchange: Optional[object],
-    ) -> SolveResult:
-        config = self.config
-        deadline = None
-        if config.max_seconds is not None:
-            deadline = time.monotonic() + config.max_seconds
-
-        # q_dll has no hook points of its own; the branching heuristic runs
-        # exactly once per branch decision, so it doubles as the poll site
-        # for the wall-clock budget and the interrupt flag.
-        def polling_heuristic(current: QBF) -> int:
-            if poll_interrupt(interrupt):
-                raise _Interrupted()
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded(0)
-            return first_top_literal(current)
-
-        start = time.perf_counter()
-        interrupted = False
-        try:
-            value, simple_stats, _ = q_dll(
-                self.formula,
-                heuristic=polling_heuristic,
-                max_branches=config.max_decisions,
-            )
-            outcome = Outcome.TRUE if value else Outcome.FALSE
-            simple = simple_stats
-        except BudgetExceeded:
-            outcome, simple = Outcome.UNKNOWN, SimpleStats()
-        except _Interrupted:
-            outcome, simple = Outcome.UNKNOWN, SimpleStats()
-            interrupted = True
-        stats = SolverStats(decisions=simple.branches, propagations=simple.units)
-        return SolveResult(
-            outcome=outcome,
-            stats=stats,
-            seconds=time.perf_counter() - start,
-            interrupted=interrupted,
-        )

@@ -40,14 +40,12 @@ from typing import Optional
 from repro.core.engine.config import ENGINES, SolverConfig, default_engine
 from repro.core.engine.search import BACKENDS, SearchEngine
 from repro.core.formula import QBF
-from repro.core.paradigm import Capabilities, Solver, register_paradigm
-from repro.core.result import Outcome, SolveResult
+from repro.core.result import SolveResult
 
 __all__ = [
     "BACKENDS",
     "ENGINES",
     "QdpllSolver",
-    "SearchSolver",
     "SolverConfig",
     "default_engine",
     "solve",
@@ -56,42 +54,6 @@ __all__ = [
 
 #: the public name of the assembled layered engine.
 QdpllSolver = SearchEngine
-
-
-@register_paradigm
-class SearchSolver(Solver):
-    """The QDPLL search paradigm behind the neutral :class:`Solver` seam.
-
-    Thin adapter: :meth:`load` stores the formula, each :meth:`solve` builds
-    a fresh :class:`QdpllSolver` (engines are single-session objects) and
-    forwards every hook — search is the only paradigm with the full
-    capability set, so nothing is refused.
-    """
-
-    name = "search"
-    capabilities = Capabilities(proof=True, checkpoint=True, exchange=True, interrupt=True)
-
-    def __init__(self, config: Optional[SolverConfig] = None):
-        super().__init__(config)
-        #: the engine of the most recent solve, kept for white-box probing.
-        self.engine: Optional[QdpllSolver] = None
-
-    def load(self, formula: QBF) -> None:
-        self.formula = formula
-        self.engine = None
-
-    def _solve_loaded(
-        self,
-        proof: Optional[object],
-        interrupt: Optional[object],
-        resume_from: Optional[object],
-        checkpoint_to: Optional[str],
-        exchange: Optional[object],
-    ) -> SolveResult:
-        self.engine = QdpllSolver(
-            self.formula, self.config, proof=proof, interrupt=interrupt, exchange=exchange
-        )
-        return self.engine.solve(resume_from=resume_from, checkpoint_to=checkpoint_to)
 
 
 def solve(
@@ -109,24 +71,7 @@ def solve(
     checkpoint hooks of :meth:`SearchEngine.solve`; ``exchange`` is the
     constraint-sharing hook of cube-and-conquer workers (see
     :mod:`repro.cube.sharing` and :mod:`repro.robustness`).
-
-    Dispatches on ``config.paradigm``: the historical direct path for
-    ``"search"``, the :mod:`repro.core.paradigm` registry otherwise (where
-    hooks the paradigm cannot honor raise ``CapabilityError``).
     """
-    config = config or SolverConfig()
-    if config.paradigm != "search":
-        from repro.core.paradigm import solve_formula
-
-        return solve_formula(
-            formula,
-            config,
-            proof=proof,
-            interrupt=interrupt,
-            resume_from=resume_from,
-            checkpoint_to=checkpoint_to,
-            exchange=exchange,
-        )
     return QdpllSolver(
         formula, config, proof=proof, interrupt=interrupt, exchange=exchange
     ).solve(resume_from=resume_from, checkpoint_to=checkpoint_to)

@@ -95,7 +95,6 @@ class CubeJob:
     path: Tuple[int, ...]
     budget_decisions: Optional[int]
     engine: Optional[str] = None
-    paradigm: str = "search"
     certify: bool = False
     ckpt_path: Optional[str] = None
     resume: bool = False
@@ -157,10 +156,7 @@ def solve_cube_job(
     """
     started = time.monotonic()
     config = Budget(decisions=job.budget_decisions).to_config(
-        **dict(
-            ([("engine", job.engine)] if job.engine else [])
-            + ([("paradigm", job.paradigm)] if job.paradigm != "search" else [])
-        )
+        **({"engine": job.engine} if job.engine else {})
     )
     share = outbox is not None or inbox is not None
     fragment: Optional[Dict[str, object]] = None
@@ -314,7 +310,6 @@ class _Coordinator:
         share: bool,
         seed: int,
         engine: Optional[str],
-        paradigm: str,
         max_depth: int,
         initial_cubes: Optional[int],
         wall_timeout: Optional[float],
@@ -331,7 +326,6 @@ class _Coordinator:
         self.share = share
         self.seed = seed
         self.engine = engine
-        self.paradigm = paradigm
         self.max_depth = max_depth
         self.initial_cubes = initial_cubes or max(INITIAL_CUBES_PER_JOB * jobs, 2)
         self.wall_timeout = wall_timeout
@@ -413,7 +407,6 @@ class _Coordinator:
             path=node.path,
             budget_decisions=node.budget,
             engine=self.engine,
-            paradigm=self.paradigm,
             certify=self.certify,
             ckpt_path=self._ckpt_path(node),
             resume=resume,
@@ -617,7 +610,6 @@ def run_cube(
     share: bool = True,
     seed: int = 0,
     engine: Optional[str] = None,
-    paradigm: Optional[str] = None,
     max_depth: int = 12,
     initial_cubes: Optional[int] = None,
     total_decisions: Optional[int] = None,
@@ -636,38 +628,12 @@ def run_cube(
     verdict is deterministic for a given ``seed``; wall-clock, decision
     totals, and sharing statistics are not (see DESIGN.md §12).
 
-    ``paradigm`` (default: the configured session paradigm) must be
-    checkpoint-capable — workers snapshot their leaves for budget
-    escalation and preemption — and exchange-capable when ``share`` is on;
-    an incapable paradigm is refused upfront with a
-    :class:`~repro.core.paradigm.CapabilityError` instead of crashing a
-    worker mid-solve.
-
     ``mem_limit_mb`` caps each worker's address space (``RLIMIT_AS``), as
     for :func:`repro.evalx.parallel.run_tasks`; ``jobs=1`` runs in-process
     and is not capped.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    from repro.core.engine.config import default_paradigm
-    from repro.core.paradigm import CapabilityError, get_paradigm
-
-    paradigm = paradigm if paradigm is not None else default_paradigm()
-    caps = get_paradigm(paradigm).capabilities
-    if not caps.checkpoint:
-        raise CapabilityError(
-            paradigm,
-            "checkpoint/resume",
-            "cube workers snapshot their leaves for budget escalation and "
-            "preemption; use a checkpoint-capable paradigm such as 'search'",
-        )
-    if share and jobs > 1 and not caps.exchange:
-        raise CapabilityError(
-            paradigm,
-            "constraint exchange",
-            "disable sharing (share=False) or use an exchange-capable "
-            "paradigm such as 'search'",
-        )
     started = time.monotonic()
     if jobs == 1:
         root = SplitNode(())
@@ -678,7 +644,6 @@ def run_cube(
             path=(),
             budget_decisions=total_decisions,
             engine=engine,
-            paradigm=paradigm,
             certify=certify,
         )
         payload = solve_cube_job(job, formula, interrupt=interrupt)
@@ -712,7 +677,6 @@ def run_cube(
         share=share,
         seed=seed,
         engine=engine,
-        paradigm=paradigm,
         max_depth=max_depth,
         initial_cubes=initial_cubes,
         wall_timeout=wall_timeout,

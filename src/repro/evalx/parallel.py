@@ -47,7 +47,6 @@ from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Set, 
 
 from repro.core.formula import QBF
 from repro.core.result import Outcome, SolverStats
-from repro.core.solver import SolverConfig
 from repro.evalx.runner import (
     Budget,
     Measurement,
@@ -94,15 +93,6 @@ def stats_to_dict(stats: SolverStats) -> Dict[str, int]:
 def stats_from_dict(data: Dict[str, int]) -> SolverStats:
     known = {f.name for f in fields(SolverStats)}
     return SolverStats(**{k: v for k, v in data.items() if k in known})
-
-
-def config_to_dict(config: SolverConfig) -> Dict[str, object]:
-    return {f.name: getattr(config, f.name) for f in fields(SolverConfig)}
-
-
-def config_from_dict(data: Dict[str, object]) -> SolverConfig:
-    known = {f.name for f in fields(SolverConfig)}
-    return SolverConfig(**{k: v for k, v in data.items() if k in known})
 
 
 def measurement_to_dict(m: Measurement) -> Dict[str, object]:

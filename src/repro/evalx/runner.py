@@ -76,6 +76,29 @@ class Measurement:
     #: checkpoint may exist to resume from.
     interrupted: bool = False
 
+    @classmethod
+    def from_result(
+        cls,
+        instance: str,
+        solver: str,
+        result: SolveResult,
+        certificate_status: Optional[str] = None,
+    ) -> "Measurement":
+        """The measurement of one finished solve."""
+        stats = result.stats
+        return cls(
+            instance=instance,
+            solver=solver,
+            outcome=result.outcome,
+            decisions=stats.decisions,
+            seconds=result.seconds,
+            learned_clauses=stats.learned_clauses,
+            learned_cubes=stats.learned_cubes,
+            stats=stats,
+            certificate_status=certificate_status,
+            interrupted=result.interrupted,
+        )
+
     @property
     def certificate_ok(self) -> Optional[bool]:
         """False iff the checker rejected the certificate; None when uncertified.
@@ -161,18 +184,7 @@ def _measure(
                 resume_from=resume,
                 checkpoint_to=checkpoint_to,
             )
-        return Measurement(
-            instance=instance,
-            solver=solver,
-            outcome=result.outcome,
-            decisions=result.stats.decisions,
-            seconds=result.seconds,
-            learned_clauses=result.stats.learned_clauses,
-            learned_cubes=result.stats.learned_cubes,
-            stats=result.stats,
-            certificate_status=certificate_status,
-            interrupted=result.interrupted,
-        )
+        return Measurement.from_result(instance, solver, result, certificate_status)
 
     if resume_from is not None:
         from repro.robustness.checkpoint import CheckpointError

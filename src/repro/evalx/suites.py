@@ -83,7 +83,7 @@ def _open_log(
     return ResultsLog(results_path, durable=durable, faults=faults)
 
 
-def _engine_overrides(engine: str) -> Tuple[Tuple[str, object], ...]:
+def engine_overrides(engine: str) -> Tuple[Tuple[str, object], ...]:
     """Task overrides for a propagation-backend choice.
 
     The default backend maps to *no* override so the task fingerprints —
@@ -92,22 +92,6 @@ def _engine_overrides(engine: str) -> Tuple[Tuple[str, object], ...]:
     and keys its own rows.
     """
     return (("engine", engine),) if engine != "counters" else ()
-
-
-def paradigm_overrides(paradigm: str) -> Tuple[Tuple[str, object], ...]:
-    """Task overrides for a solver-paradigm choice, non-default-only.
-
-    Same contract as :func:`_engine_overrides`: the default ``"search"``
-    paradigm contributes *nothing* to the fingerprint, so every resume key
-    recorded before paradigms existed still matches; ``"expansion"`` and
-    ``"qdll"`` runs key their own rows.
-    """
-    return (("paradigm", paradigm),) if paradigm != "search" else ()
-
-
-def _config_overrides(engine: str, paradigm: str) -> Tuple[Tuple[str, object], ...]:
-    """Combined non-default-only overrides for a suite's config choices."""
-    return _engine_overrides(engine) + paradigm_overrides(paradigm)
 
 
 def _checked(to_run: Measurement, po_run: Measurement, log: Optional[ResultsLog]) -> None:
@@ -179,14 +163,13 @@ def run_ncf(
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    paradigm: str = "search",
     checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
 ) -> List[PairResult]:
     """Run QUBE(TO) under each strategy and QUBE(PO) on the NCF sweep."""
-    overrides = _config_overrides(engine, paradigm)
+    overrides = engine_overrides(engine)
     tasks: List[Task] = []
     meta: List[Tuple[str, str]] = []
     for setting, params_list in ncf_settings(instances):
@@ -249,14 +232,13 @@ def run_fpv(
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    paradigm: str = "search",
     checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
 ) -> List[PairResult]:
     """Run the FPV suite with the ∃↑∀↑ strategy (the paper's choice)."""
-    overrides = _config_overrides(engine, paradigm)
+    overrides = engine_overrides(engine)
     tasks: List[Task] = []
     labels: List[str] = []
     for params in fpv_instances(count):
@@ -329,14 +311,13 @@ def run_dia(
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    paradigm: str = "search",
     checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
 ) -> List[PairResult]:
     """Run TO/PO on every DIA instance (prenex form == equation (16))."""
-    overrides = _config_overrides(engine, paradigm)
+    overrides = engine_overrides(engine)
     tasks: List[Task] = []
     labels: List[str] = []
     for label, tree, flat in dia_instances(max_n_cap):
@@ -490,7 +471,6 @@ def run_eval06(
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    paradigm: str = "search",
     checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     durable: bool = True,
@@ -504,7 +484,7 @@ def run_eval06(
     (cheap) miniscoping filter runs in-process; only the solver runs are
     fanned out.
     """
-    overrides = _config_overrides(engine, paradigm)
+    overrides = engine_overrides(engine)
     tasks: List[Task] = []
     labels: List[str] = []
     filtered_out = 0

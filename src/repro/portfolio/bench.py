@@ -2,15 +2,15 @@
 
 Runs the Figure-6 counter and semaphore diameter series twice over:
 
-* each entrant alone — TO-search, PO-search, expansion — timed with the
-  same wall-clock protocol the race uses (in-process ``execute_task``),
-  which yields the per-family *best single paradigm*;
-* the portfolio race per instance (``--jobs 3``, clamped to the machine's
+* each lane alone — TO search, PO search — timed with the same
+  wall-clock protocol the race uses (in-process ``execute_task``), which
+  yields the per-family *best single lane*;
+* the portfolio race per instance (``--jobs 2``, clamped to the machine's
   cores like every race), recording who won each instance.
 
 The emitted ``BENCH_portfolio.json`` is schema-versioned and carries, per
-family: the winner breakdown, every entrant's standalone wall-clock, the
-portfolio's wall-clock, and the ratio against the best single paradigm —
+family: the winner breakdown, every lane's standalone wall-clock, the
+portfolio's wall-clock, and the ratio against the best single lane —
 the number the acceptance bound (≤ ``BOUND``x) is checked against. Like
 ``BENCH_kernels.json``, the decision counts are machine-independent and
 comparable across reports; the seconds are host-specific.
@@ -28,12 +28,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.evalx.parallel import execute_task
 from repro.evalx.runner import Budget, Measurement
-from repro.portfolio.race import DEFAULT_ENTRANTS, ENTRANTS, race
+from repro.portfolio.race import ENTRANTS, entrant_task, race
 
 #: bump on any change to the JSON layout so downstream tooling can dispatch.
 SCHEMA = "repro-portfolio-bench/1"
 
-#: the acceptance bound: portfolio wall-clock vs best single paradigm.
+#: the acceptance bound: portfolio wall-clock vs best single lane.
 BOUND = 1.15
 
 #: full mode covers the fig6 counter and semaphore families; quick mode is
@@ -55,7 +55,7 @@ def _single_run(
 ) -> Tuple[Measurement, float]:
     """One standalone lane, timed like a race (task build + execution)."""
     start = time.perf_counter()
-    task = ENTRANTS[name].task(formula, instance, budget, strategy, "counters")
+    task = entrant_task(name, formula, instance, budget, strategy, "counters")
     m = execute_task(task)
     return m, time.perf_counter() - start
 
@@ -66,7 +66,6 @@ def run_family(
     max_n_cap: int,
     budget_decisions: int,
     jobs: int,
-    entrants: Sequence[str] = DEFAULT_ENTRANTS,
     strategy: str = "eu_au",
 ) -> dict:
     """Bench one model family; returns its report section."""
@@ -77,8 +76,8 @@ def run_family(
     budget = Budget(decisions=budget_decisions)
     instances: List[dict] = []
     winners: Dict[str, int] = {}
-    single_seconds: Dict[str, float] = {name: 0.0 for name in entrants}
-    single_decisions: Dict[str, int] = {name: 0 for name in entrants}
+    single_seconds: Dict[str, float] = {name: 0.0 for name in ENTRANTS}
+    single_decisions: Dict[str, int] = {name: 0 for name in ENTRANTS}
     portfolio_seconds = 0.0
     for size in sizes:
         model = model_by_name(family, size)
@@ -87,7 +86,7 @@ def run_family(
             phi = diameter_qbf(model, n, "tree")
             label = "%s-n%d" % (model.name, n)
             singles: Dict[str, dict] = {}
-            for name in entrants:
+            for name in ENTRANTS:
                 m, wall = _single_run(name, phi, label, budget, strategy)
                 single_seconds[name] += wall
                 single_decisions[name] += m.decisions
@@ -96,9 +95,7 @@ def run_family(
                     "decisions": m.decisions,
                     "seconds": wall,
                 }
-            result = race(
-                phi, label, budget, jobs=jobs, entrants=entrants, strategy=strategy
-            )
+            result = race(phi, label, budget, jobs=jobs, strategy=strategy)
             portfolio_seconds += result.seconds
             if result.winner is not None:
                 winners[result.winner] = winners.get(result.winner, 0) + 1
@@ -133,11 +130,7 @@ def run_family(
     }
 
 
-def run_portfolio_bench(
-    quick: bool = False,
-    jobs: int = 3,
-    entrants: Sequence[str] = DEFAULT_ENTRANTS,
-) -> dict:
+def run_portfolio_bench(quick: bool = False, jobs: int = 2) -> dict:
     """Run every family; the full report for ``BENCH_portfolio.json``."""
     series = QUICK_SERIES if quick else FULL_SERIES
     families = [
@@ -147,7 +140,6 @@ def run_portfolio_bench(
             series["max_n_cap"],
             series["budget_decisions"],
             jobs,
-            entrants=entrants,
         )
         for family, sizes in series["families"]
     ]
@@ -158,7 +150,7 @@ def run_portfolio_bench(
         "jobs_requested": jobs,
         "budget_decisions": series["budget_decisions"],
         "max_n_cap": series["max_n_cap"],
-        "entrants": list(entrants),
+        "entrants": list(ENTRANTS),
         "bound": BOUND,
         "families": families,
         "all_within_bound": all(f["within_bound"] for f in families),
@@ -193,7 +185,7 @@ def render_report(report: dict) -> str:
         )
     lines.append("")
     lines.append(
-        "portfolio within %.2fx of best single paradigm: %s"
+        "portfolio within %.2fx of best single lane: %s"
         % (report["bound"], "yes" if report["all_within_bound"] else "NO")
     )
     return "\n".join(lines)

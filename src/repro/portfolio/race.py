@@ -1,29 +1,28 @@
-"""The portfolio racer: run several paradigms, keep the first verdict.
+"""The portfolio racer: run QUBE(TO) and QUBE(PO), keep the first verdict.
 
-One :func:`race` call solves one instance with every entrant of the
-portfolio concurrently (default: QUBE(TO) search, QUBE(PO) search, and the
-expansion engine) and returns as soon as any entrant reports a determinate
-TRUE/FALSE — the siblings are cancelled with the same SIGTERM → grace →
-SIGKILL escalation the batch pool uses, so a cooperative entrant still
+One :func:`race` call solves one instance with both lanes of the portfolio
+concurrently — total-order search on the prenexed formula and partial-order
+search on the quantifier tree — and returns as soon as either lane reports
+a determinate TRUE/FALSE. The sibling is cancelled with the same SIGTERM →
+grace → SIGKILL escalation the batch pool uses, so a cooperative lane still
 reports its partial (interrupted) measurement.
 
-Entrants are ordinary :class:`repro.evalx.parallel.Task` objects, and a
-race is one :func:`repro.evalx.parallel.run_tasks` call that stops at the
-first determinate verdict. That is what makes the race fault-isolated: a
-crashing paradigm loses the race instead of taking the process down.
-``jobs=1`` is the deterministic degenerate case — entrants run serially
-in-process, in declaration order, stopping at the first verdict — so a
-portfolio result is reproducible bit-for-bit when needed.
+Lanes are ordinary :class:`repro.evalx.parallel.Task` objects, and a race
+is one :func:`repro.evalx.parallel.run_tasks` call that stops at the first
+determinate verdict. That is what makes the race fault-isolated: a
+crashing lane loses the race instead of taking the process down.
+``jobs=1`` is the deterministic degenerate case — lanes run serially
+in-process, PO then TO, stopping at the first verdict — so a portfolio
+result is reproducible bit-for-bit when needed.
 
-**Disagreement triage.** When two entrants both finish and claim opposite
+**Disagreement triage.** When both lanes finish and claim opposite
 verdicts (possible in the race window, and forced in CI by the
-``flip-verdict`` fault), the racer re-solves the instance with the
-proof-capable search paradigm under ``certify=True`` and sides with the
-outcome backed by a VERIFIED certificate — the same rule as
-:attr:`repro.evalx.runner.SolverDisagreement.winner`. Expansion cannot log
-proofs (honest capability flag), so its claims can never outvote a
-verified search certificate; if certification itself fails, the race
-reports UNKNOWN with the disagreement attached rather than guessing.
+``flip-verdict`` fault), the racer re-solves the instance on the PO
+pipeline under ``certify=True`` and sides with the outcome backed by a
+VERIFIED certificate — the same rule as
+:attr:`repro.evalx.runner.SolverDisagreement.winner`. If certification
+itself fails, the race reports UNKNOWN with the disagreement attached
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -43,51 +42,32 @@ from repro.evalx.parallel import (
     run_tasks,
 )
 from repro.evalx.runner import Budget, Measurement, solve_po
-from repro.evalx.suites import paradigm_overrides
+from repro.evalx.suites import engine_overrides
 from repro.robustness.faults import FaultPlan
 
-__all__ = ["DEFAULT_ENTRANTS", "ENTRANTS", "Entrant", "PortfolioResult", "race"]
+__all__ = ["ENTRANTS", "PortfolioResult", "entrant_task", "race"]
 
 
-@dataclass(frozen=True)
-class Entrant:
-    """One lane of the portfolio: a pipeline plus a paradigm.
-
-    ``mode`` is the evalx pipeline ("to" prenexes first, "po" solves the
-    tree as-is); ``paradigm`` selects the registered solving algorithm.
-    """
-
-    name: str
-    mode: str
-    paradigm: str = "search"
-
-    def task(
-        self, formula: QBF, instance: str, budget: Budget, strategy: str, engine: str
-    ) -> Task:
-        overrides: Tuple[Tuple[str, object], ...] = paradigm_overrides(self.paradigm)
-        if engine != "counters" and self.paradigm == "search":
-            overrides += (("engine", engine),)
-        return Task(
-            instance=instance,
-            solver=self.name,
-            formula=formula,
-            mode=self.mode,
-            strategy=strategy,
-            budget=budget,
-            overrides=overrides,
-        )
+#: the two lanes, name → evalx pipeline ("po" solves the tree as-is, "to"
+#: prenexes first). Declaration order doubles as the serial-mode priority:
+#: PO first — the paper's structure-aware headline procedure, and the
+#: winner of every fig6 instance in BENCH_portfolio.json — then TO.
+ENTRANTS: Dict[str, str] = {"PO": "po", "TO": "to"}
 
 
-#: the standard field: partial-order search, total-order search, expansion.
-ENTRANTS: Dict[str, Entrant] = {
-    "TO": Entrant("TO", "to", "search"),
-    "PO": Entrant("PO", "po", "search"),
-    "EXP": Entrant("EXP", "po", "expansion"),
-}
-#: declaration order doubles as the serial-mode priority: PO first (the
-#: paper's structure-aware headline procedure, and empirically the best
-#: single paradigm on the fig6 families), then TO, then expansion.
-DEFAULT_ENTRANTS: Tuple[str, ...] = ("PO", "TO", "EXP")
+def entrant_task(
+    name: str, formula: QBF, instance: str, budget: Budget, strategy: str, engine: str
+) -> Task:
+    """The evalx task that runs lane ``name`` on one instance."""
+    return Task(
+        instance=instance,
+        solver=name,
+        formula=formula,
+        mode=ENTRANTS[name],
+        strategy=strategy,
+        budget=budget,
+        overrides=engine_overrides(engine),
+    )
 
 
 @dataclass
@@ -153,10 +133,10 @@ def _triage(
     engine: str,
     determinate: Sequence[Measurement],
 ) -> Tuple[Outcome, Optional[str], Dict[str, object]]:
-    """Certificate triage of a cross-paradigm disagreement.
+    """Certificate triage of a TO/PO disagreement.
 
-    Re-solves with the proof-capable search paradigm (PO pipeline, the one
-    that works on the original formula) under ``certify=True`` — a 4x
+    Re-solves on the PO pipeline (the one that works on the original
+    formula) under ``certify=True`` — a 4x
     decision budget, since certifying configs disable pure literals — and
     sides with the VERIFIED certificate, exactly as
     ``SolverDisagreement.winner`` does for TO/PO sweeps. Returns
@@ -195,8 +175,7 @@ def race(
     formula: QBF,
     instance: str = "",
     budget: Budget = Budget(),
-    jobs: int = 3,
-    entrants: Sequence[str] = DEFAULT_ENTRANTS,
+    jobs: int = 2,
     strategy: str = "eu_au",
     engine: str = "counters",
     run_all: bool = False,
@@ -212,11 +191,9 @@ def race(
         jobs: requested concurrent lanes, clamped to the machine's cores:
             racing N CPU-bound lanes on fewer cores only adds timeslicing
             overhead to whichever lane would have won, so the racer never
-            oversubscribes. ``1`` (requested or clamped) runs entrants
-            serially in declaration order and stops at the first verdict —
-            fully deterministic.
-        entrants: entrant names from :data:`ENTRANTS`, or
-            ``name:mode:paradigm`` triples for custom lanes.
+            oversubscribes. ``1`` (requested or clamped) runs the lanes
+            serially, PO then TO, and stops at the first verdict — fully
+            deterministic.
         run_all: let every lane finish (no cancellation) and cross-check
             all verdicts — the agreement-audit mode CI's forced-
             disagreement check uses.
@@ -228,21 +205,10 @@ def race(
         mem_limit_mb: per-lane address-space ceiling in MiB (pool mode
             only), as for :func:`repro.evalx.parallel.run_tasks`.
     """
-    field_: List[Entrant] = []
-    for name in entrants:
-        if name in ENTRANTS:
-            field_.append(ENTRANTS[name])
-        else:
-            parts = name.split(":")
-            if len(parts) != 3:
-                raise ValueError(
-                    "unknown entrant %r (choose from %s or name:mode:paradigm)"
-                    % (name, sorted(ENTRANTS))
-                )
-            field_.append(Entrant(parts[0], parts[1], parts[2]))
-    if not field_:
-        raise ValueError("empty portfolio")
-    tasks = [e.task(formula, instance, budget, strategy, engine) for e in field_]
+    tasks = [
+        entrant_task(name, formula, instance, budget, strategy, engine)
+        for name in ENTRANTS
+    ]
 
     measurements: List[Measurement] = []
     cancelled: List[str] = []
@@ -295,7 +261,7 @@ def race(
         result.outcome = determinate[0].outcome
         result.winner = determinate[0].solver
         return result
-    # Cross-paradigm disagreement: describe it, then let the certificate
+    # TO/PO disagreement: describe it, then let the certificate
     # checker arbitrate.
     result.disagreement = "; ".join(
         "%s=%s" % (m.solver, m.outcome.value) for m in determinate

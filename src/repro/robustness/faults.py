@@ -21,7 +21,7 @@ Fault kinds and where they fire:
   and the fall-back-to-fresh path.
 * ``flip-verdict`` — the portfolio racer (:mod:`repro.portfolio.race`)
   inverts the labeled entrant's determinate outcome as it arrives;
-  exercises cross-paradigm disagreement detection and certificate triage.
+  exercises TO/PO disagreement detection and certificate triage.
   Unlike the worker-side faults it fires on *every* arrival of the label
   (the triage re-solve bypasses the plan, so it still sees the truth).
 * ``worker-oom`` — the worker raises :class:`MemoryError` before solving,

@@ -13,11 +13,9 @@ One process, three execution lanes:
   so the family's :class:`~repro.incremental.IncrementalSolver` keeps its
   learned constraints between bounds.
 
-``solve`` requests may pick a non-default ``paradigm`` (expansion, the
-recursive reference) and ``portfolio`` requests race several paradigms via
-:func:`repro.portfolio.race`; capability mismatches — ``certify`` with a
-proof-incapable paradigm — come back as structured errors before any
-worker is spawned.
+``portfolio`` requests race QUBE(TO) against QUBE(PO) via
+:func:`repro.portfolio.race`. A malformed ``engine`` on any solving kind
+comes back as a structured protocol error before any worker is spawned.
 
 Between the protocol and those lanes sits the supervision layer
 (:mod:`repro.serve.supervisor`):
@@ -93,7 +91,7 @@ from repro.serve.protocol import (
     overloaded_response,
     parse_budget,
     parse_deadline,
-    parse_paradigm,
+    parse_engine,
     poisoned_response,
     validate_smv_request,
 )
@@ -338,31 +336,7 @@ class ServeDaemon:
         mode = req.get("mode", "po")
         if mode not in ("po", "to"):
             raise ProtocolError("mode must be 'po' or 'to'")
-        paradigm = parse_paradigm(req)
-        checkpoint_dir = self.checkpoint_dir
-        if paradigm != "search":
-            # Capability mismatches are structured errors (CapabilityError
-            # is a ValueError, so the dispatch loop reports it cleanly):
-            # certify + a proof-incapable paradigm must not reach a worker.
-            from repro.core.paradigm import CapabilityError, get_paradigm
-
-            caps = get_paradigm(paradigm).capabilities
-            if bool(req.get("certify", False)) and not caps.proof:
-                raise CapabilityError(
-                    paradigm, "proof logging", "drop 'certify' or use search"
-                )
-            if not caps.checkpoint:
-                # The daemon-side checkpoint directory is an optimization
-                # for preempted shard solves; a paradigm that cannot
-                # checkpoint simply runs without it.
-                checkpoint_dir = None
-        overrides = []
-        if "engine" in req:
-            overrides.append(("engine", req["engine"]))
-        if paradigm != "search":
-            # Non-default-only, like the batch harness: cache fingerprints
-            # of existing search-paradigm verdicts stay untouched.
-            overrides.append(("paradigm", paradigm))
+        engine = parse_engine(req)
         task = Task(
             instance=str(req.get("instance", "serve")),
             solver=str(req.get("solver", mode.upper())),
@@ -370,7 +344,7 @@ class ServeDaemon:
             mode=mode,
             strategy=str(req.get("strategy", "eu_au")),
             budget=parse_budget(req.get("budget")),
-            overrides=tuple(overrides),
+            overrides=(("engine", engine),) if engine is not None else (),
             certify=bool(req.get("certify", False)),
         )
         cached = self._cache.get(task.key)
@@ -384,6 +358,7 @@ class ServeDaemon:
         loop = asyncio.get_running_loop()
         mem_limit_mb = self.mem_limit_mb
         faults = self._faults
+        checkpoint_dir = self.checkpoint_dir
         async with self._slots:
             records = await loop.run_in_executor(
                 self._pool,
@@ -502,54 +477,14 @@ class ServeDaemon:
         self.stats["solves"] += 1
         if incremental:
             self.stats["incremental_solves"] += 1
-        m = Measurement(
-            instance=task.instance,
-            solver=task.solver,
-            outcome=result.outcome,
-            decisions=result.stats.decisions,
-            seconds=result.seconds,
-            learned_clauses=result.stats.learned_clauses,
-            learned_cubes=result.stats.learned_cubes,
-            stats=result.stats,
-            interrupted=result.interrupted,
-        )
         retained = fam.solver.last_retained_clauses + fam.solver.last_retained_cubes
-        if (
-            result.outcome is Outcome.UNKNOWN
-            and not result.interrupted
-            and deadline_is_binding
-            and result.seconds >= seconds
-        ):
-            # The per-request wall clock — not the caller's own budget —
-            # ran out: report it as a structured failure, not a soft
-            # UNKNOWN. Deliberately not a breaker failure: the deadline
-            # says the request was too impatient, not that the family is
-            # poisonous.
-            return {
-                "ok": False,
-                "cached": False,
-                "status": "deadline",
-                "error": "smv solve did not settle within its %.1fs deadline"
-                % deadline,
-                "outcome": result.outcome.value,
-                "decisions": result.stats.decisions,
-                "seconds": result.seconds,
-                "interrupted": False,
-                "protocol": PROTOCOL_VERSION,
-            }
+        cut = self._smv_deadline_cut(result, budget, deadline, deadline_is_binding)
+        if cut is not None:
+            return cut
         self.supervisor.record_outcome(breaker, STATUS_OK)
         if policy.deaths > 0:
             policy.record_recovery()
-        if result.outcome is not Outcome.UNKNOWN:
-            await self._cache_put(
-                Record(
-                    instance=task.instance,
-                    solver=task.solver,
-                    fingerprint=task.fingerprint(),
-                    status=STATUS_OK,
-                    measurement=m,
-                )
-            )
+        await self._cache_smv(task, result)
         return {
             "ok": True,
             "cached": False,
@@ -570,6 +505,43 @@ class ServeDaemon:
             formula=formula,
             budget=budget,
         )
+
+    @staticmethod
+    def _smv_deadline_cut(
+        result, budget: Budget, deadline: float, deadline_is_binding: bool, **extra
+    ) -> Optional[Dict[str, object]]:
+        """The structured ``deadline`` failure of an smv solve, or None.
+
+        Only when the per-request wall clock — not the caller's own budget —
+        ran out is the UNKNOWN reported as a failure rather than a soft
+        verdict. Deliberately not a breaker failure: the deadline says the
+        request was too impatient, not that the family is poisonous.
+        """
+        if (
+            result.outcome is not Outcome.UNKNOWN
+            or result.interrupted
+            or not deadline_is_binding
+            or result.seconds < budget.seconds
+        ):
+            return None
+        return {
+            "ok": False,
+            "cached": False,
+            "status": "deadline",
+            "error": "smv solve did not settle within its %.1fs deadline" % deadline,
+            "outcome": result.outcome.value,
+            "decisions": result.stats.decisions,
+            "seconds": result.seconds,
+            "interrupted": False,
+            **extra,
+            "protocol": PROTOCOL_VERSION,
+        }
+
+    async def _cache_smv(self, task: Task, result) -> None:
+        """Cache a determinate smv verdict under ``task``'s key."""
+        if result.outcome is not Outcome.UNKNOWN:
+            m = Measurement.from_result(task.instance, task.solver, result)
+            await self._cache_put(Record.of(task, STATUS_OK, measurement=m))
 
     async def _smv_scratch(
         self, model, n, budget, breaker, deadline, deadline_is_binding
@@ -595,47 +567,13 @@ class ServeDaemon:
             result = await loop.run_in_executor(self._pool, solve_scratch)
         self.stats["solves"] += 1
         self.supervisor.note_degraded()
-        if (
-            result.outcome is Outcome.UNKNOWN
-            and not result.interrupted
-            and deadline_is_binding
-            and result.seconds >= (budget.seconds or deadline)
-        ):
-            return {
-                "ok": False,
-                "cached": False,
-                "status": "deadline",
-                "error": "smv solve did not settle within its %.1fs deadline"
-                % deadline,
-                "outcome": result.outcome.value,
-                "decisions": result.stats.decisions,
-                "seconds": result.seconds,
-                "interrupted": False,
-                "degraded": True,
-                "protocol": PROTOCOL_VERSION,
-            }
+        cut = self._smv_deadline_cut(
+            result, budget, deadline, deadline_is_binding, degraded=True
+        )
+        if cut is not None:
+            return cut
         self.supervisor.record_outcome(breaker, STATUS_OK)
-        if result.outcome is not Outcome.UNKNOWN:
-            m = Measurement(
-                instance=task.instance,
-                solver=task.solver,
-                outcome=result.outcome,
-                decisions=result.stats.decisions,
-                seconds=result.seconds,
-                learned_clauses=result.stats.learned_clauses,
-                learned_cubes=result.stats.learned_cubes,
-                stats=result.stats,
-                interrupted=result.interrupted,
-            )
-            await self._cache_put(
-                Record(
-                    instance=task.instance,
-                    solver=task.solver,
-                    fingerprint=task.fingerprint(),
-                    status=STATUS_OK,
-                    measurement=m,
-                )
-            )
+        await self._cache_smv(task, result)
         return {
             "ok": True,
             "cached": False,
@@ -667,20 +605,7 @@ class ServeDaemon:
             raise ProtocolError("cube-solve seed must be an integer")
         certify = bool(req.get("certify", False))
         share = bool(req.get("share", True))
-        engine = req.get("engine")
-        paradigm = parse_paradigm(req)
-        # Validate capability upfront on the event loop: run_cube would
-        # raise the same CapabilityError, but from the executor thread —
-        # failing here keeps the structured error on the cheap path.
-        from repro.core.paradigm import get_paradigm
-
-        caps = get_paradigm(paradigm).capabilities
-        if not caps.checkpoint:
-            raise ProtocolError(
-                "paradigm %r cannot checkpoint; cube-solve workers snapshot "
-                "their leaves — use a checkpoint-capable paradigm such as "
-                "'search'" % paradigm
-            )
+        engine = parse_engine(req)
 
         loop = asyncio.get_running_loop()
         interrupt = self._interrupt
@@ -695,7 +620,6 @@ class ServeDaemon:
                     share=share,
                     seed=seed,
                     engine=engine,
-                    paradigm=paradigm,
                     wall_timeout=deadline,
                     interrupt=interrupt,
                     mem_limit_mb=mem_limit_mb,
@@ -726,9 +650,7 @@ class ServeDaemon:
                 # settled — spend the request's remaining deadline on one
                 # plain scratch solve instead of returning a failure the
                 # client would just retry anyway.
-                fallback = await self._cube_fallback(
-                    req, formula, paradigm, engine, remaining
-                )
+                fallback = await self._cube_fallback(req, formula, engine, remaining)
                 if fallback is not None:
                     out.update(fallback)
                     self.supervisor.note_degraded()
@@ -745,22 +667,17 @@ class ServeDaemon:
         return out
 
     async def _cube_fallback(
-        self, req, formula, paradigm, engine, remaining
+        self, req, formula, engine, remaining
     ) -> Optional[Dict[str, object]]:
         """One-shot scratch solve after a crash-degraded cube run; returns
         the response fields on a determinate verdict, else ``None``."""
-        overrides = []
-        if engine is not None:
-            overrides.append(("engine", engine))
-        if paradigm != "search":
-            overrides.append(("paradigm", paradigm))
         task = Task(
             instance="%s:cube-fallback" % req.get("instance", "serve"),
             solver="PO",
             formula=formula,
             mode="po",
             budget=Budget(decisions=None, seconds=remaining),
-            overrides=tuple(overrides),
+            overrides=(("engine", engine),) if engine is not None else (),
         )
         loop = asyncio.get_running_loop()
         mem_limit_mb = self.mem_limit_mb
@@ -788,23 +705,18 @@ class ServeDaemon:
         }
 
     async def _handle_portfolio(self, req: Dict[str, object]) -> Dict[str, object]:
-        """Race several paradigms on one formula (``portfolio``)."""
-        from repro.portfolio import DEFAULT_ENTRANTS, race
+        """Race QUBE(TO) against QUBE(PO) on one formula (``portfolio``)."""
+        from repro.portfolio import race
 
         if bool(req.get("certify", False)):
             raise ProtocolError(
-                "portfolio does not accept 'certify': the default field "
-                "includes proof-incapable lanes; cross-paradigm "
-                "disagreements are certificate-triaged automatically"
+                "portfolio does not accept 'certify': a TO/PO disagreement "
+                "is certificate-triaged automatically"
             )
         formula = self._parse_formula(req)
         deadline = self._effective_deadline(req)
-        entrants = req.get("entrants", list(DEFAULT_ENTRANTS))
-        if not isinstance(entrants, list) or not all(
-            isinstance(e, str) for e in entrants
-        ):
-            raise ProtocolError("portfolio entrants must be a list of strings")
-        jobs = req.get("jobs", 3)
+        engine = parse_engine(req)
+        jobs = req.get("jobs", 2)
         if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
             raise ProtocolError("portfolio jobs must be a positive integer")
         if jobs > MAX_CUBE_JOBS:
@@ -826,9 +738,8 @@ class ServeDaemon:
                     instance=str(req.get("instance", "serve")),
                     budget=budget,
                     jobs=jobs,
-                    entrants=tuple(entrants),
                     strategy=str(req.get("strategy", "eu_au")),
-                    engine=str(req.get("engine", "counters")),
+                    engine=engine or "counters",
                     run_all=bool(req.get("run_all", False)),
                     wall_timeout=deadline,
                     mem_limit_mb=mem_limit_mb,

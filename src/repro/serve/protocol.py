@@ -11,19 +11,14 @@ one JSON response line. ``kind`` selects the handler:
     a one-shot solve of an inlined formula: ``formula`` (text) +
     ``format`` ("qdimacs" or "qtree"), optional ``mode`` ("po"/"to"),
     ``strategy``, ``budget`` ({"decisions", "seconds"}), ``certify``,
-    ``engine``, ``paradigm`` ("search"/"expansion"/"qdll"; see
-    :mod:`repro.core.paradigm`). A capability mismatch — e.g. ``certify``
-    with the proof-incapable expansion paradigm — is a structured error,
-    never an attempted solve. Dispatched to a fault-isolated worker shard.
+    ``engine`` (see below). Dispatched to a fault-isolated worker shard.
 ``portfolio``
-    race several paradigms on one inlined formula and keep the first
-    determinate verdict (see :mod:`repro.portfolio`): ``formula`` +
-    ``format`` like ``solve``, optional ``entrants`` (list of lane names
-    or ``name:mode:paradigm`` triples), ``jobs``, ``strategy``,
+    race QUBE(TO) against QUBE(PO) on one inlined formula and keep the
+    first determinate verdict (see :mod:`repro.portfolio`): ``formula`` +
+    ``format`` like ``solve``, optional ``jobs``, ``strategy``,
     ``engine``, ``budget``, ``run_all``. Responses add ``winner``,
-    ``cancelled`` and — on cross-paradigm disagreement — the
-    certificate-triage record. ``certify`` is rejected here (the default
-    field includes proof-incapable lanes); disagreements are certificate-
+    ``cancelled`` and — on a TO/PO disagreement — the certificate-triage
+    record. ``certify`` is rejected here; disagreements are certificate-
     triaged automatically instead.
 ``smv-diameter``
     one bound of a model family's diameter sweep: ``family``, ``size``,
@@ -33,11 +28,14 @@ one JSON response line. ``kind`` selects the handler:
     a cube-and-conquer solve of an inlined formula across worker
     processes: ``formula`` + ``format`` like ``solve``, plus optional
     ``jobs`` (default 2, capped at :data:`MAX_CUBE_JOBS`), ``certify``,
-    ``share``, ``seed``, ``paradigm`` (must be checkpoint-capable — cube
-    workers snapshot their leaves). Responses add the coordinator's work
-    accounting
-    (``leaves``, ``resplits``, ``escalations``, ``share``) and, when
-    certifying, ``certificate_status``.
+    ``share``, ``seed``, ``engine``. Responses add the coordinator's work
+    accounting (``leaves``, ``resplits``, ``escalations``, ``share``) and,
+    when certifying, ``certificate_status``.
+
+The ``engine`` field of ``solve``, ``portfolio`` and ``cube-solve`` names a
+propagation backend from :data:`repro.core.engine.config.ENGINES` (aliases
+included); absent, the kind's default applies. Any other value is a
+structured protocol error, never an attempted solve.
 
 Every solve-lane request (``solve``, ``cube-solve``, ``smv-diameter``) may
 carry a ``deadline`` — a positive number of wall-clock seconds for *this
@@ -82,7 +80,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.engine.config import PARADIGMS
+from repro.core.engine.config import ENGINES
 from repro.core.formula import QBF
 from repro.evalx.runner import Budget
 
@@ -126,14 +124,16 @@ def parse_budget(payload: Optional[Dict[str, object]]) -> Budget:
     return Budget(decisions=decisions, seconds=seconds)
 
 
-def parse_paradigm(req: Dict[str, object]) -> str:
-    """The request's solving paradigm; defaults to classic search."""
-    paradigm = req.get("paradigm", "search")
-    if not isinstance(paradigm, str) or paradigm not in PARADIGMS:
+def parse_engine(req: Dict[str, object]) -> Optional[str]:
+    """The request's propagation backend, or None when it names none."""
+    if "engine" not in req:
+        return None
+    engine = req["engine"]
+    if not isinstance(engine, str) or engine not in ENGINES:
         raise ProtocolError(
-            "unknown paradigm %r (choose from %s)" % (paradigm, list(PARADIGMS))
+            "unknown engine %r (choose from %s)" % (engine, list(ENGINES))
         )
-    return paradigm
+    return engine
 
 
 def parse_deadline(req: Dict[str, object]) -> float:

@@ -1,10 +1,12 @@
-"""Hypothesis property suite: the paradigms agree on random QBFs.
+"""Hypothesis property suite: the search engine agrees with the references.
 
-The expansion engine implements the semantics directly (iterated cofactor
-expansion over the prefix's partial order), so verdict agreement with the
-search engines on random instances — prenex and tree prefixes, every
-built propagation backend, the TO and PO pipelines — is the strongest cheap
-evidence that the Solver protocol refactor changed plumbing, not meaning.
+The expansion oracle (:func:`repro.core.expansion.evaluate`) implements the
+semantics directly, by cofactor expansion over the prefix's partial order,
+and the Figure-1 Q-DLL (:func:`repro.core.simple.q_dll`) transcribes the
+paper's pseudo-code. Verdict agreement with both on random instances —
+prenex and tree prefixes, every built propagation backend, the TO and PO
+pipelines — is the strongest cheap evidence that the search engine decides
+what the paper's semantics says.
 """
 
 import random
@@ -12,10 +14,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine.config import SolverConfig
-from repro.core.expand import expand_solve
 from repro.core.expansion import evaluate
-from repro.core.paradigm import solve_formula
 from repro.core.result import Outcome
+from repro.core.simple import q_dll
 from repro.core.solver import solve
 from repro.generators.random_qbf import random_prenex_qbf, random_tree_qbf
 from repro.prenexing.strategies import prenex
@@ -33,25 +34,21 @@ def _truth(phi) -> Outcome:
 def test_expansion_agrees_with_search_on_prenex_qbfs(seed):
     phi = random_prenex_qbf(random.Random(seed))
     truth = _truth(phi)
-    assert expand_solve(phi).outcome is truth
     for engine in BUILT_BACKENDS:
-        config = SolverConfig(engine=engine, paradigm="search")
-        assert solve(phi, config).outcome is truth, engine
+        assert solve(phi, SolverConfig(engine=engine)).outcome is truth, engine
 
 
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_expansion_agrees_with_search_on_tree_qbfs(seed):
-    # PO pipeline: both paradigms work the tree prefix directly; TO
-    # pipeline: both work the prenexed formula. All four verdicts and the
-    # oracle must coincide.
+    # PO pipeline: search works the tree prefix directly; TO pipeline: it
+    # works the prenexed formula. Every verdict and the oracle must coincide.
     phi = random_tree_qbf(random.Random(seed))
     flat = prenex(phi, "eu_au")
     truth = _truth(phi)
     for formula in (phi, flat):
-        assert expand_solve(formula).outcome is truth
         for engine in BUILT_BACKENDS:
-            config = SolverConfig(engine=engine, paradigm="search")
+            config = SolverConfig(engine=engine)
             assert solve(formula, config).outcome is truth, engine
 
 
@@ -59,5 +56,5 @@ def test_expansion_agrees_with_search_on_tree_qbfs(seed):
 @settings(max_examples=25, deadline=None)
 def test_reference_qdll_agrees_too(seed):
     phi = random_prenex_qbf(random.Random(seed))
-    result = solve_formula(phi, SolverConfig(paradigm="qdll"))
-    assert result.outcome is _truth(phi)
+    value, _, _ = q_dll(phi)
+    assert (Outcome.TRUE if value else Outcome.FALSE) is _truth(phi)

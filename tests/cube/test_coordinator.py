@@ -98,23 +98,6 @@ def test_budget_exhaustion_reports_unknown_not_wrong():
     assert report.outcome in (expected, Outcome.UNKNOWN)
 
 
-def test_checkpoint_incapable_paradigm_is_refused():
-    from repro.core.paradigm import CapabilityError
-
-    _, formula, _ = PRENEX[0]
-    for paradigm in ("expansion", "qdll"):
-        with pytest.raises(CapabilityError, match="checkpoint"):
-            run_cube(formula, jobs=2, paradigm=paradigm)
-
-
-def test_explicit_search_paradigm_still_runs():
-    seed, formula, expected = PRENEX[0]
-    report = run_cube(
-        formula, jobs=1, seed=seed, leaf_decisions=50, paradigm="search"
-    )
-    assert report.outcome is expected
-
-
 def _fail_first_attempt(marker, how, real):
     """A cube body whose first cube attempt anywhere fails, once: the
     marker file is claimed atomically, so exactly one worker fails."""

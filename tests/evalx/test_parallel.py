@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.formula import paper_example
 from repro.core.result import Outcome, SolverStats
-from repro.core.solver import SolverConfig
 from repro.evalx.parallel import (
     Record,
     ResultsLog,
@@ -18,8 +17,6 @@ from repro.evalx.parallel import (
     STATUS_HARD_TIMEOUT,
     STATUS_OK,
     Task,
-    config_from_dict,
-    config_to_dict,
     disagreement_record,
     execute_task,
     measurement_from_dict,
@@ -94,10 +91,6 @@ class TestSerialization:
     def test_stats_roundtrip(self):
         stats = SolverStats(decisions=3, conflicts=2, learned_cubes=1)
         assert stats_from_dict(stats_to_dict(stats)) == stats
-
-    def test_config_roundtrip(self):
-        cfg = SolverConfig(policy="naive", learn_cubes=False, max_decisions=9)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_record_roundtrip(self):
         task = make_tasks(["i"])[0]

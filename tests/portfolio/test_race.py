@@ -2,14 +2,13 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.formula import paper_example
 from repro.core.result import Outcome
 from repro.evalx.runner import Budget
 from repro.generators.random_qbf import random_qbf
-from repro.portfolio import DEFAULT_ENTRANTS, ENTRANTS, race
+from repro.portfolio import ENTRANTS, race
 from repro.portfolio.bench import run_portfolio_bench
 from repro.robustness.faults import FaultPlan
 
@@ -17,10 +16,10 @@ from repro.robustness.faults import FaultPlan
 def test_serial_race_wins_on_the_paper_example():
     result = race(paper_example(), "paper", Budget(decisions=4000), jobs=1)
     assert result.outcome in (Outcome.TRUE, Outcome.FALSE)
-    assert result.winner == DEFAULT_ENTRANTS[0]  # first lane settles it
+    assert result.winner == "PO"  # the first lane settles it
     assert result.jobs == 1
-    # the remaining lanes never ran
-    assert set(result.cancelled) == set(DEFAULT_ENTRANTS[1:])
+    # the TO lane never ran
+    assert result.cancelled == ["TO"]
 
 
 def test_run_all_cross_checks_every_lane():
@@ -28,32 +27,15 @@ def test_run_all_cross_checks_every_lane():
         paper_example(), "paper", Budget(decisions=4000), jobs=1, run_all=True
     )
     assert result.disagreement is None
-    assert len(result.measurements) == len(DEFAULT_ENTRANTS)
+    assert len(result.measurements) == len(ENTRANTS)
     assert {m.outcome for m in result.measurements} == {result.outcome}
 
 
-def test_unknown_entrant_is_rejected():
-    with pytest.raises(ValueError, match="unknown entrant"):
-        race(paper_example(), entrants=("PO", "nope"), jobs=1)
-
-
-def test_custom_entrant_triple():
-    result = race(
-        paper_example(),
-        "paper",
-        Budget(decisions=4000),
-        jobs=1,
-        entrants=("mine:po:expansion",),
-    )
-    assert result.winner == "mine"
-    assert result.outcome in (Outcome.TRUE, Outcome.FALSE)
-
-
 def test_flip_verdict_forces_triage_and_certificate_wins():
-    # CI's forced-disagreement check: flip the expansion lane's verdict;
-    # the certificate triage must side with the search lanes' (true)
-    # verdict and name the flipped lane as the loser.
-    plan = FaultPlan(assignments={"paper|EXP": "flip-verdict"})
+    # CI's forced-disagreement check: flip the TO lane's verdict; the
+    # certificate triage must side with the PO lane's (true) verdict and
+    # name the flipped lane as the loser.
+    plan = FaultPlan(assignments={"paper|TO": "flip-verdict"})
     honest = race(paper_example(), "paper", Budget(decisions=4000), jobs=1)
     result = race(
         paper_example(),
@@ -66,7 +48,7 @@ def test_flip_verdict_forces_triage_and_certificate_wins():
     assert result.disagreement is not None
     assert result.triage is not None and result.triage["resolved"]
     assert result.outcome is honest.outcome
-    assert result.triage["losers"] == ["EXP"]
+    assert result.triage["losers"] == ["TO"]
 
 
 @given(st.integers(min_value=0, max_value=10_000_000))
@@ -130,8 +112,7 @@ def test_report_racing_the_exit_keeps_every_verdict(monkeypatch):
     ctx = LateWaitContext(parallel._mp_context())
     ctx.install(monkeypatch)
     result = race(
-        paper_example(), "paper", Budget(decisions=4000), jobs=2,
-        entrants=("PO", "TO"), run_all=True,
+        paper_example(), "paper", Budget(decisions=4000), jobs=2, run_all=True
     )
     assert ctx.fired and len(ctx.processes) == 2
     assert result.jobs == 2
@@ -152,7 +133,7 @@ def test_pool_race_leaves_no_worker_behind(monkeypatch):
     start = time.monotonic()
     result = race(
         paper_example(), "paper", Budget(decisions=4000), jobs=2,
-        entrants=("PO", "TO"), faults=plan, term_grace=0.5,
+        faults=plan, term_grace=0.5,
     )
     assert time.monotonic() - start < 30
     assert result.winner == "PO"
@@ -177,7 +158,7 @@ def test_pool_race_caps_every_lane(monkeypatch, tmp_path):
     monkeypatch.setattr(parallel, "execute_task", probe)
     race(
         paper_example(), "paper", Budget(decisions=4000), jobs=2,
-        entrants=("PO", "TO"), run_all=True, mem_limit_mb=4096,
+        run_all=True, mem_limit_mb=4096,
     )
     limit = repr((4096 * 1024**2,) * 2)
     for lane in ("PO", "TO"):

@@ -1,4 +1,4 @@
-"""Serve daemon paradigm/portfolio request fields and capability errors."""
+"""Serve daemon request fields: the portfolio kind and engine validation."""
 
 import os
 import signal
@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.serve.client import request, wait_ready
-from repro.serve.protocol import ProtocolError, parse_paradigm
+from repro.serve.protocol import ProtocolError, parse_engine
 
 QD = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"
 
@@ -34,37 +34,25 @@ def daemon(tmp_path):
             proc.wait(timeout=30.0)
 
 
-def test_parse_paradigm_validation():
-    assert parse_paradigm({}) == "search"
-    assert parse_paradigm({"paradigm": "expansion"}) == "expansion"
-    with pytest.raises(ProtocolError):
-        parse_paradigm({"paradigm": "magic"})
-    with pytest.raises(ProtocolError):
-        parse_paradigm({"paradigm": 7})
+def test_parse_engine_validation():
+    assert parse_engine({}) is None
+    assert parse_engine({"engine": "native"}) == "native"
+    assert parse_engine({"engine": "watched"}) == "watched"  # alias
+    for bad in ("magic", 7, None):
+        with pytest.raises(ProtocolError, match="unknown engine"):
+            parse_engine({"engine": bad})
 
 
-def test_solve_with_paradigm_and_capability_errors(daemon):
+def test_bad_engine_is_refused_before_any_worker(daemon):
     _, socket_path = daemon
-    good = request(
-        socket_path,
-        {"kind": "solve", "formula": QD, "paradigm": "expansion",
-         "instance": "exp"},
-    )
-    assert good["ok"] and good["outcome"] == "true"
-
-    # certify + a proof-incapable paradigm: structured error, no solve
-    mismatch = request(
-        socket_path,
-        {"kind": "solve", "formula": QD, "paradigm": "expansion",
-         "certify": True, "id": 3},
-    )
-    assert not mismatch["ok"] and mismatch["id"] == 3
-    assert "proof" in mismatch["error"]
-
-    unknown = request(
-        socket_path, {"kind": "solve", "formula": QD, "paradigm": "magic"}
-    )
-    assert not unknown["ok"] and "unknown paradigm" in unknown["error"]
+    for kind in ("solve", "cube-solve", "portfolio"):
+        out = request(
+            socket_path, {"kind": kind, "formula": QD, "engine": "magic"}
+        )
+        assert not out["ok"] and "unknown engine" in out["error"], (kind, out)
+        stats = request(socket_path, {"kind": "stats"})
+        assert stats["solves"] == 0, kind
+        assert stats["supervisor"]["breakers"]["tracked"] == 0, kind
 
 
 def test_portfolio_request(daemon):
@@ -75,7 +63,7 @@ def test_portfolio_request(daemon):
          "budget": {"decisions": 2000}},
     )
     assert result["ok"] and result["outcome"] == "true"
-    assert result["winner"] in ("PO", "TO", "EXP")
+    assert result["winner"] in ("PO", "TO")
     assert "reported" in result
 
     refused = request(
@@ -87,19 +75,3 @@ def test_portfolio_request(daemon):
         socket_path, {"kind": "portfolio", "formula": QD, "jobs": 0}
     )
     assert not bad_jobs["ok"]
-
-
-def test_cube_solve_refuses_checkpoint_incapable_paradigm(daemon):
-    _, socket_path = daemon
-    refused = request(
-        socket_path,
-        {"kind": "cube-solve", "formula": QD, "paradigm": "expansion"},
-    )
-    assert not refused["ok"] and "checkpoint" in refused["error"]
-
-    ok = request(
-        socket_path,
-        {"kind": "cube-solve", "formula": QD, "paradigm": "search",
-         "jobs": 1},
-    )
-    assert ok["ok"] and ok["outcome"] == "true"
