@@ -52,7 +52,7 @@ from repro.certify.store import (
     read_certificate,
 )
 from repro.core.formula import QBF
-from repro.core.literals import var_of
+from repro.core.literals import EXISTS, FORALL, var_of
 
 #: check statuses.
 VERIFIED = "verified"  # complete proof, every step valid, conclusion holds
@@ -93,7 +93,15 @@ def _check_legal_reduction(
     before: Sequence[int], after: Sequence[int], prefix, is_cube: bool, where: str
 ) -> None:
     """Verify ``after`` arises from ``before`` by deleting only reducible
-    literals under the prefix's partial order (Lemma 3 / its dual)."""
+    literals under the prefix's partial order (Lemma 3 / its dual).
+
+    Existential reduction lets an existential literal leave a cube iff it
+    precedes no universal literal of the cube (universals are never
+    deletable); universal reduction lets a universal literal leave a clause
+    iff it precedes no existential literal of the clause. ``≺`` depends
+    only on the blocks involved, so the anchors are deduplicated by block,
+    and once a dropped literal is found legal, the rest of its block is too.
+    """
     before_set = set(before)
     after_set = set(after)
     extra = after_set - before_set
@@ -103,29 +111,29 @@ def _check_legal_reduction(
     if not dropped:
         return
     if is_cube:
-        # Existential reduction: existential l may go iff it precedes no
-        # universal literal of the cube (universals are never deletable).
-        anchors = [l for l in before if prefix.is_universal(l)]
-        for l in dropped:
-            if prefix.is_universal(l):
-                raise _Reject("%s: reduction deleted universal %d from a cube" % (where, l))
-            if any(prefix.prec(l, u) for u in anchors):
-                raise _Reject(
-                    "%s: existential %d is blocked by a deeper universal" % (where, l)
-                )
+        deletable, kept_kind, drop_kind, shape = EXISTS, "universal", "existential", "cube"
     else:
-        # Universal reduction: universal l may go iff it precedes no
-        # existential literal of the clause.
-        anchors = [l for l in before if prefix.is_existential(l)]
-        for l in dropped:
-            if prefix.is_existential(l):
-                raise _Reject(
-                    "%s: reduction deleted existential %d from a clause" % (where, l)
-                )
-            if any(prefix.prec(l, e) for e in anchors):
-                raise _Reject(
-                    "%s: universal %d is blocked by a deeper existential" % (where, l)
-                )
+        deletable, kept_kind, drop_kind, shape = FORALL, "existential", "universal", "clause"
+    block_of = prefix.block_of
+    anchors: Dict[object, int] = {}
+    for l in before:
+        block = block_of(var_of(l))
+        if block.quant is not deletable and block not in anchors:
+            anchors[block] = l
+    legal: Set[object] = set()
+    for l in dropped:
+        block = block_of(var_of(l))
+        if block.quant is not deletable:
+            raise _Reject(
+                "%s: reduction deleted %s %d from a %s" % (where, kept_kind, l, shape)
+            )
+        if block in legal:
+            continue
+        if any(prefix.prec(l, a) for a in anchors.values()):
+            raise _Reject(
+                "%s: %s %d is blocked by a deeper %s" % (where, drop_kind, l, kept_kind)
+            )
+        legal.add(block)
 
 
 def _resolve_checked(
@@ -176,7 +184,7 @@ def _check_initial_cube(lits: Sequence[int], formula: QBF, where: str) -> None:
         seen[v] = l
     cube = set(lits)
     for index, clause in enumerate(formula.clauses):
-        if not any(l in cube for l in clause.lits):
+        if cube.isdisjoint(clause.lits):
             raise _Reject(
                 "%s: matrix clause %d is not satisfied by the cube" % (where, index)
             )

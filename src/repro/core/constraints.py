@@ -101,6 +101,46 @@ class Cube(Constraint):
     is_cube = True
 
 
+def _reduce(lits: Sequence[int], prefix: Prefix, deletable_exist: bool) -> Tuple[int, ...]:
+    """Drop every literal of the deletable quantifier that has no literal of
+    the other quantifier in its scope; the rest keep their order.
+
+    The ``≺`` test reads only a variable's level and DFS interval, which
+    every variable of a block shares, so each distinct deletable block is
+    tested once against the distinct blocks of the other quantifier (one
+    representative variable stands for its block in the flat tables).
+    """
+    tab = prefix.tables()
+    is_exist = tab.is_exist
+    block_index = tab.block_index
+    deletable = {}
+    anchors = {}
+    for lit in lits:
+        v = lit if lit > 0 else -lit
+        if is_exist[v] == deletable_exist:
+            deletable[block_index[v]] = v
+        else:
+            anchors[block_index[v]] = v
+    if not deletable:
+        return tuple(lits)
+    level = tab.level
+    din = tab.din
+    dout = tab.dout
+    dropped = set()
+    for b, v in deletable.items():
+        v_level = level[v]
+        v_din = din[v]
+        v_dout = dout[v]
+        for a in anchors.values():
+            if v_level < level[a] and v_din <= din[a] <= v_dout:
+                break
+        else:
+            dropped.add(b)
+    if not dropped:
+        return tuple(lits)
+    return tuple([l for l in lits if block_index[l if l > 0 else -l] not in dropped])
+
+
 def universal_reduce(lits: Sequence[int], prefix: Prefix) -> Tuple[int, ...]:
     """Apply Lemma 3 to clause literals: drop non-blocking universals.
 
@@ -109,37 +149,9 @@ def universal_reduce(lits: Sequence[int], prefix: Prefix) -> Tuple[int, ...]:
 
     Runs on the prefix's flat tables — the analyses call this after every
     resolution step, so the ``≺`` test is inlined over the level/DFS-interval
-    arrays instead of going through ``prec``'s block lookups.
+    arrays, once per pair of distinct blocks (see :func:`_reduce`).
     """
-    tab = prefix.tables()
-    is_exist = tab.is_exist
-    evars = []
-    has_universal = False
-    for lit in lits:
-        v = lit if lit > 0 else -lit
-        if is_exist[v]:
-            evars.append(v)
-        else:
-            has_universal = True
-    if not has_universal:
-        return tuple(lits)
-    level = tab.level
-    din = tab.din
-    dout = tab.dout
-    kept = []
-    for lit in lits:
-        v = lit if lit > 0 else -lit
-        if is_exist[v]:
-            kept.append(lit)
-        else:
-            v_level = level[v]
-            v_din = din[v]
-            v_dout = dout[v]
-            for e in evars:
-                if v_level < level[e] and v_din <= din[e] <= v_dout:
-                    kept.append(lit)
-                    break
-    return tuple(kept)
+    return _reduce(lits, prefix, False)
 
 
 def existential_reduce(lits: Sequence[int], prefix: Prefix) -> Tuple[int, ...]:
@@ -149,35 +161,7 @@ def existential_reduce(lits: Sequence[int], prefix: Prefix) -> Tuple[int, ...]:
     cube lies in its scope. Exact dual of :func:`universal_reduce`, on the
     same flat tables.
     """
-    tab = prefix.tables()
-    is_exist = tab.is_exist
-    uvars = []
-    has_existential = False
-    for lit in lits:
-        v = lit if lit > 0 else -lit
-        if is_exist[v]:
-            has_existential = True
-        else:
-            uvars.append(v)
-    if not has_existential:
-        return tuple(lits)
-    level = tab.level
-    din = tab.din
-    dout = tab.dout
-    kept = []
-    for lit in lits:
-        v = lit if lit > 0 else -lit
-        if not is_exist[v]:
-            kept.append(lit)
-        else:
-            v_level = level[v]
-            v_din = din[v]
-            v_dout = dout[v]
-            for u in uvars:
-                if v_level < level[u] and v_din <= din[u] <= v_dout:
-                    kept.append(lit)
-                    break
-    return tuple(kept)
+    return _reduce(lits, prefix, True)
 
 
 def is_contradictory(clause: Sequence[int], prefix: Prefix) -> bool:
@@ -232,4 +216,6 @@ def resolve(a: Sequence[int], b: Sequence[int], pivot_var: int) -> Optional[Tupl
         if v in merged and merged[v] != lit:
             return None
         merged[v] = lit
-    return tuple(sorted(merged.values(), key=lambda l: (var_of(l), l)))
+    # One literal per variable (a tautology returned None above), so the
+    # variable order alone is the canonical order.
+    return tuple(sorted(merged.values(), key=abs))

@@ -55,26 +55,26 @@ class Rec:
     on cubes (a dead cube is skipped, and the pure rule's learned-cube guard
     reads it). The other counter of each kind stays 0.
 
-    ``prim``/``sec`` are the constraint's literals split by the primary
-    quantifier of its kind (existential for clauses, universal for cubes),
-    each preserving literal order. They are immutable once installed; the
-    examine scan iterates them instead of re-testing the quantifier of
-    every literal on every visit.
+    ``lits`` is the constraint's literal tuple, held directly so the
+    counter walks that visit every literal of a clause turning satisfied or
+    unsatisfied read it without a hop through the constraint. ``prim``/
+    ``sec`` are those literals split by the primary quantifier of its kind
+    (existential for clauses, universal for cubes), each preserving literal
+    order. All three are immutable once installed; the examine scan
+    iterates ``prim``/``sec`` instead of re-testing the quantifier of every
+    literal on every visit.
     """
 
-    __slots__ = ("constraint", "n_true", "n_false", "original", "prim", "sec")
+    __slots__ = ("constraint", "lits", "n_true", "n_false", "original", "prim", "sec")
 
     def __init__(self, constraint: Constraint, original: bool):
         self.constraint = constraint
+        self.lits: Tuple[int, ...] = constraint.lits
         self.n_true = 0
         self.n_false = 0
         self.original = original
         self.prim: Tuple[int, ...] = ()
         self.sec: Tuple[int, ...] = ()
-
-    @property
-    def lits(self) -> Tuple[int, ...]:
-        return self.constraint.lits
 
     @property
     def is_cube(self) -> bool:
@@ -125,13 +125,11 @@ class PropagationBackend:
         self.clause_occ: Dict[int, List[Rec]] = {}
         self.cube_occ: Dict[int, List[Rec]] = {}
         self.occ_unsat: Dict[int, int] = {}
-        self.cube_count: Dict[int, int] = {}
         for v in prefix.variables:
             for lit in (v, -v):
                 self.clause_occ[lit] = []
                 self.cube_occ[lit] = []
                 self.occ_unsat[lit] = 0
-                self.cube_count[lit] = 0
         self.orig_clauses: List[Rec] = []
         self.learned_clauses: Dict[Tuple[int, ...], Rec] = {}
         self.learned_cubes: Dict[Tuple[int, ...], Rec] = {}
@@ -301,23 +299,6 @@ class PropagationBackend:
                 self.assign(-p if is_cube else p, rec)
         return None
 
-    # -- pure-literal bookkeeping (occ_unsat / purity candidates) ---------------
-
-    def _on_clause_sat(self, rec: Rec) -> None:
-        if rec.original:
-            self.n_unsat_orig -= 1
-        occ_unsat = self.occ_unsat
-        for lit in rec.lits:
-            occ_unsat[lit] -= 1
-            if occ_unsat[lit] == 0:
-                self.pure_candidates.add(var_of(lit))
-
-    def _on_clause_unsat(self, rec: Rec) -> None:
-        if rec.original:
-            self.n_unsat_orig += 1
-        for lit in rec.lits:
-            self.occ_unsat[lit] += 1
-
     # -- the pure-literal rule ---------------------------------------------------
 
     def apply_pure_literals(self) -> bool:
@@ -331,9 +312,12 @@ class PropagationBackend:
         interaction analysed in [24]: a pure assignment must never be able
         to turn a learned good true out of prefix order. Cubes already dead
         on this branch cannot become true, so they do not block purity.
+        Of ``v`` and ``-v``, the first that qualifies is assigned.
 
         Counter-driven by design: the rule reads the ``occ_unsat`` index
-        and the cubes' ``n_false`` counters, which every backend maintains.
+        and the cubes' ``n_false`` counters, which every backend maintains
+        (the counter backend updates ``occ_unsat`` inline in its
+        ``assign``/``backtrack`` when a clause turns satisfied/unsatisfied).
         """
         assigned = False
         candidates = sorted(self.pure_candidates)
@@ -341,23 +325,20 @@ class PropagationBackend:
         value = self.trail.value
         is_exist = self._tab.is_exist
         occ_unsat = self.occ_unsat
-        cube_count = self.cube_count
         cube_occ = self.cube_occ
         for v in candidates:
             if value[v] != 0:
                 continue
-            if is_exist[v]:
-                options = [l for l in (v, -v) if occ_unsat[-l] == 0]
-            else:
-                options = [l for l in (v, -v) if occ_unsat[l] == 0]
-            options = [
-                l
-                for l in options
-                if cube_count[l] == 0
-                or all(rec.n_false > 0 for rec in cube_occ[l])
-            ]
-            if options:
-                self.stats.pure_literals += 1
-                self.assign(options[0], PURE)
-                assigned = True
+            exist = is_exist[v]
+            for l in (v, -v):
+                if occ_unsat[-l if exist else l]:
+                    continue
+                for rec in cube_occ[l]:
+                    if not rec.n_false:
+                        break  # l occurs in a live learned cube
+                else:
+                    self.stats.pure_literals += 1
+                    self.assign(l, PURE)
+                    assigned = True
+                    break
         return assigned

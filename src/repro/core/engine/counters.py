@@ -37,11 +37,23 @@ class CounterBackend(PropagationBackend):
         trail.push(lit, reason)
         # Counters are maintained eagerly (at assignment, not at dequeue) so
         # that backtrack can reverse them uniformly even when the
-        # propagation queue still holds unprocessed literals.
+        # propagation queue still holds unprocessed literals. A clause that
+        # turns satisfied leaves the pure-literal index: each of its
+        # literals loses an unsatisfied occurrence, and a literal left with
+        # none makes its variable a purity candidate.
+        occ_unsat = self.occ_unsat
+        candidate = self.pure_candidates.add
         for rec in self.clause_occ[lit]:
-            rec.n_true += 1
-            if rec.n_true == 1:
-                self._on_clause_sat(rec)
+            n = rec.n_true + 1
+            rec.n_true = n
+            if n == 1:
+                if rec.original:
+                    self.n_unsat_orig -= 1
+                for l in rec.lits:
+                    k = occ_unsat[l] - 1
+                    occ_unsat[l] = k
+                    if not k:
+                        candidate(l if l > 0 else -l)
         for rec in self.cube_occ[-lit]:
             rec.n_false += 1
         if len(trail.lits) > self.stats.max_trail:
@@ -53,7 +65,8 @@ class CounterBackend(PropagationBackend):
         unassign = trail.unassign
         clause_occ = self.clause_occ
         cube_occ = self.cube_occ
-        pure_candidates = self.pure_candidates
+        occ_unsat = self.occ_unsat
+        candidate = self.pure_candidates.add
         for lit in reversed(trail.lits[target:]):
             # A variable that becomes unassigned may be pure in the restored
             # state (its candidacy was consumed further down this branch,
@@ -63,11 +76,17 @@ class CounterBackend(PropagationBackend):
             # through the dive, failing the purity test deeper implies
             # failing it in every ancestor state, since unassigning can only
             # add unsatisfied occurrences and revive learned cubes.
-            pure_candidates.add(unassign(lit))
+            candidate(unassign(lit))
             for rec in clause_occ[lit]:
-                rec.n_true -= 1
-                if rec.n_true == 0:
-                    self._on_clause_unsat(rec)
+                n = rec.n_true - 1
+                rec.n_true = n
+                if not n:
+                    # the clause is unsatisfied again: its literals regain
+                    # an unsatisfied occurrence
+                    if rec.original:
+                        self.n_unsat_orig += 1
+                    for l in rec.lits:
+                        occ_unsat[l] += 1
             for rec in cube_occ[-lit]:
                 rec.n_false -= 1
         trail.shrink(to_level, target)
@@ -115,16 +134,11 @@ class CounterBackend(PropagationBackend):
         if not sat:
             for lit in rec.lits:
                 self.occ_unsat[lit] += 1
-        else:
-            # keep the unsat-occurrence invariant: a satisfied clause does
-            # not contribute, so nothing to add.
-            pass
 
     def _install_learned_cube(self, rec: Rec) -> None:
         lit_val = self.trail.lit_val
         base = self.trail.base
         for lit in rec.lits:
             self.cube_occ[lit].append(rec)
-            self.cube_count[lit] += 1
             if lit_val[base + lit] == -1:
                 rec.n_false += 1

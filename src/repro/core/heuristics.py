@@ -185,7 +185,12 @@ class ScoreKeeper:
             child_max[block.index] = kid
             best = 0.0
             for v in block.variables:
-                best = max(best, score_pos[v] + kid, score_neg[v] + kid)
+                s = score_pos[v] + kid
+                if s > best:
+                    best = s
+                s = score_neg[v] + kid
+                if s > best:
+                    best = s
             subtree_max[block.index] = best
         self._dirty = False
 
@@ -233,32 +238,38 @@ def make_picker(
 
     score_pos = keeper.score_pos
     score_neg = keeper.score_neg
+    # The tree policies rank by max(effective(v), effective(-v)), read off
+    # subtree maxima refreshed once per pick: both effective scores add the
+    # same child_max term, and rounding is monotone, so
+    # fl(max(a, b) + c) == max(fl(a + c), fl(b + c)) bit for bit.
+    child_max = keeper._child_max
+    block_index = keeper._block_index
     if policy == "counter":
         def key(v: int) -> Tuple:
             a = score_pos[v]
             b = score_neg[v]
             return (a if a >= b else b, -v)
     elif policy == "subtree":
-        effective = keeper.effective
-
         def key(v: int) -> Tuple:
-            a = effective(v)
-            b = effective(-v)
-            return (a if a >= b else b, -v)
+            a = score_pos[v]
+            b = score_neg[v]
+            return ((a if a >= b else b) + child_max[block_index[v]], -v)
     elif policy == "levelsub":
         level = keeper._level
-        effective = keeper.effective
 
         def key(v: int) -> Tuple:
-            a = effective(v)
-            b = effective(-v)
-            return (-level[v], a if a >= b else b, -v)
+            a = score_pos[v]
+            b = score_neg[v]
+            return (-level[v], (a if a >= b else b) + child_max[block_index[v]], -v)
     else:
         raise ValueError("unknown branching policy %r" % policy)
+    tree = policy != "counter"
 
     def pick(available: Sequence[int]) -> Optional[int]:
         if not available:
             return None
+        if tree and keeper._dirty:
+            keeper._recompute()
         var = max(available, key=key)
         return var if score_pos[var] >= score_neg[var] else -var
 

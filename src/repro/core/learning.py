@@ -36,7 +36,6 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.constraints import (
     Clause,
-    Constraint,
     Cube,
     existential_reduce,
     resolve,
@@ -449,53 +448,56 @@ def _finish_cube_confirmation(work: Tuple[int, ...], view: TrailView, trace) -> 
 
 
 def build_model_cube(
-    clauses: Sequence[Constraint],
+    clauses: Sequence[Sequence[int]],
     view: TrailView,
-    trail: Sequence[int],
 ) -> Tuple[int, ...]:
     """Construct the initial good of Section III point 1.
 
-    Picks, for every matrix clause, one satisfying literal of the current
-    assignment (preferring literals already chosen, then the earliest
-    assigned), producing a set ``S`` with ``C ∩ S ≠ ∅`` for every clause
-    ``C``. The caller passes the result to :func:`analyze_solution`, which
+    ``clauses`` holds the matrix clauses as literal sequences (the engine
+    passes the original clauses' literal tuples, built once). Picks, for
+    every clause, one satisfying literal of the current assignment
+    (preferring literals already chosen, then the earliest assigned),
+    producing a set ``S`` with ``C ∩ S ≠ ∅`` for every clause ``C``. The
+    caller passes the result to :func:`analyze_solution`, which
     existentially reduces it.
 
     This runs once per solution over the whole matrix, making it one of the
     hottest call sites on true-heavy instances; when the view carries the
     trail's flat arrays, each literal costs one ``lit_val`` probe and the
     per-clause min folds positions inline (positions are unique, so the
-    fold matches ``min()``'s first-of-ties semantics).
+    fold matches ``min()``'s first-of-ties semantics). The cube holds only
+    true literals, never both polarities of a variable, so sorting by
+    ``abs`` gives the canonical (variable, literal) order.
     """
     chosen: Set[int] = set()
     lit_val = view.lit_val
     if lit_val is not None:
         base = view.base
         pos = view.pos_arr
+        # Trail positions are below the slot count, so no true literal
+        # loses to this start value.
+        unset = len(pos)
         for clause in clauses:
             best = 0
-            best_pos = -1
-            already = False
-            for l in clause.lits:
+            best_pos = unset
+            for l in clause:
                 if lit_val[base + l] == 1:
                     if l in chosen:
-                        already = True
                         break
                     p = pos[l if l > 0 else -l]
-                    if best_pos < 0 or p < best_pos:
+                    if p < best_pos:
                         best = l
                         best_pos = p
-            if already:
-                continue
-            if best_pos < 0:
-                raise ValueError("matrix clause not satisfied: %r" % (clause,))
-            chosen.add(best)
+            else:
+                if not best:
+                    raise ValueError("matrix clause not satisfied: %r" % (clause,))
+                chosen.add(best)
     else:
         for clause in clauses:
-            sats = [l for l in clause.lits if view.value(l) is True]
+            sats = [l for l in clause if view.value(l) is True]
             if not sats:
                 raise ValueError("matrix clause not satisfied: %r" % (clause,))
             if any(l in chosen for l in sats):
                 continue
             chosen.add(min(sats, key=lambda l: view.pos_of(var_of(l))))
-    return tuple(sorted(chosen, key=lambda l: (var_of(l), l)))
+    return tuple(sorted(chosen, key=abs))

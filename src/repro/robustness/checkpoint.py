@@ -303,9 +303,9 @@ def restore(engine, ckpt: Checkpoint) -> float:
     backend = engine.backend
     trail = engine.trail
     # Learned constraints are re-installed at the empty trail: every counter
-    # they contribute (occ_unsat, cube_count) then reflects the unassigned
-    # state, and the trail replay below applies the same transitions the
-    # original run did, converging on identical bookkeeping.
+    # they touch (occ_unsat, their own n_true/n_false) then reflects the
+    # unassigned state, and the trail replay below applies the same
+    # transitions the original run did, converging on identical bookkeeping.
     for lits in ckpt.learned_clauses:
         backend.add_learned_clause(tuple(lits))
     for lits in ckpt.learned_cubes:

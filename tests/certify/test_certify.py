@@ -19,7 +19,13 @@ from repro.certify import (
     read_certificate,
     solve_certified,
 )
-from repro.certify.store import CONCLUSION, INPUT_CLAUSE, REDUCTION, RESOLUTION
+from repro.certify.store import (
+    CONCLUSION,
+    INITIAL_CUBE,
+    INPUT_CLAUSE,
+    REDUCTION,
+    RESOLUTION,
+)
 from repro.core.formula import QBF, paper_example
 from repro.core.literals import EXISTS, FORALL
 from repro.core.prefix import Prefix
@@ -213,6 +219,53 @@ class TestCorruption:
             report = check_certificate(prenex(phi, strategy), steps)
             assert report.status == INVALID
             assert "blocked" in report.error
+
+    _HEADER = {"type": "header", "format": "repro-cert", "version": 1}
+
+    def test_cube_reduction_deleting_universal_rejected(self):
+        # ∀y ∃x: the initial cube {y, ¬x} is legal, but universals never
+        # leave a cube.
+        steps = [
+            self._HEADER,
+            {"type": INITIAL_CUBE, "id": 1, "lits": [1, -2]},
+            {"type": REDUCTION, "id": 2, "kind": "cube", "ant": [1], "lits": [-2]},
+        ]
+        report = check_certificate(_true_formula(), steps)
+        assert report.status == INVALID
+        assert "reduction deleted universal 1 from a cube" in report.error
+
+    def test_blocked_existential_after_legal_drops_rejected(self):
+        # ∃{1,2} | ∃{4}(∀{5}): 1 and 2 precede no universal and may leave
+        # the cube {1,2,4,5}, but 4 ≺ 5 keeps 4. The legal drops of block
+        # {1,2} are checked first (set order of small ints) and must not
+        # make the checker wave 4 through.
+        prefix = Prefix.tree([(EXISTS, (1, 2)), (EXISTS, (4,), ((FORALL, (5,)),))])
+        phi = QBF(prefix, [(1, 5), (2, 4)])
+        steps = [
+            self._HEADER,
+            {"type": INITIAL_CUBE, "id": 1, "lits": [1, 2, 4, 5]},
+            {"type": REDUCTION, "id": 2, "kind": "cube", "ant": [1], "lits": [4, 5]},
+            {"type": REDUCTION, "id": 3, "kind": "cube", "ant": [1], "lits": [5]},
+        ]
+        report = check_certificate(phi, steps[:3])
+        assert report.status == INCOMPLETE  # legal so far, no conclusion
+        report = check_certificate(phi, steps[:2] + steps[3:])
+        assert report.status == INVALID
+        assert "existential 4 is blocked by a deeper universal" in report.error
+
+    @pytest.mark.parametrize(
+        "lits, error",
+        [
+            ([1, 99], "literal 99 is not bound by the prefix"),
+            ([1, -1, -2], "contradictory literals on variable 1"),
+            ([1], "matrix clause 1 is not satisfied by the cube"),
+        ],
+    )
+    def test_bad_initial_cube_rejected(self, lits, error):
+        steps = [self._HEADER, {"type": INITIAL_CUBE, "id": 1, "lits": lits}]
+        report = check_certificate(_true_formula(), steps)
+        assert report.status == INVALID
+        assert error in report.error
 
     def test_non_empty_final_constraint_rejected(self):
         steps = self._verified_cert()

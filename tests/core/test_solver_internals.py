@@ -168,12 +168,15 @@ class TestPureLiteralBacktracking:
         # ∃{1,2,3} : (1 ∨ 2) ∧ (¬2 ∨ 3). Variable 1 never occurs negated,
         # so it is pure in *every* state where it is unassigned.
         phi = QBF.prenex([(EXISTS, [1, 2, 3])], [(1, 2), (-2, 3)])
-        solver = QdpllSolver(phi)
+        # The Python pure-literal entry point: the native backend applies
+        # the rule inside its compiled propagate() and has none.
+        config = SolverConfig(engine="counters")
+        solver = QdpllSolver(phi, config)
         backend = solver.backend
         # Simulate mid-search: the install-time candidates have been consumed.
         backend.pure_candidates.clear()
         # Decision level 1: assign 2. Satisfying (1 ∨ 2) re-enqueues vars 1
-        # and 2 as purity candidates via _on_clause_sat.
+        # and 2 as purity candidates (assign's occ_unsat bookkeeping).
         self._decide(solver, 2)
         assert {1, 2} <= backend.pure_candidates
         # The pure rule fires for the unassigned var 1 and examines var 2
@@ -188,7 +191,7 @@ class TestPureLiteralBacktracking:
             "backtrack must re-seed purity candidates for unassigned vars"
         )
         # And the rule must actually re-fire, matching the fresh state.
-        fresh = QdpllSolver(phi)
+        fresh = QdpllSolver(phi, config)
         assert fresh.backend.apply_pure_literals()
         assert backend.apply_pure_literals()
         assert solver.trail.lit_value(1) is True
@@ -218,7 +221,10 @@ class TestPureLiteralBacktracking:
                     for rec in self.clause_occ[lit]:
                         rec.n_true -= 1
                         if rec.n_true == 0:
-                            self._on_clause_unsat(rec)
+                            if rec.original:
+                                self.n_unsat_orig += 1
+                            for l in rec.lits:
+                                self.occ_unsat[l] += 1
                     for rec in self.cube_occ[-lit]:
                         rec.n_false -= 1
                 trail.shrink(to_level, target)
