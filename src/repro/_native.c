@@ -140,7 +140,8 @@ typedef struct {
 
 /* -------------------------------------------------------- sidecar helpers */
 
-/* CounterBackend._on_clause_sat: first satisfying literal arrived. */
+/* The clause-satisfied step of CounterBackend.assign: first satisfying
+   literal arrived. */
 static void
 on_clause_sat(NativeCore *c, RecC *rec)
 {
@@ -156,7 +157,8 @@ on_clause_sat(NativeCore *c, RecC *rec)
     }
 }
 
-/* CounterBackend._on_clause_unsat: the last satisfying literal left. */
+/* The clause-unsatisfied step of CounterBackend.backtrack: the last
+   satisfying literal left. */
 static void
 on_clause_unsat(NativeCore *c, RecC *rec)
 {

@@ -20,10 +20,9 @@ Usage examples::
 
 ``cube run`` solves ONE instance cube-and-conquer style: the splitter cuts
 the quantifier tree's branchable frontier into cubes, ``--jobs N`` worker
-processes solve them with learned-constraint sharing (``--no-share`` to
-disable), verdicts fold back up the split tree, and with ``--certify`` the
-per-cube proof fragments are merged into one certificate that must check
-against the original formula.
+processes solve them independently, verdicts fold back up the split tree,
+and with ``--certify`` the per-cube proof fragments are merged into one
+certificate that must check against the original formula.
 
 ``evalx run`` drives a whole TO-vs-PO suite sweep through the
 fault-isolated parallel harness: ``--jobs N`` fans runs out over worker
@@ -327,7 +326,6 @@ def cmd_cube_run(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             leaf_decisions=args.leaf_decisions,
             certify=args.certify,
-            share=args.share,
             seed=args.seed,
             engine=args.engine,
             max_depth=args.max_depth,
@@ -335,7 +333,6 @@ def cmd_cube_run(args: argparse.Namespace) -> int:
             total_decisions=args.max_decisions,
             wall_timeout=args.wall_timeout,
             interrupt=flag,
-            max_shared_lits=args.max_shared_lits,
         )
     print("result      %s" % report.outcome.value.upper())
     print("jobs        %d (%d worker processes launched)"
@@ -344,11 +341,6 @@ def cmd_cube_run(args: argparse.Namespace) -> int:
           "%d cancelled" % (report.leaves, report.resplits,
                             report.escalations, report.cancelled))
     print("decisions   %d (across all workers)" % report.total_decisions)
-    if report.share:
-        print("shared      %d exported, %d imported, %d rejected"
-              % (report.share.get("exported", 0),
-                 report.share.get("imported", 0),
-                 sum(report.share.get("import_rejected", {}).values())))
     print("time        %.3fs" % report.seconds)
     if args.certify:
         print("certificate %s (%s)"
@@ -765,27 +757,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun.add_argument("input")
     p_crun.add_argument("--jobs", type=int, default=2,
                         help="worker processes; 1 = the sequential baseline "
-                        "(no splitting, no fork, no sharing)")
+                        "(no splitting, no fork)")
     p_crun.add_argument(
         "--certify", action="store_true",
         help="every worker logs its proof fragment; the fragments are "
         "merged into one certificate and checked against the original "
-        "formula (exit 1 unless it verifies; disables constraint imports)",
+        "formula (exit 1 unless it verifies)",
     )
     p_crun.add_argument("--cert-out", default=None, metavar="CERT.JSONL",
                         help="also write the merged certificate here")
-    share = p_crun.add_mutually_exclusive_group()
-    share.add_argument("--share", dest="share", action="store_true",
-                       default=True,
-                       help="share learned constraints between workers "
-                       "(default)")
-    share.add_argument("--no-share", dest="share", action="store_false",
-                       help="solve the cubes fully independently")
     p_crun.add_argument(
         "--seed", type=int, default=0,
         help="split-tree tie-breaking seed; the folded verdict is "
-        "deterministic per seed, wall-clock and per-worker statistics "
-        "are not (see DESIGN.md §12)",
+        "deterministic per seed, and so is the decision total unless a "
+        "cube was cancelled; wall-clock is not (see DESIGN.md §13)",
     )
     p_crun.add_argument("--engine", default=None, choices=ENGINES,
                         help="propagation backend for every worker")
@@ -796,8 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="initial split-tree leaves (default 16*jobs)")
     p_crun.add_argument("--max-depth", type=int, default=12,
                         help="cube length cap for dynamic re-splitting")
-    p_crun.add_argument("--max-shared-lits", type=int, default=8,
-                        help="admission cap on shared-constraint width")
     p_crun.add_argument("--max-decisions", type=int, default=None,
                         help="total decision budget (jobs=1 baseline only)")
     p_crun.add_argument("--wall-timeout", type=float, default=None,

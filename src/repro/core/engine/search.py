@@ -95,7 +95,6 @@ class SearchEngine:
         config: Optional[SolverConfig] = None,
         proof: Optional[object] = None,
         interrupt: Optional[object] = None,
-        exchange: Optional[object] = None,
     ):
         self.formula = formula
         self.config = config or SolverConfig()
@@ -104,12 +103,6 @@ class SearchEngine:
         #: callable) polled at the budget-check sites; see
         #: :mod:`repro.robustness.interrupt`.
         self._interrupt = interrupt
-        #: optional constraint-exchange hook (see :mod:`repro.cube.sharing`):
-        #: ``on_learned(is_cube, lits)`` is called after every learned
-        #: constraint enters the database, and ``drain()`` is polled at the
-        #: pre-decision quiescent point for constraints to import. Like the
-        #: proof logger, ``None`` costs an ``is None`` test and nothing else.
-        self._exchange = exchange
         self.interrupted = False
         self.prefix = formula.prefix
         self.stats = SolverStats()
@@ -332,8 +325,6 @@ class SearchEngine:
             if event is None:
                 if self._should_stop():
                     return Outcome.UNKNOWN
-                if self._exchange is not None:
-                    self._drain_exchange()
                 if not self._decide():
                     # Every variable assigned without conflict: all clauses
                     # are satisfied, which propagate reports as a model.
@@ -350,27 +341,6 @@ class SearchEngine:
                 return verdict
             if self._should_stop():
                 return Outcome.UNKNOWN
-
-    # -- constraint exchange ---------------------------------------------------------
-
-    def _drain_exchange(self) -> None:
-        """Install constraints imported through the exchange hook.
-
-        Runs only at the pre-decision quiescent point (propagation is at a
-        fixpoint), where both backends' trail-aware install paths initialize
-        the new record's counters from the live assignment. An
-        imported constraint that the current trail already falsifies is not
-        re-examined here — the missed conflict costs at most the work until
-        the next backtrack, never soundness: imported constraints are
-        consequences of the original matrix, and models are validated
-        against original clauses only.
-        """
-        ex = self._exchange
-        for is_cube, lits in ex.drain():
-            if is_cube:
-                self.backend.add_learned_cube(lits)
-            else:
-                self.backend.add_learned_clause(lits)
 
     # -- analysis plumbing ----------------------------------------------------------
 
@@ -405,8 +375,6 @@ class SearchEngine:
                 self.backend.backtrack(self._backjump_target(outcome))
                 learned = self.backend.add_learned_clause(outcome.lits)
                 self._bind_learned(trace, False, outcome.lits)
-                if self._exchange is not None:
-                    self._exchange.on_learned(False, outcome.lits)
                 if self._lit_value(outcome.assert_lit) is None:
                     self.stats.propagations += 1
                     self.backend.assign(outcome.assert_lit, learned)
@@ -441,8 +409,6 @@ class SearchEngine:
                 self.backend.backtrack(self._backjump_target(outcome))
                 learned = self.backend.add_learned_cube(outcome.lits)
                 self._bind_learned(trace, True, outcome.lits)
-                if self._exchange is not None:
-                    self._exchange.on_learned(True, outcome.lits)
                 if self._lit_value(outcome.assert_lit) is None:
                     self.stats.propagations += 1
                     self.backend.assign(-outcome.assert_lit, learned)

@@ -63,15 +63,13 @@ def solve(
     interrupt: Optional[object] = None,
     resume_from: Optional[object] = None,
     checkpoint_to: Optional[str] = None,
-    exchange: Optional[object] = None,
 ) -> SolveResult:
     """Solve ``formula`` with a fresh engine; see :class:`SolverConfig`.
 
     ``interrupt``/``resume_from``/``checkpoint_to`` are the preemption and
-    checkpoint hooks of :meth:`SearchEngine.solve`; ``exchange`` is the
-    constraint-sharing hook of cube-and-conquer workers (see
-    :mod:`repro.cube.sharing` and :mod:`repro.robustness`).
+    checkpoint hooks of :meth:`SearchEngine.solve` (see
+    :mod:`repro.robustness`).
     """
-    return QdpllSolver(
-        formula, config, proof=proof, interrupt=interrupt, exchange=exchange
-    ).solve(resume_from=resume_from, checkpoint_to=checkpoint_to)
+    return QdpllSolver(formula, config, proof=proof, interrupt=interrupt).solve(
+        resume_from=resume_from, checkpoint_to=checkpoint_to
+    )

@@ -9,9 +9,6 @@ that observation into a parallel solver:
 
 * :mod:`repro.cube.splitter` — the split tree, cofactoring with an
   original-clause index map, and the verdict fold;
-* :mod:`repro.cube.sharing` — sound learned-constraint exchange between
-  workers (lift to the original variable space, admission filtering at the
-  receiver);
 * :mod:`repro.cube.merge` — lifting per-cube proof fragments and stitching
   them into one certificate the independent checker accepts against the
   original formula;
@@ -28,7 +25,6 @@ from repro.cube.coordinator import (
     solve_cube_job,
 )
 from repro.cube.merge import LeafFragment, MergeReport, merge_certificates
-from repro.cube.sharing import MAX_SHARED_LITS, AdmissionFilter, BusItem, Exchange
 from repro.cube.splitter import (
     ClauseMap,
     SplitNode,
@@ -41,15 +37,11 @@ from repro.cube.splitter import (
 )
 
 __all__ = [
-    "AdmissionFilter",
-    "BusItem",
     "ClauseMap",
     "CubeJob",
     "CubeReport",
     "DEFAULT_LEAF_DECISIONS",
-    "Exchange",
     "LeafFragment",
-    "MAX_SHARED_LITS",
     "MergeReport",
     "SplitNode",
     "build_split",

@@ -2,9 +2,9 @@
 
 Runs the pinned Figure-6 model-checking series (counter and semaphore
 diameter bounds, tree form) through :func:`repro.cube.run_cube` at
-``jobs=1`` — the genuine sequential baseline: no splitting, no fork, no
-sharing — and at each parallel job count, and reports the wall-clock
-speedup per instance.
+``jobs=1`` — the genuine sequential baseline: no splitting, no fork — and
+at each parallel job count, and reports the wall-clock speedup per
+instance.
 
 The CI gate is **verdict agreement only**: every parallel configuration
 must reproduce the sequential verdict (a disagreement raises
@@ -13,14 +13,14 @@ triage). Speedup is recorded, never gated — wall-clock numbers from shared
 CI runners would gate on scheduler noise, and on a single hardware thread
 the decomposition's work reduction is the only source of speedup anyway.
 
-Report schema (``repro-cube-bench/1``)::
+Report schema (``repro-cube-bench/2``)::
 
     {"schema": "...", "mode": "quick"|"full", "jobs": [1, 4],
      "instances": [{"instance": "counter3/n=7", "family": ..., "size": ...,
                     "n": ..., "verdict": "false", "agreement": true,
                     "runs": [{"jobs": 1, "wall_seconds": ..,
                               "total_decisions": .., "outcome": "false",
-                              "speedup": 1.0, "share": {...}}, ...]}, ...],
+                              "speedup": 1.0, ...}, ...]}, ...],
      "verdict_agreement_ok": true}
 """
 
@@ -34,7 +34,7 @@ from repro.cube.coordinator import run_cube
 from repro.smv.diameter import diameter_qbf
 from repro.smv.models import model_by_name
 
-SCHEMA = "repro-cube-bench/1"
+SCHEMA = "repro-cube-bench/2"
 
 #: (family, size, bounds) triples of the pinned series. The full series is
 #: the Figure-6 pair: the counter family around its eccentricity (one TRUE
@@ -83,7 +83,6 @@ def _run_one(formula, jobs: int, seed: int) -> Dict[str, object]:
         "escalations": report.escalations,
         "resplits": report.resplits,
         "cancelled": report.cancelled,
-        "share": report.share,
     }
 
 

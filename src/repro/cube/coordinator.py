@@ -10,17 +10,11 @@ on its subproblem:
 
 * **incremental fast path** — a non-certified cube over original-outermost
   existential variables is solved through
-  :class:`repro.incremental.IncrementalSolver` assumption scopes (the
-  engine then works in the original variable space, so shared clauses
-  install untranslated);
+  :class:`repro.incremental.IncrementalSolver` assumption scopes, so the
+  engine searches the original formula under the cube's unit clauses;
 * **cofactor path** — everything else solves the explicitly cofactored
   leaf formula, with the clause/index map retained for the certificate
   merge (:mod:`repro.cube.merge`).
-
-Constraint sharing rides bounded multiprocessing queues (one shared
-outbox, one inbox per worker; everything non-blocking and lossy — see
-:mod:`repro.cube.sharing`). The coordinator relays each export to every
-live worker's inbox; a re-forked worker starts with a fresh, empty inbox.
 
 Verdicts fold up the split tree (existential split: any TRUE branch wins;
 universal split: any FALSE branch wins — :func:`repro.cube.splitter.
@@ -38,8 +32,8 @@ resuming the checkpoint (the checkpoint config digest deliberately ignores
 budget fields, and in certify mode the proof steps travel inside the
 checkpoint, so the escalated run continues one unbroken derivation).
 
-``jobs=1`` is the genuine sequential baseline: no splitting, no fork, no
-sharing — the plain engine on the whole formula (still routed through the
+``jobs=1`` is the genuine sequential baseline: no splitting, no fork —
+the plain engine on the whole formula (still routed through the
 fragment/merge path when certifying, so the certificate machinery is
 identical).
 """
@@ -48,11 +42,10 @@ from __future__ import annotations
 
 import functools
 import os
-import queue as stdlib_queue
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.formula import QBF
@@ -64,7 +57,6 @@ from repro.evalx.runner import Budget
 from repro.robustness.checkpoint import CheckpointError, load_checkpoint
 from repro.robustness.interrupt import global_flag
 from repro.cube.merge import LeafFragment, MergeReport, merge_certificates
-from repro.cube.sharing import MAX_SHARED_LITS, AdmissionFilter, Exchange
 from repro.cube.splitter import SplitNode, build_split, cofactor, fold_outcomes, split_leaf
 
 #: default per-attempt decision budget of one leaf.
@@ -90,7 +82,6 @@ RESPLIT_AFTER_ESCALATIONS = 1
 class CubeJob:
     """One unit of work: solve the formula under this cube."""
 
-    worker_id: int
     key: int
     path: Tuple[int, ...]
     budget_decisions: Optional[int]
@@ -98,7 +89,6 @@ class CubeJob:
     certify: bool = False
     ckpt_path: Optional[str] = None
     resume: bool = False
-    max_shared_lits: int = MAX_SHARED_LITS
 
 
 @dataclass
@@ -119,7 +109,6 @@ class CubeReport:
     #: budget (:data:`MAX_RESPAWNS_PER_JOB` × jobs) is exhausted.
     respawns: int = 0
     interrupted: bool = False
-    share: Dict[str, object] = field(default_factory=dict)
     certificate: Optional[MergeReport] = None
     certificate_status: Optional[str] = None
     root: Optional[SplitNode] = None
@@ -138,29 +127,25 @@ def _incremental_eligible(formula: QBF, path: Tuple[int, ...]) -> bool:
     )
 
 
-def solve_cube_job(
-    job: CubeJob,
-    formula: QBF,
-    outbox=None,
-    inbox=None,
-    interrupt=None,
-) -> Dict[str, object]:
+def solve_cube_job(job: CubeJob, formula: QBF, interrupt=None) -> Dict[str, object]:
     """Solve one cube; returns the wire payload (plain JSON-able dict).
 
     Each cube gets a fresh solver on purpose. Keeping one warm
     ``IncrementalSolver`` per worker and push/solve/popping cubes
     through it was measured 3-6x *slower* end to end: the retained
     constraint database accumulated across sibling cubes outweighs the
-    per-cube formula load it saves. Cross-cube reuse happens through the
-    explicit sharing bus instead, where the admission filter bounds it.
+    per-cube formula load it saves.
+
+    The incremental fast path pays for itself in decisions: forcing every
+    cube through the cofactor path took 3000, 4056 and 41587 decisions
+    where the fast path takes 1344, 2228 and 17476 (counter3 n=6, counter3
+    n=7, semaphore2 n=4; ``jobs=2``, seed 0).
     """
     started = time.monotonic()
     config = Budget(decisions=job.budget_decisions).to_config(
         **({"engine": job.engine} if job.engine else {})
     )
-    share = outbox is not None or inbox is not None
     fragment: Optional[Dict[str, object]] = None
-    exchange: Optional[Exchange] = None
 
     resume = None
     if job.resume and job.ckpt_path:
@@ -172,58 +157,20 @@ def solve_cube_job(
     if not job.certify and _incremental_eligible(formula, job.path):
         from repro.incremental.solver import IncrementalSolver
 
-        if share:
-            admission = AdmissionFilter(
-                formula, max_lits=job.max_shared_lits, cubes_ok=False
-            )
-            exchange = Exchange(
-                job.worker_id,
-                job.path,
-                outbox,
-                inbox,
-                admission,
-                max_lits=job.max_shared_lits,
-                lift_cubes=False,
-            )
         # retain=False: this solver lives for exactly one cube, so the
         # retention bookkeeping (proof-closure tagging of every learned
-        # constraint) would be pure overhead — sharing goes through the
-        # exchange instead.
+        # constraint) would be pure overhead.
         inc = IncrementalSolver(config, retain=False)
         inc.load(formula)
         inc.push(*job.path)
         try:
             result = inc.solve(
-                interrupt=interrupt,
-                checkpoint_to=job.ckpt_path,
-                resume_from=resume,
-                exchange=exchange,
+                interrupt=interrupt, checkpoint_to=job.ckpt_path, resume_from=resume
             )
         except CheckpointError:
-            result = inc.solve(
-                interrupt=interrupt, checkpoint_to=job.ckpt_path, exchange=exchange
-            )
+            result = inc.solve(interrupt=interrupt, checkpoint_to=job.ckpt_path)
     else:
         leaf, clause_map = cofactor(formula, job.path)
-        if share:
-            admission = AdmissionFilter(
-                formula,
-                receiver_prefix=leaf.prefix,
-                assumptions=job.path,
-                max_lits=job.max_shared_lits,
-                cubes_ok=True,
-            )
-            # Certified workers export but never import: an imported
-            # constraint has no derivation on record, so any analysis
-            # touching it would poison the proof into incompleteness.
-            exchange = Exchange(
-                job.worker_id,
-                job.path,
-                outbox,
-                None if job.certify else inbox,
-                admission,
-                max_lits=job.max_shared_lits,
-            )
 
         def run(resume_ckpt):
             if job.certify:
@@ -245,7 +192,6 @@ def solve_cube_job(
                     interrupt=interrupt,
                     resume_from=resume_ckpt,
                     checkpoint_to=job.ckpt_path,
-                    exchange=exchange,
                 )
                 return result, LeafFragment(job.path, clause_map, sink.steps)
             result = solve(
@@ -254,7 +200,6 @@ def solve_cube_job(
                 interrupt=interrupt,
                 resume_from=resume_ckpt,
                 checkpoint_to=job.ckpt_path,
-                exchange=exchange,
             )
             return result, None
 
@@ -274,16 +219,14 @@ def solve_cube_job(
         "learned_clauses": result.stats.learned_clauses,
         "learned_cubes": result.stats.learned_cubes,
         "fragment": fragment,
-        "share": exchange.stats() if exchange is not None else None,
         "elapsed": time.monotonic() - started,
     }
 
 
-def _solve_leaf(formula: QBF, worker_id: int, outbox, inbox, job: CubeJob):
+def _solve_leaf(formula: QBF, job: CubeJob):
     """Pool body of a cube worker: one cube under the worker's interrupt
     flag, which the pool's SIGTERM sets to cancel it."""
-    job.worker_id = worker_id
-    return solve_cube_job(job, formula, outbox, inbox, interrupt=global_flag())
+    return solve_cube_job(job, formula, interrupt=global_flag())
 
 
 # -- the coordinator ---------------------------------------------------------
@@ -307,7 +250,6 @@ class _Coordinator:
         jobs: int,
         leaf_decisions: int,
         certify: bool,
-        share: bool,
         seed: int,
         engine: Optional[str],
         max_depth: int,
@@ -315,7 +257,6 @@ class _Coordinator:
         wall_timeout: Optional[float],
         interrupt,
         workdir: Optional[str],
-        max_shared_lits: int,
         max_escalations: int,
         mem_limit_mb: Optional[float],
     ):
@@ -323,26 +264,22 @@ class _Coordinator:
         self.jobs = jobs
         self.leaf_decisions = leaf_decisions
         self.certify = certify
-        self.share = share
         self.seed = seed
         self.engine = engine
         self.max_depth = max_depth
         self.initial_cubes = initial_cubes or max(INITIAL_CUBES_PER_JOB * jobs, 2)
         self.wall_timeout = wall_timeout
         self.interrupt = interrupt
-        self.max_shared_lits = max_shared_lits
         self.max_escalations = max_escalations
         self._own_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-cube-")
         self.workers = WorkerPool(
             jobs,
-            self._make_body,
+            functools.partial(_solve_leaf, formula),
             persistent=True,
             mem_limit_mb=mem_limit_mb,
             term_grace=SHUTDOWN_GRACE_SECONDS,
         )
-        self.outbox = None
-        self.inboxes: Dict[int, object] = {}
         self.pending: List[SplitNode] = []
         self.running: Dict[Job, SplitNode] = {}
         #: workers lost to failed jobs (each one exits; see WorkerPool).
@@ -355,8 +292,6 @@ class _Coordinator:
             leaves=0,
             total_decisions=0,
         )
-        self.share_totals = {"exported": 0, "export_dropped": 0, "imported": 0}
-        self.rejected_totals: Dict[str, int] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -377,17 +312,7 @@ class _Coordinator:
         check = getattr(flag, "is_set", None)
         return bool(check() if check is not None else flag())
 
-    # -- workers and the sharing bus ----------------------------------------
-
-    def _make_body(self, worker_id: int):
-        """Called by the pool before each fork: a fresh inbox for the new
-        worker, and the cube body it runs."""
-        inbox = None
-        if self.share:
-            inbox = self.workers.context.Queue(maxsize=1024)
-            inbox.cancel_join_thread()  # lossy bus: never block exit on it
-            self.inboxes[worker_id] = inbox
-        return functools.partial(_solve_leaf, self.formula, worker_id, self.outbox, inbox)
+    # -- workers ------------------------------------------------------------
 
     def _capacity(self) -> int:
         """Concurrent cubes: ``jobs``, less every lost worker beyond the
@@ -402,7 +327,6 @@ class _Coordinator:
         self._stamp(node)
         node.attempts += 1
         job = CubeJob(
-            worker_id=-1,
             key=node.key,
             path=node.path,
             budget_decisions=node.budget,
@@ -410,40 +334,10 @@ class _Coordinator:
             certify=self.certify,
             ckpt_path=self._ckpt_path(node),
             resume=resume,
-            max_shared_lits=self.max_shared_lits,
         )
         self.running[self.workers.submit(job)] = node
 
-    def _drain_bus(self) -> None:
-        if self.outbox is None:
-            return
-        live = self.workers.worker_ids()
-        for worker_id in [w for w in self.inboxes if w not in live]:
-            self.inboxes.pop(worker_id).close()
-        while True:
-            try:
-                item = self.outbox.get_nowait()
-            except stdlib_queue.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - torn bus
-                return
-            for inbox in self.inboxes.values():
-                try:
-                    inbox.put_nowait(item)
-                except stdlib_queue.Full:
-                    pass
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    pass
-
     # -- result handling ----------------------------------------------------
-
-    def _absorb_share(self, stats: Optional[Dict[str, object]]) -> None:
-        if not stats:
-            return
-        for key in ("exported", "export_dropped", "imported"):
-            self.share_totals[key] += int(stats.get(key, 0))
-        for reason, count in (stats.get("import_rejected") or {}).items():
-            self.rejected_totals[reason] = self.rejected_totals.get(reason, 0) + count
 
     def _on_done(self, job: Job, shutdown: bool) -> None:
         node = self.running.pop(job)
@@ -462,7 +356,6 @@ class _Coordinator:
         payload = job.result
         outcome = Outcome[payload["outcome"]]
         self.report.total_decisions += int(payload.get("decisions", 0))
-        self._absorb_share(payload.get("share"))
         if outcome in (Outcome.TRUE, Outcome.FALSE):
             node.outcome = outcome
             node.decisions = int(payload.get("decisions", 0))
@@ -522,9 +415,6 @@ class _Coordinator:
             self.formula, self.initial_cubes, seed=self.seed, max_depth=self.max_depth
         )
         self.report.root = root
-        if self.share:
-            self.outbox = self.workers.context.Queue(maxsize=4096)
-            self.outbox.cancel_join_thread()  # workers never block exit on it
         for leaf in root.leaves():
             self._stamp(leaf)
             self.pending.append(leaf)
@@ -558,7 +448,6 @@ class _Coordinator:
                     # Everything settled, or the respawn budget is spent
                     # and no worker is left: fold what settled.
                     break
-                self._drain_bus()
                 for job in self.workers.wait(timeout=0.02):
                     self._on_done(job, shutdown=False)
         finally:
@@ -574,8 +463,6 @@ class _Coordinator:
         report.leaves = len(root.leaves())
         report.workers_launched = self.workers.forks
         self._capacity()
-        report.share = dict(self.share_totals)
-        report.share["import_rejected"] = dict(self.rejected_totals)
         if self.certify:
             from repro.certify import check_certificate
 
@@ -588,18 +475,19 @@ class _Coordinator:
     def _shutdown(self) -> None:
         """Cancel the cubes still running and absorb what they report (a
         worker may have finished a decisive cube just as we stopped — keep
-        its verdict and fragment), then stop the workers."""
+        its verdict and fragment), then stop the workers. Each cube cut
+        short here counts as cancelled: its partial decisions are in the
+        total."""
         try:
             for job in self.running:
-                self.workers.cancel(job)
+                if not job.cancelled:
+                    self.workers.cancel(job)
+                    self.report.cancelled += 1
             while self.running:
                 for job in self.workers.wait():
                     self._on_done(job, shutdown=True)
         finally:
             self.workers.close()
-            for q in [self.outbox, *self.inboxes.values()]:
-                if q is not None:
-                    q.close()
 
 
 def run_cube(
@@ -607,7 +495,6 @@ def run_cube(
     jobs: int = 2,
     leaf_decisions: int = DEFAULT_LEAF_DECISIONS,
     certify: bool = False,
-    share: bool = True,
     seed: int = 0,
     engine: Optional[str] = None,
     max_depth: int = 12,
@@ -616,7 +503,6 @@ def run_cube(
     wall_timeout: Optional[float] = None,
     interrupt=None,
     workdir: Optional[str] = None,
-    max_shared_lits: int = MAX_SHARED_LITS,
     max_escalations: int = 8,
     mem_limit_mb: Optional[float] = None,
 ) -> CubeReport:
@@ -624,9 +510,10 @@ def run_cube(
 
     Returns a :class:`CubeReport`; with ``certify=True`` its
     ``certificate`` is the merged derivation and ``certificate_status`` the
-    independent checker's verdict against the original formula. The folded
-    verdict is deterministic for a given ``seed``; wall-clock, decision
-    totals, and sharing statistics are not (see DESIGN.md §12).
+    independent checker's verdict against the original formula. For a
+    given ``seed`` the folded verdict is deterministic, and so is
+    ``total_decisions`` unless a settled split node cancelled a running
+    sibling (``cancelled > 0``); wall-clock is not (see DESIGN.md §13).
 
     ``mem_limit_mb`` caps each worker's address space (``RLIMIT_AS``), as
     for :func:`repro.evalx.parallel.run_tasks`; ``jobs=1`` runs in-process
@@ -639,7 +526,6 @@ def run_cube(
         root = SplitNode(())
         root.key = 0
         job = CubeJob(
-            worker_id=0,
             key=0,
             path=(),
             budget_decisions=total_decisions,
@@ -674,7 +560,6 @@ def run_cube(
         jobs=jobs,
         leaf_decisions=leaf_decisions,
         certify=certify,
-        share=share,
         seed=seed,
         engine=engine,
         max_depth=max_depth,
@@ -682,7 +567,6 @@ def run_cube(
         wall_timeout=wall_timeout,
         interrupt=interrupt,
         workdir=workdir,
-        max_shared_lits=max_shared_lits,
         max_escalations=max_escalations,
         mem_limit_mb=mem_limit_mb,
     )

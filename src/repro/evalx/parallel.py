@@ -43,7 +43,7 @@ import time
 import traceback
 from dataclasses import dataclass, fields, replace
 from multiprocessing.connection import wait as _wait_ready
-from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.formula import QBF
 from repro.core.result import Outcome, SolverStats
@@ -558,10 +558,8 @@ class WorkerPool:
     Up to ``size`` workers, each holding at most one :class:`Job`. The pool
     forks a worker when a job arrives and no worker is idle, handing it the
     job at the fork (inherited, not pickled); a persistent worker gets later
-    jobs over its own duplex pipe. ``make_body(worker_id)`` is called in the
-    parent just before each fork and returns the function the new worker
-    runs on every job, so per-worker resources (a sharing inbox) are
-    inherited by exactly that worker.
+    jobs over its own duplex pipe. Every worker runs ``body`` on each of
+    its jobs.
 
     Two re-fork policies: one-shot workers (the default) exit after their
     job, so every job starts from the parent's memory image; ``persistent``
@@ -578,7 +576,7 @@ class WorkerPool:
     def __init__(
         self,
         size: int,
-        make_body: Callable[[int], Callable[[object], object]],
+        body: Callable[[object], object],
         persistent: bool = False,
         mem_limit_mb: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
@@ -589,17 +587,11 @@ class WorkerPool:
         self.mem_limit_mb = mem_limit_mb
         self.faults = faults
         self.term_grace = term_grace
-        #: the multiprocessing context workers are forked from; queues a
-        #: worker should inherit must come from it too.
-        self.context = _mp_context()
+        self._context = _mp_context()
         #: workers forked so far (also the next worker's id).
         self.forks = 0
-        self._make_body = make_body
+        self._body = body
         self._workers: Dict[int, _Worker] = {}
-
-    def worker_ids(self) -> Set[int]:
-        """Ids of the live workers, busy or idle."""
-        return set(self._workers)
 
     def submit(self, work, attempt: int = 1, timeout: Optional[float] = None) -> Job:
         """Start ``work`` on an idle worker, forking one if needed."""
@@ -614,13 +606,13 @@ class WorkerPool:
                 break
         if len(self._workers) >= self.size:
             raise RuntimeError("all %d workers are busy" % self.size)
-        parent_conn, child_conn = self.context.Pipe(duplex=True)
+        parent_conn, child_conn = self._context.Pipe(duplex=True)
         worker_id = self.forks
         self.forks += 1
-        process = self.context.Process(
+        process = self._context.Process(
             target=_worker_main,
             args=(
-                work, self._make_body(worker_id), child_conn, attempt,
+                work, self._body, child_conn, attempt,
                 self.faults, self.mem_limit_mb, self.persistent,
             ),
             daemon=True,
@@ -1022,8 +1014,7 @@ def _run_pool(
         return measurement_to_dict(executor(task))
 
     pool = WorkerPool(
-        jobs, lambda worker_id: measure, mem_limit_mb=mem_limit_mb, faults=faults,
-        term_grace=term_grace,
+        jobs, measure, mem_limit_mb=mem_limit_mb, faults=faults, term_grace=term_grace
     )
     queue: List[_Pending] = list(pending)
     running: Dict[Job, _Pending] = {}

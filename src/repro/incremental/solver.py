@@ -255,15 +255,8 @@ class IncrementalSolver:
         interrupt: Optional[object] = None,
         checkpoint_to: Optional[str] = None,
         resume_from: Optional[object] = None,
-        exchange: Optional[object] = None,
     ) -> SolveResult:
-        """Solve the current effective formula, reusing what can be reused.
-
-        ``exchange`` is the cube-and-conquer constraint-sharing hook (see
-        :mod:`repro.cube.sharing`); constraints imported through it carry no
-        proof provenance, so they are never retained across ``load()``s —
-        the harvest only keeps constraints whose axiom closure is on record.
-        """
+        """Solve the current effective formula, reusing what can be reused."""
         formula = self.effective_formula()
         retaining = self.retain or self.certify
         if retaining:
@@ -273,9 +266,7 @@ class IncrementalSolver:
         else:
             inner = sink = logger = None
         config = certifying_config(self.config) if self.certify else self.config
-        engine = QdpllSolver(
-            formula, config, proof=logger, interrupt=interrupt, exchange=exchange
-        )
+        engine = QdpllSolver(formula, config, proof=logger, interrupt=interrupt)
 
         survivors = self._survivors(formula) if retaining else []
         clauses = cubes = 0

@@ -92,6 +92,7 @@ from repro.serve.protocol import (
     parse_budget,
     parse_deadline,
     parse_engine,
+    parse_flag,
     poisoned_response,
     validate_smv_request,
 )
@@ -345,7 +346,7 @@ class ServeDaemon:
             strategy=str(req.get("strategy", "eu_au")),
             budget=parse_budget(req.get("budget")),
             overrides=(("engine", engine),) if engine is not None else (),
-            certify=bool(req.get("certify", False)),
+            certify=parse_flag(req, "certify"),
         )
         cached = self._cache.get(task.key)
         if cached is not None:
@@ -603,8 +604,7 @@ class ServeDaemon:
         seed = req.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ProtocolError("cube-solve seed must be an integer")
-        certify = bool(req.get("certify", False))
-        share = bool(req.get("share", True))
+        certify = parse_flag(req, "certify")
         engine = parse_engine(req)
 
         loop = asyncio.get_running_loop()
@@ -617,7 +617,6 @@ class ServeDaemon:
                     formula,
                     jobs=jobs,
                     certify=certify,
-                    share=share,
                     seed=seed,
                     engine=engine,
                     wall_timeout=deadline,
@@ -640,7 +639,6 @@ class ServeDaemon:
             "cancelled": report.cancelled,
             "crashes": report.crashes,
             "respawns": report.respawns,
-            "share": report.share,
             "protocol": PROTOCOL_VERSION,
         }
         if report.outcome is Outcome.UNKNOWN and not report.interrupted:
@@ -708,7 +706,7 @@ class ServeDaemon:
         """Race QUBE(TO) against QUBE(PO) on one formula (``portfolio``)."""
         from repro.portfolio import race
 
-        if bool(req.get("certify", False)):
+        if parse_flag(req, "certify"):
             raise ProtocolError(
                 "portfolio does not accept 'certify': a TO/PO disagreement "
                 "is certificate-triaged automatically"
@@ -721,6 +719,7 @@ class ServeDaemon:
             raise ProtocolError("portfolio jobs must be a positive integer")
         if jobs > MAX_CUBE_JOBS:
             raise ProtocolError("portfolio jobs must be at most %d" % MAX_CUBE_JOBS)
+        run_all = parse_flag(req, "run_all")
         budget = parse_budget(req.get("budget"))
         # Serial races run in-process, so the deadline binds cooperatively
         # through the wall budget; pool races additionally get the hard
@@ -740,7 +739,7 @@ class ServeDaemon:
                     jobs=jobs,
                     strategy=str(req.get("strategy", "eu_au")),
                     engine=engine or "counters",
-                    run_all=bool(req.get("run_all", False)),
+                    run_all=run_all,
                     wall_timeout=deadline,
                     mem_limit_mb=mem_limit_mb,
                 ),

@@ -28,18 +28,22 @@ one JSON response line. ``kind`` selects the handler:
     a cube-and-conquer solve of an inlined formula across worker
     processes: ``formula`` + ``format`` like ``solve``, plus optional
     ``jobs`` (default 2, capped at :data:`MAX_CUBE_JOBS`), ``certify``,
-    ``share``, ``seed``, ``engine``. Responses add the coordinator's work
-    accounting (``leaves``, ``resplits``, ``escalations``, ``share``) and,
-    when certifying, ``certificate_status``.
+    ``seed``, ``engine``. Responses add the coordinator's work accounting
+    (``leaves``, ``resplits``, ``escalations``, ``cancelled``) and, when
+    certifying, ``certificate_status``.
 
 The ``engine`` field of ``solve``, ``portfolio`` and ``cube-solve`` names a
 propagation backend from :data:`repro.core.engine.config.ENGINES` (aliases
 included); absent, the kind's default applies. Any other value is a
 structured protocol error, never an attempted solve.
 
+Flags (``certify``, ``run_all``) must be JSON booleans. A ``budget`` caps
+``decisions`` (a positive integer; default 2000, ``null`` for none) and
+``seconds`` (a finite positive number).
+
 Every solve-lane request (``solve``, ``cube-solve``, ``smv-diameter``) may
-carry a ``deadline`` — a positive number of wall-clock seconds for *this
-request*. A request that exceeds it returns a structured
+carry a ``deadline`` — a finite positive number of wall-clock seconds for
+*this request*. A request that exceeds it returns a structured
 ``{"ok": false, "status": ...}`` response instead of leaving the client
 hanging until its socket times out; requests that don't set one get
 :data:`DEFAULT_DEADLINE_SECONDS` (the daemon's ``--wall-timeout`` further
@@ -78,6 +82,7 @@ Failure responses are always structured — ``{"ok": false, "status": ...,
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 from repro.core.engine.config import ENGINES
@@ -110,6 +115,18 @@ class ProtocolError(ValueError):
     """Raised on malformed requests; reported to the client, never fatal."""
 
 
+def _positive_seconds(value: object) -> bool:
+    """True for a finite positive JSON number (booleans are not numbers).
+    Python's ``json`` parses ``NaN`` and ``Infinity``; both must fail here,
+    since a NaN deadline or budget never expires."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
 def parse_budget(payload: Optional[Dict[str, object]]) -> Budget:
     if payload is None:
         return Budget()
@@ -117,11 +134,21 @@ def parse_budget(payload: Optional[Dict[str, object]]) -> Budget:
         raise ProtocolError("budget must be an object")
     decisions = payload.get("decisions", 2000)
     seconds = payload.get("seconds")
-    if decisions is not None and (not isinstance(decisions, int) or decisions <= 0):
+    if decisions is not None and (
+        isinstance(decisions, bool) or not isinstance(decisions, int) or decisions <= 0
+    ):
         raise ProtocolError("budget.decisions must be a positive integer")
-    if seconds is not None and not isinstance(seconds, (int, float)):
-        raise ProtocolError("budget.seconds must be a number")
+    if seconds is not None and not _positive_seconds(seconds):
+        raise ProtocolError("budget.seconds must be a finite positive number")
     return Budget(decisions=decisions, seconds=seconds)
+
+
+def parse_flag(req: Dict[str, object], name: str) -> bool:
+    """The request's boolean flag ``name``; absent means False."""
+    value = req.get(name, False)
+    if not isinstance(value, bool):
+        raise ProtocolError("%s must be a JSON boolean" % name)
+    return value
 
 
 def parse_engine(req: Dict[str, object]) -> Optional[str]:
@@ -141,10 +168,8 @@ def parse_deadline(req: Dict[str, object]) -> float:
     deadline = req.get("deadline")
     if deadline is None:
         return DEFAULT_DEADLINE_SECONDS
-    if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
-        raise ProtocolError("deadline must be a positive number of seconds")
-    if deadline <= 0:
-        raise ProtocolError("deadline must be a positive number of seconds")
+    if not _positive_seconds(deadline):
+        raise ProtocolError("deadline must be a finite positive number of seconds")
     return float(deadline)
 
 

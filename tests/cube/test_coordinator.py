@@ -2,8 +2,9 @@
 
 For random small QBFs — prenex (totally ordered) and tree (partially
 ordered) prefixes, every engine — ``run_cube`` with 1..4 workers must
-return the same verdict as the sequential reference ``solve``, with and
-without constraint sharing, and certified runs must verify.
+return the same verdict as the sequential reference ``solve``, and
+certified runs must verify. On a FALSE instance split only on existential
+variables no cube is ever cancelled, so the decision total repeats.
 
 These tests fork real worker processes; instance counts are kept small.
 """
@@ -19,6 +20,8 @@ from repro.core.result import Outcome
 from repro.core.solver import solve
 from repro.cube import coordinator, run_cube
 from repro.generators.random_qbf import random_prenex_qbf, random_tree_qbf
+from repro.smv.diameter import diameter_qbf
+from repro.smv.models import model_by_name
 from tests.engines import ENGINE_LEGS
 
 
@@ -62,16 +65,23 @@ def test_tree_verdict_matches_sequential(jobs):
         assert report.outcome is expected, (seed, jobs, report.outcome)
 
 
-@pytest.mark.parametrize("share", [True, False])
 @pytest.mark.parametrize("engine", ENGINE_LEGS)
-def test_engines_and_sharing_agree(engine, share):
+def test_engines_agree(engine):
     seed, formula, expected = PRENEX[0]
-    report = run_cube(
-        formula, jobs=2, seed=seed, engine=engine, share=share, leaf_decisions=50
-    )
+    report = run_cube(formula, jobs=2, seed=seed, engine=engine, leaf_decisions=50)
     assert report.outcome is expected
-    if not share:
-        assert report.share["exported"] == 0 and report.share["imported"] == 0
+
+
+def test_false_instance_decision_totals_repeat():
+    # Every split of this FALSE instance is existential, so no split node
+    # settles while a sibling runs: every cube runs to completion, and the
+    # total is the same whichever worker finishes first.
+    formula = diameter_qbf(model_by_name("counter", 2), 4, form="tree")
+    first, second = (run_cube(formula, jobs=2, seed=0) for _ in range(2))
+    for report in (first, second):
+        assert report.outcome is Outcome.FALSE
+        assert report.cancelled == 0
+    assert first.total_decisions == second.total_decisions
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

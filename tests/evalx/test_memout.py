@@ -90,10 +90,7 @@ def address_space_limit(_):
 def test_every_job_runs_under_the_ceiling_in_both_refork_modes(persistent):
     # One-shot workers are re-forked per job, persistent ones reused: the
     # ceiling must hold for the second job either way.
-    pool = WorkerPool(
-        1, lambda worker_id: address_space_limit, persistent=persistent,
-        mem_limit_mb=4096,
-    )
+    pool = WorkerPool(1, address_space_limit, persistent=persistent, mem_limit_mb=4096)
     seen = []
     try:
         for _ in range(2):

@@ -211,7 +211,7 @@ class TestPoolFaultIsolation:
         async def cancel_at_birth():
             loop = asyncio.get_running_loop()
             loop.add_signal_handler(signal.SIGTERM, hits.append, "parent")
-            pool = WorkerPool(1, lambda worker_id: wait_for_cancel, term_grace=1.0)
+            pool = WorkerPool(1, wait_for_cancel, term_grace=1.0)
             try:
                 for _ in range(10):
                     pool.cancel(pool.submit("job"))

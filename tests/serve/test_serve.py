@@ -7,6 +7,7 @@ hit, then shuts the daemon down via the SIGTERM preemption path and checks
 the exit is clean.
 """
 
+import asyncio
 import json
 import os
 import signal
@@ -16,7 +17,8 @@ import sys
 import pytest
 
 from repro.serve.client import request, wait_ready
-from repro.serve.protocol import parse_budget, ProtocolError
+from repro.serve.daemon import ServeDaemon
+from repro.serve.protocol import parse_budget, parse_flag, ProtocolError
 
 
 @pytest.fixture
@@ -105,9 +107,35 @@ def test_serve_generic_solve_and_error_paths(daemon):
 def test_parse_budget_validation():
     assert parse_budget(None).decisions == 2000
     assert parse_budget({"decisions": 10, "seconds": 1.5}).seconds == 1.5
-    with pytest.raises(ProtocolError):
-        parse_budget({"decisions": -1})
-    with pytest.raises(ProtocolError):
-        parse_budget({"seconds": "soon"})
+    assert parse_budget({"decisions": None}).decisions is None
+    for bad in (-1, 0, True, 1.5, "10"):
+        with pytest.raises(ProtocolError):
+            parse_budget({"decisions": bad})
+    for bad in ("soon", True, 0, -2.0, float("nan"), float("inf")):
+        with pytest.raises(ProtocolError):
+            parse_budget({"seconds": bad})
     with pytest.raises(ProtocolError):
         parse_budget("fast")
+
+
+def test_parse_flag_validation():
+    assert parse_flag({}, "certify") is False
+    assert parse_flag({"certify": True}, "certify") is True
+    assert parse_flag({"run_all": False}, "run_all") is False
+    for bad in ("false", "true", 0, 1, None, [True]):
+        with pytest.raises(ProtocolError):
+            parse_flag({"certify": bad}, "certify")
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("solve", "certify"), ("cube-solve", "certify"), ("portfolio", "certify"),
+    ("portfolio", "run_all"),
+])
+def test_string_flags_are_refused_before_any_solve(tmp_path, kind, flag):
+    # "false" is a truthy string: a flag read by truthiness would turn on.
+    daemon = ServeDaemon(str(tmp_path / "unused.sock"), jobs=1)
+    req = {"kind": kind, "formula": "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n",
+           flag: "false"}
+    with pytest.raises(ProtocolError, match=flag):
+        asyncio.run(daemon.dispatch(req))
+    assert daemon.stats["solves"] == 0

@@ -57,7 +57,7 @@ def test_parse_deadline_validation():
     assert parse_deadline({}) == DEFAULT_DEADLINE_SECONDS
     assert parse_deadline({"deadline": 2}) == 2.0
     assert parse_deadline({"deadline": 0.5}) == 0.5
-    for bad in (0, -3, "soon", True, [1]):
+    for bad in (0, -3, "soon", True, [1], float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ProtocolError):
             parse_deadline({"deadline": bad})
 
