@@ -22,7 +22,13 @@ installation order, under eager value semantics (assignments made mid-scan
 are visible to later records in the same scan). Classic inverted
 watch lists, which examine only the records watching the dequeued literal,
 would find some conflicts one or more dequeues later and so reorder the
-trail.
+trail. Skipping records that are already defused is allowed, because
+examining them yields nothing: the reference scans only the *live*
+learned cubes of the dequeued literal (a snapshot of its live-cube index,
+in installation order), re-checking each one's dead flag so that a cube
+killed by a unit found earlier in the same scan is still skipped. The
+native backend walks full cube occurrence lists with eager counters and
+visits the same cubes.
 """
 
 from __future__ import annotations
@@ -49,11 +55,16 @@ MODEL = "model"
 class Rec:
     """Backend-private record of one clause or cube.
 
-    The eager satisfaction counters are kept per kind, each the one the
-    engine reads: ``n_true`` on clauses (a satisfied clause is skipped, and
-    its sat/unsat transitions drive the pure-literal index) and ``n_false``
-    on cubes (a dead cube is skipped, and the pure rule's learned-cube guard
-    reads it). The other counter of each kind stays 0.
+    The counter backend keeps per-kind state, each the one the engine
+    reads. On clauses, ``n_true`` counts the true literals (a satisfied
+    clause is skipped, and its sat/unsat transitions drive the pure-literal
+    index) and ``first`` is the literal whose assignment took ``n_true``
+    from 0 to 1. Backtracking is last-in-first-out, so while ``n_true`` is
+    positive ``first`` is the clause's true literal of least trail position:
+    the one the Section III model cube picks. On cubes, ``dead`` is 1 while
+    the cube has a false literal (it is skipped, and it no longer blocks
+    the pure rule) and 0 otherwise. The other kind's slots stay 0. The
+    native backend keeps these in C and leaves them 0.
 
     ``lits`` is the constraint's literal tuple, held directly so the
     counter walks that visit every literal of a clause turning satisfied or
@@ -65,13 +76,14 @@ class Rec:
     literal on every visit.
     """
 
-    __slots__ = ("constraint", "lits", "n_true", "n_false", "original", "prim", "sec")
+    __slots__ = ("constraint", "lits", "n_true", "first", "dead", "original", "prim", "sec")
 
     def __init__(self, constraint: Constraint, original: bool):
         self.constraint = constraint
         self.lits: Tuple[int, ...] = constraint.lits
         self.n_true = 0
-        self.n_false = 0
+        self.first = 0
+        self.dead = 0
         self.original = original
         self.prim: Tuple[int, ...] = ()
         self.sec: Tuple[int, ...] = ()
@@ -81,12 +93,12 @@ class Rec:
         return self.constraint.is_cube
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Rec(%r, T=%d, F=%d)" % (self.constraint, self.n_true, self.n_false)
+        return "Rec(%r, T=%d, dead=%d)" % (self.constraint, self.n_true, self.dead)
 
 
 class PropagationBackend:
-    """Base class: matrix installation, the duality-parameterized examine,
-    the pure-literal rule, and the learned-constraint bookkeeping."""
+    """Base class: matrix installation, the duality-parameterized examine
+    and the learned-constraint bookkeeping."""
 
     name = "?"
 
@@ -123,12 +135,10 @@ class PropagationBackend:
         self.keeper = keeper
         self._tab = prefix.tables()
         self.clause_occ: Dict[int, List[Rec]] = {}
-        self.cube_occ: Dict[int, List[Rec]] = {}
         self.occ_unsat: Dict[int, int] = {}
         for v in prefix.variables:
             for lit in (v, -v):
                 self.clause_occ[lit] = []
-                self.cube_occ[lit] = []
                 self.occ_unsat[lit] = 0
         self.orig_clauses: List[Rec] = []
         self.learned_clauses: Dict[Tuple[int, ...], Rec] = {}
@@ -247,8 +257,8 @@ class PropagationBackend:
         kills a cube).
 
         Self-guarding: a defused constraint returns None immediately (the
-        counter backend pre-guards with its eager counters, so the bail only
-        protects callers that do not).
+        counter backend pre-guards with ``n_true`` and its live-cube index,
+        so the bail only protects callers that do not).
 
         The scan runs on the flat kernels: literal truth is one probe of the
         trail's literal-indexed value array, the primary/secondary split is
@@ -298,47 +308,3 @@ class PropagationBackend:
                 self.stats.propagations += 1
                 self.assign(-p if is_cube else p, rec)
         return None
-
-    # -- the pure-literal rule ---------------------------------------------------
-
-    def apply_pure_literals(self) -> bool:
-        """Assign currently pure literals; True when anything was assigned.
-
-        Existential rule: assign ``l`` when ``l̄`` occurs in no unsatisfied
-        clause. Universal rule: assign ``l`` when ``l`` itself occurs in no
-        unsatisfied clause. Both additionally require that the assigned
-        literal occurs in no *live* learned cube (one not yet killed by a
-        false literal) — the guard against the monotone-literal/learning
-        interaction analysed in [24]: a pure assignment must never be able
-        to turn a learned good true out of prefix order. Cubes already dead
-        on this branch cannot become true, so they do not block purity.
-        Of ``v`` and ``-v``, the first that qualifies is assigned.
-
-        Counter-driven by design: the rule reads the ``occ_unsat`` index
-        and the cubes' ``n_false`` counters, which every backend maintains
-        (the counter backend updates ``occ_unsat`` inline in its
-        ``assign``/``backtrack`` when a clause turns satisfied/unsatisfied).
-        """
-        assigned = False
-        candidates = sorted(self.pure_candidates)
-        self.pure_candidates.clear()
-        value = self.trail.value
-        is_exist = self._tab.is_exist
-        occ_unsat = self.occ_unsat
-        cube_occ = self.cube_occ
-        for v in candidates:
-            if value[v] != 0:
-                continue
-            exist = is_exist[v]
-            for l in (v, -v):
-                if occ_unsat[-l if exist else l]:
-                    continue
-                for rec in cube_occ[l]:
-                    if not rec.n_false:
-                        break  # l occurs in a live learned cube
-                else:
-                    self.stats.pure_literals += 1
-                    self.assign(l, PURE)
-                    assigned = True
-                    break
-        return assigned

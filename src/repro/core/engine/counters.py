@@ -1,31 +1,65 @@
-"""The eager occurrence-counter propagation backend (the reference).
+"""The occurrence-counter propagation backend (the reference).
 
-This is the original QUBE-style scheme behind the backend interface: each
-record keeps the one live counter the engine reads — ``n_true`` on clauses,
-``n_false`` on cubes — updated by walking the two occurrence lists that move
-them at assignment time and reversed symmetrically at backtrack time.
-Propagation dequeues a trail literal and examines every clause in which it
-occurs negatively (skipping satisfied ones via ``n_true``) and every live
-learned cube in which it occurs positively (skipping dead ones via
-``n_false``).
+This is the original QUBE-style scheme behind the backend interface. Clauses
+keep an eager ``n_true`` counter, updated by walking the literal's clause
+occurrence list at assignment time and reversed at backtrack time; the walk
+also records each clause's *first satisfier* (``Rec.first``), the literal
+that took ``n_true`` from 0 to 1. Propagation dequeues a trail literal and
+examines every clause in which it occurs negatively, skipping satisfied ones
+via ``n_true``.
 
-The scheme is simple and its counters double as the pure-literal index. It
-is the semantic reference that defines the equivalence contract (see
-:mod:`repro.core.engine.backend`); :mod:`repro.core.engine.native` runs the
-same scheme in C.
+Learned cubes live in a *live-cube index* instead of full occurrence lists:
+``live[l]`` holds, in install order, the ids of the live learned cubes that
+contain ``l`` (a cube is live while it has no false literal). Assigning
+``lit`` kills every cube in ``live[-lit]``, since ``-lit`` is then that
+cube's first false literal: the cube leaves its other literals' lists and is
+filed under ``killed[lit]``. Backtracking undoes assignments last-in-first-
+out, so by the time ``lit`` is unassigned every later false literal of those
+cubes is already unassigned too, and they are revived at once. Propagation
+of ``lit`` examines a snapshot of ``live[lit]``, re-checking each cube's
+``dead`` flag, so a unit assigned mid-scan still hides the cubes it kills —
+the eager semantics the equivalence contract requires.
+
+The counters and the index double as the pure-literal rule's inputs. This
+backend is the semantic reference that defines the equivalence contract
+(see :mod:`repro.core.engine.backend`); :mod:`repro.core.engine.native`
+runs the same events in C, with eager cube counters.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from bisect import insort
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.engine.backend import MODEL, PropagationBackend, Rec
+from repro.core.engine.backend import MODEL, PURE, PropagationBackend, Rec
 
 
 class CounterBackend(PropagationBackend):
-    """Eager counters over full occurrence lists."""
+    """Eager clause counters and a live-learned-cube index."""
 
     name = "counters"
+
+    def __init__(self, formula, prefix, config, stats, trail, keeper):
+        #: literal -> install ids of the live learned cubes containing it,
+        #: ascending (install order).
+        self.live: Dict[int, List[int]] = {}
+        #: literal -> one int object equal to it. ``assign`` files this
+        #: object as a clause's first satisfier, so the model cubes built
+        #: from first satisfiers, and the learned cubes and proof steps
+        #: derived from them, share one object per literal rather than
+        #: each keeping the int the caller of ``assign`` happened to build.
+        self._canon: Dict[int, int] = {}
+        for v in prefix.variables:
+            for lit in (v, -v):
+                self.live[lit] = []
+                self._canon[lit] = lit
+        #: assigned literal -> ids of the cubes whose first false literal is
+        #: its negation; they revive when the literal is unassigned. Only
+        #: literals that killed a cube have an entry.
+        self.killed: Dict[int, List[int]] = {}
+        #: install id -> learned cube record.
+        self.cubes: List[Rec] = []
+        super().__init__(formula, prefix, config, stats, trail, keeper)
 
     def _install_clause(self, rec: Rec) -> None:
         for lit in rec.lits:
@@ -33,20 +67,23 @@ class CounterBackend(PropagationBackend):
             self.occ_unsat[lit] += 1
 
     def assign(self, lit: int, reason: object) -> None:
+        lit = self._canon[lit]
         trail = self.trail
         trail.push(lit, reason)
         # Counters are maintained eagerly (at assignment, not at dequeue) so
         # that backtrack can reverse them uniformly even when the
         # propagation queue still holds unprocessed literals. A clause that
-        # turns satisfied leaves the pure-literal index: each of its
-        # literals loses an unsatisfied occurrence, and a literal left with
-        # none makes its variable a purity candidate.
+        # turns satisfied records ``lit`` as its first satisfier and leaves
+        # the pure-literal index: each of its literals loses an unsatisfied
+        # occurrence, and a literal left with none makes its variable a
+        # purity candidate.
         occ_unsat = self.occ_unsat
         candidate = self.pure_candidates.add
         for rec in self.clause_occ[lit]:
             n = rec.n_true + 1
             rec.n_true = n
             if n == 1:
+                rec.first = lit
                 if rec.original:
                     self.n_unsat_orig -= 1
                 for l in rec.lits:
@@ -54,8 +91,21 @@ class CounterBackend(PropagationBackend):
                     occ_unsat[l] = k
                     if not k:
                         candidate(l if l > 0 else -l)
-        for rec in self.cube_occ[-lit]:
-            rec.n_false += 1
+        neg = -lit
+        live = self.live
+        ids = live[neg]
+        if ids:
+            # Every live cube holding -lit dies here: unlink it from its
+            # other literals' lists and file it under lit.
+            live[neg] = []
+            self.killed[lit] = ids
+            cubes = self.cubes
+            for cid in ids:
+                rec = cubes[cid]
+                rec.dead = 1
+                for l in rec.lits:
+                    if l != neg:
+                        live[l].remove(cid)
         if len(trail.lits) > self.stats.max_trail:
             self.stats.max_trail = len(trail.lits)
 
@@ -64,8 +114,8 @@ class CounterBackend(PropagationBackend):
         target = trail.level_start[to_level + 1]
         unassign = trail.unassign
         clause_occ = self.clause_occ
-        cube_occ = self.cube_occ
         occ_unsat = self.occ_unsat
+        killed = self.killed
         candidate = self.pure_candidates.add
         for lit in reversed(trail.lits[target:]):
             # A variable that becomes unassigned may be pure in the restored
@@ -87,9 +137,32 @@ class CounterBackend(PropagationBackend):
                         self.n_unsat_orig += 1
                     for l in rec.lits:
                         occ_unsat[l] += 1
-            for rec in cube_occ[-lit]:
-                rec.n_false -= 1
+            if lit in killed:
+                self._revive(lit)
         trail.shrink(to_level, target)
+
+    def _revive(self, lit: int) -> None:
+        """Relink the cubes filed under the just-unassigned ``lit``.
+
+        ``-lit`` was each cube's false literal of least trail position, so
+        last-in-first-out backtracking has already unassigned the others:
+        the cube has no false literal left. ``paranoid`` checks exactly
+        that, raising explicitly so the check survives ``python -O``.
+        """
+        ids = self.killed.pop(lit)
+        live = self.live
+        cubes = self.cubes
+        paranoid = self.config.paranoid
+        if paranoid:
+            lit_val = self.trail.lit_val
+            base = self.trail.base
+        for cid in ids:
+            rec = cubes[cid]
+            if paranoid and any(lit_val[base + l] == -1 for l in rec.lits):
+                raise AssertionError("revived cube %r has a false literal" % (rec.lits,))
+            rec.dead = 0
+            for l in rec.lits:
+                insort(live[l], cid)
 
     def propagate(self) -> Optional[Tuple[str, object]]:
         """Run propagation + pure literals to fixpoint.
@@ -101,7 +174,8 @@ class CounterBackend(PropagationBackend):
         examine = self._examine
         lits = trail.lits  # stable alias: push appends / shrink dels in place
         clause_occ = self.clause_occ
-        cube_occ = self.cube_occ
+        live = self.live
+        cubes = self.cubes
         while True:
             while trail.queue_head < len(lits):
                 lit = lits[trail.queue_head]
@@ -111,34 +185,94 @@ class CounterBackend(PropagationBackend):
                         event = examine(rec, False)
                         if event is not None:
                             return event
-                for rec in cube_occ[lit]:
-                    if rec.n_false == 0:
-                        event = examine(rec, True)
-                        if event is not None:
-                            return event
+                ids = live[lit]
+                if ids:
+                    # A snapshot: a unit assigned mid-scan unlinks the cubes
+                    # it kills, and their dead flag hides them from the rest
+                    # of this scan.
+                    for cid in tuple(ids):
+                        rec = cubes[cid]
+                        if not rec.dead:
+                            event = examine(rec, True)
+                            if event is not None:
+                                return event
             if self.n_unsat_orig == 0:
                 return (MODEL, None)
             if self.config.pure_literals and self.apply_pure_literals():
                 continue
             return None
 
+    def apply_pure_literals(self) -> bool:
+        """Assign currently pure literals; True when anything was assigned.
+
+        Existential rule: assign ``l`` when ``l̄`` occurs in no unsatisfied
+        clause. Universal rule: assign ``l`` when ``l`` itself occurs in no
+        unsatisfied clause. Both additionally require that the assigned
+        literal occurs in no *live* learned cube (``live[l]`` is empty) —
+        the guard against the monotone-literal/learning interaction
+        analysed in [24]: a pure assignment must never be able to turn a
+        learned good true out of prefix order. Cubes already dead on this
+        branch cannot become true, so they do not block purity. Of ``v``
+        and ``-v``, the first that qualifies is assigned.
+
+        The rule reads the ``occ_unsat`` index, which ``assign``/
+        ``backtrack`` update inline when a clause turns satisfied or
+        unsatisfied, and the live-cube index.
+        """
+        assigned = False
+        candidates = sorted(self.pure_candidates)
+        self.pure_candidates.clear()
+        value = self.trail.value
+        is_exist = self._tab.is_exist
+        occ_unsat = self.occ_unsat
+        live = self.live
+        for v in candidates:
+            if value[v] != 0:
+                continue
+            exist = is_exist[v]
+            for l in (v, -v):
+                if occ_unsat[-l if exist else l] or live[l]:
+                    continue
+                self.stats.pure_literals += 1
+                self.assign(l, PURE)
+                assigned = True
+                break
+        return assigned
+
     def _install_learned_clause(self, rec: Rec) -> None:
-        lit_val = self.trail.lit_val
-        base = self.trail.base
-        sat = False
+        trail = self.trail
+        lit_val = trail.lit_val
+        base = trail.base
+        pos = trail.pos
         for lit in rec.lits:
             self.clause_occ[lit].append(rec)
             if lit_val[base + lit] == 1:
                 rec.n_true += 1
-                sat = True
-        if not sat:
+                if rec.n_true == 1 or pos[abs(lit)] < pos[abs(rec.first)]:
+                    rec.first = lit
+        if not rec.n_true:
             for lit in rec.lits:
                 self.occ_unsat[lit] += 1
 
     def _install_learned_cube(self, rec: Rec) -> None:
-        lit_val = self.trail.lit_val
-        base = self.trail.base
+        # A cube born dead (checkpoint restore and incremental retention
+        # install outside the search loop) is filed under the negation of
+        # its false literal of least trail position, as assign would have.
+        trail = self.trail
+        lit_val = trail.lit_val
+        base = trail.base
+        pos = trail.pos
+        cid = len(self.cubes)
+        self.cubes.append(rec)
+        killer = 0
         for lit in rec.lits:
-            self.cube_occ[lit].append(rec)
-            if lit_val[base + lit] == -1:
-                rec.n_false += 1
+            if lit_val[base + lit] == -1 and (
+                not killer or pos[abs(lit)] < pos[abs(killer)]
+            ):
+                killer = lit
+        if killer:
+            rec.dead = 1
+            self.killed.setdefault(-killer, []).append(cid)
+        else:
+            for lit in rec.lits:
+                self.live[lit].append(cid)

@@ -7,18 +7,21 @@ literal-indexed value array, universal reduction's ``≺`` test over the flat
 :class:`~repro.core.prefix.PrefixTables`, and the pure-literal rule — runs
 inside one C call (:mod:`repro._native`, built optionally by ``setup.py``).
 
-**Identity.** The kernel is a port of the eager *counter* scheme, so it
-inherits the reference semantics directly: same events on the same records
-in the same order, hence the same decisions, trail, learned constraints and
-outcome.  The wrapper keeps the Python :class:`~repro.core.engine.trail.
-Trail` authoritative for everything the search layer reads (values, levels,
-positions, reasons, the branching frontier): forwarded ``assign``/
-``backtrack`` calls update both sides, and assignments made *inside* a
-native ``propagate()`` come back as a chronological push log that is
-replayed onto the Python trail before the event is returned.  Only the
-per-record bookkeeping (occurrence lists, satisfaction counters, the
-pure-literal sidecar) lives exclusively in C — the Python ``Rec`` objects
-remain as identity tokens for the search layer and the proof logger.
+**Identity.** The kernel is a port of the eager *counter* scheme. It keeps
+eager counters on learned cubes too, over full cube occurrence lists, where
+the reference keeps its live-cube index; both skip exactly the cubes that
+have a false literal, so the events stay identical: same events on the same
+records in the same order, hence the same decisions, trail, learned
+constraints and outcome.  The wrapper keeps the Python
+:class:`~repro.core.engine.trail.Trail` authoritative for everything the
+search layer reads (values, levels, positions, reasons, the branching
+frontier): forwarded ``assign``/``backtrack`` calls update both sides, and
+assignments made *inside* a native ``propagate()`` come back as a
+chronological push log that is replayed onto the Python trail before the
+event is returned.  Only the per-record bookkeeping (occurrence lists,
+satisfaction counters, the pure-literal sidecar) lives exclusively in C —
+the Python ``Rec`` objects remain as identity tokens for the search layer
+and the proof logger.
 
 **Fallback.** When the extension is missing the backend cannot run.  The
 engine-selection layer (:func:`repro.core.engine.search.resolve_backend`)

@@ -138,9 +138,6 @@ class SearchEngine:
             reduce_clause=self.backend.reduce_clause_fast,
             reduce_cube=self.backend.reduce_cube_fast,
         )
-        #: the original clauses' literal tuples, swept by build_model_cube
-        #: on every solution; orig_clauses is fixed once the backend is built.
-        self._orig_lits = [rec.lits for rec in self.backend.orig_clauses]
         self._deadline: Optional[float] = None
 
     # -- trail accessors -------------------------------------------------------
@@ -389,7 +386,7 @@ class SearchEngine:
         elif self.backend.native_model_cube is not None:
             cube_lits = self.backend.native_model_cube()
         else:
-            cube_lits = build_model_cube(self._orig_lits, self._view)
+            cube_lits = build_model_cube(self.backend.orig_clauses, self._view)
         if self.config.learn_cubes:
             trace = None
             if self._proof is not None:

@@ -448,50 +448,45 @@ def _finish_cube_confirmation(work: Tuple[int, ...], view: TrailView, trace) -> 
 
 
 def build_model_cube(
-    clauses: Sequence[Sequence[int]],
+    clauses: Sequence,
     view: TrailView,
 ) -> Tuple[int, ...]:
     """Construct the initial good of Section III point 1.
 
-    ``clauses`` holds the matrix clauses as literal sequences (the engine
-    passes the original clauses' literal tuples, built once). Picks, for
-    every clause, one satisfying literal of the current assignment
-    (preferring literals already chosen, then the earliest assigned),
-    producing a set ``S`` with ``C ∩ S ≠ ∅`` for every clause ``C``. The
-    caller passes the result to :func:`analyze_solution`, which
+    Picks, for every clause, one satisfying literal of the current
+    assignment (preferring literals already chosen, then the earliest
+    assigned), producing a set ``S`` with ``C ∩ S ≠ ∅`` for every clause
+    ``C``. The caller passes the result to :func:`analyze_solution`, which
     existentially reduces it.
 
     This runs once per solution over the whole matrix, making it one of the
-    hottest call sites on true-heavy instances; when the view carries the
-    trail's flat arrays, each literal costs one ``lit_val`` probe and the
-    per-clause min folds positions inline (positions are unique, so the
-    fold matches ``min()``'s first-of-ties semantics). The cube holds only
-    true literals, never both polarities of a variable, so sorting by
+    hottest call sites on true-heavy instances. With the engine's view
+    (one that carries the trail's flat arrays), ``clauses`` are the
+    backend's original clause records, and no literal is probed: ``n_true``
+    says whether the clause is satisfied and by how many literals, and
+    ``first`` is its true literal of least trail position. A clause is
+    skipped when a chosen literal hits it, which for a clause with one true
+    literal is ``first in chosen``. A view over plain callables (unit tests,
+    tools) takes literal sequences and derives both by probing every
+    literal; it is the reference the record path must match. The cube holds
+    only true literals, never both polarities of a variable, so sorting by
     ``abs`` gives the canonical (variable, literal) order.
     """
     chosen: Set[int] = set()
-    lit_val = view.lit_val
-    if lit_val is not None:
-        base = view.base
-        pos = view.pos_arr
-        # Trail positions are below the slot count, so no true literal
-        # loses to this start value.
-        unset = len(pos)
-        for clause in clauses:
-            best = 0
-            best_pos = unset
-            for l in clause:
-                if lit_val[base + l] == 1:
-                    if l in chosen:
-                        break
-                    p = pos[l if l > 0 else -l]
-                    if p < best_pos:
-                        best = l
-                        best_pos = p
+    if view.lit_val is not None:
+        add = chosen.add
+        disjoint = chosen.isdisjoint
+        for rec in clauses:
+            n = rec.n_true
+            if n == 1:
+                if rec.first not in chosen:
+                    add(rec.first)
+            elif n:
+                first = rec.first
+                if first not in chosen and disjoint(rec.lits):
+                    add(first)
             else:
-                if not best:
-                    raise ValueError("matrix clause not satisfied: %r" % (clause,))
-                chosen.add(best)
+                raise ValueError("matrix clause not satisfied: %r" % (rec.lits,))
     else:
         for clause in clauses:
             sats = [l for l in clause if view.value(l) is True]

@@ -302,10 +302,11 @@ def restore(engine, ckpt: Checkpoint) -> float:
 
     backend = engine.backend
     trail = engine.trail
-    # Learned constraints are re-installed at the empty trail: every counter
-    # they touch (occ_unsat, their own n_true/n_false) then reflects the
-    # unassigned state, and the trail replay below applies the same
-    # transitions the original run did, converging on identical bookkeeping.
+    # Learned constraints are re-installed at the empty trail: everything
+    # they touch (occ_unsat, their own n_true, the live-cube index) then
+    # reflects the unassigned state, and the trail replay below applies the
+    # same transitions the original run did, converging on identical
+    # bookkeeping.
     for lits in ckpt.learned_clauses:
         backend.add_learned_clause(tuple(lits))
     for lits in ckpt.learned_cubes:

@@ -21,9 +21,12 @@ one JSON response line. ``kind`` selects the handler:
     record. ``certify`` is rejected here; disagreements are certificate-
     triaged automatically instead.
 ``smv-diameter``
-    one bound of a model family's diameter sweep: ``family``, ``size``,
-    ``n``, optional ``budget``. Solved in-process on the family's
-    persistent incremental solver.
+    one bound of a model family's diameter sweep: ``family``, ``size``
+    (an integer up to :data:`MAX_SMV_SIZE`), ``n``, optional ``budget``.
+    Solved in-process on the family's persistent incremental solver. A
+    bound whose formula φ_n would exceed :data:`MAX_CLAUSES` or
+    :data:`MAX_VARS` is a structured protocol error, decided before φ_n is
+    encoded.
 ``cube-solve``
     a cube-and-conquer solve of an inlined formula across worker
     processes: ``formula`` + ``format`` like ``solve``, plus optional
@@ -82,6 +85,7 @@ Failure responses are always structured — ``{"ok": false, "status": ...,
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Optional, Tuple
 
@@ -110,6 +114,10 @@ MAX_VARS = 50_000
 #: cap on ``cube-solve`` worker processes per request.
 MAX_CUBE_JOBS = 8
 
+#: cap on an ``smv-diameter`` model's ``size``; φ_1 of the largest family
+#: (semaphore) has 89,385 clauses at this size.
+MAX_SMV_SIZE = 32
+
 
 class ProtocolError(ValueError):
     """Raised on malformed requests; reported to the client, never fatal."""
@@ -127,6 +135,11 @@ def _positive_seconds(value: object) -> bool:
     )
 
 
+def _is_int(value: object) -> bool:
+    """True for a JSON integer (booleans are not integers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_budget(payload: Optional[Dict[str, object]]) -> Budget:
     if payload is None:
         return Budget()
@@ -134,9 +147,7 @@ def parse_budget(payload: Optional[Dict[str, object]]) -> Budget:
         raise ProtocolError("budget must be an object")
     decisions = payload.get("decisions", 2000)
     seconds = payload.get("seconds")
-    if decisions is not None and (
-        isinstance(decisions, bool) or not isinstance(decisions, int) or decisions <= 0
-    ):
+    if decisions is not None and (not _is_int(decisions) or decisions <= 0):
         raise ProtocolError("budget.decisions must be a positive integer")
     if seconds is not None and not _positive_seconds(seconds):
         raise ProtocolError("budget.seconds must be a finite positive number")
@@ -233,14 +244,52 @@ def poisoned_response(exc) -> Dict[str, object]:
     }
 
 
+@functools.lru_cache(maxsize=4 * MAX_SMV_SIZE)
+def _smv_growth(family: str, size: int) -> Tuple[int, int, int, int]:
+    """φ_0's clause and variable counts and what each bound adds.
+
+    Both counts of φ_n are affine in ``n``: every bound adds one forward
+    transition group, one negated transition group and one state copy on
+    each side, and swaps one fixed-size equality group. So φ_0 and φ_1 fix
+    them for every ``n``. One entry per model (four families, each up to
+    ``MAX_SMV_SIZE``); encoding φ_1 of the largest takes about a second,
+    once.
+    """
+    from repro.smv.incremental import DiameterFamily
+    from repro.smv.models import model_by_name
+
+    encoder = DiameterFamily(model_by_name(family, size))
+    phi0 = encoder.formula(0)
+    phi1 = encoder.formula(1)
+    return (
+        phi0.num_clauses,
+        phi1.num_clauses - phi0.num_clauses,
+        phi0.num_vars,
+        phi1.num_vars - phi0.num_vars,
+    )
+
+
 def validate_smv_request(req: Dict[str, object]) -> Tuple[str, int, int]:
+    """The request's (family, size, n), refused before any φ_n is encoded
+    when φ_n would exceed the inlined-formula caps."""
     family = req.get("family")
     size = req.get("size")
     n = req.get("n")
     if not isinstance(family, str):
         raise ProtocolError("smv-diameter needs a string 'family'")
-    if not isinstance(size, int) or size < 1:
-        raise ProtocolError("smv-diameter needs a positive integer 'size'")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(size) or not 1 <= size <= MAX_SMV_SIZE:
+        raise ProtocolError(
+            "smv-diameter needs an integer 'size' between 1 and %d" % MAX_SMV_SIZE
+        )
+    if not _is_int(n) or n < 0:
         raise ProtocolError("smv-diameter needs a non-negative integer 'n'")
+    clauses0, clauses_per_n, vars0, vars_per_n = _smv_growth(family, size)
+    clauses = clauses0 + n * clauses_per_n
+    variables = vars0 + n * vars_per_n
+    if clauses > MAX_CLAUSES or variables > MAX_VARS:
+        raise ProtocolError(
+            "smv-diameter bound too large: phi_%d of %s(%d) would have %d "
+            "clauses and %d variables (caps %d and %d)"
+            % (n, family, size, clauses, variables, MAX_CLAUSES, MAX_VARS)
+        )
     return family, size, n

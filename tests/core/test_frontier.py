@@ -143,6 +143,8 @@ def test_release_push_skips_the_guard():
 
 
 def test_paranoid_config_flag_reaches_the_trail(monkeypatch):
+    # the default config reads REPRO_PARANOID: clear any ambient setting
+    monkeypatch.delenv("REPRO_PARANOID", raising=False)
     phi = random_qbf(random.Random(0), prenex=False, depth=1, branching=1)
     engine = SearchEngine(phi, SolverConfig(paranoid=True))
     assert engine.trail.push == engine.trail._push_checked

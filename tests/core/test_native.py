@@ -158,7 +158,9 @@ class TestParanoidReplay:
         assert par.stats.solutions == ref.stats.solutions
         assert par.stats.propagations == ref.stats.propagations
 
-    def test_flag_selects_the_replay_path(self):
+    def test_flag_selects_the_replay_path(self, monkeypatch):
+        # the default config reads REPRO_PARANOID: clear any ambient setting
+        monkeypatch.delenv("REPRO_PARANOID", raising=False)
         fast = QdpllSolver(paper_example(), SolverConfig(engine="native"))
         slow = QdpllSolver(
             paper_example(), SolverConfig(engine="native", paranoid=True)

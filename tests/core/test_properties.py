@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import (
@@ -10,6 +11,7 @@ from repro.core.constraints import (
     resolve,
     universal_reduce,
 )
+from repro.core.engine.backend import Rec
 from repro.core.expansion import evaluate
 from repro.core.formula import QBF
 from repro.core.heuristics import ScoreKeeper, make_picker
@@ -290,6 +292,15 @@ def test_model_cube_array_path_matches_callable_path(seed):
         t = truth.get(abs(lit))
         return None if t is None else t == lit
 
+    # The engine's records: n_true counts the true literals and first is
+    # the true literal of least trail position, by definition.
+    records = []
+    for clause in clauses:
+        rec = Rec(clause, original=True)
+        sats = [l for l in clause if value(l) is True]
+        rec.n_true = len(sats)
+        rec.first = min(sats, key=lambda l: position[abs(l)])
+        records.append(rec)
     num_slots = max(variables) + 1
     lit_val = [0] * (2 * num_slots)
     pos = [-1] * num_slots
@@ -299,14 +310,19 @@ def test_model_cube_array_path_matches_callable_path(seed):
         pos[v] = position[v]
     common = dict(value=value, level_of=lambda v: 1, pos_of=position.__getitem__,
                   reason_of=lambda v: None, prefix=prefix)
+    arrays = TrailView(lit_val=lit_val, base=num_slots, pos_arr=pos, **common)
     by_callables = build_model_cube(clauses, TrailView(**common))
-    by_arrays = build_model_cube(
-        clauses, TrailView(lit_val=lit_val, base=num_slots, pos_arr=pos, **common)
-    )
+    by_arrays = build_model_cube(records, arrays)
     assert by_arrays == by_callables
     assert list(by_arrays) == sorted(by_arrays, key=lambda l: (abs(l), l))
     assert all(value(l) is True for l in by_arrays)
     assert all(set(clause) & set(by_arrays) for clause in clauses)
+    # An unsatisfied clause is refused on both paths.
+    unsat = Rec(Clause([-truth[assigned[0]]]), original=True)
+    for view, matrix in ((arrays, records + [unsat]),
+                         (TrailView(**common), clauses + [unsat.constraint])):
+        with pytest.raises(ValueError):
+            build_model_cube(matrix, view)
 
 
 def _brute_effective(keeper, prefix, lit):

@@ -225,8 +225,9 @@ class TestPureLiteralBacktracking:
                                 self.n_unsat_orig += 1
                             for l in rec.lits:
                                 self.occ_unsat[l] += 1
-                    for rec in self.cube_occ[-lit]:
-                        rec.n_false -= 1
+                    # learned cubes revive as in the real backtrack
+                    if lit in self.killed:
+                        self._revive(lit)
                 trail.shrink(to_level, target)
 
         class PreFixSolver(QdpllSolver):

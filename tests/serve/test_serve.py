@@ -13,12 +13,23 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.serve.client import request, wait_ready
 from repro.serve.daemon import ServeDaemon
-from repro.serve.protocol import parse_budget, parse_flag, ProtocolError
+from repro.serve.protocol import (
+    MAX_CLAUSES,
+    MAX_SMV_SIZE,
+    MAX_VARS,
+    ProtocolError,
+    parse_budget,
+    parse_flag,
+    validate_smv_request,
+)
+from repro.smv.incremental import DiameterFamily
+from repro.smv.models import model_by_name
 
 
 @pytest.fixture
@@ -102,6 +113,67 @@ def test_serve_generic_solve_and_error_paths(daemon):
         socket_path, {"kind": "solve", "formula": "p cnf oops\n", "id": 7}
     )
     assert not malformed["ok"] and malformed["id"] == 7
+
+
+def test_oversized_smv_bound_is_refused_and_the_daemon_stays_up(daemon):
+    _, socket_path, _ = daemon
+    start = time.monotonic()
+    refused = request(
+        socket_path,
+        {"kind": "smv-diameter", "family": "counter", "size": 2, "n": 5000},
+    )
+    # phi_5000 has 225,038 clauses; encoding it took seconds
+    assert time.monotonic() - start < 2.0
+    assert not refused["ok"] and "too large" in refused["error"]
+    assert request(socket_path, {"kind": "ping"})["pong"]
+    assert request(socket_path, {"kind": "stats"})["solves"] == 0
+
+
+def test_smv_request_field_validation():
+    assert validate_smv_request({"family": "counter", "size": 2, "n": 3}) == (
+        "counter", 2, 3,
+    )
+    for size, n in ((True, 1), (2, True), (2.0, 1), (2, 1.0), ("2", 1), (2, None),
+                    (0, 1), (MAX_SMV_SIZE + 1, 0), (2000, 0), (2, -1)):
+        with pytest.raises(ProtocolError):
+            validate_smv_request({"family": "counter", "size": size, "n": n})
+    with pytest.raises(ProtocolError):
+        validate_smv_request({"family": 3, "size": 2, "n": 1})
+
+
+def test_oversized_smv_bound_is_refused_without_encoding_it(monkeypatch):
+    encoded = []
+    formula = DiameterFamily.formula
+
+    def recording(self, n):
+        encoded.append(n)
+        return formula(self, n)
+
+    monkeypatch.setattr(DiameterFamily, "formula", recording)
+    with pytest.raises(ProtocolError, match="225038 clauses"):
+        validate_smv_request({"family": "counter", "size": 2, "n": 5000})
+    with pytest.raises(ProtocolError, match="too large"):
+        validate_smv_request({"family": "semaphore", "size": MAX_SMV_SIZE, "n": 2})
+    assert validate_smv_request(
+        {"family": "semaphore", "size": MAX_SMV_SIZE, "n": 1}
+    ) == ("semaphore", MAX_SMV_SIZE, 1)
+    assert set(encoded) <= {0, 1}
+
+
+@pytest.mark.parametrize("family", ["counter", "ring", "dme", "semaphore"])
+def test_smv_formula_size_is_affine_in_the_bound(family):
+    # validate_smv_request predicts phi_n from phi_0 and phi_1
+    for size in (2, 3):
+        encoder = DiameterFamily(model_by_name(family, size))
+        shapes = [(f.num_clauses, f.num_vars)
+                  for f in (encoder.formula(n) for n in (0, 1, 2, 7))]
+        (c0, v0), (c1, v1) = shapes[:2]
+        assert shapes[2:] == [(c0 + n * (c1 - c0), v0 + n * (v1 - v0)) for n in (2, 7)]
+        # the largest bound the caps admit is accepted, the next one refused
+        n = min((MAX_CLAUSES - c0) // (c1 - c0), (MAX_VARS - v0) // (v1 - v0))
+        assert validate_smv_request({"family": family, "size": size, "n": n})
+        with pytest.raises(ProtocolError, match="too large"):
+            validate_smv_request({"family": family, "size": size, "n": n + 1})
 
 
 def test_parse_budget_validation():
