@@ -127,8 +127,11 @@ def _incremental_eligible(formula: QBF, path: Tuple[int, ...]) -> bool:
     )
 
 
-def solve_cube_job(job: CubeJob, formula: QBF, interrupt=None) -> Dict[str, object]:
+def solve_cube_job(
+    job: CubeJob, formula: QBF, interrupt=None, seconds: Optional[float] = None
+) -> Dict[str, object]:
     """Solve one cube; returns the wire payload (plain JSON-able dict).
+    ``seconds`` is the engine's wall budget (None: unbounded).
 
     Each cube gets a fresh solver on purpose. Keeping one warm
     ``IncrementalSolver`` per worker and push/solve/popping cubes
@@ -142,7 +145,7 @@ def solve_cube_job(job: CubeJob, formula: QBF, interrupt=None) -> Dict[str, obje
     n=7, semaphore2 n=4; ``jobs=2``, seed 0).
     """
     started = time.monotonic()
-    config = Budget(decisions=job.budget_decisions).to_config(
+    config = Budget(decisions=job.budget_decisions, seconds=seconds).to_config(
         **({"engine": job.engine} if job.engine else {})
     )
     fragment: Optional[Dict[str, object]] = None
@@ -517,7 +520,9 @@ def run_cube(
 
     ``mem_limit_mb`` caps each worker's address space (``RLIMIT_AS``), as
     for :func:`repro.evalx.parallel.run_tasks`; ``jobs=1`` runs in-process
-    and is not capped.
+    and is not capped. ``wall_timeout`` caps the run's seconds: the
+    coordinator stops its workers, and at ``jobs=1`` it is the engine's
+    wall budget.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -532,7 +537,7 @@ def run_cube(
             engine=engine,
             certify=certify,
         )
-        payload = solve_cube_job(job, formula, interrupt=interrupt)
+        payload = solve_cube_job(job, formula, interrupt=interrupt, seconds=wall_timeout)
         root.outcome = Outcome[payload["outcome"]]
         root.decisions = payload["decisions"]
         if payload.get("fragment") is not None:

@@ -480,7 +480,8 @@ def _worker_main(
 
     Each job is reported as ``(status, payload)``. The worker exits after a
     failed job (the pool forks a fresh one), after its one job unless
-    ``persistent``, and when the parent sends ``None``. The pool signals a
+    ``persistent``, when the parent sends ``None``, and when the parent
+    dies while the worker waits for its next job. The pool signals a
     worker only while it holds a job and never hands a signalled worker
     another one, so the flag needs no clearing between jobs.
 
@@ -497,6 +498,7 @@ def _worker_main(
     signal.signal(signal.SIGTERM, flag.set)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     _apply_memory_limit(mem_limit_mb)
+    parent = multiprocessing.parent_process()
     try:
         while job is not None:
             try:
@@ -505,6 +507,14 @@ def _worker_main(
                 _send(conn, (STATUS_CRASH, traceback.format_exc()))
                 raise
             if not _send(conn, report) or not persistent or report[0] != STATUS_OK:
+                return
+            # A recv alone never sees EOF once the parent is gone: this
+            # worker, and every process forked after it, holds a copy of
+            # the parent's end of the pipe. The parent's sentinel fires once
+            # the parent and those later forks have exited; later workers
+            # watch theirs too, so a killed parent's workers unwind newest
+            # first instead of waiting forever.
+            if parent is not None and parent.sentinel in _wait_ready([conn, parent.sentinel]):
                 return
             try:
                 job, attempt = conn.recv() or (None, 0)

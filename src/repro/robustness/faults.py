@@ -30,10 +30,11 @@ Fault kinds and where they fire:
   the circuit breaker that trips a repeatedly OOMing key. Unlike ``crash``
   it fires on *every* attempt: real memory blowups are deterministic, so a
   retry at the same ceiling must not quietly make the fault disappear.
-* ``stuck-family`` — consulted by the serve daemon before an in-process
-  SMV family solve; the solve stalls past the request deadline (one-shot
-  per label), exercising stuck-solver detection, the family restart
-  backoff, and the fall-back-to-scratch degradation path.
+* ``stuck-family`` — consulted by the serve daemon before it hands an SMV
+  bound to the family's worker process; the worker stalls past the request
+  deadline without polling its interrupt flag (one-shot per label),
+  exercising the pool's SIGTERM → grace → SIGKILL escalation, the
+  ``stuck`` answer, and the cold re-fork of the family's next bound.
 
 Worker-side faults other than ``worker-oom`` key off ``attempt == 1`` so
 recovery, not the fault, decides the final record; the torn append and the
@@ -179,8 +180,9 @@ class FaultPlan:
         return False
 
     def stuck_family(self, label: str) -> bool:
-        """Should this in-process family solve stall? One-shot per label,
-        so the restarted family solver answers the retry honestly."""
+        """Should this family bound stall in its worker? One-shot per label
+        (the daemon owns the plan), so the re-forked worker answers the
+        family's next bound honestly."""
         if self.kind_for(label) == STUCK_FAMILY and label not in self._stuck_done:
             self._stuck_done.add(label)
             return True

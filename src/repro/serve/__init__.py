@@ -5,8 +5,9 @@ newline-delimited JSON solve requests (see :mod:`repro.serve.protocol`).
 Generic QDIMACS/tree-prefix requests dispatch to :func:`repro.evalx.
 parallel.run_tasks` worker shards — inheriting its fault isolation, wall
 timeouts and checkpoint-based preemption — while SMV diameter-bound
-requests run in-process on per-family :class:`repro.incremental.
-IncrementalSolver` instances so learned constraints carry across bounds.
+requests run on one persistent :class:`repro.evalx.parallel.WorkerPool`
+worker per model family, whose :class:`repro.incremental.IncrementalSolver`
+carries learned constraints across bounds.
 ``cube-solve`` requests fan one instance out across a cube-and-conquer
 worker pool (:func:`repro.cube.run_cube`). Verdicts (and certificate
 statuses) are cached under the existing :meth:`repro.evalx.parallel.
@@ -20,9 +21,10 @@ rejected at the protocol layer.
 The execution lanes run under the supervision layer in :mod:`repro.serve.
 supervisor`: bounded admission (structured ``overloaded`` sheds with a
 ``retry_after`` hint), per-key circuit breakers (``poisoned`` refusals
-after repeated crash/hang/memout outcomes), per-worker memory ceilings
-(``--mem-limit`` → ``memout`` records), and graceful degradation to
-scratch solves while a dead family solver or cube pool recovers.
+after repeated crash/hang/memout/stuck outcomes), per-worker memory
+ceilings (``--mem-limit`` → ``memout`` records), a ``stuck`` answer and a
+cold re-fork for a wedged family worker, and a scratch-solve fallback for
+a cube pool that died under its request.
 """
 
 from repro.serve.client import request, request_with_retry, wait_ready

@@ -15,7 +15,7 @@ Two measurements, mirroring what the tentpole promises:
   exit the preemption path promises.
 
 * **Degraded** — the same daemon under an injected fault plan (a wedged
-  family solver plus a worker that OOMs on every attempt): replay a mixed
+  family worker plus a worker that OOMs on every attempt): replay a mixed
   workload and report ``degraded_rps`` — sustained answered-requests per
   second where a structured refusal (``memout``/``stuck``/``poisoned``)
   counts as answered and a hang or wrong verdict fails the bench.
@@ -156,9 +156,9 @@ _STRUCTURED = ("memout", "stuck", "poisoned", "overloaded", "deadline")
 def _degraded_entry(family: str, size: int, max_n: int) -> Dict[str, object]:
     """Throughput with the supervisor absorbing injected faults.
 
-    Every request must still get an answer — a verdict (possibly served
-    degraded from a scratch solver) or a structured refusal. ``degraded_rps``
-    is answered requests per wall second over the whole chaotic replay.
+    Every request must still get an answer — a verdict or a structured
+    refusal. ``degraded_rps`` is answered requests per wall second over the
+    whole chaotic replay.
     """
     model = model_by_name(family, size)
     tmp = tempfile.mkdtemp(prefix="repro-serve-bench-chaos-")
@@ -192,8 +192,8 @@ def _degraded_entry(family: str, size: int, max_n: int) -> Dict[str, object]:
         wait_ready(socket_path, timeout=60.0)
         workload: List[Dict[str, object]] = [
             # First smv request hits the injected wedge (short deadline so
-            # the abandon fires fast); the rest ride the restart backoff as
-            # degraded scratch solves.
+            # the pool stops the worker fast); the rest run on the
+            # re-forked family worker, the first of them cold.
             {"kind": "smv-diameter", "family": family, "size": size,
              "n": 0, "deadline": 1.0},
         ]
@@ -218,8 +218,7 @@ def _degraded_entry(family: str, size: int, max_n: int) -> Dict[str, object]:
             status = resp.get("status")
             if resp.get("ok"):
                 answered += 1
-                key = "degraded" if resp.get("degraded") else "ok"
-                counts[key] = counts.get(key, 0) + 1
+                counts["ok"] = counts.get("ok", 0) + 1
             elif status in _STRUCTURED:
                 answered += 1
                 counts[status] = counts.get(status, 0) + 1

@@ -41,8 +41,9 @@ def request_with_retry(
 ) -> Dict[str, object]:
     """Send one request, honouring the daemon's backpressure.
 
-    ``overloaded`` (admission shed) and ``stuck`` (family being restarted)
-    responses carry a ``retry_after`` hint; sleep that long — capped at
+    ``overloaded`` (admission shed) and ``stuck`` (family worker stopped;
+    the next bound re-forks it) responses carry a ``retry_after`` hint;
+    sleep that long — capped at
     ``max_backoff`` so a pathological hint cannot park the client — and try
     again, up to ``attempts`` times. Every other response (including
     ``poisoned``, whose cooldown is typically much longer than a client

@@ -1,21 +1,23 @@
 """The asyncio serve daemon: persistent solving over a unix socket.
 
-One process, three execution lanes:
+Protocol work (accept, parse, cache lookups) stays on the event loop; every
+solve runs elsewhere, driven from a thread-pool slot so the loop never
+blocks:
 
-* protocol work (accept, parse, cache lookups) stays on the event loop;
 * generic ``solve`` requests run through :func:`repro.evalx.parallel.
   run_tasks` with ``jobs=2`` — i.e. in a forked, fault-isolated worker
   shard with the wall-timeout/SIGTERM/checkpoint machinery the batch
-  harness already has — driven from a thread-pool slot so the loop never
-  blocks;
-* ``smv-diameter`` requests run in-process (each family on its own
-  single-thread executor, serialized per model family by an asyncio lock)
-  so the family's :class:`~repro.incremental.IncrementalSolver` keeps its
-  learned constraints between bounds.
+  harness already has;
+* ``smv-diameter`` requests run on their model family's one persistent
+  :class:`~repro.evalx.parallel.WorkerPool` worker, which holds the
+  family's encoder and :class:`~repro.incremental.IncrementalSolver`, so
+  learned constraints carry from bound to bound; an asyncio lock per
+  family serializes its bounds.
 
+``cube-solve`` requests fan out through :func:`repro.cube.run_cube` and
 ``portfolio`` requests race QUBE(TO) against QUBE(PO) via
-:func:`repro.portfolio.race`. A malformed ``engine`` on any solving kind
-comes back as a structured protocol error before any worker is spawned.
+:func:`repro.portfolio.race`. A malformed ``engine`` or ``strategy`` comes
+back as a structured protocol error before any worker is spawned.
 
 Between the protocol and those lanes sits the supervision layer
 (:mod:`repro.serve.supervisor`):
@@ -24,17 +26,16 @@ Between the protocol and those lanes sits the supervision layer
   in-flight budget it gets a structured ``overloaded`` error with a
   ``retry_after`` hint instead of queueing unboundedly;
 * every task key and SMV family has a *circuit breaker* — after
-  repeated crash/hang/memout outcomes the key trips open and requests
-  for it get an immediate structured ``poisoned`` error carrying the
-  last failure, until a cooldown lets a half-open probe through;
+  repeated crash/hang/memout/stuck outcomes the key trips open and
+  requests for it get an immediate structured ``poisoned`` error carrying
+  the last failure, until a cooldown lets a half-open probe through;
 * worker memory blowups come back as ``memout`` records (the daemon's
-  ``--mem-limit`` threads ``RLIMIT_AS`` into every forked worker of the
-  solve, cube-solve and portfolio lanes) instead of host-level OOM kills;
-* a wedged family solver is detected (the solve outlives its deadline by
-  a grace), abandoned, and its family restarted with exponential backoff
-  — requests arriving during the backoff *degrade* to one-shot scratch
-  solves rather than erroring, as do cube solves whose worker pool died
-  under them.
+  ``--mem-limit`` threads ``RLIMIT_AS`` into every forked worker, family
+  workers included) instead of host-level OOM kills;
+* a family solve that outlives its deadline by a grace has its worker
+  signalled by the pool and answers ``stuck``; the family's next bound
+  re-forks the worker, cold. A cube solve whose worker pool died under it
+  degrades to a one-shot scratch solve.
 
 Verdicts are cached by the :meth:`repro.evalx.parallel.Task.key`
 fingerprint triple and persisted to a :class:`~repro.evalx.parallel.
@@ -46,12 +47,13 @@ so a transient failure can never be replayed as an answer.
 
 Shutdown follows the repository's preemption path: SIGTERM/SIGINT set
 :func:`repro.robustness.interrupt.global_flag`, which every in-process
-solve polls, and wake the accept loop; in-flight requests drain (possibly
+solve polls and every family wait turns into a cancel of its worker, and
+stop the accept loop; the requests already read are answered (possibly
 with ``interrupted`` UNKNOWN verdicts, which are never cached), then the
-socket is removed and the process exits 0. A daemon killed *without* that
-grace (SIGKILL, OOM) leaves its socket file behind; the next daemon
-probes the stale path, sees the connection refused, and unlinks it before
-binding (:func:`claim_socket_path`).
+workers stop, the socket is removed and the process exits 0. A daemon
+killed *without* that grace (SIGKILL, OOM) leaves its socket file behind;
+the next daemon probes the stale path, sees the connection refused, and
+unlinks it before binding (:func:`claim_socket_path`).
 """
 
 from __future__ import annotations
@@ -65,15 +67,17 @@ import stat
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.result import Outcome
 from repro.evalx.parallel import (
+    Job,
     Record,
     ResultsLog,
     STATUS_MEMOUT,
     STATUS_OK,
     Task,
+    WorkerPool,
     measurement_to_dict,
     run_tasks,
 )
@@ -93,6 +97,7 @@ from repro.serve.protocol import (
     parse_deadline,
     parse_engine,
     parse_flag,
+    parse_strategy,
     poisoned_response,
     validate_smv_request,
 )
@@ -103,7 +108,7 @@ from repro.serve.supervisor import (
 )
 from repro.smv.incremental import DiameterFamily
 
-#: solver label recorded on in-process incremental smv runs.
+#: solver label recorded on incremental smv runs.
 SMV_SOLVER_LABEL = "INC(stable)"
 
 #: asyncio stream limit per request line: the formula byte cap plus JSON
@@ -118,11 +123,15 @@ SOLVE_KINDS = ("solve", "smv-diameter", "cube-solve", "portfolio")
 #: default bound on admitted-but-unfinished solve-lane requests.
 DEFAULT_MAX_INFLIGHT = 16
 
-#: seconds past its deadline an in-process family solve may run before the
-#: daemon declares it stuck and abandons it (the engine polls its wall
-#: budget, so a healthy solve lands within the deadline; only a wedged one
-#: eats the grace too).
-DEFAULT_STUCK_GRACE = 2.0
+#: seconds past its deadline a family solve may run before the pool
+#: SIGTERMs its worker (the engine polls its wall budget, so a healthy
+#: solve lands within the deadline; only a wedged one eats the grace too).
+#: A worker that does not report then is SIGKILLed ``term_grace`` later,
+#: so ``stuck`` comes at most this plus ``term_grace`` past the deadline.
+_STUCK_GRACE = 2.0
+
+#: seconds between the family wait's looks at the daemon's interrupt flag.
+_INTERRUPT_POLL = 0.05
 
 
 def claim_socket_path(path: str) -> None:
@@ -167,28 +176,56 @@ def claim_socket_path(path: str) -> None:
         probe.close()
 
 
-class _Family:
-    """One model family's persistent encoder + incremental solver.
+class _FamilySolver:
+    """Pool body of a family worker: one bound per job.
 
-    The family owns a dedicated single-thread executor so that a wedged
-    solve can be *abandoned*: the daemon stops waiting, drops the whole
-    family (executor included), and a fresh one is built after the restart
-    backoff. The orphaned thread finishes or exits on the interrupt flag;
-    it just no longer has a family to poison.
+    The worker builds the family's encoder and incremental solver on its
+    first bound and keeps them, so learned constraints carry to the next
+    bound. A re-forked worker starts from the daemon's unbuilt copy: its
+    first bound is a cold solve.
     """
 
-    def __init__(self, model, config=None):
+    def __init__(self, model):
         self.model = model
-        self.encoder = DiameterFamily(model)
-        self.solver = IncrementalSolver(config)
+        self.encoder: Optional[DiameterFamily] = None
+        self.solver: Optional[IncrementalSolver] = None
+
+    def __call__(self, work):
+        n, config, stall = work
+        if stall:
+            # Injected wedge: a solve that stopped polling its budget. Only
+            # the pool's SIGTERM -> grace -> SIGKILL escalation ends it early.
+            time.sleep(stall)
+        if self.solver is None:
+            self.encoder = DiameterFamily(self.model)
+            self.solver = IncrementalSolver()
+        incremental = self.solver.solves > 0
+        self.solver.config = config
+        self.solver.load(self.encoder.formula(n))
+        result = self.solver.solve(interrupt=global_flag())
+        retained = self.solver.last_retained_clauses + self.solver.last_retained_cubes
+        return result, incremental, retained
+
+
+class _Family:
+    """One model family: its persistent worker and the lock that serializes
+    its bounds."""
+
+    def __init__(self, model, mem_limit_mb: Optional[float]):
         self.lock = asyncio.Lock()
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="family-%s" % model.name
+        self.pool = WorkerPool(
+            1, _FamilySolver(model), persistent=True, mem_limit_mb=mem_limit_mb
         )
 
-    def abandon(self) -> None:
-        """Stop feeding the executor; never joins the possibly-stuck thread."""
-        self.executor.shutdown(wait=False)
+    def run(self, work, timeout: float, interrupt: InterruptFlag) -> Job:
+        """Solve one bound in the worker; blocks, so call it from an
+        executor thread. Once ``interrupt`` is set the job is cancelled,
+        and the worker reports an interrupted UNKNOWN."""
+        job = self.pool.submit(work, timeout=timeout)
+        while not self.pool.wait(_INTERRUPT_POLL):
+            if interrupt.is_set():
+                self.pool.cancel(job)
+        return job
 
 
 class ServeDaemon:
@@ -205,15 +242,12 @@ class ServeDaemon:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         failure_threshold: int = 3,
         breaker_cooldown: float = 30.0,
-        restart_backoff: float = 0.5,
-        stuck_grace: float = DEFAULT_STUCK_GRACE,
     ):
         self.socket_path = socket_path
         self.jobs = max(1, jobs)
         self.wall_timeout = wall_timeout
         self.checkpoint_dir = checkpoint_dir
         self.mem_limit_mb = mem_limit_mb
-        self.stuck_grace = stuck_grace
         self._faults = faults
         self._interrupt = interrupt if interrupt is not None else global_flag()
         self._log = (
@@ -226,6 +260,8 @@ class ServeDaemon:
         )
         self._cache_lock = asyncio.Lock()
         self._families: Dict[str, _Family] = {}
+        #: connection tasks between reading a request and writing its answer.
+        self._answering: Set[asyncio.Task] = set()
         self._pool = ThreadPoolExecutor(max_workers=self.jobs)
         self._slots = asyncio.Semaphore(self.jobs)
         # Admission: one total budget, per-kind sub-budgets so one lane
@@ -242,7 +278,6 @@ class ServeDaemon:
             },
             failure_threshold=failure_threshold,
             cooldown=breaker_cooldown,
-            restart_backoff=restart_backoff,
         )
         self.shutdown_event = asyncio.Event()
         self.started = time.monotonic()
@@ -343,7 +378,7 @@ class ServeDaemon:
             solver=str(req.get("solver", mode.upper())),
             formula=formula,
             mode=mode,
-            strategy=str(req.get("strategy", "eu_au")),
+            strategy=parse_strategy(req),
             budget=parse_budget(req.get("budget")),
             overrides=(("engine", engine),) if engine is not None else (),
             certify=parse_flag(req, "certify"),
@@ -380,112 +415,67 @@ class ServeDaemon:
         out["cached"] = False
         return out
 
-    def _stall(self) -> None:
-        """Injected family wedge: a bounded, interrupt-aware busy-wait that
-        stands in for a solver loop that stopped polling its budget."""
-        seconds = self._faults.hang_seconds if self._faults is not None else 0.0
-        end = time.monotonic() + seconds
-        while time.monotonic() < end and not self._interrupt.is_set():
-            time.sleep(0.05)
-
     async def _handle_smv(self, req: Dict[str, object]) -> Dict[str, object]:
         family_name, size, n = validate_smv_request(req)
         from repro.smv.models import model_by_name
 
         model = model_by_name(family_name, size)
         budget = parse_budget(req.get("budget"))
-        # In-process lane: the deadline is enforced cooperatively, as a
-        # wall-seconds budget the engine polls (no worker to kill here).
+        # The deadline binds twice: as a wall-seconds budget the engine
+        # polls (a healthy solve answers ``deadline`` and stays warm), and
+        # as the pool job's hard timeout a grace later (a wedged one is
+        # stopped and answers ``stuck``).
         deadline = self._effective_deadline(req)
         deadline_is_binding = budget.seconds is None or deadline <= budget.seconds
         seconds = deadline if budget.seconds is None else min(budget.seconds, deadline)
         budget = Budget(decisions=budget.decisions, seconds=seconds)
-        breaker = self.supervisor.check(Supervisor.family_breaker_key(model.name))
-        policy = self.supervisor.restart_policy(model.name)
-
+        # The key never reads the formula, so φ_n is encoded only in the
+        # family worker, and a hit waits on neither the breaker nor the lock.
+        task = Task(
+            instance="smv:%s:n=%d" % (model.name, n),
+            solver=SMV_SOLVER_LABEL,
+            formula=None,
+            budget=budget,
+        )
+        cached = self._cache.get(task.key)
+        if cached is not None:
+            self.stats["cache_hits"] += 1
+            return self._cached_response(cached)
+        family_key = Supervisor.family_breaker_key(model.name)
+        breaker = self.supervisor.check(family_key)
         fam = self._families.get(model.name)
         if fam is None:
-            if policy.in_backoff():
-                # Degradation ladder, rung two: the family died recently and
-                # its restart is still backing off — answer from a scratch
-                # solver instead of erroring or restarting too eagerly.
-                return await self._smv_scratch(
-                    model, n, budget, breaker, deadline, deadline_is_binding
-                )
-            fam = _Family(model)
-            self._families[model.name] = fam
-            if policy.deaths > 0:
-                policy.record_restart()
+            fam = self._families[model.name] = _Family(model, self.mem_limit_mb)
 
         loop = asyncio.get_running_loop()
         async with fam.lock:
-            formula = fam.encoder.formula(n)
-            task = self._smv_task(model, n, formula, budget)
+            # A request for the same bound may have solved it while this one
+            # waited on the lock.
             cached = self._cache.get(task.key)
             if cached is not None:
                 self.stats["cache_hits"] += 1
                 return self._cached_response(cached)
-            incremental = fam.solver.solves > 0
-            config = budget.to_config()
-            stall = self._faults is not None and self._faults.stuck_family(
-                "family:%s" % model.name
-            )
-
-            def solve_bound():
-                if stall:
-                    self._stall()
-                fam.solver.config = config
-                fam.solver.load(formula)
-                return fam.solver.solve(interrupt=self._interrupt)
-
-            try:
-                async with self._slots:
-                    result = await asyncio.wait_for(
-                        loop.run_in_executor(fam.executor, solve_bound),
-                        timeout=deadline + self.stuck_grace,
-                    )
-            except asyncio.TimeoutError:
-                # The solve outlived deadline + grace: the family solver is
-                # wedged. Abandon it, enter restart backoff, and tell the
-                # client; the next request gets a scratch solve (backoff)
-                # or a fresh family (after it).
-                fam.abandon()
-                self._families.pop(model.name, None)
-                delay = policy.record_death()
-                self.supervisor.record_outcome(
-                    breaker,
-                    "stuck",
-                    "family solver exceeded its %.1fs deadline by more than "
-                    "%.1fs and was abandoned" % (deadline, self.stuck_grace),
+            stall = 0.0
+            if self._faults is not None and self._faults.stuck_family(family_key):
+                stall = self._faults.hang_seconds
+            work = (n, budget.to_config(), stall)
+            async with self._slots:
+                job = await loop.run_in_executor(
+                    self._pool, fam.run, work, deadline + _STUCK_GRACE, self._interrupt
                 )
-                return {
-                    "ok": False,
-                    "cached": False,
-                    "status": "stuck",
-                    "error": "smv family solver is stuck; family restarted "
-                    "with %.2fs backoff" % delay,
-                    "retry_after": round(delay, 2),
-                    "protocol": PROTOCOL_VERSION,
-                }
-            except Exception as exc:
-                # An in-process crash kills the family's solver state too:
-                # same recovery path as a wedge, minus the orphaned thread.
-                self._families.pop(model.name, None)
-                fam.abandon()
-                policy.record_death()
-                self.supervisor.record_outcome(breaker, "crash", str(exc))
-                raise
+        if job.timed_out or job.status != STATUS_OK:
+            return self._smv_failure(job, breaker, deadline)
+        result, incremental, retained = job.result
         self.stats["solves"] += 1
         if incremental:
             self.stats["incremental_solves"] += 1
-        retained = fam.solver.last_retained_clauses + fam.solver.last_retained_cubes
         cut = self._smv_deadline_cut(result, budget, deadline, deadline_is_binding)
         if cut is not None:
             return cut
         self.supervisor.record_outcome(breaker, STATUS_OK)
-        if policy.deaths > 0:
-            policy.record_recovery()
-        await self._cache_smv(task, result)
+        if result.outcome is not Outcome.UNKNOWN:
+            m = Measurement.from_result(task.instance, task.solver, result)
+            await self._cache_put(Record.of(task, STATUS_OK, measurement=m))
         return {
             "ok": True,
             "cached": False,
@@ -498,18 +488,33 @@ class ServeDaemon:
             "protocol": PROTOCOL_VERSION,
         }
 
-    @staticmethod
-    def _smv_task(model, n: int, formula, budget: Budget) -> Task:
-        return Task(
-            instance="smv:%s:n=%d" % (model.name, n),
-            solver=SMV_SOLVER_LABEL,
-            formula=formula,
-            budget=budget,
-        )
+    def _smv_failure(self, job: Job, breaker, deadline: float) -> Dict[str, object]:
+        """The structured answer of a family job that did not report a
+        solve: ``stuck`` when the pool had to signal it at its timeout,
+        else the pool's status (``crash``, ``memout``, or ``cancelled`` when
+        a shutdown's cancel had to kill it). The worker is gone either way,
+        so the family's next bound re-forks it."""
+        out: Dict[str, object] = {"ok": False, "cached": False}
+        if job.timed_out:
+            out["status"] = "stuck"
+            out["error"] = (
+                "smv family solver exceeded its %.1fs deadline by more than "
+                "%.1fs and was stopped; the next bound restarts the family"
+                % (deadline, _STUCK_GRACE)
+            )
+            out["retry_after"] = 0
+        else:
+            out["status"] = job.status
+            out["error"] = "smv family worker failed: %s" % (
+                str(job.result).strip().splitlines()[-1]
+            )
+        self.supervisor.record_outcome(breaker, out["status"], out["error"])
+        out["protocol"] = PROTOCOL_VERSION
+        return out
 
     @staticmethod
     def _smv_deadline_cut(
-        result, budget: Budget, deadline: float, deadline_is_binding: bool, **extra
+        result, budget: Budget, deadline: float, deadline_is_binding: bool
     ) -> Optional[Dict[str, object]]:
         """The structured ``deadline`` failure of an smv solve, or None.
 
@@ -534,57 +539,6 @@ class ServeDaemon:
             "decisions": result.stats.decisions,
             "seconds": result.seconds,
             "interrupted": False,
-            **extra,
-            "protocol": PROTOCOL_VERSION,
-        }
-
-    async def _cache_smv(self, task: Task, result) -> None:
-        """Cache a determinate smv verdict under ``task``'s key."""
-        if result.outcome is not Outcome.UNKNOWN:
-            m = Measurement.from_result(task.instance, task.solver, result)
-            await self._cache_put(Record.of(task, STATUS_OK, measurement=m))
-
-    async def _smv_scratch(
-        self, model, n, budget, breaker, deadline, deadline_is_binding
-    ) -> Dict[str, object]:
-        """Degraded smv path: a throwaway encoder + solver on the shared
-        pool; no retained constraints, but a real verdict."""
-        encoder = DiameterFamily(model)
-        formula = encoder.formula(n)
-        task = self._smv_task(model, n, formula, budget)
-        cached = self._cache.get(task.key)
-        if cached is not None:
-            self.stats["cache_hits"] += 1
-            return self._cached_response(cached)
-        solver = IncrementalSolver(budget.to_config())
-        interrupt = self._interrupt
-
-        def solve_scratch():
-            solver.load(formula)
-            return solver.solve(interrupt=interrupt)
-
-        loop = asyncio.get_running_loop()
-        async with self._slots:
-            result = await loop.run_in_executor(self._pool, solve_scratch)
-        self.stats["solves"] += 1
-        self.supervisor.note_degraded()
-        cut = self._smv_deadline_cut(
-            result, budget, deadline, deadline_is_binding, degraded=True
-        )
-        if cut is not None:
-            return cut
-        self.supervisor.record_outcome(breaker, STATUS_OK)
-        await self._cache_smv(task, result)
-        return {
-            "ok": True,
-            "cached": False,
-            "incremental": False,
-            "retained": 0,
-            "degraded": True,
-            "outcome": result.outcome.value,
-            "decisions": result.stats.decisions,
-            "seconds": result.seconds,
-            "interrupted": result.interrupted,
             "protocol": PROTOCOL_VERSION,
         }
 
@@ -714,6 +668,7 @@ class ServeDaemon:
         formula = self._parse_formula(req)
         deadline = self._effective_deadline(req)
         engine = parse_engine(req)
+        strategy = parse_strategy(req)
         jobs = req.get("jobs", 2)
         if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
             raise ProtocolError("portfolio jobs must be a positive integer")
@@ -737,7 +692,7 @@ class ServeDaemon:
                     instance=str(req.get("instance", "serve")),
                     budget=budget,
                     jobs=jobs,
-                    strategy=str(req.get("strategy", "eu_au")),
+                    strategy=strategy,
                     engine=engine or "counters",
                     run_all=run_all,
                     wall_timeout=deadline,
@@ -778,7 +733,13 @@ class ServeDaemon:
                 ok=True,
                 uptime=time.monotonic() - self.started,
                 cache_size=len(self._cache),
-                supervisor=self.supervisor.snapshot(),
+                supervisor=dict(
+                    self.supervisor.snapshot(),
+                    # every fork after a family's first replaced a worker
+                    family_restarts=sum(
+                        max(0, fam.pool.forks - 1) for fam in self._families.values()
+                    ),
+                ),
                 protocol=PROTOCOL_VERSION,
             )
             return out
@@ -797,6 +758,8 @@ class ServeDaemon:
         handler = handlers.get(kind)
         if handler is None:
             raise ProtocolError("unknown request kind %r" % (kind,))
+        if self.shutdown_event.is_set():
+            raise ProtocolError("daemon is shutting down")
         # Admission first: over-budget requests are shed with a hint, not
         # queued — the only waiting after this point is on the bounded
         # executor slots. Sheds and poisoned refusals are deliberate
@@ -813,6 +776,32 @@ class ServeDaemon:
             release()
 
     # -- server loop -------------------------------------------------------
+
+    async def _respond(self, line: bytes) -> Dict[str, object]:
+        """The response to one request line; every failure is structured."""
+        request_id = None
+        try:
+            req = json.loads(line)
+            if not isinstance(req, dict):
+                raise ProtocolError("request must be a JSON object")
+            request_id = req.get("id")
+            response = await self.dispatch(req)
+        except (ProtocolError, ValueError) as exc:
+            self.stats["errors"] += 1
+            response = error_response(str(exc), request_id)
+        except Exception as exc:
+            # Handler bug or resource failure: the client still gets a
+            # structured error, never a silently dropped connection; the
+            # traceback goes to the daemon's log.
+            self.stats["errors"] += 1
+            traceback.print_exc()
+            response = error_response(
+                "internal error: %s: %s" % (type(exc).__name__, exc),
+                request_id,
+            )
+        if request_id is not None and "id" not in response:
+            response["id"] = request_id
+        return response
 
     async def _handle_conn(self, reader, writer) -> None:
         try:
@@ -836,30 +825,14 @@ class ServeDaemon:
                 if not line:
                     break
                 self.stats["requests"] += 1
-                request_id = None
+                task = asyncio.current_task()
+                self._answering.add(task)
                 try:
-                    req = json.loads(line)
-                    if not isinstance(req, dict):
-                        raise ProtocolError("request must be a JSON object")
-                    request_id = req.get("id")
-                    response = await self.dispatch(req)
-                except (ProtocolError, ValueError) as exc:
-                    self.stats["errors"] += 1
-                    response = error_response(str(exc), request_id)
-                except Exception as exc:
-                    # Handler bug or resource failure: the client still gets
-                    # a structured error, never a silently dropped
-                    # connection; the traceback goes to the daemon's log.
-                    self.stats["errors"] += 1
-                    traceback.print_exc()
-                    response = error_response(
-                        "internal error: %s: %s" % (type(exc).__name__, exc),
-                        request_id,
-                    )
-                if request_id is not None and "id" not in response:
-                    response["id"] = request_id
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
+                    response = await self._respond(line)
+                    writer.write((json.dumps(response) + "\n").encode("utf-8"))
+                    await writer.drain()
+                finally:
+                    self._answering.discard(task)
         finally:
             writer.close()
             try:
@@ -873,18 +846,28 @@ class ServeDaemon:
             self._handle_conn, path=self.socket_path, limit=_STREAM_LIMIT
         )
         try:
-            async with server:
-                await self.shutdown_event.wait()
+            await self.shutdown_event.wait()
+            # Stop accepting, then answer every request already read before
+            # any worker stops. Server.wait_closed() cannot be the drain:
+            # what it waits for differs between Python versions.
+            server.close()
+            while self._answering:
+                await asyncio.wait(set(self._answering))
         finally:
-            self._pool.shutdown(wait=True)
-            for fam in self._families.values():
-                fam.abandon()
-            if self._log is not None:
-                self._log.close()
+            server.close()
+            self.close()
             try:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
+
+    def close(self) -> None:
+        """Stop the executor and every family worker; close the cache log."""
+        self._pool.shutdown(wait=True)
+        for fam in self._families.values():
+            fam.pool.close()
+        if self._log is not None:
+            self._log.close()
 
 
 def run_daemon(

@@ -23,8 +23,8 @@ one JSON response line. ``kind`` selects the handler:
 ``smv-diameter``
     one bound of a model family's diameter sweep: ``family``, ``size``
     (an integer up to :data:`MAX_SMV_SIZE`), ``n``, optional ``budget``.
-    Solved in-process on the family's persistent incremental solver. A
-    bound whose formula φ_n would exceed :data:`MAX_CLAUSES` or
+    Solved in the family's persistent worker process, on its incremental
+    solver. A bound whose formula φ_n would exceed :data:`MAX_CLAUSES` or
     :data:`MAX_VARS` is a structured protocol error, decided before φ_n is
     encoded.
 ``cube-solve``
@@ -37,8 +37,11 @@ one JSON response line. ``kind`` selects the handler:
 
 The ``engine`` field of ``solve``, ``portfolio`` and ``cube-solve`` names a
 propagation backend from :data:`repro.core.engine.config.ENGINES` (aliases
-included); absent, the kind's default applies. Any other value is a
-structured protocol error, never an attempted solve.
+included); absent, the kind's default applies. The ``strategy`` field of
+``solve`` and ``portfolio`` names a prenexing strategy from
+:data:`repro.prenexing.strategies.STRATEGIES` (default ``eu_au``). Any
+other value of either is a structured protocol error, never an attempted
+solve.
 
 Flags (``certify``, ``run_all``) must be JSON booleans. A ``budget`` caps
 ``decisions`` (a positive integer; default 2000, ``null`` for none) and
@@ -58,12 +61,11 @@ Responses always carry ``ok``; successful solve responses add ``outcome``,
 ``decisions``, ``seconds``, ``cached`` (verdict served from the fingerprint
 cache) and — for smv requests — ``incremental`` (the family solver had
 prior state) and ``retained`` (constraints transferred into this solve).
-A response solved on a degradation path (scratch solver while a family
-restarts; one-shot fallback after a crash-degraded cube run) additionally
-carries ``degraded: true``.
+A cube-solve answered by the one-shot fallback after a crash-degraded
+cube run additionally carries ``degraded: true``.
 
 Failure responses are always structured — ``{"ok": false, "status": ...,
-"error": ...}`` — and the supervision layer adds three statuses beyond
+"error": ...}`` — and the supervision layer adds these statuses beyond
 ``deadline``:
 
 ``overloaded``
@@ -78,9 +80,12 @@ Failure responses are always structured — ``{"ok": false, "status": ...,
     ``last_failure`` (``{"status", "error"}`` of the failure that tripped
     the breaker).
 ``memout`` / ``stuck``
-    the worker breached its ``--mem-limit`` address-space ceiling, or an
-    in-process family solve outlived its deadline and was abandoned (the
-    family restarts with backoff; ``retry_after`` rides along).
+    the worker breached its ``--mem-limit`` address-space ceiling, or a
+    family solve outlived its deadline by a grace and the pool stopped its
+    worker. ``stuck`` carries ``retry_after: 0``: the family's next bound
+    re-forks the worker at once, and solves cold.
+``crash``
+    a family worker died or raised instead of reporting its solve.
 """
 
 from __future__ import annotations
@@ -92,6 +97,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.engine.config import ENGINES
 from repro.core.formula import QBF
 from repro.evalx.runner import Budget
+from repro.prenexing.strategies import STRATEGIES
 
 #: bumped when a response field changes meaning; echoed on every response.
 PROTOCOL_VERSION = 1
@@ -172,6 +178,16 @@ def parse_engine(req: Dict[str, object]) -> Optional[str]:
             "unknown engine %r (choose from %s)" % (engine, list(ENGINES))
         )
     return engine
+
+
+def parse_strategy(req: Dict[str, object]) -> str:
+    """The request's prenexing strategy; ``eu_au`` when it names none."""
+    strategy = req.get("strategy", "eu_au")
+    if not isinstance(strategy, str) or strategy not in STRATEGIES:
+        raise ProtocolError(
+            "unknown strategy %r (choose from %s)" % (strategy, list(STRATEGIES))
+        )
+    return strategy
 
 
 def parse_deadline(req: Dict[str, object]) -> float:

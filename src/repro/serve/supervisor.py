@@ -1,9 +1,9 @@
 """Supervision layer between the serve daemon and its execution backends.
 
 The daemon (:mod:`repro.serve.daemon`) trusts nothing below it to behave:
-workers crash, hang, and OOM; family solvers wedge; cache appends tear.
-This module is the policy brain that keeps the *serving path* alive through
-all of that, in four pieces the daemon composes:
+workers crash, hang, wedge and OOM; cache appends tear. This module is the
+policy brain that keeps the *serving path* alive through all of that, in
+three pieces the daemon composes:
 
 * :class:`AdmissionController` — a bounded in-flight request budget with
   per-kind concurrency limits. Admission is grant-or-shed, never queue:
@@ -16,14 +16,9 @@ all of that, in four pieces the daemon composes:
   structured ``poisoned`` error carrying the last failure, with no worker
   spawned. After ``cooldown`` seconds the breaker goes half-open and lets
   exactly one probe through: success closes it, failure re-opens it.
-* :class:`RestartPolicy` — exponential backoff for restarting a
-  repeatedly-dying persistent family solver; while a family is in backoff
-  the daemon degrades its requests to one-shot scratch solves instead of
-  erroring.
 * :class:`Supervisor` — the bundle the daemon owns: one admission
-  controller, one breaker board, per-family restart policies, and the
-  degradation counters, with a single ``snapshot()`` merged into the
-  daemon's ``stats`` response.
+  controller, one breaker board and the degradation counters, with a
+  single ``snapshot()`` merged into the daemon's ``stats`` response.
 
 Everything takes an injectable ``clock`` so the state machines are tested
 with a fake clock instead of sleeps.
@@ -43,9 +38,6 @@ HALF_OPEN = "half-open"
 DEFAULT_FAILURE_THRESHOLD = 3
 #: seconds an open breaker waits before allowing a half-open probe.
 DEFAULT_COOLDOWN = 30.0
-#: family-restart backoff: base seconds, doubling per consecutive death.
-DEFAULT_RESTART_BACKOFF = 0.5
-DEFAULT_RESTART_BACKOFF_MAX = 60.0
 
 
 class OverloadedError(Exception):
@@ -262,49 +254,6 @@ class BreakerBoard:
         }
 
 
-class RestartPolicy:
-    """Exponential restart backoff for a persistent in-process solver.
-
-    Each :meth:`record_death` doubles the backoff (capped); while
-    :meth:`in_backoff` the owner should serve degraded (scratch) and *not*
-    restart. :meth:`record_recovery` resets after a successful solve on
-    the restarted instance.
-    """
-
-    def __init__(
-        self,
-        base: float = DEFAULT_RESTART_BACKOFF,
-        cap: float = DEFAULT_RESTART_BACKOFF_MAX,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.base = base
-        self.cap = cap
-        self._clock = clock
-        self.deaths = 0
-        self.restarts = 0
-        self._blocked_until = 0.0
-
-    def record_death(self) -> float:
-        """Note a death; returns the backoff before the next restart."""
-        delay = min(self.cap, self.base * (2.0 ** self.deaths))
-        self.deaths += 1
-        self._blocked_until = self._clock() + delay
-        return delay
-
-    def in_backoff(self) -> bool:
-        return self._clock() < self._blocked_until
-
-    def backoff_remaining(self) -> float:
-        return max(0.0, self._blocked_until - self._clock())
-
-    def record_restart(self) -> None:
-        self.restarts += 1
-
-    def record_recovery(self) -> None:
-        self.deaths = 0
-        self._blocked_until = 0.0
-
-
 class Supervisor:
     """The daemon's one-stop supervision bundle."""
 
@@ -319,16 +268,12 @@ class Supervisor:
         kind_limits: Optional[Dict[str, int]] = None,
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         cooldown: float = DEFAULT_COOLDOWN,
-        restart_backoff: float = DEFAULT_RESTART_BACKOFF,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self._clock = clock
         self.admission = AdmissionController(total_limit, kind_limits, clock=clock)
         self.breakers = BreakerBoard(
             failure_threshold=failure_threshold, cooldown=cooldown, clock=clock
         )
-        self.restart_backoff = restart_backoff
-        self._restart_policies: Dict[str, RestartPolicy] = {}
         self.degraded_solves = 0
         self.memouts = 0
         self.poisoned = 0
@@ -370,27 +315,16 @@ class Supervisor:
 
     # -- degradation -------------------------------------------------------
 
-    def restart_policy(self, name: str) -> RestartPolicy:
-        policy = self._restart_policies.get(name)
-        if policy is None:
-            policy = RestartPolicy(base=self.restart_backoff, clock=self._clock)
-            self._restart_policies[name] = policy
-        return policy
-
     def note_degraded(self) -> None:
         self.degraded_solves += 1
 
     # -- reporting ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        restarts = sum(p.restarts for p in self._restart_policies.values())
-        deaths = sum(p.deaths for p in self._restart_policies.values())
         return {
             "admission": self.admission.snapshot(),
             "breakers": self.breakers.snapshot(),
             "degraded_solves": self.degraded_solves,
             "memouts": self.memouts,
             "poisoned": self.poisoned,
-            "family_restarts": restarts,
-            "family_deaths_pending": deaths,
         }

@@ -108,6 +108,14 @@ def test_budget_exhaustion_reports_unknown_not_wrong():
     assert report.outcome in (expected, Outcome.UNKNOWN)
 
 
+def test_sequential_run_stops_at_its_wall_timeout():
+    # About 9000 decisions with no budget: seconds, well past the timeout.
+    formula = diameter_qbf(model_by_name("counter", 3), 8, form="tree")
+    report = run_cube(formula, jobs=1, wall_timeout=0.3)
+    assert report.outcome is Outcome.UNKNOWN and not report.interrupted
+    assert report.seconds < 1.5
+
+
 def _fail_first_attempt(marker, how, real):
     """A cube body whose first cube attempt anywhere fails, once: the
     marker file is claimed atomically, so exactly one worker fails."""

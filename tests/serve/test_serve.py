@@ -13,10 +13,13 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from repro.io import qtree
+from repro.robustness.interrupt import InterruptFlag
 from repro.serve.client import request, wait_ready
 from repro.serve.daemon import ServeDaemon
 from repro.serve.protocol import (
@@ -28,23 +31,28 @@ from repro.serve.protocol import (
     parse_flag,
     validate_smv_request,
 )
+from repro.smv.diameter import diameter_qbf
 from repro.smv.incremental import DiameterFamily
 from repro.smv.models import model_by_name
+
+
+def _start_daemon(socket_path, cache_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [env.get("PYTHONPATH"), os.path.join(os.getcwd(), "src")] if p
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "run",
+         "--socket", socket_path, "--cache", cache_path],
+        env=env,
+    )
 
 
 @pytest.fixture
 def daemon(tmp_path):
     socket_path = str(tmp_path / "serve.sock")
     cache_path = str(tmp_path / "cache.jsonl")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in [env.get("PYTHONPATH"), os.path.join(os.getcwd(), "src")] if p
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "run",
-         "--socket", socket_path, "--cache", cache_path],
-        env=env,
-    )
+    proc = _start_daemon(socket_path, cache_path)
     try:
         wait_ready(socket_path, timeout=60.0)
         yield proc, socket_path, cache_path
@@ -113,6 +121,118 @@ def test_serve_generic_solve_and_error_paths(daemon):
         socket_path, {"kind": "solve", "formula": "p cnf oops\n", "id": 7}
     )
     assert not malformed["ok"] and malformed["id"] == 7
+
+
+def _children(pid):
+    """Live (non-zombie) child processes of ``pid``, read from /proc."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open("/proc/%s/stat" % entry) as handle:
+                    state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+            except OSError:
+                continue
+            if int(ppid) == pid and state != "Z":
+                kids.append(int(entry))
+    return kids
+
+
+def _alive(pid):
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _sigterm_mid_request(proc, socket_path, payload):
+    """Send ``payload``, SIGTERM the daemon once it has forked a worker for
+    it, and return (reply or None, the worker pids, seconds to exit)."""
+    replies = []
+    client = threading.Thread(
+        target=lambda: replies.append(request(socket_path, payload, timeout=60.0))
+    )
+    client.start()
+    end = time.monotonic() + 30.0
+    workers = _children(proc.pid)
+    while not workers and time.monotonic() < end:
+        time.sleep(0.02)
+        workers = _children(proc.pid)
+    assert workers, "the daemon forked no worker for the request"
+    start = time.monotonic()
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=60.0) == 0
+    exit_seconds = time.monotonic() - start
+    client.join(timeout=30.0)
+    return (replies[0] if replies else None), workers, exit_seconds
+
+
+def test_sigterm_answers_a_solve_already_read(daemon):
+    proc, socket_path, _ = daemon
+    phi = diameter_qbf(model_by_name("counter", 3), 7, form="tree")
+    reply, _, _ = _sigterm_mid_request(proc, socket_path, {
+        "kind": "solve", "format": "qtree", "formula": qtree.dumps(phi),
+        "budget": {"decisions": None}, "deadline": 60.0,
+    })
+    # The forked solve is not interrupted; the daemon waits for its verdict
+    # and writes it before exiting.
+    assert reply is not None, "the daemon exited without answering"
+    assert reply["ok"] and reply["outcome"] == "false"
+
+
+def test_sigterm_interrupts_an_smv_solve_and_stops_its_worker(daemon):
+    proc, socket_path, cache_path = daemon
+    reply, workers, exit_seconds = _sigterm_mid_request(proc, socket_path, {
+        "kind": "smv-diameter", "family": "semaphore", "size": 3, "n": 3,
+        "budget": {"decisions": None}, "deadline": 60.0,
+    })
+    assert reply is not None, "the daemon exited without answering"
+    assert reply["ok"] and reply["outcome"] == "unknown"
+    assert reply["interrupted"] is True
+    assert exit_seconds < 5.0  # the cold solve takes over 15 s on a 2-vCPU host
+    assert not [pid for pid in workers if _alive(pid)]
+    # An interrupted UNKNOWN is never cached.
+    if os.path.exists(cache_path):
+        with open(cache_path) as handle:
+            assert "semaphore3" not in handle.read()
+
+
+def test_sigkill_leaves_no_family_worker_and_a_reclaimable_socket(daemon, tmp_path):
+    proc, socket_path, _ = daemon
+    for family in ("counter", "semaphore"):
+        reply = request(socket_path, {"kind": "smv-diameter", "family": family, "size": 2, "n": 0})
+        assert reply["ok"] and not reply["cached"]
+    workers = _children(proc.pid)
+    assert len(workers) == 2  # one idle persistent worker per family
+    proc.kill()
+    proc.wait(timeout=30.0)
+    end = time.monotonic() + 10.0
+    while any(_alive(pid) for pid in workers) and time.monotonic() < end:
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if _alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors
+    # No orphan holds the listening socket: a new daemon claims the stale
+    # path instead of finding "a daemon already listening".
+    successor = _start_daemon(socket_path, str(tmp_path / "successor.jsonl"))
+    try:
+        wait_ready(socket_path, timeout=60.0)
+        assert request(socket_path, {"kind": "ping"})["pong"]
+    finally:
+        successor.send_signal(signal.SIGTERM)
+        assert successor.wait(timeout=30.0) == 0
+
+
+def test_requests_read_after_shutdown_start_no_solve(tmp_path):
+    daemon = ServeDaemon(str(tmp_path / "unused.sock"), jobs=1, interrupt=InterruptFlag())
+    daemon.shutdown_event.set()
+    req = {"kind": "solve", "formula": "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"}
+    with pytest.raises(ProtocolError, match="shutting down"):
+        asyncio.run(daemon.dispatch(req))
+    assert asyncio.run(daemon.dispatch({"kind": "ping"}))["pong"]
+    assert daemon.stats["solves"] == 0
 
 
 def test_oversized_smv_bound_is_refused_and_the_daemon_stays_up(daemon):

@@ -15,6 +15,7 @@ import pytest
 from repro.core.formula import QBF
 from repro.core.literals import EXISTS, FORALL
 from repro.core.prefix import Prefix
+from repro.io import qtree
 from repro.serve.client import request, wait_ready
 from repro.serve.protocol import (
     DEFAULT_DEADLINE_SECONDS,
@@ -25,6 +26,8 @@ from repro.serve.protocol import (
     check_formula_size,
     parse_deadline,
 )
+from repro.smv.diameter import diameter_qbf
+from repro.smv.models import model_by_name
 
 
 @pytest.fixture
@@ -138,3 +141,17 @@ def test_bad_deadline_and_expired_deadline_are_structured(daemon):
     assert proc.poll() is None
     alive = request(socket_path, {"kind": "ping"})
     assert alive["ok"]
+
+
+def test_sequential_cube_solve_answers_deadline(daemon):
+    _, socket_path = daemon
+    # About 9000 decisions with no budget: seconds, well past the deadline.
+    phi = diameter_qbf(model_by_name("counter", 3), 8, form="tree")
+    out = request(
+        socket_path,
+        {"kind": "cube-solve", "formula": qtree.dumps(phi), "format": "qtree",
+         "jobs": 1, "deadline": 0.3},
+    )
+    assert not out["ok"] and out["status"] == "deadline", out
+    assert out["outcome"] == "unknown" and not out["interrupted"]
+    assert out["seconds"] < 1.5

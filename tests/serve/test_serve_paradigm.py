@@ -1,4 +1,5 @@
-"""Serve daemon request fields: the portfolio kind and engine validation."""
+"""Serve daemon request fields: the portfolio kind, engine and strategy
+validation."""
 
 import os
 import signal
@@ -50,6 +51,30 @@ def test_bad_engine_is_refused_before_any_worker(daemon):
             socket_path, {"kind": kind, "formula": QD, "engine": "magic"}
         )
         assert not out["ok"] and "unknown engine" in out["error"], (kind, out)
+        stats = request(socket_path, {"kind": "stats"})
+        assert stats["solves"] == 0, kind
+        assert stats["supervisor"]["breakers"]["tracked"] == 0, kind
+
+
+def test_parse_strategy_validation():
+    from repro.serve.protocol import parse_strategy
+
+    assert parse_strategy({}) == "eu_au"
+    for name in ("eu_au", "eu_ad", "ed_au", "ed_ad"):
+        assert parse_strategy({"strategy": name}) == name
+    for bad in ("bogus", "EU_AU", 7, None, ["eu_au"]):
+        with pytest.raises(ProtocolError, match="unknown strategy"):
+            parse_strategy({"strategy": bad})
+
+
+def test_bad_strategy_is_refused_before_any_worker(daemon):
+    _, socket_path = daemon
+    for kind in ("solve", "portfolio"):
+        out = request(
+            socket_path,
+            {"kind": kind, "formula": QD, "mode": "to", "strategy": "bogus"},
+        )
+        assert not out["ok"] and "unknown strategy" in out["error"], (kind, out)
         stats = request(socket_path, {"kind": "stats"})
         assert stats["solves"] == 0, kind
         assert stats["supervisor"]["breakers"]["tracked"] == 0, kind

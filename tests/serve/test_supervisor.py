@@ -1,5 +1,5 @@
-"""Unit tests for the supervision layer: admission, breakers, restart
-backoff, socket claiming, and the cache's ok-only gate.
+"""Unit tests for the supervision layer: admission, breakers, socket
+claiming, and the cache's ok-only gate.
 
 Every state machine takes an injectable clock, so nothing here sleeps.
 """
@@ -23,7 +23,6 @@ from repro.serve.supervisor import (
     CircuitBreaker,
     OverloadedError,
     PoisonedError,
-    RestartPolicy,
     Supervisor,
 )
 
@@ -180,34 +179,6 @@ class TestCircuitBreaker:
         assert snap["open_keys"] == ["task:bad"]
 
 
-# -- restart backoff ---------------------------------------------------------
-
-
-class TestRestartPolicy:
-    def test_backoff_doubles_and_caps(self):
-        policy = RestartPolicy(base=0.5, cap=4.0, clock=FakeClock())
-        delays = [policy.record_death() for _ in range(5)]
-        assert delays == [0.5, 1.0, 2.0, 4.0, 4.0]
-
-    def test_in_backoff_follows_the_clock(self):
-        clock = FakeClock()
-        policy = RestartPolicy(base=2.0, clock=clock)
-        policy.record_death()
-        assert policy.in_backoff()
-        assert policy.backoff_remaining() == pytest.approx(2.0)
-        clock.advance(2.0)
-        assert not policy.in_backoff()
-
-    def test_recovery_resets_the_ladder(self):
-        clock = FakeClock()
-        policy = RestartPolicy(base=0.5, clock=clock)
-        policy.record_death()
-        policy.record_death()
-        policy.record_recovery()
-        assert not policy.in_backoff()
-        assert policy.record_death() == 0.5  # back to the base delay
-
-
 # -- supervisor bundle -------------------------------------------------------
 
 
@@ -233,16 +204,6 @@ class TestSupervisor:
         assert snap["memouts"] == 1
         assert snap["poisoned"] == 1
         assert snap["breakers"]["open"] == 1
-
-    def test_restart_policies_feed_snapshot(self):
-        sup = Supervisor(total_limit=4, clock=FakeClock())
-        policy = sup.restart_policy("counter")
-        policy.record_death()
-        policy.record_restart()
-        assert sup.restart_policy("counter") is policy
-        snap = sup.snapshot()
-        assert snap["family_restarts"] == 1
-        assert snap["family_deaths_pending"] == 1
 
 
 # -- stale socket claiming ---------------------------------------------------

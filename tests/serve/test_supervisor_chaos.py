@@ -15,10 +15,14 @@ Every dispatch is wrapped in ``asyncio.wait_for`` so a supervision bug
 shows up as a test failure, not a wedged test run.
 """
 
+import ast
 import asyncio
+import os
+import resource
 
 import pytest
 
+from repro.incremental import IncrementalSolver
 from repro.robustness.faults import FaultPlan
 from repro.robustness.interrupt import InterruptFlag
 from repro.serve.daemon import ServeDaemon
@@ -40,8 +44,6 @@ def make_daemon(tmp_path, faults=None, **kwargs):
     kwargs.setdefault("max_inflight", 4)
     kwargs.setdefault("failure_threshold", 2)
     kwargs.setdefault("breaker_cooldown", 300.0)
-    kwargs.setdefault("restart_backoff", 60.0)
-    kwargs.setdefault("stuck_grace", 0.2)
     kwargs.setdefault("interrupt", InterruptFlag())
     return ServeDaemon(
         socket_path=str(tmp_path / "chaos.sock"),
@@ -65,8 +67,7 @@ def ask(daemon, *requests):
     try:
         return asyncio.run(drive())
     finally:
-        daemon._interrupt.set()  # release any abandoned family thread
-        daemon._pool.shutdown(wait=False)
+        daemon.close()
 
 
 def check_structured(resp):
@@ -197,27 +198,82 @@ class TestOverload:
 
 
 class TestStuckFamily:
-    def test_wedged_family_is_abandoned_then_served_degraded(self, tmp_path):
+    def test_wedged_family_answers_stuck_then_reforks(self, tmp_path):
+        # The stall never polls its interrupt flag: only the pool's
+        # SIGTERM -> grace -> SIGKILL escalation can end it.
         plan = FaultPlan(
-            assignments={"family:counter2": "stuck-family"}, hang_seconds=5.0
+            assignments={"family:counter2": "stuck-family"}, hang_seconds=60.0
         )
-        daemon = make_daemon(tmp_path, faults=plan, restart_backoff=60.0)
-        stuck, degraded = ask(
-            daemon, smv_req(n=0, deadline=0.5), smv_req(n=0, deadline=20.0)
+        daemon = make_daemon(tmp_path, faults=plan)
+        stuck, cold, warm = ask(
+            daemon, smv_req(n=0, deadline=0.5), smv_req(n=1), smv_req(n=2)
         )
         check_structured(stuck)
         assert stuck["status"] == "stuck"
-        assert stuck["retry_after"] > 0
-        assert "counter2" not in daemon._families  # family was dropped
-        # Second request lands in the restart backoff window: degraded
-        # scratch solve, correct verdict, no family rebuilt.
-        assert check_structured(degraded)["ok"]
-        assert degraded["outcome"] == "true"
-        assert degraded.get("degraded") is True
-        assert "counter2" not in daemon._families
+        assert stuck["retry_after"] == 0
+        # The next bound re-forks the family worker: a cold, correct solve.
+        assert check_structured(cold)["ok"]
+        assert cold["outcome"] == "true"
+        assert cold["incremental"] is False
+        assert "degraded" not in cold
+        # ... and the re-forked worker stays warm for the bound after.
+        assert check_structured(warm)["ok"]
+        assert warm["outcome"] == "true"
+        assert warm["incremental"] is True
+        assert daemon._families["counter2"].pool.forks == 2
         snap = daemon.supervisor.snapshot()
-        assert snap["degraded_solves"] == 1
-        assert snap["family_deaths_pending"] == 1
+        assert snap["degraded_solves"] == 0
+        assert snap["breakers"]["tracked"] == 1
+        assert snap["breakers"]["open"] == 0
+
+    def test_cached_bound_is_served_while_the_family_breaker_is_open(self, tmp_path):
+        plan = FaultPlan(
+            assignments={"family:counter2": "stuck-family"}, hang_seconds=3.0
+        )
+        warm = make_daemon(tmp_path)
+        (solved,) = ask(warm, smv_req(n=0))
+        assert solved["ok"] and not solved["cached"]
+        # A second daemon on the same cache: one stuck bound trips the
+        # family's breaker, yet the cached bound is still served.
+        daemon = make_daemon(tmp_path, faults=plan, failure_threshold=1)
+        stuck, refused, cached = ask(
+            daemon, smv_req(n=1, deadline=0.5), smv_req(n=2), smv_req(n=0)
+        )
+        assert stuck["status"] == "stuck"
+        assert refused["status"] == "poisoned"
+        assert refused["last_failure"]["status"] == "stuck"
+        assert check_structured(cached)["ok"] and cached["cached"]
+        assert cached["outcome"] == solved["outcome"] == "true"
+
+
+class TestFamilyWorker:
+    """Every family solve runs in the family's pool worker."""
+
+    def probe_solves(self, tmp_path, monkeypatch, **kwargs):
+        """Record the pid and address-space limit of every family solve."""
+        real = IncrementalSolver.solve
+        probes = tmp_path / "probes"
+        probes.mkdir()
+
+        def probe(solver, *args, **kw):
+            with open(str(probes / str(solver.solves)), "w") as handle:
+                handle.write(repr((os.getpid(), resource.getrlimit(resource.RLIMIT_AS))))
+            return real(solver, *args, **kw)
+
+        monkeypatch.setattr(IncrementalSolver, "solve", probe)
+        first, second = ask(make_daemon(tmp_path, **kwargs), smv_req(n=0), smv_req(n=1))
+        assert first["ok"] and second["ok"] and second["incremental"]
+        return [ast.literal_eval(p.read_text()) for p in sorted(probes.iterdir())]
+
+    def test_family_solve_runs_outside_the_daemon_process(self, tmp_path, monkeypatch):
+        seen = self.probe_solves(tmp_path, monkeypatch)
+        pids = {pid for pid, _ in seen}
+        assert len(seen) == 2 and len(pids) == 1  # one warm worker, two bounds
+        assert os.getpid() not in pids
+
+    def test_mem_limit_reaches_the_family_worker(self, tmp_path, monkeypatch):
+        seen = self.probe_solves(tmp_path, monkeypatch, mem_limit_mb=2048)
+        assert [limit for _, limit in seen] == [(2048 * 1024**2,) * 2] * 2
 
 
 class TestStatsReconcile:
