@@ -15,8 +15,6 @@ Usage examples::
     python -m repro.cli certify stats proof.jsonl
     python -m repro.cli cube run instance.qtree --jobs 4 --certify
     python -m repro.cli cube bench --quick -o BENCH_cube.json
-    python -m repro.cli portfolio run instance.qtree --jobs 2
-    python -m repro.cli portfolio bench --quick -o BENCH_portfolio.json
 
 ``cube run`` solves ONE instance cube-and-conquer style: the splitter cuts
 the quantifier tree's branchable frontier into cubes, ``--jobs N`` worker
@@ -37,11 +35,6 @@ results row.
 resolution derivation to a JSONL certificate, ``check`` replays a
 certificate against a formula with the independent checker (exit 0 only
 when it verifies), ``stats`` summarizes a certificate file.
-
-``portfolio run`` races QUBE(TO) against QUBE(PO) on one instance and
-keeps the first determinate verdict; ``portfolio bench`` measures the
-portfolio against the best single lane on the Figure-6 series and emits
-``BENCH_portfolio.json``.
 
 Formats are picked by extension: ``.qdimacs``/``.cnf`` (prenex) or
 ``.qtree`` (tree prefixes). ``-`` reads from stdin in QTREE format.
@@ -381,67 +374,6 @@ def cmd_cube_bench(args: argparse.Namespace) -> int:
     print(render_report(report))
     print("report written to %s" % args.output)
     return 0
-
-
-def cmd_portfolio_run(args: argparse.Namespace) -> int:
-    """Race QUBE(TO) against QUBE(PO) on one instance; first verdict wins."""
-    import json
-
-    from repro.evalx.runner import Budget
-    from repro.portfolio import race
-
-    faults = None
-    if args.fault_plan:
-        from repro.robustness.faults import FaultPlan
-
-        faults = FaultPlan.from_file(args.fault_plan)
-    phi = _read(args.input)
-    result = race(
-        phi,
-        instance=args.input,
-        budget=Budget(decisions=args.decisions, seconds=args.seconds),
-        jobs=args.jobs,
-        strategy=args.strategy,
-        engine=args.engine,
-        run_all=args.run_all,
-        faults=faults,
-        wall_timeout=args.wall_timeout,
-    )
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print("result      %s" % result.outcome.value.upper())
-        print("winner      %s" % (result.winner or "-"))
-        print("jobs        %d (of %d requested; clamped to this machine's "
-              "cores)" % (result.jobs, args.jobs))
-        print("reported    %s" % (", ".join(
-            "%s=%s" % (m.solver, m.outcome.value) for m in result.measurements
-        ) or "-"))
-        if result.cancelled:
-            print("cancelled   %s" % ", ".join(result.cancelled))
-        for name, err in sorted(result.errors.items()):
-            print("crashed     %s: %s" % (name, err.strip().splitlines()[-1]))
-        if result.disagreement is not None:
-            print("disagreed   %s" % result.disagreement)
-            triage = result.triage or {}
-            print("triage      %s (certificate %s)"
-                  % ("resolved" if triage.get("resolved") else "unresolved",
-                     triage.get("certificate_status")))
-        print("time        %.3fs" % result.seconds)
-    if result.outcome is Outcome.UNKNOWN:
-        return EXIT_UNKNOWN
-    return EXIT_TRUE if result.outcome is Outcome.TRUE else EXIT_FALSE
-
-
-def cmd_portfolio_bench(args: argparse.Namespace) -> int:
-    """Portfolio-vs-best-single benchmark; emits BENCH_portfolio.json."""
-    from repro.portfolio.bench import render_report, run_portfolio_bench, write_report
-
-    report = run_portfolio_bench(quick=args.quick, jobs=args.jobs)
-    write_report(report, args.output)
-    print(render_report(report))
-    print("report written to %s" % args.output)
-    return 0 if report["all_within_bound"] else 1
 
 
 def cmd_certify_emit(args: argparse.Namespace) -> int:
@@ -796,57 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cbench.add_argument("--seed", type=int, default=0)
     p_cbench.add_argument("-o", "--output", default="BENCH_cube.json")
     p_cbench.set_defaults(func=cmd_cube_bench)
-
-    p_port = sub.add_parser(
-        "portfolio",
-        help="portfolio: race QUBE(TO) against QUBE(PO) on one instance "
-        "(run, bench)",
-    )
-    port_sub = p_port.add_subparsers(dest="portfolio_command", required=True)
-    p_prun = port_sub.add_parser(
-        "run",
-        help="race the portfolio on one instance; first determinate verdict "
-        "wins, siblings are cancelled "
-        "(exit 10=true, 20=false, 2=unknown)",
-    )
-    p_prun.add_argument("input")
-    p_prun.add_argument("--jobs", type=int, default=2,
-                        help="concurrent lanes, clamped to the machine's "
-                        "cores; 1 = deterministic serial mode (default 2)")
-    p_prun.add_argument("--strategy", default="eu_au", choices=STRATEGIES,
-                        help="prenexing strategy for the TO lane")
-    p_prun.add_argument("--engine", default=default_engine(), choices=ENGINES,
-                        help="propagation backend for both lanes")
-    p_prun.add_argument("--decisions", type=int, default=4000,
-                        help="per-lane decision budget (default 4000)")
-    p_prun.add_argument("--seconds", type=float, default=None,
-                        help="cooperative per-lane wall cap")
-    p_prun.add_argument("--wall-timeout", type=float, default=None,
-                        help="hard per-lane seconds (pool mode only)")
-    p_prun.add_argument(
-        "--run-all", action="store_true",
-        help="let every lane finish and cross-check all verdicts instead "
-        "of cancelling at the first one (the agreement-audit mode)",
-    )
-    p_prun.add_argument(
-        "--fault-plan", default=None, metavar="PLAN.JSON",
-        help="deterministic fault plan; the flip-verdict kind forces a "
-        "TO/PO disagreement to exercise certificate triage",
-    )
-    p_prun.add_argument("--json", action="store_true",
-                        help="emit the full race record as JSON")
-    p_prun.set_defaults(func=cmd_portfolio_run)
-    p_pbench = port_sub.add_parser(
-        "bench",
-        help="portfolio vs best single lane on the fig6 series; emits "
-        "BENCH_portfolio.json, exits nonzero if the portfolio exceeds the "
-        "wall-clock bound",
-    )
-    p_pbench.add_argument("--quick", action="store_true",
-                          help="CI smoke series (one family, short budget)")
-    p_pbench.add_argument("--jobs", type=int, default=2)
-    p_pbench.add_argument("-o", "--output", default="BENCH_portfolio.json")
-    p_pbench.set_defaults(func=cmd_portfolio_bench)
 
     p_cert = sub.add_parser(
         "certify", help="clause/term resolution certificates (emit, check, stats)"

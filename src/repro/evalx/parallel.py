@@ -21,11 +21,11 @@ batch harness needs:
   recorded, so an interrupted sweep continues where it left off.
 
 The processes themselves belong to :class:`WorkerPool`, the one place that
-forks, waits on, signals and kills solver workers. Sweeps, the portfolio
-race (:func:`repro.portfolio.race`, one :func:`run_tasks` call) and the
-cube-and-conquer coordinator (:mod:`repro.cube.coordinator`, persistent
-workers) all run on it, so memory ceilings, injected faults and the kill
-escalation behave the same in every tier.
+forks, waits on, signals and kills solver workers. Sweeps, the serve
+daemon's lanes and the cube-and-conquer coordinator
+(:mod:`repro.cube.coordinator`, persistent workers) all run on it, so
+memory ceilings, injected faults and the kill escalation behave the same
+in every tier.
 
 ``jobs=1`` is the serial degenerate case: tasks run in-process, in order,
 with no worker processes involved, so existing single-process results stay
@@ -68,9 +68,7 @@ STATUS_DISAGREEMENT = "disagreement"
 #: ceiling, so the record is written immediately (any checkpoint an earlier
 #: attempt salvaged stays on disk for a future run at a higher ceiling).
 STATUS_MEMOUT = "memout"
-#: the job was cancelled before it settled (``run_tasks``' ``stop_when``, or
-#: :meth:`WorkerPool.cancel`). The record carries the measurement the worker
-#: reported on its way out, if any, and is never written to a results log.
+#: :meth:`WorkerPool.cancel` stopped the job's worker before it reported.
 STATUS_CANCELLED = "cancelled"
 
 #: results JSONL schema, in the ``schema`` field of every row. Version 1
@@ -808,7 +806,6 @@ def run_tasks(
     checkpoint_dir: Optional[str] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
-    stop_when: Optional[Callable[[Record], bool]] = None,
 ) -> List[Record]:
     """Run ``tasks`` and return one :class:`Record` per task, in task order.
 
@@ -849,10 +846,6 @@ def run_tasks(
             holding the whole sweep's state). A worker that breaches it
             produces a ``memout`` record instead of a host-level OOM kill;
             memouts are never retried.
-        stop_when: called with every record as it is made, in completion
-            order. Once it returns True, running tasks are cancelled and
-            queued ones never start; both get ``cancelled`` records, which
-            are not written to ``results``.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -884,14 +877,11 @@ def run_tasks(
         # (and a rerun with the same seed) sees the same assignments.
         faults.bind(FaultPlan.label(p.task) for p in pending)
 
-    def finish(index: int, task: Task, record: Record) -> bool:
-        """Store ``record``; True when ``stop_when`` asks to stop."""
+    def finish(index: int, task: Task, record: Record) -> None:
         out[index] = record
-        if record.status != STATUS_CANCELLED:
-            done[task.key] = record
-            if log is not None:
-                log.append(record)
-        return stop_when is not None and stop_when(record)
+        done[task.key] = record
+        if log is not None:
+            log.append(record)
 
     if jobs == 1:
         _run_serial(pending, executor, max_retries, retry_backoff, faults, finish)
@@ -913,10 +903,6 @@ def run_tasks(
         log.close()
     assert all(r is not None for r in out)
     return out  # type: ignore[return-value]
-
-
-def _cancelled_record(task: Task, attempts: int = 0, measurement=None) -> Record:
-    return Record.of(task, STATUS_CANCELLED, measurement=measurement, attempts=attempts)
 
 
 def _settle(
@@ -978,7 +964,7 @@ def _run_serial(
     max_retries: int,
     retry_backoff: float,
     faults: Optional[FaultPlan],
-    finish: Callable[[int, Task, Record], bool],
+    finish: Callable[[int, Task, Record], None],
 ) -> None:
     """In-process execution, in task order, with the pool's job body and
     retry policy.
@@ -987,7 +973,7 @@ def _run_serial(
     stop promptly on Ctrl-C, not convert the interrupt into a crash row and
     march on.
     """
-    for n, entry in enumerate(pending):
+    for entry in pending:
         while True:
             start = time.monotonic()
             status, result = _run_job(entry.task, executor, entry.attempt, faults, None)
@@ -998,10 +984,7 @@ def _run_serial(
                 break
             time.sleep(max(0.0, settled.not_before - time.monotonic()))
             entry = settled
-        if finish(entry.index, entry.task, settled):
-            for rest in pending[n + 1 :]:
-                finish(rest.index, rest.task, _cancelled_record(rest.task))
-            return
+        finish(entry.index, entry.task, settled)
 
 
 def _run_pool(
@@ -1010,7 +993,7 @@ def _run_pool(
     executor: Callable[[Task], Measurement],
     wall_timeout: Optional[float],
     max_retries: int,
-    finish: Callable[[int, Task, Record], bool],
+    finish: Callable[[int, Task, Record], None],
     term_grace: float = 2.0,
     retry_backoff: float = 0.5,
     faults: Optional[FaultPlan] = None,
@@ -1028,7 +1011,6 @@ def _run_pool(
     )
     queue: List[_Pending] = list(pending)
     running: Dict[Job, _Pending] = {}
-    stopped = False
     try:
         while queue or running:
             now = time.monotonic()
@@ -1046,24 +1028,14 @@ def _run_pool(
                 entry = running.pop(job)
                 ok = job.status == STATUS_OK
                 result = measurement_from_dict(job.result) if ok else job.result
-                if job.cancelled:
-                    settled = _cancelled_record(entry.task, entry.attempt, result if ok else None)
+                settled = _settle(
+                    entry, job.status, result, job.seconds, max_retries, retry_backoff,
+                    job.timed_out,
+                )
+                if isinstance(settled, _Pending):
+                    queue.append(settled)
                 else:
-                    retries = 0 if stopped else max_retries
-                    settled = _settle(
-                        entry, job.status, result, job.seconds, retries, retry_backoff,
-                        job.timed_out,
-                    )
-                    if isinstance(settled, _Pending):
-                        queue.append(settled)
-                        continue
-                if finish(entry.index, entry.task, settled) and not stopped:
-                    stopped = True
-                    for waiting in queue:
-                        finish(waiting.index, waiting.task, _cancelled_record(waiting.task))
-                    queue.clear()
-                    for other in running:
-                        pool.cancel(other)
+                    finish(entry.index, entry.task, settled)
     finally:
         pool.close()  # interrupted: leave no orphans behind
 

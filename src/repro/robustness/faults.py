@@ -19,11 +19,6 @@ Fault kinds and where they fire:
 * ``torn-checkpoint`` — a garbage checkpoint file is planted where the
   task would resume from (first attempt only); exercises digest detection
   and the fall-back-to-fresh path.
-* ``flip-verdict`` — the portfolio racer (:mod:`repro.portfolio.race`)
-  inverts the labeled entrant's determinate outcome as it arrives;
-  exercises TO/PO disagreement detection and certificate triage.
-  Unlike the worker-side faults it fires on *every* arrival of the label
-  (the triage re-solve bypasses the plan, so it still sees the truth).
 * ``worker-oom`` — the worker raises :class:`MemoryError` before solving,
   exactly what an allocation hitting the ``RLIMIT_AS`` ceiling looks like;
   exercises the ``memout`` record classification and — at the serve layer —
@@ -52,13 +47,9 @@ CRASH = "crash"
 HANG = "hang"
 TORN_APPEND = "torn-append"
 TORN_CHECKPOINT = "torn-checkpoint"
-FLIP_VERDICT = "flip-verdict"
 WORKER_OOM = "worker-oom"
 STUCK_FAMILY = "stuck-family"
-KINDS = (
-    CRASH, HANG, TORN_APPEND, TORN_CHECKPOINT, FLIP_VERDICT, WORKER_OOM,
-    STUCK_FAMILY,
-)
+KINDS = (CRASH, HANG, TORN_APPEND, TORN_CHECKPOINT, WORKER_OOM, STUCK_FAMILY)
 
 
 class InjectedFault(RuntimeError):
@@ -81,7 +72,6 @@ class FaultPlan:
         hangs: int = 0,
         torn_appends: int = 0,
         torn_checkpoints: int = 0,
-        flip_verdicts: int = 0,
         worker_ooms: int = 0,
         stuck_families: int = 0,
         hang_seconds: float = 3600.0,
@@ -92,7 +82,6 @@ class FaultPlan:
         self.hangs = hangs
         self.torn_appends = torn_appends
         self.torn_checkpoints = torn_checkpoints
-        self.flip_verdicts = flip_verdicts
         self.worker_ooms = worker_ooms
         self.stuck_families = stuck_families
         self.hang_seconds = hang_seconds
@@ -126,7 +115,6 @@ class FaultPlan:
             + [HANG] * self.hangs
             + [TORN_APPEND] * self.torn_appends
             + [TORN_CHECKPOINT] * self.torn_checkpoints
-            + [FLIP_VERDICT] * self.flip_verdicts
             + [WORKER_OOM] * self.worker_ooms
             + [STUCK_FAMILY] * self.stuck_families
         )
@@ -162,16 +150,6 @@ class FaultPlan:
                 with open(path, "w") as fh:
                     fh.write('{"format": "repro-ckpt", "version": 1, "sha2')
 
-    def flips_verdict(self, label: str) -> bool:
-        """Should this entrant's determinate race outcome be inverted?
-
-        Consulted by the portfolio racer on each arriving measurement (not
-        one-shot: a rerun with the same plan must disagree the same way).
-        The certificate-triage re-solve deliberately does not consult the
-        plan, so triage always sides with the unflipped truth.
-        """
-        return self.kind_for(label) == FLIP_VERDICT
-
     def torn_append(self, label: str) -> bool:
         """Should this record's JSONL line be torn? One-shot per label."""
         if self.kind_for(label) == TORN_APPEND and label not in self._torn_done:
@@ -197,7 +175,6 @@ class FaultPlan:
             "hangs": self.hangs,
             "torn_appends": self.torn_appends,
             "torn_checkpoints": self.torn_checkpoints,
-            "flip_verdicts": self.flip_verdicts,
             "worker_ooms": self.worker_ooms,
             "stuck_families": self.stuck_families,
             "hang_seconds": self.hang_seconds,
@@ -214,7 +191,6 @@ class FaultPlan:
             hangs=int(data.get("hangs", 0)),
             torn_appends=int(data.get("torn_appends", 0)),
             torn_checkpoints=int(data.get("torn_checkpoints", 0)),
-            flip_verdicts=int(data.get("flip_verdicts", 0)),
             worker_ooms=int(data.get("worker_ooms", 0)),
             stuck_families=int(data.get("stuck_families", 0)),
             hang_seconds=float(data.get("hang_seconds", 3600.0)),

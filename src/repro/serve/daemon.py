@@ -14,10 +14,9 @@ blocks:
   learned constraints carry from bound to bound; an asyncio lock per
   family serializes its bounds.
 
-``cube-solve`` requests fan out through :func:`repro.cube.run_cube` and
-``portfolio`` requests race QUBE(TO) against QUBE(PO) via
-:func:`repro.portfolio.race`. A malformed ``engine`` or ``strategy`` comes
-back as a structured protocol error before any worker is spawned.
+``cube-solve`` requests fan out through :func:`repro.cube.run_cube`. A
+malformed ``engine`` or ``strategy`` comes back as a structured protocol
+error before any worker is spawned.
 
 Between the protocol and those lanes sits the supervision layer
 (:mod:`repro.serve.supervisor`):
@@ -118,7 +117,7 @@ _STREAM_LIMIT = 2 * 4_000_000
 
 #: request kinds that go through admission control; everything else
 #: (ping/stats/shutdown) is control-plane and always answered.
-SOLVE_KINDS = ("solve", "smv-diameter", "cube-solve", "portfolio")
+SOLVE_KINDS = ("solve", "smv-diameter", "cube-solve")
 
 #: default bound on admitted-but-unfinished solve-lane requests.
 DEFAULT_MAX_INFLIGHT = 16
@@ -265,16 +264,14 @@ class ServeDaemon:
         self._pool = ThreadPoolExecutor(max_workers=self.jobs)
         self._slots = asyncio.Semaphore(self.jobs)
         # Admission: one total budget, per-kind sub-budgets so one lane
-        # cannot starve the others; cube/portfolio get half — each such
+        # cannot starve the others; cube-solve gets half — each such
         # request fans out to several worker processes of its own.
-        fanout_limit = max(1, max_inflight // 2)
         self.supervisor = Supervisor(
             total_limit=max(1, max_inflight),
             kind_limits={
                 "solve": max(1, (3 * max_inflight) // 4),
                 "smv-diameter": max(1, (3 * max_inflight) // 4),
-                "cube-solve": fanout_limit,
-                "portfolio": fanout_limit,
+                "cube-solve": max(1, max_inflight // 2),
             },
             failure_threshold=failure_threshold,
             cooldown=breaker_cooldown,
@@ -656,73 +653,6 @@ class ServeDaemon:
             "seconds": m.seconds,
         }
 
-    async def _handle_portfolio(self, req: Dict[str, object]) -> Dict[str, object]:
-        """Race QUBE(TO) against QUBE(PO) on one formula (``portfolio``)."""
-        from repro.portfolio import race
-
-        if parse_flag(req, "certify"):
-            raise ProtocolError(
-                "portfolio does not accept 'certify': a TO/PO disagreement "
-                "is certificate-triaged automatically"
-            )
-        formula = self._parse_formula(req)
-        deadline = self._effective_deadline(req)
-        engine = parse_engine(req)
-        strategy = parse_strategy(req)
-        jobs = req.get("jobs", 2)
-        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-            raise ProtocolError("portfolio jobs must be a positive integer")
-        if jobs > MAX_CUBE_JOBS:
-            raise ProtocolError("portfolio jobs must be at most %d" % MAX_CUBE_JOBS)
-        run_all = parse_flag(req, "run_all")
-        budget = parse_budget(req.get("budget"))
-        # Serial races run in-process, so the deadline binds cooperatively
-        # through the wall budget; pool races additionally get the hard
-        # per-lane wall timeout.
-        seconds = deadline if budget.seconds is None else min(budget.seconds, deadline)
-        budget = Budget(decisions=budget.decisions, seconds=seconds)
-
-        loop = asyncio.get_running_loop()
-        mem_limit_mb = self.mem_limit_mb
-        async with self._slots:
-            result = await loop.run_in_executor(
-                self._pool,
-                lambda: race(
-                    formula,
-                    instance=str(req.get("instance", "serve")),
-                    budget=budget,
-                    jobs=jobs,
-                    strategy=strategy,
-                    engine=engine or "counters",
-                    run_all=run_all,
-                    wall_timeout=deadline,
-                    mem_limit_mb=mem_limit_mb,
-                ),
-            )
-        self.stats["solves"] += 1
-        out: Dict[str, object] = {
-            "ok": True,
-            "cached": False,
-            "outcome": result.outcome.value,
-            "winner": result.winner,
-            "jobs": result.jobs,
-            "seconds": result.seconds,
-            "cancelled": result.cancelled,
-            "reported": {
-                m.solver: m.outcome.value for m in result.measurements
-            },
-            "protocol": PROTOCOL_VERSION,
-        }
-        if result.errors:
-            out["lane_errors"] = {
-                name: err.strip().splitlines()[-1]
-                for name, err in result.errors.items()
-            }
-        if result.disagreement is not None:
-            out["disagreement"] = result.disagreement
-            out["triage"] = result.triage
-        return out
-
     async def dispatch(self, req: Dict[str, object]) -> Dict[str, object]:
         kind = req.get("kind", "solve")
         if kind == "ping":
@@ -753,7 +683,6 @@ class ServeDaemon:
             "solve": self._handle_solve,
             "smv-diameter": self._handle_smv,
             "cube-solve": self._handle_cube,
-            "portfolio": self._handle_portfolio,
         }
         handler = handlers.get(kind)
         if handler is None:

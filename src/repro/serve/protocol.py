@@ -12,14 +12,6 @@ one JSON response line. ``kind`` selects the handler:
     ``format`` ("qdimacs" or "qtree"), optional ``mode`` ("po"/"to"),
     ``strategy``, ``budget`` ({"decisions", "seconds"}), ``certify``,
     ``engine`` (see below). Dispatched to a fault-isolated worker shard.
-``portfolio``
-    race QUBE(TO) against QUBE(PO) on one inlined formula and keep the
-    first determinate verdict (see :mod:`repro.portfolio`): ``formula`` +
-    ``format`` like ``solve``, optional ``jobs``, ``strategy``,
-    ``engine``, ``budget``, ``run_all``. Responses add ``winner``,
-    ``cancelled`` and — on a TO/PO disagreement — the certificate-triage
-    record. ``certify`` is rejected here; disagreements are certificate-
-    triaged automatically instead.
 ``smv-diameter``
     one bound of a model family's diameter sweep: ``family``, ``size``
     (an integer up to :data:`MAX_SMV_SIZE`), ``n``, optional ``budget``.
@@ -35,15 +27,15 @@ one JSON response line. ``kind`` selects the handler:
     (``leaves``, ``resplits``, ``escalations``, ``cancelled``) and, when
     certifying, ``certificate_status``.
 
-The ``engine`` field of ``solve``, ``portfolio`` and ``cube-solve`` names a
-propagation backend from :data:`repro.core.engine.config.ENGINES` (aliases
-included); absent, the kind's default applies. The ``strategy`` field of
-``solve`` and ``portfolio`` names a prenexing strategy from
+The ``engine`` field of ``solve`` and ``cube-solve`` names a propagation
+backend from :data:`repro.core.engine.config.ENGINES` (aliases included);
+absent, the kind's default applies. The ``strategy`` field of ``solve``
+names a prenexing strategy from
 :data:`repro.prenexing.strategies.STRATEGIES` (default ``eu_au``). Any
 other value of either is a structured protocol error, never an attempted
-solve.
+solve. So is any other ``kind``.
 
-Flags (``certify``, ``run_all``) must be JSON booleans. A ``budget`` caps
+The ``certify`` flag must be a JSON boolean. A ``budget`` caps
 ``decisions`` (a positive integer; default 2000, ``null`` for none) and
 ``seconds`` (a finite positive number).
 
@@ -102,10 +94,7 @@ from repro.prenexing.strategies import STRATEGIES
 #: bumped when a response field changes meaning; echoed on every response.
 PROTOCOL_VERSION = 1
 
-KINDS = (
-    "ping", "stats", "solve", "smv-diameter", "cube-solve", "portfolio",
-    "shutdown",
-)
+KINDS = ("ping", "stats", "solve", "smv-diameter", "cube-solve", "shutdown")
 
 #: wall-clock cap applied to solve-lane requests that set no ``deadline``;
 #: guarantees every request eventually gets a structured response.

@@ -69,6 +69,11 @@ def report_when_released(go, task):
     return execute_task(task)
 
 
+def ignore_cancel(_):
+    time.sleep(60)  # SIGTERM only sets the interrupt flag, which this never reads
+    return "finished"
+
+
 def wait_for_cancel(_):
     from repro.robustness.interrupt import global_flag
 
@@ -196,6 +201,30 @@ class TestPoolFaultIsolation:
         assert records[0].ok, records[0].error
         assert records[0].measurement.outcome is Outcome.FALSE
 
+    def test_report_racing_the_exit_keeps_every_verdict(self, monkeypatch):
+        # PO and TO both report and exit before the pool looks at their
+        # pipes, and the pool sees the exits first. A verdict read as
+        # "worker died without reporting" would drop one of the two.
+        from repro.evalx import parallel
+
+        ctx = LateWaitContext(parallel._mp_context())
+        ctx.install(monkeypatch)
+        phi = paper_example()
+        tasks = [
+            Task("paper", "PO", phi, budget=Budget(decisions=4000)),
+            Task("paper", "TO(eu_au)", phi, "to", "eu_au", Budget(decisions=4000)),
+        ]
+        records = run_tasks(
+            tasks,
+            jobs=2,
+            executor=functools.partial(report_when_released, ctx.go),
+            max_retries=0,
+        )
+        assert ctx.fired and len(ctx.processes) == 2
+        assert [r.error for r in records if not r.ok] == []
+        assert sorted(r.solver for r in records) == ["PO", "TO(eu_au)"]
+        assert {r.measurement.outcome for r in records} == {Outcome.FALSE}
+
     def test_cancel_at_birth_stays_out_of_the_parents_event_loop(self):
         # An asyncio parent (the serve daemon) routes its SIGTERM through a
         # wakeup fd every fork inherits. A cancel that reaches a worker
@@ -226,6 +255,25 @@ class TestPoolFaultIsolation:
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert hits == []
+
+    def test_cancel_of_a_deaf_job_escalates_to_sigkill(self):
+        import multiprocessing
+
+        from repro.evalx.parallel import STATUS_CANCELLED, WorkerPool
+
+        pool = WorkerPool(1, ignore_cancel, term_grace=0.5)
+        try:
+            job = pool.submit("job")
+            start = time.monotonic()
+            pool.cancel(job)
+            done = pool.wait(timeout=30)
+            elapsed = time.monotonic() - start
+        finally:
+            pool.close()
+        assert done == [job]
+        assert job.status == STATUS_CANCELLED and "SIGKILL" in job.result, job.result
+        assert 0.5 <= elapsed < 10
+        assert multiprocessing.active_children() == []
 
     def test_parallel_equals_serial(self):
         tasks = make_tasks(["i%d" % i for i in range(6)])

@@ -94,8 +94,9 @@ class TestFaultPlan:
         plan.on_worker_start(task, attempt=2)  # retries run clean
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan(assignments={"a|PO": "meteor-strike"})
+        for kind in ("meteor-strike", "flip-verdict"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                FaultPlan(assignments={"a|PO": kind})
 
 
 class TestTornAppend:
@@ -202,23 +203,3 @@ class TestChaosSweep:
         assert comparable(records) == want
         assert sum(1 for r in records if r.backoff > 0) == 2
 
-
-class TestFlipVerdict:
-    def test_flip_verdict_round_trips_and_fires_every_time(self):
-        from repro.robustness.faults import FLIP_VERDICT
-
-        plan = FaultPlan(assignments={"x|EXP": FLIP_VERDICT})
-        back = FaultPlan.from_dict(plan.to_dict())
-        # not one-shot: a rerun with the same plan must disagree the same way
-        for _ in range(3):
-            assert back.flips_verdict("x|EXP")
-        assert not back.flips_verdict("x|PO")
-
-    def test_flip_verdict_counts_bind_like_other_kinds(self):
-        from repro.robustness.faults import FLIP_VERDICT
-
-        plan = FaultPlan(seed=5, flip_verdicts=1)
-        plan.bind(["a|PO", "a|TO", "a|EXP"])
-        flipped = [l for l in ("a|PO", "a|TO", "a|EXP") if plan.flips_verdict(l)]
-        assert len(flipped) == 1
-        assert plan.to_dict()["flip_verdicts"] == 1

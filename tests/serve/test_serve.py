@@ -313,15 +313,13 @@ def test_parse_budget_validation():
 def test_parse_flag_validation():
     assert parse_flag({}, "certify") is False
     assert parse_flag({"certify": True}, "certify") is True
-    assert parse_flag({"run_all": False}, "run_all") is False
     for bad in ("false", "true", 0, 1, None, [True]):
         with pytest.raises(ProtocolError):
             parse_flag({"certify": bad}, "certify")
 
 
 @pytest.mark.parametrize("kind, flag", [
-    ("solve", "certify"), ("cube-solve", "certify"), ("portfolio", "certify"),
-    ("portfolio", "run_all"),
+    ("solve", "certify"), ("cube-solve", "certify"),
 ])
 def test_string_flags_are_refused_before_any_solve(tmp_path, kind, flag):
     # "false" is a truthy string: a flag read by truthiness would turn on.

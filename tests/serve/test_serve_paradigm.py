@@ -1,5 +1,5 @@
-"""Serve daemon request fields: the portfolio kind, engine and strategy
-validation."""
+"""Serve daemon request fields: engine and strategy validation, and the
+refusal of an unknown request kind."""
 
 import os
 import signal
@@ -46,7 +46,7 @@ def test_parse_engine_validation():
 
 def test_bad_engine_is_refused_before_any_worker(daemon):
     _, socket_path = daemon
-    for kind in ("solve", "cube-solve", "portfolio"):
+    for kind in ("solve", "cube-solve"):
         out = request(
             socket_path, {"kind": kind, "formula": QD, "engine": "magic"}
         )
@@ -69,34 +69,22 @@ def test_parse_strategy_validation():
 
 def test_bad_strategy_is_refused_before_any_worker(daemon):
     _, socket_path = daemon
-    for kind in ("solve", "portfolio"):
-        out = request(
-            socket_path,
-            {"kind": kind, "formula": QD, "mode": "to", "strategy": "bogus"},
-        )
-        assert not out["ok"] and "unknown strategy" in out["error"], (kind, out)
-        stats = request(socket_path, {"kind": "stats"})
-        assert stats["solves"] == 0, kind
-        assert stats["supervisor"]["breakers"]["tracked"] == 0, kind
-
-
-def test_portfolio_request(daemon):
-    _, socket_path = daemon
-    result = request(
+    out = request(
         socket_path,
-        {"kind": "portfolio", "formula": QD, "jobs": 1,
-         "budget": {"decisions": 2000}},
+        {"kind": "solve", "formula": QD, "mode": "to", "strategy": "bogus"},
     )
-    assert result["ok"] and result["outcome"] == "true"
-    assert result["winner"] in ("PO", "TO")
-    assert "reported" in result
+    assert not out["ok"] and "unknown strategy" in out["error"], out
+    stats = request(socket_path, {"kind": "stats"})
+    assert stats["solves"] == 0
+    assert stats["supervisor"]["breakers"]["tracked"] == 0
 
-    refused = request(
-        socket_path, {"kind": "portfolio", "formula": QD, "certify": True}
-    )
-    assert not refused["ok"] and "certify" in refused["error"]
 
-    bad_jobs = request(
-        socket_path, {"kind": "portfolio", "formula": QD, "jobs": 0}
+def test_unknown_kind_is_refused_before_admission(daemon):
+    _, socket_path = daemon
+    out = request(
+        socket_path, {"kind": "portfolio", "formula": QD, "jobs": 2}
     )
-    assert not bad_jobs["ok"]
+    assert not out["ok"] and "unknown request kind" in out["error"], out
+    stats = request(socket_path, {"kind": "stats"})
+    assert stats["solves"] == 0
+    assert stats["supervisor"]["breakers"]["tracked"] == 0

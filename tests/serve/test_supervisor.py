@@ -300,8 +300,8 @@ class TestCachePutGate:
 
 
 class TestMemoryCeilingReachesEveryLane:
-    """``--mem-limit`` caps the cube-solve and portfolio lanes' workers too,
-    not only the solve lane's."""
+    """``--mem-limit`` caps the cube-solve lane's workers too, not only the
+    solve lane's."""
 
     QD_TRUE = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"
 
@@ -334,9 +334,4 @@ class TestMemoryCeilingReachesEveryLane:
     def test_cube_solve_forwards_the_ceiling(self, tmp_path, monkeypatch):
         req = {"kind": "cube-solve", "jobs": 2}
         seen = self.dispatch(tmp_path, monkeypatch, "repro.cube", "run_cube", req)
-        assert seen == [2048]
-
-    def test_portfolio_forwards_the_ceiling(self, tmp_path, monkeypatch):
-        req = {"kind": "portfolio", "jobs": 2}
-        seen = self.dispatch(tmp_path, monkeypatch, "repro.portfolio", "race", req)
         assert seen == [2048]
