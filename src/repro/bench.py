@@ -1,37 +1,44 @@
-"""``repro bench``: the kernel benchmark harness and the perf trajectory.
+"""``repro bench``: the paper bench and the kernel perf trajectory.
 
-Runs the pinned Figure-6 counter series (the same instances, budget and
-double-timeout stopping rule as ``repro.evalx.suites.run_dia_scaling``)
-under every propagation backend this build can run — counters, and the
-compiled native kernel when built — with the pure-literal rule both on and
-off, and emits a schema-versioned ``BENCH_kernels.json``:
+One command runs every experiment behind the paper's evidence, at fixed
+grid sizes and decision budgets, under every propagation backend this build
+can run (``counters``, and the compiled ``native`` kernel when built):
 
-* throughput per configuration — decisions/sec, propagations/sec,
-  clause_visits/sec — plus wall-clock for the whole series;
-* a per-run decision log, verified decision-for-decision against the
-  counter backend (the eager reference engine);
-* the recorded pre-kernel baseline (PR 3's layered engine, measured on
-  the identical series) with the wall-clock speedup next to it, and the
-  native kernel's decisions/sec speedup over the same-run counters rows;
-* a ``kernel`` block recording whether the compiled extension was
-  importable — a missing kernel is reported as an explicit fallback to
-  the counters rows, never silently.
+* Table I: the NCF, FPV, DIA, PROB and FIXED suites through the evalx pool;
+* Figures 3, 4, 5 and 7, drawn from those suites' runs;
+* Figure 6: the counter and semaphore diameter-scaling series;
+* the branching-policy and learning ablations, and the Section VII-C
+  learned-good lengths;
+* the NCF grid of ``repro evalx run ncf``'s defaults, where the NCF
+  claims do not hold yet, as an extra row that is never gated;
+* the kernel rows: the Figure 6 counter series with the pure-literal rule
+  on and off, with throughput, the recorded pre-kernel baseline and the
+  native kernel's speedup over the same-run counters rows.
 
-The series is fully deterministic — pinned models, decision-only budgets —
-so the *decision* columns of two reports are comparable across machines
-and across solver versions; only the wall/throughput columns are
-host-dependent. That is what makes the file a trajectory: each perf PR
-re-runs the harness and appends its report next to the previous one.
+Every run's decisions are checked against the ``counters`` runs, run by
+run; a mismatch raises :class:`EngineDivergence` with the report attached.
+The paper's shape claims are named gates ``{name, value, op, bound, ok}``,
+computed by :func:`paper_gates` from the report's aggregates alone, on the
+``counters`` runs. No gate reads wall-clock: the series are pinned-seed and
+decision-budgeted, so every decision column repeats on every host and only
+the wall and throughput columns are host-dependent.
 
-``--profile`` wraps each configuration in :mod:`cProfile` and embeds the
-top functions by cumulative time in the report, which is how the hot
-paths flattened by the kernel work were found in the first place.
+The schema-versioned report keeps per-suite aggregates (Table I columns,
+TO and PO decision totals and their ratio, wall seconds per engine), the
+rendered tables and figures, and the gates. Per-run rows are kept only for
+the kernel series. A ``kernel`` block records whether the compiled
+extension was importable: a missing kernel is an explicit fallback to the
+counters rows, never a silent one.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
+import os
 import time
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine.native import (
@@ -39,10 +46,59 @@ from repro.core.engine.native import (
     native_available,
     native_import_error,
 )
-from repro.evalx.runner import Budget, Measurement, solve_po
+from repro.evalx.report import render_kv, render_scaling, render_scatter
+from repro.evalx.runner import Budget, Measurement, solve_po, solve_to
+from repro.evalx.scatter import (
+    ScalingSeries,
+    pair_point,
+    setting_medians,
+    summarize_scatter,
+)
+from repro.evalx.suites import PairResult, run_dia, run_eval06, run_fpv, run_ncf
+from repro.evalx.table1 import Table1Row, build_row, render_table
+from repro.generators.ncf import NcfParams, generate_ncf
+from repro.prenexing.strategies import STRATEGIES
+from repro.smv.diameter import diameter_qbf
+from repro.smv.models import DmeModel, RingModel, SemaphoreModel, model_by_name
+from repro.smv.reachability import eccentricity
 
 #: bump on any change to the JSON layout so downstream tooling can dispatch.
-SCHEMA = "repro-bench/2"
+SCHEMA = "repro-bench/3"
+REFERENCE_ENGINE = "counters"
+
+# -- the grid ------------------------------------------------------------------
+#
+# Decision budgets stand in for the paper's 600 s / 3600 s timeouts. They are
+# decision-only so the recorded counts repeat on every host; the pool's hard
+# per-task kill (HARD_TIMEOUT_SECONDS) guards against a pathological run
+# without ever biasing a completed one.
+
+NCF_INSTANCES, NCF_BUDGET = 3, Budget(decisions=5000)
+FPV_COUNT, FPV_BUDGET = 20, Budget(decisions=5000)
+DIA_MAX_N, DIA_BUDGET = 6, Budget(decisions=6000)
+EVAL06_COUNT, EVAL06_BUDGET = 24, Budget(decisions=4000)
+#: the ``repro evalx run ncf`` defaults (48 instances): reported, never gated.
+NCF_DEFAULT_INSTANCES, NCF_DEFAULT_BUDGET = 8, Budget(decisions=4000)
+#: Table I's tie margin in decisions, the stand-in for the paper's "within 1 s".
+TIE_MARGIN = 50
+HARD_TIMEOUT_SECONDS = 120.0
+
+#: Figure 6, one panel each: (model family, model sizes, cap on the tested
+#: length). The counter panel with pure literals on and off is also the
+#: kernel series.
+FIG6_COUNTER = ("counter", (2, 3), 8)
+FIG6_SEMAPHORE = ("semaphore", (1, 2, 3), 4)
+FIG6_DECISIONS = 8000
+
+HEURISTIC_BUDGET = Budget(decisions=6000, seconds=15.0)
+POLICIES = ("levelsub", "subtree", "counter", "naive")
+LEARNING_BUDGET = Budget(decisions=5000, seconds=15.0)
+
+#: Decision totals of the kernel series, the same since the pre-kernel
+#: baseline below and reproduced literally by every backend. Update them
+#: deliberately when a change intends to alter the search, never to quiet a
+#: failure.
+PINNED_DECISIONS = {True: 13103, False: 35669}
 
 #: The pre-kernel engine (PR 3, commit 1f10356) on this exact series —
 #: ``family="counter"``, sizes (2, 3), Budget(decisions=8000), max_n_cap=8 —
@@ -56,10 +112,55 @@ PR3_BASELINE: Dict[str, Dict[str, float]] = {
 }
 PR3_BASELINE_LABEL = "PR-3 layered engine (pre-kernel), same series and budget"
 
-#: full mode reproduces the fig6 engine-comparison series exactly; quick
-#: mode is the CI smoke: one model size, short budget, same stopping rule.
-FULL_SERIES = dict(sizes=(2, 3), max_n_cap=8, budget_decisions=8000)
-QUICK_SERIES = dict(sizes=(2,), max_n_cap=4, budget_decisions=2000)
+
+def heuristic_sample() -> List[Tuple[str, object]]:
+    """Non-prenex instances for the branching-policy ablation."""
+    instances = [
+        ("sem2-n2", diameter_qbf(SemaphoreModel(2), 2, "tree")),
+        ("sem3-n1", diameter_qbf(SemaphoreModel(3), 1, "tree")),
+        ("dme4-n3", diameter_qbf(DmeModel(4), 3, "tree")),
+        ("ring3-n2", diameter_qbf(RingModel(3), 2, "tree")),
+    ]
+    for seed in range(3):
+        params = NcfParams(dep=6, var=4, cls=12, lpc=5, seed=seed)
+        instances.append(("ncf-%d" % seed, generate_ncf(params)))
+    return instances
+
+
+def learning_sample() -> List[Tuple[str, object]]:
+    """The DIA + NCF sample of the learning ablation."""
+    instances = []
+    for seed in range(4):
+        params = NcfParams(dep=6, var=4, cls=12, lpc=5, seed=seed)
+        instances.append(("ncf-%d" % seed, generate_ncf(params)))
+    instances.append(("sem2-n2", diameter_qbf(SemaphoreModel(2), 2, "tree")))
+    instances.append(("dme4-n3", diameter_qbf(DmeModel(4), 3, "tree")))
+    return instances
+
+
+# -- measuring one section under one engine ----------------------------------------
+
+
+@dataclass
+class Section:
+    """One part of the bench measured under one engine."""
+
+    data: object
+    #: (run, decisions) in run order: what the identity check compares.
+    runs: List[Tuple[str, int]]
+    wall_seconds: float
+
+
+@dataclass
+class Series:
+    """One pass of the Figure 6 loop: per-run records and the plotted lines."""
+
+    runs: List[dict]
+    po: List[ScalingSeries]
+    to: List[ScalingSeries]
+    wall_seconds: float
+    #: summed in-solver seconds, what the throughput rates divide by.
+    solve_seconds: float
 
 
 def config_key(engine: str, pure: bool) -> str:
@@ -67,48 +168,41 @@ def config_key(engine: str, pure: bool) -> str:
 
 
 def run_series(
-    engine: str,
-    pure: bool,
+    family: str,
     sizes: Sequence[int],
     max_n_cap: int,
-    budget_decisions: int,
-) -> Tuple[List[dict], float, float]:
-    """One configuration over the Figure-6 counter series.
+    engine: str,
+    pure: bool = True,
+) -> Series:
+    """Figure 6: diameter-test cost against the tested length, PO and TO.
 
-    Returns ``(runs, wall_seconds, solve_seconds)``: a per-run record list,
-    the wall-clock of the whole series (instance construction and
-    prenexing included — the number the baseline was measured with), and
-    the summed in-solver seconds (what the throughput rates divide by).
+    Serial on purpose: once both pipelines blow the budget at a length,
+    longer lengths only get harder, so each run decides whether the series
+    goes on. ``wall_seconds`` covers instance construction and prenexing
+    too, the number the pre-kernel baseline was measured with.
     """
-    from repro.smv.diameter import diameter_qbf
-    from repro.smv.models import model_by_name
-    from repro.smv.reachability import eccentricity
-
-    budget = Budget(decisions=budget_decisions)
-    runs: List[dict] = []
-    solve_seconds = 0.0
+    budget = Budget(decisions=FIG6_DECISIONS)
+    series = Series([], [], [], 0.0, 0.0)
     start = time.perf_counter()
     for size in sizes:
-        model = model_by_name("counter", size)
-        d = eccentricity(model)
-        for n in range(min(d, max_n_cap) + 1):
-            po = solve_po(
-                diameter_qbf(model, n, "tree"),
-                budget=budget, engine=engine, pure_literals=pure,
-            )
-            to = solve_po(
-                diameter_qbf(model, n, "prenex"),
-                budget=budget, engine=engine, pure_literals=pure,
-            )
-            for pipeline, m in (("PO", po), ("TO", to)):
-                runs.append(_run_record(model.name, n, pipeline, m))
-                solve_seconds += m.seconds
-            # the series' stopping rule, same as run_dia_scaling: once both
-            # pipelines blow the budget, longer lengths only get harder.
+        model = model_by_name(family, size)
+        po_line = ScalingSeries("%s (PO)" % model.name)
+        to_line = ScalingSeries("%s (TO)" % model.name)
+        for n in range(min(eccentricity(model), max_n_cap) + 1):
+            po = solve_po(diameter_qbf(model, n, "tree"), budget=budget,
+                          engine=engine, pure_literals=pure)
+            to = solve_po(diameter_qbf(model, n, "prenex"), budget=budget,
+                          engine=engine, pure_literals=pure)
+            for pipeline, line, m in (("PO", po_line, po), ("TO", to_line, to)):
+                series.runs.append(_run_record(model.name, n, pipeline, m))
+                series.solve_seconds += m.seconds
+                line.add(n, m.decisions, m.timed_out)
             if po.timed_out and to.timed_out:
                 break
-    wall = time.perf_counter() - start
-    return runs, wall, solve_seconds
+        series.po.append(po_line)
+        series.to.append(to_line)
+    series.wall_seconds = time.perf_counter() - start
+    return series
 
 
 def _run_record(model_name: str, n: int, pipeline: str, m: Measurement) -> dict:
@@ -125,125 +219,393 @@ def _run_record(model_name: str, n: int, pipeline: str, m: Measurement) -> dict:
     }
 
 
-def _aggregate(runs: List[dict], wall: float, solve_seconds: float) -> dict:
+def _pair_runs(results: List[PairResult]) -> List[Tuple[str, int]]:
+    return [
+        ("%s %s" % (m.instance, m.solver), m.decisions)
+        for r in results
+        for m in list(r.to_runs.values()) + [r.po_run]
+    ]
+
+
+def _heuristic(engine: str) -> Tuple[dict, List[Tuple[str, int]]]:
+    sample = heuristic_sample()
+    totals: Dict[str, Dict[str, int]] = {}
+    runs = []
+    for policy in POLICIES:
+        decisions = timeouts = 0
+        for label, phi in sample:
+            m = solve_po(phi, label, budget=HEURISTIC_BUDGET, policy=policy,
+                         engine=engine)
+            runs.append(("%s %s" % (label, policy), m.decisions))
+            decisions += m.decisions
+            timeouts += int(m.timed_out)
+        totals[policy] = {"decisions": decisions, "timeouts": timeouts}
+    return totals, runs
+
+
+def _learning(engine: str) -> Tuple[dict, List[Tuple[str, int]]]:
+    sample = learning_sample()
+    totals: Dict[str, int] = {}
+    runs = []
+    for learning in (True, False):
+        tag = "learning" if learning else "no-learning"
+        for solver, solve in (("PO", solve_po), ("TO", solve_to)):
+            total = 0
+            for label, phi in sample:
+                m = solve(phi, label, budget=LEARNING_BUDGET, engine=engine,
+                          learn_clauses=learning, learn_cubes=learning)
+                runs.append(("%s %s (%s)" % (label, solver, tag), m.decisions))
+                total += m.decisions
+            totals["%s-decisions (%s)" % (solver, tag)] = total
+    return totals, runs
+
+
+def _cube_lengths(engine: str) -> Tuple[dict, List[Tuple[str, int]]]:
+    """The Section VII-C effect: goods are shorter under the tree prefix."""
+    means = {}
+    runs = []
+    for solver, form in (("PO", "tree"), ("TO", "prenex")):
+        phi = diameter_qbf(SemaphoreModel(2), 2, form)
+        stats = solve_po(phi, budget=LEARNING_BUDGET, engine=engine).stats
+        runs.append(("sem2-n2 %s" % solver, stats.decisions))
+        means[solver] = stats.learned_cube_lits / max(1, stats.learned_cubes)
+    return means, runs
+
+
+COUNTER_ON = config_key("fig6_counter", True)
+COUNTER_OFF = config_key("fig6_counter", False)
+#: every part of the bench, in run order. The kernel series go first, while
+#: the process holds no other results, so their throughput is measured as
+#: it always was.
+SECTIONS = (
+    COUNTER_ON, COUNTER_OFF, "fig6_semaphore",
+    "ncf", "fpv", "dia", "prob", "fixed", "ncf_default_grid",
+    "ablation_heuristic", "ablation_learning", "ablation_cube_lengths",
+)
+_ABLATIONS = {
+    "ablation_heuristic": _heuristic,
+    "ablation_learning": _learning,
+    "ablation_cube_lengths": _cube_lengths,
+}
+
+
+def measure(name: str, engine: str, jobs: int) -> Section:
+    """One section of the bench under ``engine``, named explicitly on every run."""
+    suites = {
+        "ncf": (run_ncf, dict(budget=NCF_BUDGET, instances=NCF_INSTANCES)),
+        "fpv": (run_fpv, dict(budget=FPV_BUDGET, count=FPV_COUNT)),
+        "dia": (run_dia, dict(budget=DIA_BUDGET, max_n_cap=DIA_MAX_N)),
+        "prob": (run_eval06, dict(kind="prob", budget=EVAL06_BUDGET, count=EVAL06_COUNT)),
+        "fixed": (run_eval06, dict(kind="fixed", budget=EVAL06_BUDGET, count=EVAL06_COUNT)),
+        "ncf_default_grid": (run_ncf, dict(budget=NCF_DEFAULT_BUDGET,
+                                           instances=NCF_DEFAULT_INSTANCES)),
+    }
+    start = time.perf_counter()
+    if name in suites:
+        runner, kwargs = suites[name]
+        data = runner(engine=engine, jobs=jobs, wall_timeout=HARD_TIMEOUT_SECONDS,
+                      **kwargs)
+        runs = _pair_runs(data[0] if isinstance(data, tuple) else data)
+    elif name in (COUNTER_ON, COUNTER_OFF, "fig6_semaphore"):
+        panel = FIG6_SEMAPHORE if name == "fig6_semaphore" else FIG6_COUNTER
+        data = run_series(*panel, engine, pure=name != COUNTER_OFF)
+        runs = [(r["instance"], r["decisions"]) for r in data.runs]
+    else:
+        data, runs = _ABLATIONS[name](engine)
+    return Section(data, runs, time.perf_counter() - start)
+
+
+# -- the report ------------------------------------------------------------------
+
+
+def _ratio(num: float, den: float) -> Optional[float]:
+    return num / den if den else None
+
+
+def _columns(row: Table1Row) -> Dict[str, int]:
+    return {k: v for k, v in asdict(row).items() if k not in ("suite", "strategy")}
+
+
+def _suite(
+    results: List[PairResult], suite: str, strategies: Dict[str, str]
+) -> Tuple[dict, List[Table1Row]]:
+    """One suite's Table I rows and decision totals.
+
+    ``strategies`` maps each row's strategy label to the key of its TO run
+    (DIA's prenex form is the encoder's equation (16), recorded as eu_au).
+    """
+    rows = [
+        build_row(suite, label, [(r.to_run(key), r.po_run) for r in results],
+                  tie_margin=TIE_MARGIN)
+        for label, key in strategies.items()
+    ]
+    po = sum(r.po_run.decisions for r in results)
+    to = {label: sum(r.to_run(key).decisions for r in results)
+          for label, key in strategies.items()}
+    summary = {
+        "instances": len(results),
+        "table1": {row.strategy: _columns(row) for row in rows},
+        "po_decisions": po,
+        "to_decisions": to,
+        "po_over_to": {label: _ratio(po, total) for label, total in to.items()},
+    }
+    return summary, rows
+
+
+def _scatter(points, title: str) -> dict:
+    stats = summarize_scatter(points)
+    geomean = stats.get("geomean_to_over_po")
+    if geomean is not None and math.isnan(geomean):  # no pair completed on both sides
+        stats["geomean_to_over_po"] = None
+    return {
+        **stats,
+        "po_decisions": sum(p.po_cost for p in points),
+        "to_decisions": sum(p.to_cost for p in points),
+        "rendered": render_scatter(points, title=title).split("\n"),
+    }
+
+
+def _scaling(series: Series, title: str) -> dict:
+    models = {}
+    for po_line, to_line in zip(series.po, series.to):
+        models[po_line.model_name.split(" ")[0]] = {
+            "po_decisions": sum(c for _, c, _ in po_line.points),
+            "to_decisions": sum(c for _, c, _ in to_line.points),
+            "po_largest_solved": po_line.largest_solved,
+            "to_largest_solved": to_line.largest_solved,
+        }
+    po = sum(m["po_decisions"] for m in models.values())
+    to = sum(m["to_decisions"] for m in models.values())
+    return {
+        "models": models,
+        "po_decisions": po,
+        "to_decisions": to,
+        "po_over_to": _ratio(po, to),
+        "rendered": render_scaling(series.po + series.to, title=title).split("\n"),
+    }
+
+
+def _sections(measured: Dict[str, Dict[str, Section]]) -> Dict[str, dict]:
+    """Aggregates, tables and figures of the reference runs; walls of every engine."""
+    ref = measured[REFERENCE_ENGINE]
+
+    def wall(*names: str) -> Dict[str, float]:
+        return {engine: sum(sections[n].wall_seconds for n in names)
+                for engine, sections in measured.items()}
+
+    def table(summary: dict, rows: List[Table1Row], *names: str) -> dict:
+        return dict(summary, wall_seconds=wall(*names),
+                    rendered=render_table(rows).split("\n"))
+
+    ncf, fpv, dia = ref["ncf"].data, ref["fpv"].data, ref["dia"].data
+    (prob, prob_dropped), (fixed, fixed_dropped) = ref["prob"].data, ref["fixed"].data
+    all_strategies = {s: s for s in STRATEGIES}
+    out: Dict[str, dict] = {}
+    out["table1_ncf"] = table(*_suite(ncf, "NCF", all_strategies), "ncf")
+    out["table1_fpv"] = table(*_suite(fpv, "FPV", {"eu_au": "eu_au"}), "fpv")
+    out["table1_dia"] = table(*_suite(dia, "DIA", {"eq16": "eu_au"}), "dia")
+    prob_summary, prob_rows = _suite(prob, "PROB", {"eu_au": "eu_au"})
+    fixed_summary, fixed_rows = _suite(fixed, "FIXED", {"eu_au": "eu_au"})
+    note = (
+        "filter (footnote 9, PO/TO > 20%%): prob kept %d dropped %d; "
+        "fixed kept %d dropped %d"
+        % (len(prob), prob_dropped, len(fixed), fixed_dropped)
+    )
+    out["table1_eval06"] = {
+        "prob": dict(prob_summary, filtered_out=prob_dropped),
+        "fixed": dict(fixed_summary, filtered_out=fixed_dropped),
+        "wall_seconds": wall("prob", "fixed"),
+        "rendered": (render_table(prob_rows + fixed_rows) + "\n" + note).split("\n"),
+    }
+    out["fig3_ncf"] = _scatter(
+        setting_medians([(r.setting, r.to_best, r.po_run) for r in ncf]),
+        "Figure 3: QUBE(TO)* (y) vs QUBE(PO) (x), NCF medians",
+    )
+    out["fig4_fpv"] = _scatter(
+        [pair_point(r.instance, r.to_run("eu_au"), r.po_run) for r in fpv],
+        "Figure 4: QUBE(TO) (y) vs QUBE(PO) (x), FPV",
+    )
+    out["fig5_dia"] = _scatter(
+        [pair_point(r.instance, r.to_run("eu_au"), r.po_run) for r in dia],
+        "Figure 5: QUBE(TO) (y) vs QUBE(PO) (x), DIA",
+    )
+    out["fig6_counter"] = dict(_scaling(
+        ref[COUNTER_ON].data,
+        "Figure 6 (left): diameter-test cost vs length, counter<N>",
+    ), wall_seconds=wall(COUNTER_ON))
+    out["fig6_semaphore"] = dict(_scaling(
+        ref["fig6_semaphore"].data,
+        "Figure 6 (right): diameter-test cost vs length, semaphore<N>",
+    ), wall_seconds=wall("fig6_semaphore"))
+    out["fig7_eval06"] = _scatter(
+        [pair_point(r.instance, r.to_run("eu_au"), r.po_run) for r in prob + fixed],
+        "Figure 7: QUBE(TO) (y) vs QUBE(PO) (x), PROB+FIXED after miniscoping",
+    )
+    policies = ref["ablation_heuristic"].data
+    out["ablation_heuristic"] = {
+        "policies": policies,
+        "wall_seconds": wall("ablation_heuristic"),
+        "rendered": render_kv(
+            "Branching-policy ablation (total decisions on tree inputs)",
+            {p: "%d decisions, %d timeouts" % (t["decisions"], t["timeouts"])
+             for p, t in policies.items()},
+        ).split("\n"),
+    }
+    learning = ref["ablation_learning"].data
+    out["ablation_learning"] = {
+        "decisions": learning,
+        "wall_seconds": wall("ablation_learning"),
+        "rendered": render_kv("Learning ablation (total decisions)", learning).split("\n"),
+    }
+    means = ref["ablation_cube_lengths"].data
+    out["ablation_cube_lengths"] = {
+        "po_mean_cube_lits": means["PO"],
+        "to_mean_cube_lits": means["TO"],
+        "wall_seconds": wall("ablation_cube_lengths"),
+        "rendered": render_kv(
+            "Average learned good length (Section VII-C effect)",
+            {"tree prefix (PO)": "%.1f literals" % means["PO"],
+             "total order (TO)": "%.1f literals" % means["TO"]},
+        ).split("\n"),
+    }
+    # the NCF claims fail on this grid: reported so it stays visible, never
+    # gated, never shrunk
+    out["ncf_default_grid"] = dict(
+        table(*_suite(ref["ncf_default_grid"].data, "NCF", all_strategies),
+              "ncf_default_grid"),
+        gated=False,
+    )
+    return out
+
+
+# -- gates -------------------------------------------------------------------------
+
+_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+        ">": operator.gt, ">=": operator.ge}
+
+
+def gate(name: str, value, op: str, bound) -> dict:
+    """The claim ``value op bound`` as a named report entry."""
+    return {"name": name, "value": value, "op": op, "bound": bound,
+            "ok": bool(_OPS[op](value, bound))}
+
+
+def ratio_gate(name: str, num: float, den: float, bound: float) -> dict:
+    """The claim ``num <= bound * den``, reported as the ratio ``num / den``.
+
+    The ratio is null on a zero denominator; the gate still decides on the
+    totals, so a zero TO total admits only a zero PO total.
+    """
+    return {"name": name, "value": _ratio(num, den), "op": "<=", "bound": bound,
+            "ok": num <= bound * den}
+
+
+def _solved(largest: Optional[int]) -> int:
+    return -1 if largest is None else largest
+
+
+def paper_gates(sections: Dict[str, dict], configs: Sequence[dict]) -> List[dict]:
+    """Every shape claim of the paper, plus the kernel pins, as named gates.
+
+    A pure function of the report's aggregates, so each bound can be checked
+    without running a grid.
+    """
+    gates = []
+    # Table I: PO at par or ahead in aggregate decisions under every
+    # strategy, and never with more one-sided timeouts than TO.
+    for name in ("table1_ncf", "table1_fpv", "table1_dia"):
+        suite = sections[name]
+        for label, to_total in suite["to_decisions"].items():
+            row = suite["table1"][label]
+            gates.append(ratio_gate("%s.%s.po_over_to" % (name, label),
+                                    suite["po_decisions"], to_total, 1.1))
+            gates.append(gate("%s.%s.po_only_timeouts" % (name, label),
+                              row["po_timeout_only"], "<=", row["to_timeout_only"]))
+    eval06 = sections["table1_eval06"]
+    for kind in ("prob", "fixed"):
+        gates.append(ratio_gate("table1_eval06.%s.po_over_to" % kind,
+                                eval06[kind]["po_decisions"],
+                                eval06[kind]["to_decisions"]["eu_au"], 1.1))
+    # the structure filter must drop some probabilistic instances
+    gates.append(gate("table1_eval06.prob.filtered_out",
+                      eval06["prob"]["filtered_out"], ">", 0))
+    # Figure 3: no timed-out PO median without a timed-out TO* median
+    fig = sections["fig3_ncf"]
+    gates.append(gate("fig3_ncf.po_timeouts", fig["po_timeouts"], "<=", fig["to_timeouts"]))
+    for name in ("fig4_fpv", "fig5_dia", "fig7_eval06"):
+        fig = sections[name]
+        gates.append(ratio_gate(name + ".po_over_to", fig["po_decisions"],
+                                fig["to_decisions"], 1.1))
+    fig = sections["fig5_dia"]
+    gates.append(gate("fig5_dia.po_timeouts", fig["po_timeouts"], "<=", fig["to_timeouts"]))
+    # Figure 6: PO's curve grows more slowly and never solves fewer lengths
+    for model, line in sections["fig6_counter"]["models"].items():
+        gates.append(ratio_gate("fig6_counter.%s.po_over_to" % model,
+                                line["po_decisions"], line["to_decisions"], 1.3))
+        gates.append(gate("fig6_counter.%s.largest_solved" % model,
+                          _solved(line["po_largest_solved"]), ">=",
+                          _solved(line["to_largest_solved"])))
+    fig = sections["fig6_semaphore"]
+    gates.append(ratio_gate("fig6_semaphore.po_over_to", fig["po_decisions"],
+                            fig["to_decisions"], 1.3))
+    # the default prefix-aware policy beats the tree-blind ones
+    policies = sections["ablation_heuristic"]["policies"]
+    gates.append(gate("ablation_heuristic.levelsub_decisions",
+                      policies["levelsub"]["decisions"], "<=",
+                      policies["counter"]["decisions"]))
+    gates.append(gate("ablation_heuristic.levelsub_timeouts",
+                      policies["levelsub"]["timeouts"], "<=",
+                      min(p["timeouts"] for p in policies.values())))
+    # learning helps both variants, and PO stays ahead of TO with it on
+    learning = sections["ablation_learning"]["decisions"]
+    for solver in ("PO", "TO"):
+        gates.append(gate("ablation_learning.%s_learning_helps" % solver.lower(),
+                          learning["%s-decisions (learning)" % solver], "<=",
+                          learning["%s-decisions (no-learning)" % solver]))
+    gates.append(ratio_gate("ablation_learning.po_over_to",
+                            learning["PO-decisions (learning)"],
+                            learning["TO-decisions (learning)"], 1.2))
+    lengths = sections["ablation_cube_lengths"]
+    gates.append(gate("ablation_cube_lengths.po_shorter",
+                      lengths["po_mean_cube_lits"], "<", lengths["to_mean_cube_lits"]))
+    for config in configs:
+        gates.append(gate("kernel.%s.decisions" % config["key"], config["decisions"],
+                          "==", PINNED_DECISIONS[config["pure_literals"]]))
+    return gates
+
+
+# -- the kernel rows and the whole report --------------------------------------------
+
+
+def _aggregate(series: Series) -> dict:
     totals = {
-        key: sum(r[key] for r in runs)
+        key: sum(r[key] for r in series.runs)
         for key in ("decisions", "propagations", "clause_visits", "cube_visits")
     }
     # rates over in-solver time: instance construction does not dilute them
-    denom = solve_seconds if solve_seconds > 0 else float("nan")
+    solve_seconds = series.solve_seconds
     return {
-        "wall_seconds": wall,
+        "wall_seconds": series.wall_seconds,
         "solve_seconds": solve_seconds,
         **totals,
-        "decisions_per_second": totals["decisions"] / denom,
-        "propagations_per_second": totals["propagations"] / denom,
-        "clause_visits_per_second": totals["clause_visits"] / denom,
+        "decisions_per_second": _ratio(totals["decisions"], solve_seconds),
+        "propagations_per_second": _ratio(totals["propagations"], solve_seconds),
+        "clause_visits_per_second": _ratio(totals["clause_visits"], solve_seconds),
     }
 
 
-def _profile_series(kwargs: dict, top: int = 15) -> Tuple[Tuple[List[dict], float, float], str]:
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    out = run_series(**kwargs)
-    profiler.disable()
-    buf = io.StringIO()
-    pstats.Stats(profiler, stream=buf).sort_stats("cumulative").print_stats(top)
-    return out, buf.getvalue()
-
-
-def run_bench(
-    quick: bool = False,
-    profile: bool = False,
-    engines: Optional[Sequence[str]] = None,
-    pure_modes: Sequence[bool] = (True, False),
-) -> dict:
-    """Run every (engine, pure) configuration; verify decision identity.
-
-    The counter backend is always run (prepended if missing): it is the
-    eager reference every other backend's decision counts are checked
-    against, run by run. A mismatch is a broken engine contract and raises
-    immediately — a benchmark that silently timed different search trees
-    would be meaningless.
-
-    ``engines`` defaults to every backend this build can run: counters, and
-    native when the compiled kernel is importable. A missing kernel is
-    never silent: the report's ``kernel`` block records the import error
-    and that the native rows fell back to ``counters`` (i.e. are absent —
-    the counters rows ARE the fallback measurement).
-    """
-    series = dict(QUICK_SERIES if quick else FULL_SERIES)
-    if engines is None:
-        # Ask for both; the fallback branch below records (never hides) a
-        # native row that this build cannot produce.
-        engines = ["counters", "native"]
-    engines = list(engines)
-    kernel = {
-        "available": native_available(),
-        "version": kernel_version(),
-        "import_error": native_import_error(),
+def _against_baseline(key: str, series: Series) -> Optional[dict]:
+    base = PR3_BASELINE.get(key)
+    if base is None:
+        return None
+    return {
+        "label": PR3_BASELINE_LABEL,
+        "baseline_wall_seconds": base["wall_seconds"],
+        "baseline_decisions": base["decisions"],
+        "wall_speedup": _ratio(base["wall_seconds"], series.wall_seconds),
+        "decisions_identical":
+            sum(r["decisions"] for r in series.runs) == base["decisions"],
     }
-    if "native" in engines and not native_available():
-        # loud skip, mirroring SolverStats.engine_fallback: the counters
-        # rows stand in for native, and the report says so explicitly.
-        engines = [e for e in engines if e != "native"]
-        kernel["fallback"] = "counters"
-    if "counters" not in engines:
-        engines.insert(0, "counters")
-    else:  # reference first, so every later engine has something to check
-        engines.sort(key=lambda e: e != "counters")
-
-    configs: List[dict] = []
-    reference: Dict[bool, List[dict]] = {}
-    identity_ok = True
-    for pure in pure_modes:
-        for engine in engines:
-            kwargs = dict(engine=engine, pure=pure, **series)
-            if profile:
-                (runs, wall, solve_seconds), profile_text = _profile_series(kwargs)
-            else:
-                runs, wall, solve_seconds = run_series(**kwargs)
-                profile_text = None
-            key = config_key(engine, pure)
-            entry = {
-                "key": key,
-                "engine": engine,
-                "pure_literals": pure,
-                **_aggregate(runs, wall, solve_seconds),
-                "runs": runs,
-                "baseline": _against_baseline(key, runs, wall) if not quick else None,
-            }
-            if profile_text is not None:
-                entry["profile"] = profile_text
-            if engine == "counters":
-                reference[pure] = runs
-            else:
-                mismatches = _identity_mismatches(reference[pure], runs)
-                entry["decision_identity_vs_counters"] = not mismatches
-                if mismatches:
-                    identity_ok = False
-                    entry["decision_identity_mismatches"] = mismatches
-            configs.append(entry)
-
-    report = {
-        "schema": SCHEMA,
-        "generated_by": "repro bench",
-        "mode": "quick" if quick else "full",
-        "series": {"family": "counter", **series},
-        "reference_engine": "counters",
-        "decision_identity_ok": identity_ok,
-        "kernel": kernel,
-        "native_speedup_vs_counters": _native_speedups(configs),
-        "baseline": {"label": PR3_BASELINE_LABEL, "configs": PR3_BASELINE},
-        "configs": configs,
-    }
-    if not identity_ok:
-        raise EngineDivergence(report)
-    return report
 
 
 def _native_speedups(configs: List[dict]) -> Optional[Dict[str, float]]:
@@ -257,10 +619,98 @@ def _native_speedups(configs: List[dict]) -> Optional[Dict[str, float]]:
     for key, c in by_key.items():
         if c["engine"] != "native":
             continue
-        ref = by_key.get(config_key("counters", c["pure_literals"]))
-        if ref and ref["decisions_per_second"] > 0:
+        ref = by_key.get(config_key(REFERENCE_ENGINE, c["pure_literals"]))
+        if ref and ref["decisions_per_second"] and c["decisions_per_second"]:
             out[key] = c["decisions_per_second"] / ref["decisions_per_second"]
     return out or None
+
+
+def _identity_mismatches(
+    reference: List[Tuple[str, int]], runs: List[Tuple[str, int]]
+) -> List[dict]:
+    mismatches = [
+        {"expected": list(ref), "got": list(run)}
+        for ref, run in zip(reference, runs) if ref != run
+    ]
+    if len(reference) != len(runs):
+        mismatches.append({"expected_runs": len(reference), "got_runs": len(runs)})
+    return mismatches
+
+
+def build_report(
+    measured: Dict[str, Dict[str, Section]], kernel: dict, jobs: int
+) -> dict:
+    """The report of one bench: identity, kernel rows, aggregates and gates.
+
+    ``measured`` maps each engine to its sections, the reference first.
+    """
+    ref = measured[REFERENCE_ENGINE]
+    mismatches = [
+        dict(section=name, engine=engine, **m)
+        for engine, sections in measured.items() if engine != REFERENCE_ENGINE
+        for name, section in sections.items()
+        for m in _identity_mismatches(ref[name].runs, section.runs)
+    ]
+    configs = []
+    for pure, name in ((True, COUNTER_ON), (False, COUNTER_OFF)):
+        for engine, sections in measured.items():
+            key = config_key(engine, pure)
+            series = sections[name].data
+            entry = {
+                "key": key,
+                "engine": engine,
+                "pure_literals": pure,
+                **_aggregate(series),
+                "runs": series.runs,
+                "baseline": _against_baseline(key, series),
+            }
+            if engine != REFERENCE_ENGINE:
+                entry["decision_identity_vs_counters"] = not any(
+                    m["engine"] == engine and m["section"] == name for m in mismatches)
+            configs.append(entry)
+    sections = _sections(measured)
+    gates = paper_gates(sections, configs)
+    return {
+        "schema": SCHEMA,
+        "generated_by": "repro bench",
+        "jobs": jobs,
+        "engines": list(measured),
+        "reference_engine": REFERENCE_ENGINE,
+        "decision_identity_ok": not mismatches,
+        "gates_ok": all(g["ok"] for g in gates),
+        "identity_mismatches": mismatches,
+        "kernel": kernel,
+        "grid": _grid(),
+        "gates": gates,
+        "sections": sections,
+        "native_speedup_vs_counters": _native_speedups(configs),
+        "baseline": {"label": PR3_BASELINE_LABEL, "configs": PR3_BASELINE},
+        "configs": configs,
+    }
+
+
+def _grid() -> dict:
+    def budget(b: Budget) -> dict:
+        return {"decisions": b.decisions, "seconds": b.seconds}
+
+    def panel(family: str, sizes: Sequence[int], cap: int) -> dict:
+        return {"family": family, "sizes": list(sizes), "max_n_cap": cap,
+                "decisions": FIG6_DECISIONS}
+
+    return {
+        "ncf": dict(instances_per_setting=NCF_INSTANCES, **budget(NCF_BUDGET)),
+        "fpv": dict(instances=FPV_COUNT, **budget(FPV_BUDGET)),
+        "dia": dict(max_n=DIA_MAX_N, **budget(DIA_BUDGET)),
+        "eval06": dict(instances=EVAL06_COUNT, **budget(EVAL06_BUDGET)),
+        "ncf_default_grid": dict(instances_per_setting=NCF_DEFAULT_INSTANCES,
+                                 **budget(NCF_DEFAULT_BUDGET)),
+        "fig6_counter": panel(*FIG6_COUNTER),
+        "fig6_semaphore": panel(*FIG6_SEMAPHORE),
+        "ablation_heuristic": budget(HEURISTIC_BUDGET),
+        "ablation_learning": budget(LEARNING_BUDGET),
+        "tie_margin": TIE_MARGIN,
+        "hard_timeout_seconds": HARD_TIMEOUT_SECONDS,
+    }
 
 
 class EngineDivergence(AssertionError):
@@ -271,81 +721,100 @@ class EngineDivergence(AssertionError):
     """
 
     def __init__(self, report: dict):
-        bad = [
-            c["key"] for c in report["configs"]
-            if c.get("decision_identity_vs_counters") is False
-        ]
+        bad = sorted({"%s (%s)" % (m["section"], m["engine"])
+                      for m in report["identity_mismatches"]})
         super().__init__("decision counts diverged from counters: %s" % ", ".join(bad))
         self.report = report
 
 
-def _identity_mismatches(reference: List[dict], runs: List[dict]) -> List[dict]:
-    mismatches = []
-    for ref, run in zip(reference, runs):
-        if (ref["instance"], ref["decisions"]) != (run["instance"], run["decisions"]):
-            mismatches.append({"expected": ref, "got": run})
-    if len(reference) != len(runs):
-        mismatches.append({
-            "expected_runs": len(reference), "got_runs": len(runs),
-        })
-    return mismatches
+def run_bench() -> dict:
+    """Run the whole bench under every engine this build can run.
 
-
-def _against_baseline(key: str, runs: List[dict], wall: float) -> Optional[dict]:
-    base = PR3_BASELINE.get(key)
-    if base is None:
-        return None
-    decisions = sum(r["decisions"] for r in runs)
-    return {
-        "label": PR3_BASELINE_LABEL,
-        "baseline_wall_seconds": base["wall_seconds"],
-        "baseline_decisions": base["decisions"],
-        "wall_speedup": base["wall_seconds"] / wall if wall > 0 else float("nan"),
-        "decisions_identical": decisions == base["decisions"],
+    Each section runs under every engine back to back, the reference
+    first. ``native`` joins when the compiled kernel is importable;
+    otherwise the ``kernel`` block records the import error and that the
+    counters rows stand in for it. The pool takes one worker per CPU.
+    Raises :class:`EngineDivergence` on any identity break.
+    """
+    kernel = {
+        "available": native_available(),
+        "version": kernel_version(),
+        "import_error": native_import_error(),
     }
+    engines = [REFERENCE_ENGINE]
+    if kernel["available"]:
+        engines.append("native")
+    else:
+        kernel["fallback"] = REFERENCE_ENGINE
+    jobs = os.cpu_count() or 1
+    measured: Dict[str, Dict[str, Section]] = {e: {} for e in engines}
+    for name in SECTIONS:
+        for engine in engines:  # back to back, so same-run ratios compare
+            measured[engine][name] = measure(name, engine, jobs)
+    report = build_report(measured, kernel, jobs)
+    if not report["decision_identity_ok"]:
+        raise EngineDivergence(report)
+    return report
 
 
 def render_report(report: dict) -> str:
-    """Human-readable summary table of a report (stdout companion)."""
+    """Every table and figure, the gates and the kernel rows, as text."""
     lines = [
-        "repro bench — Figure-6 counter series, %s mode" % report["mode"],
-        "series: sizes=%s  max_n_cap=%d  budget=%d decisions"
-        % (tuple(report["series"]["sizes"]), report["series"]["max_n_cap"],
-           report["series"]["budget_decisions"]),
+        "repro bench — Table I, Figures 3-7, ablations and kernel rows",
+        "engines: %s (reference %s), %d worker process(es)"
+        % (", ".join(report["engines"]), report["reference_engine"], report["jobs"]),
+    ]
+    for name, section in report["sections"].items():
+        lines += ["", "== %s%s" % (name, "" if section.get("gated", True)
+                                    else " (ungated)")]
+        lines += section["rendered"]
+        if "wall_seconds" in section:
+            lines.append("wall: " + "  ".join(
+                "%s %.2fs" % item for item in section["wall_seconds"].items()))
+    failed = [g for g in report["gates"] if not g["ok"]]
+    lines += ["", "gates: %d/%d ok" % (len(report["gates"]) - len(failed),
+                                       len(report["gates"]))]
+    for g in failed:
+        lines.append("  FAILED %s: %s %s %s" % (g["name"], g["value"], g["op"], g["bound"]))
+    series = report["grid"]["fig6_counter"]
+    lines += [
         "",
+        "kernel rows — Figure-6 counter series, sizes=%s max_n_cap=%d budget=%d decisions"
+        % (tuple(series["sizes"]), series["max_n_cap"], series["decisions"]),
         "  %-22s %10s %12s %14s %10s" % (
             "config", "wall", "decisions", "decisions/sec", "speedup"),
     ]
     for c in report["configs"]:
         base = c.get("baseline")
-        speedup = "%.2fx" % base["wall_speedup"] if base else "-"
+        speedup = "%.2fx" % base["wall_speedup"] if base and base["wall_speedup"] else "-"
         lines.append("  %-22s %9.2fs %12d %14.0f %10s" % (
             c["key"], c["wall_seconds"], c["decisions"],
-            c["decisions_per_second"], speedup,
+            c["decisions_per_second"] or 0.0, speedup,
         ))
-    verdict = "ok" if report["decision_identity_ok"] else "DIVERGED"
     lines.append("")
-    lines.append("decision identity vs %s backend: %s"
-                 % (report["reference_engine"], verdict))
-    kernel = report.get("kernel") or {}
-    if kernel.get("available"):
-        lines.append("native kernel: available (version %s)" % kernel.get("version"))
+    if report["decision_identity_ok"]:
+        lines.append("decision identity vs %s: ok" % report["reference_engine"])
+    else:
+        lines.append("decision identity vs %s: DIVERGED" % report["reference_engine"])
+        for m in report["identity_mismatches"]:
+            lines.append("  %s" % json.dumps(m))
+    kernel = report["kernel"]
+    if kernel["available"]:
+        lines.append("native kernel: available (version %s)" % kernel["version"])
     else:
         lines.append(
             "native kernel: UNAVAILABLE (%s) — native rows fell back to counters"
-            % kernel.get("import_error")
+            % kernel["import_error"]
         )
-    speedups = report.get("native_speedup_vs_counters")
-    if speedups:
-        for key in sorted(speedups):
-            lines.append("native speedup vs counters (%s): %.2fx decisions/sec"
-                         % (key.split("/", 1)[1], speedups[key]))
-    if any(c.get("baseline") for c in report["configs"]):
-        lines.append("baseline: %s" % PR3_BASELINE_LABEL)
+    for key, speedup in sorted((report["native_speedup_vs_counters"] or {}).items()):
+        lines.append("native speedup vs counters (%s): %.2fx decisions/sec"
+                     % (key.split("/", 1)[1], speedup))
+    lines.append("baseline: %s" % PR3_BASELINE_LABEL)
     return "\n".join(lines)
 
 
 def write_report(report: dict, path: str) -> None:
+    """Strict JSON: a NaN or infinity raises instead of corrupting the file."""
     with open(path, "w") as handle:
-        json.dump(report, handle, indent=2)
+        json.dump(report, handle, indent=2, allow_nan=False)
         handle.write("\n")

@@ -9,7 +9,7 @@ Usage examples::
     python -m repro.cli generate ncf --dep 6 --var 4 --cls 12 --lpc 5 -o x.qtree
     python -m repro.cli stats instance.qtree
     python -m repro.cli evalx run ncf --jobs 4 --results ncf.jsonl
-    python -m repro.cli bench --quick -o BENCH_kernels.json
+    python -m repro.cli bench -o BENCH_paper.json
     python -m repro.cli certify emit instance.qtree -o proof.jsonl
     python -m repro.cli certify check instance.qtree proof.jsonl
     python -m repro.cli certify stats proof.jsonl
@@ -30,6 +30,12 @@ sweep resumable (recorded runs are skipped on the next invocation); with
 ``--certify`` every run also records its clause/term resolution proof,
 self-checks it against the original formula and stamps the verdict on the
 results row.
+
+``bench`` is the paper bench: the Table I suites, Figures 3-7, both
+ablations and the kernel rows under every available engine, each run's
+decisions checked against ``counters`` and each of the paper's shape claims
+checked as a named gate. It writes one ``BENCH_paper.json`` either way and
+exits 0 only when identity holds and every gate passes.
 
 ``certify`` works with proofs directly: ``emit`` solves while logging the
 resolution derivation to a JSONL certificate, ``check`` replays a
@@ -288,21 +294,20 @@ def cmd_evalx_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the kernel benchmark harness; emit BENCH_kernels.json."""
+    """Run the paper bench; exit 0 only when identity holds and every gate passes."""
     from repro.bench import EngineDivergence, render_report, run_bench, write_report
 
     try:
-        report = run_bench(quick=args.quick, profile=args.profile)
+        report = run_bench()
     except EngineDivergence as exc:
-        # persist the divergent report for triage, then fail loudly
-        write_report(exc.report, args.output)
-        print(render_report(exc.report))
-        print("FAILED: %s (report in %s)" % (exc, args.output), file=sys.stderr)
-        return 1
+        report = exc.report
+        print("FAILED: %s" % exc, file=sys.stderr)
     write_report(report, args.output)
     print(render_report(report))
     print("report written to %s" % args.output)
-    return 0
+    if not report["gates_ok"]:
+        print("FAILED: a paper gate did not hold (see the gates above)", file=sys.stderr)
+    return 0 if report["decision_identity_ok"] and report["gates_ok"] else 1
 
 
 def cmd_cube_run(args: argparse.Namespace) -> int:
@@ -579,22 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="kernel benchmark: pinned fig6 series, every available engine "
-        "(counters/native), decision-identity check, "
-        "schema-versioned JSON report",
+        help="paper bench: Table I, Figures 3-7, the ablations and the kernel "
+        "rows on every available engine (counters/native), decision identity "
+        "against counters, the paper's shape gates, schema-versioned JSON report",
     )
     p_bench.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke series (one model size, short budget); skips the "
-        "baseline comparison, keeps the cross-engine identity check",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="wrap each configuration in cProfile and embed the top "
-        "functions by cumulative time in the report",
-    )
-    p_bench.add_argument(
-        "-o", "--output", default="BENCH_kernels.json", metavar="OUT.JSON",
+        "-o", "--output", default="BENCH_paper.json", metavar="OUT.JSON",
         help="report path (default: %(default)s)",
     )
     p_bench.set_defaults(func=cmd_bench)

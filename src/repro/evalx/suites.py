@@ -2,8 +2,9 @@
 
 One function per Section VII suite. Each returns plain data (labels +
 measurement pairs) that the Table-I builder and the figure renderers
-consume; the benchmark files under ``benchmarks/`` drive these and write
-the rendered outputs.
+consume. ``repro bench`` (:mod:`repro.bench`) drives them at the paper
+bench's grid sizes; ``repro evalx run`` drives one suite at a time with
+its resume, certify and fault-plan options.
 
 Scaling note (documented per suite): the paper runs hundreds to thousands
 of instances with 600-3600 s timeouts on 3.2 GHz hardware and a C++ solver;
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.formula import QBF
+from repro.core.solver import default_engine
 from repro.evalx.parallel import (
     ResultsLog,
     Task,
@@ -31,9 +33,8 @@ from repro.evalx.runner import (
     Measurement,
     SolverDisagreement,
     check_agreement,
-    solve_po,
 )
-from repro.evalx.scatter import ScalingSeries, virtual_best
+from repro.evalx.scatter import virtual_best
 from repro.generators.fixed import FixedParams, generate_fixed
 from repro.generators.fpv import FpvParams, generate_fpv
 from repro.generators.ncf import NcfParams, generate_ncf
@@ -86,12 +87,15 @@ def _open_log(
 def engine_overrides(engine: str) -> Tuple[Tuple[str, object], ...]:
     """Task overrides for a propagation-backend choice.
 
-    The default backend maps to *no* override so the task fingerprints —
-    and therefore the resume keys of every pre-existing results file —
-    stay byte-identical; a non-default backend lands in the fingerprint
-    and keys its own rows.
+    ``counters`` maps to *no* override while it is also the process default
+    (``REPRO_ENGINE`` unset), so the task fingerprints — and therefore the
+    resume keys of every pre-existing results file — stay byte-identical.
+    Any other choice is named explicitly: it lands in the fingerprint, keys
+    its own rows, and ``REPRO_ENGINE`` cannot change what the task runs.
     """
-    return (("engine", engine),) if engine != "counters" else ()
+    if engine == "counters" and default_engine() == "counters":
+        return ()
+    return (("engine", engine),)
 
 
 def _checked(to_run: Measurement, po_run: Measurement, log: Optional[ResultsLog]) -> None:
@@ -264,7 +268,7 @@ def run_fpv(
     return results
 
 
-# -- DIA (Section VII-C / Table I row 6 / Figures 5-6) ---------------------------
+# -- DIA (Section VII-C / Table I row 6 / Figure 5) ------------------------------
 
 
 def dia_models() -> List[object]:
@@ -343,51 +347,6 @@ def run_dia(
     if with_log is not None:
         with_log.close()
     return results
-
-
-def run_dia_scaling(
-    family: str = "counter",
-    sizes: Sequence[int] = (2, 3),
-    budget: Budget = Budget(decisions=8000),
-    max_n_cap: int = 10,
-    engine: str = "counters",
-    **overrides,
-) -> Tuple[List[ScalingSeries], List[ScalingSeries]]:
-    """Figure 6: cost vs tested length per model size, PO and TO series.
-
-    Stays serial on purpose: each length's run decides whether the series
-    stops (double timeout), so the work items are not independent.
-    """
-    from repro.smv.models import model_by_name
-    from repro.smv.reachability import eccentricity
-
-    po_series: List[ScalingSeries] = []
-    to_series: List[ScalingSeries] = []
-    for size in sizes:
-        model = model_by_name(family, size)
-        d = eccentricity(model)
-        po_s = ScalingSeries("%s (PO)" % model.name)
-        to_s = ScalingSeries("%s (TO)" % model.name)
-        for n in range(min(d, max_n_cap) + 1):
-            po = solve_po(
-                diameter_qbf(model, n, "tree"),
-                budget=budget,
-                engine=engine,
-                **overrides,
-            )
-            to = solve_po(
-                diameter_qbf(model, n, "prenex"),
-                budget=budget,
-                engine=engine,
-                **overrides,
-            )
-            po_s.add(n, po.cost, po.timed_out)
-            to_s.add(n, to.cost, to.timed_out)
-            if po.timed_out and to.timed_out:
-                break
-        po_series.append(po_s)
-        to_series.append(to_s)
-    return po_series, to_series
 
 
 # -- QBFEVAL'06-style suites (Section VII-D / Table I rows 7-8 / Figure 7) -------

@@ -7,11 +7,11 @@ from repro.evalx.runner import Budget
 from repro.evalx.suites import (
     PairResult,
     dia_instances,
+    engine_overrides,
     eval06_instances,
     fpv_instances,
     ncf_settings,
     run_dia,
-    run_dia_scaling,
     run_eval06,
     run_fpv,
     run_ncf,
@@ -76,9 +76,12 @@ class TestRunners:
         kept, filtered = run_eval06("prob", budget=TINY, count=4)
         assert len(kept) + filtered == pytest.approx(4, abs=0)
 
-    def test_run_dia_scaling_smoke(self):
-        po_series, to_series = run_dia_scaling(
-            "dme", sizes=(3,), budget=TINY, max_n_cap=2
-        )
-        assert len(po_series) == len(to_series) == 1
-        assert po_series[0].points
+
+def test_engine_overrides_name_every_non_default_engine(monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    # the default keeps the fingerprints of existing results files
+    assert engine_overrides("counters") == ()
+    assert engine_overrides("native") == (("engine", "native"),)
+    # REPRO_ENGINE must not turn a counters task into a native one
+    monkeypatch.setenv("REPRO_ENGINE", "native")
+    assert engine_overrides("counters") == (("engine", "counters"),)
