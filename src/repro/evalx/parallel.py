@@ -34,6 +34,7 @@ bit-for-bit reproducible (crashes are still captured as failure records).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -315,6 +316,19 @@ def execute_task(task: Task) -> Measurement:
     return m
 
 
+def measure_task(
+    task: Task, executor: Optional[Callable[[Task], Measurement]] = None
+) -> Dict[str, object]:
+    """Pool body of one task attempt: the measurement as a dict, which is
+    what a worker's pipe carries.
+
+    ``executor`` defaults to :func:`execute_task`, looked up in this module
+    at each call, so a persistent worker runs whatever the module binds
+    when the job arrives.
+    """
+    return measurement_to_dict((executor or execute_task)(task))
+
+
 # -- JSONL persistence --------------------------------------------------------
 
 
@@ -572,7 +586,8 @@ class WorkerPool:
     Two re-fork policies: one-shot workers (the default) exit after their
     job, so every job starts from the parent's memory image; ``persistent``
     workers run job after job. Either way a worker whose job failed, or
-    that was signalled, exits and is replaced by a fresh fork on demand.
+    that was signalled, exits and is replaced by a fresh fork on demand,
+    and a closed pool forks afresh on its next :meth:`submit`.
 
     :meth:`wait` blocks on the workers' pipes and process sentinels at once
     (no polling) and always reads a worker's report before it counts the
@@ -598,12 +613,14 @@ class WorkerPool:
         self._context = _mp_context()
         #: workers forked so far (also the next worker's id).
         self.forks = 0
+        #: monotonic time a job was last submitted or handed back done.
+        self.last_active = time.monotonic()
         self._body = body
         self._workers: Dict[int, _Worker] = {}
 
     def submit(self, work, attempt: int = 1, timeout: Optional[float] = None) -> Job:
         """Start ``work`` on an idle worker, forking one if needed."""
-        now = time.monotonic()
+        now = self.last_active = time.monotonic()
         job = Job(work, now, None if timeout is None else now + timeout)
         for worker in self._workers.values():
             if worker.job is None:
@@ -651,6 +668,7 @@ class WorkerPool:
         while True:
             done = self._enforce_deadlines()
             if done:
+                self.last_active = time.monotonic()
                 return done
             now = time.monotonic()
             wakes = [end] if end is not None else []
@@ -675,18 +693,24 @@ class WorkerPool:
                     job = self._collect(worker)
                     if job is not None:
                         done.append(job)
-            if done or (end is not None and time.monotonic() >= end):
+            if done:
+                self.last_active = time.monotonic()
+                return done
+            if end is not None and time.monotonic() >= end:
                 return done
 
-    def close(self) -> None:
+    def close(self) -> int:
         """Stop every worker: busy ones get SIGTERM, all are told to exit,
-        and whatever is still alive after ``term_grace`` is killed."""
-        for worker in self._workers.values():
+        and whatever is still alive after ``term_grace`` is killed. Returns
+        how many workers there were."""
+        workers = list(self._workers.values())
+        for worker in workers:
             if worker.job is not None:
                 self._terminate(worker)
         deadline = time.monotonic() + self.term_grace
-        for worker in list(self._workers.values()):
+        for worker in workers:
             self._retire(worker, max(0.0, deadline - time.monotonic()))
+        return len(workers)
 
     # -- internals ----------------------------------------------------------
 
@@ -806,6 +830,7 @@ def run_tasks(
     checkpoint_dir: Optional[str] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> List[Record]:
     """Run ``tasks`` and return one :class:`Record` per task, in task order.
 
@@ -820,18 +845,18 @@ def run_tasks(
             is appended as it completes.
         wall_timeout: hard per-run seconds; an exceeded run's worker gets
             SIGTERM (a chance to checkpoint), then SIGKILL after
-            ``term_grace`` seconds. Only enforced with ``jobs > 1`` (a
-            single process cannot kill itself safely); serial runs still
-            honor the budget's cooperative limits.
+            ``term_grace`` seconds. Only enforced on a pool (``jobs > 1``
+            or ``pool``: a single process cannot kill itself safely);
+            serial runs still honor the budget's cooperative limits.
         max_retries: how many times a crashed or hard-timed-out task is
             re-queued before its failure record is written. With
             ``checkpoint_dir`` set, a hard-timeout retry resumes from the
             checkpoint the SIGTERM salvaged, so the wall clock resets but
             the search doesn't.
         executor: the task body, a module-level callable mapping Task ->
-            Measurement. Defaults to :func:`execute_task`, looked up when
-            ``run_tasks`` is called; tests substitute crashing/hanging
-            bodies to exercise fault isolation.
+            Measurement. Defaults to :func:`execute_task`, looked up at
+            each call (:func:`measure_task`); tests substitute
+            crashing/hanging bodies to exercise fault isolation.
         term_grace: seconds between SIGTERM and SIGKILL on a wall timeout.
         retry_backoff: base seconds of the exponential crash-retry backoff
             (deterministically jittered per task); 0 disables the delay.
@@ -846,11 +871,17 @@ def run_tasks(
             holding the whole sweep's state). A worker that breaches it
             produces a ``memout`` record instead of a host-level OOM kill;
             memouts are never retried.
+        pool: a :class:`WorkerPool` the caller owns, whose body is
+            :func:`measure_task` (the serve daemon keeps persistent ones
+            warm). Every attempt runs on it, whatever ``jobs`` says, under
+            its own size, memory ceiling, faults and ``term_grace``, and it
+            stays open afterwards. Without it, ``jobs > 1`` forks a one-shot
+            pool for this call and closes it.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if executor is None:
-        executor = execute_task
+    if pool is not None and executor is not None:
+        raise ValueError("a caller's pool runs its own body; pass no executor")
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         tasks = [replace(task, checkpoint_dir=checkpoint_dir) for task in tasks]
@@ -883,21 +914,24 @@ def run_tasks(
         if log is not None:
             log.append(record)
 
-    if jobs == 1:
-        _run_serial(pending, executor, max_retries, retry_backoff, faults, finish)
-    else:
-        _run_pool(
-            pending,
-            jobs,
-            executor,
-            wall_timeout,
-            max_retries,
-            finish,
-            term_grace,
-            retry_backoff,
-            faults,
-            mem_limit_mb,
+    if pool is not None:
+        _run_pool(pending, pool, wall_timeout, max_retries, retry_backoff, finish)
+    elif jobs == 1:
+        _run_serial(
+            pending, executor or execute_task, max_retries, retry_backoff, faults, finish
         )
+    else:
+        pool = WorkerPool(
+            jobs,
+            functools.partial(measure_task, executor=executor),
+            mem_limit_mb=mem_limit_mb,
+            faults=faults,
+            term_grace=term_grace,
+        )
+        try:
+            _run_pool(pending, pool, wall_timeout, max_retries, retry_backoff, finish)
+        finally:
+            pool.close()
 
     if log is not None and not isinstance(results, ResultsLog):
         log.close()
@@ -929,7 +963,9 @@ def _settle(
         # checkpoint is on disk), but the *task* still overran the wall
         # clock — classify as a hard timeout so a retry can resume.
         status = STATUS_HARD_TIMEOUT
-        error = "hard wall-clock timeout after %.1fs (checkpoint salvaged)" % seconds
+        error = "hard wall-clock timeout after %.1fs" % seconds
+        if task.checkpoint_path() is not None:
+            error += " (checkpoint salvaged)"
     if status == STATUS_OK:
         return Record.of(
             task, STATUS_OK, measurement=measurement, attempts=attempt, backoff=entry.backoff
@@ -989,32 +1025,25 @@ def _run_serial(
 
 def _run_pool(
     pending: List[_Pending],
-    jobs: int,
-    executor: Callable[[Task], Measurement],
+    pool: WorkerPool,
     wall_timeout: Optional[float],
     max_retries: int,
+    retry_backoff: float,
     finish: Callable[[int, Task, Record], None],
-    term_grace: float = 2.0,
-    retry_backoff: float = 0.5,
-    faults: Optional[FaultPlan] = None,
-    mem_limit_mb: Optional[float] = None,
 ) -> None:
-    """One-shot pool workers, one per attempt: every task starts from the
-    parent's memory image, so a sweep's peak RSS is one task's, not the
-    accumulation of everything a reused worker ever solved."""
+    """Every attempt as one job on ``pool``, with the retry policy.
 
-    def measure(task: Task) -> Dict[str, object]:
-        return measurement_to_dict(executor(task))
-
-    pool = WorkerPool(
-        jobs, measure, mem_limit_mb=mem_limit_mb, faults=faults, term_grace=term_grace
-    )
+    Sweeps run on one-shot workers, one per attempt: every task starts from
+    the parent's memory image, so a sweep's peak RSS is one task's, not the
+    accumulation of everything a reused worker ever solved. The serve
+    daemon passes persistent workers instead, to skip the fork per request.
+    """
     queue: List[_Pending] = list(pending)
     running: Dict[Job, _Pending] = {}
     try:
         while queue or running:
             now = time.monotonic()
-            while len(running) < jobs:
+            while len(running) < pool.size:
                 ready = next((i for i, p in enumerate(queue) if p.not_before <= now), None)
                 if ready is None:
                     break
@@ -1022,7 +1051,7 @@ def _run_pool(
                 running[pool.submit(entry.task, entry.attempt, wall_timeout)] = entry
             # With a slot free, wake when the earliest retry backoff ends.
             timeout = None
-            if queue and len(running) < jobs:
+            if queue and len(running) < pool.size:
                 timeout = max(0.0, min(p.not_before for p in queue) - now)
             for job in pool.wait(timeout):
                 entry = running.pop(job)
@@ -1037,7 +1066,8 @@ def _run_pool(
                 else:
                     finish(entry.index, entry.task, settled)
     finally:
-        pool.close()  # interrupted: leave no orphans behind
+        if running:
+            pool.close()  # interrupted: leave no orphan and no busy worker
 
 
 # -- pair plumbing on top of records ------------------------------------------

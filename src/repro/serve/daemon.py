@@ -5,14 +5,21 @@ solve runs elsewhere, driven from a thread-pool slot so the loop never
 blocks:
 
 * generic ``solve`` requests run through :func:`repro.evalx.parallel.
-  run_tasks` with ``jobs=2`` — i.e. in a forked, fault-isolated worker
-  shard with the wall-timeout/SIGTERM/checkpoint machinery the batch
-  harness already has;
+  run_tasks` on one of ``jobs`` warm solve workers, each a persistent
+  single-worker :class:`~repro.evalx.parallel.WorkerPool` forked on first
+  use and handed to one request at a time. The task travels over the
+  worker's pipe, the batch harness's retry, wall-timeout/SIGTERM and
+  checkpoint machinery applies unchanged, and no solver state outlives a
+  request;
 * ``smv-diameter`` requests run on their model family's one persistent
   :class:`~repro.evalx.parallel.WorkerPool` worker, which holds the
   family's encoder and :class:`~repro.incremental.IncrementalSolver`, so
   learned constraints carry from bound to bound; an asyncio lock per
   family serializes its bounds.
+
+Every worker the daemon owns ends: one that has held no job for
+``_IDLE_RETIRE`` seconds is closed from the event loop, and its pool forks
+afresh for the next job (a solve pays one fork, a family one cold bound).
 
 ``cube-solve`` requests fan out through :func:`repro.cube.run_cube`. A
 malformed ``engine`` or ``strategy`` comes back as a structured protocol
@@ -34,7 +41,7 @@ Between the protocol and those lanes sits the supervision layer
 * a family solve that outlives its deadline by a grace has its worker
   signalled by the pool and answers ``stuck``; the family's next bound
   re-forks the worker, cold. A cube solve whose worker pool died under it
-  degrades to a one-shot scratch solve.
+  degrades to a scratch solve on the solve lane.
 
 Verdicts are cached by the :meth:`repro.evalx.parallel.Task.key`
 fingerprint triple and persisted to a :class:`~repro.evalx.parallel.
@@ -48,8 +55,8 @@ Shutdown follows the repository's preemption path: SIGTERM/SIGINT set
 :func:`repro.robustness.interrupt.global_flag`, which every in-process
 solve polls and every family wait turns into a cancel of its worker, and
 stop the accept loop; the requests already read are answered (possibly
-with ``interrupted`` UNKNOWN verdicts, which are never cached), then the
-workers stop, the socket is removed and the process exits 0. A daemon
+with ``interrupted`` UNKNOWN verdicts, which are never cached), then every
+worker stops, the socket is removed and the process exits 0. A daemon
 killed *without* that grace (SIGKILL, OOM) leaves its socket file behind;
 the next daemon probes the stale path, sees the connection refused, and
 unlinks it before binding (:func:`claim_socket_path`).
@@ -77,6 +84,7 @@ from repro.evalx.parallel import (
     STATUS_OK,
     Task,
     WorkerPool,
+    measure_task,
     measurement_to_dict,
     run_tasks,
 )
@@ -131,6 +139,10 @@ _STUCK_GRACE = 2.0
 
 #: seconds between the family wait's looks at the daemon's interrupt flag.
 _INTERRUPT_POLL = 0.05
+
+#: seconds a daemon worker may hold no job before the daemon closes it. A
+#: re-fork costs milliseconds, a small share of any idle period this long.
+_IDLE_RETIRE = 60.0
 
 
 def claim_socket_path(path: str) -> None:
@@ -215,12 +227,28 @@ class _Family:
         self.pool = WorkerPool(
             1, _FamilySolver(model), persistent=True, mem_limit_mb=mem_limit_mb
         )
+        #: forks that replaced a failed worker (a fork after an idle
+        #: retirement is none).
+        self.restarts = 0
+        self._retired = False
+
+    def retire(self) -> int:
+        """Close an idle worker; call it from the event loop with the lock
+        free. Returns how many workers were closed (0 or 1)."""
+        closed = self.pool.close()
+        if closed:
+            self._retired = True
+        return closed
 
     def run(self, work, timeout: float, interrupt: InterruptFlag) -> Job:
         """Solve one bound in the worker; blocks, so call it from an
         executor thread. Once ``interrupt`` is set the job is cancelled,
         and the worker reports an interrupted UNKNOWN."""
+        forks = self.pool.forks
         job = self.pool.submit(work, timeout=timeout)
+        if forks and self.pool.forks > forks and not self._retired:
+            self.restarts += 1
+        self._retired = False
         while not self.pool.wait(_INTERRUPT_POLL):
             if interrupt.is_set():
                 self.pool.cancel(job)
@@ -263,6 +291,18 @@ class ServeDaemon:
         self._answering: Set[asyncio.Task] = set()
         self._pool = ThreadPoolExecutor(max_workers=self.jobs)
         self._slots = asyncio.Semaphore(self.jobs)
+        #: the solve lane's warm workers, one per slot, forked on first use.
+        #: A request takes one from the free list for its run_tasks call;
+        #: only the event loop touches the list, and a slot holder always
+        #: finds one in it.
+        self._solve_pools = [
+            WorkerPool(1, measure_task, persistent=True, mem_limit_mb=mem_limit_mb,
+                       faults=faults)
+            for _ in range(self.jobs)
+        ]
+        self._free_pools = list(self._solve_pools)
+        #: workers closed by the idle rule, solve and family alike.
+        self.idle_retirements = 0
         # Admission: one total budget, per-kind sub-budgets so one lane
         # cannot starve the others; cube-solve gets half — each such
         # request fans out to several worker processes of its own.
@@ -388,29 +428,34 @@ class ServeDaemon:
         # serve no matter how poisoned the key is, and costs no worker.
         breaker = self.supervisor.check(Supervisor.task_breaker_key(task.key))
 
-        loop = asyncio.get_running_loop()
-        mem_limit_mb = self.mem_limit_mb
-        faults = self._faults
-        checkpoint_dir = self.checkpoint_dir
         async with self._slots:
-            records = await loop.run_in_executor(
-                self._pool,
-                lambda: run_tasks(
-                    [task],
-                    jobs=2,
-                    wall_timeout=deadline,
-                    checkpoint_dir=checkpoint_dir,
-                    mem_limit_mb=mem_limit_mb,
-                    faults=faults,
-                ),
-            )
-        record = records[0]
+            record = await self._run_warm(task, deadline, self.checkpoint_dir)
         self.stats["solves"] += 1
         self.supervisor.record_outcome(breaker, record.status, record.error)
         await self._cache_put(record)
         out = self._cached_response(record)
         out["cached"] = False
         return out
+
+    async def _run_warm(
+        self, task: Task, wall_timeout: float, checkpoint_dir: Optional[str] = None
+    ) -> Record:
+        """Run ``task`` on a free warm solve worker; the caller holds a slot."""
+        pool = self._free_pools.pop()
+        try:
+            (record,) = await asyncio.get_running_loop().run_in_executor(
+                self._pool,
+                lambda: run_tasks(
+                    [task],
+                    wall_timeout=wall_timeout,
+                    faults=self._faults,
+                    checkpoint_dir=checkpoint_dir,
+                    pool=pool,
+                ),
+            )
+        finally:
+            self._free_pools.append(pool)
+        return record
 
     async def _handle_smv(self, req: Dict[str, object]) -> Dict[str, object]:
         family_name, size, n = validate_smv_request(req)
@@ -618,8 +663,9 @@ class ServeDaemon:
     async def _cube_fallback(
         self, req, formula, engine, remaining
     ) -> Optional[Dict[str, object]]:
-        """One-shot scratch solve after a crash-degraded cube run; returns
-        the response fields on a determinate verdict, else ``None``."""
+        """Scratch solve on the solve lane after a crash-degraded cube run;
+        returns the response fields on a determinate verdict, else
+        ``None``."""
         task = Task(
             instance="%s:cube-fallback" % req.get("instance", "serve"),
             solver="PO",
@@ -628,19 +674,8 @@ class ServeDaemon:
             budget=Budget(decisions=None, seconds=remaining),
             overrides=(("engine", engine),) if engine is not None else (),
         )
-        loop = asyncio.get_running_loop()
-        mem_limit_mb = self.mem_limit_mb
         async with self._slots:
-            records = await loop.run_in_executor(
-                self._pool,
-                lambda: run_tasks(
-                    [task],
-                    jobs=2,
-                    wall_timeout=remaining,
-                    mem_limit_mb=mem_limit_mb,
-                ),
-            )
-        record = records[0]
+            record = await self._run_warm(task, remaining)
         m = record.measurement
         if not record.ok or m is None or m.outcome is Outcome.UNKNOWN:
             return None
@@ -665,10 +700,9 @@ class ServeDaemon:
                 cache_size=len(self._cache),
                 supervisor=dict(
                     self.supervisor.snapshot(),
-                    # every fork after a family's first replaced a worker
-                    family_restarts=sum(
-                        max(0, fam.pool.forks - 1) for fam in self._families.values()
-                    ),
+                    family_restarts=sum(fam.restarts for fam in self._families.values()),
+                    solve_forks=sum(pool.forks for pool in self._solve_pools),
+                    idle_retirements=self.idle_retirements,
                 ),
                 protocol=PROTOCOL_VERSION,
             )
@@ -774,6 +808,7 @@ class ServeDaemon:
         server = await asyncio.start_unix_server(
             self._handle_conn, path=self.socket_path, limit=_STREAM_LIMIT
         )
+        reaper = asyncio.ensure_future(self._reap_idle())
         try:
             await self.shutdown_event.wait()
             # Stop accepting, then answer every request already read before
@@ -783,6 +818,7 @@ class ServeDaemon:
             while self._answering:
                 await asyncio.wait(set(self._answering))
         finally:
+            reaper.cancel()
             server.close()
             self.close()
             try:
@@ -790,9 +826,45 @@ class ServeDaemon:
             except OSError:
                 pass
 
+    async def _reap_idle(self) -> None:
+        while True:
+            await asyncio.sleep(max(0.0, self._retire_idle() - time.monotonic()))
+
+    def _retire_idle(self) -> float:
+        """Close every worker that nothing holds and that has held no job
+        for ``_IDLE_RETIRE`` seconds; return when the next one falls due.
+
+        Only the event loop calls this, so a solve pool in the free list or
+        a family whose lock is free is in no executor thread's hands. A
+        worker never times itself out: a job already in its pipe would be
+        lost.
+        """
+        now = time.monotonic()
+        wake = now + _IDLE_RETIRE
+        unheld = [(pool.last_active, pool.close) for pool in self._free_pools]
+        unheld += [
+            (fam.pool.last_active, fam.retire)
+            for fam in self._families.values()
+            if not fam.lock.locked()
+        ]
+        for last_active, close in unheld:
+            due = last_active + _IDLE_RETIRE
+            if due > now:
+                wake = min(wake, due)
+            else:
+                self.idle_retirements += close()
+        return wake
+
     def close(self) -> None:
-        """Stop the executor and every family worker; close the cache log."""
+        """Stop the executor and every worker; close the cache log.
+
+        :meth:`run` calls it; a caller that drives :meth:`dispatch` itself
+        must, or the interpreter's exit waits on the idle persistent
+        workers forever.
+        """
         self._pool.shutdown(wait=True)
+        for pool in self._solve_pools:
+            pool.close()
         for fam in self._families.values():
             fam.pool.close()
         if self._log is not None:

@@ -45,15 +45,19 @@ carry a ``deadline`` — a finite positive number of wall-clock seconds for
 ``{"ok": false, "status": ...}`` response instead of leaving the client
 hanging until its socket times out; requests that don't set one get
 :data:`DEFAULT_DEADLINE_SECONDS` (the daemon's ``--wall-timeout`` further
-caps both). Inlined formulas are size-capped (:data:`MAX_FORMULA_BYTES`,
-:data:`MAX_CLAUSES`, :data:`MAX_VARS`); an oversized request is a
-structured protocol error, never an attempted solve.
+caps both). A ``solve`` deadline caps each *attempt*: an attempt that
+overruns it is stopped (SIGTERM, then SIGKILL ``term_grace`` later) and
+retried once, so a solve that never finishes answers ``hard-timeout``
+after about twice its deadline. Inlined formulas are size-capped
+(:data:`MAX_FORMULA_BYTES`, :data:`MAX_CLAUSES`, :data:`MAX_VARS`); an
+oversized request is a structured protocol error, never an attempted
+solve.
 
 Responses always carry ``ok``; successful solve responses add ``outcome``,
 ``decisions``, ``seconds``, ``cached`` (verdict served from the fingerprint
 cache) and — for smv requests — ``incremental`` (the family solver had
 prior state) and ``retained`` (constraints transferred into this solve).
-A cube-solve answered by the one-shot fallback after a crash-degraded
+A cube-solve answered by the scratch fallback after a crash-degraded
 cube run additionally carries ``degraded: true``.
 
 Failure responses are always structured — ``{"ok": false, "status": ...,
@@ -180,7 +184,13 @@ def parse_strategy(req: Dict[str, object]) -> str:
 
 
 def parse_deadline(req: Dict[str, object]) -> float:
-    """The request's effective per-request wall-clock cap, in seconds."""
+    """The request's wall-clock deadline, in seconds.
+
+    ``smv-diameter`` and ``cube-solve`` apply it to the request. A
+    ``solve`` applies it to each attempt, and its one hard-timeout retry
+    gets the deadline afresh: a solve that never finishes is answered
+    within 2 x (deadline + ``term_grace``).
+    """
     deadline = req.get("deadline")
     if deadline is None:
         return DEFAULT_DEADLINE_SECONDS

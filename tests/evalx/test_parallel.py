@@ -515,3 +515,62 @@ class TestPreemptionPlumbing:
         assert by_instance["bad-1"].status == STATUS_CRASH
         assert by_instance["bad-1"].backoff > 0
         assert by_instance["a"].backoff == 0.0
+
+
+class TestCallerOwnedPool:
+    """``run_tasks(pool=...)``: attempts on a persistent pool the caller
+    keeps open, the serve daemon's warm solve lane."""
+
+    def test_tasks_in_turn_on_one_worker_match_in_process_runs(self):
+        import multiprocessing
+
+        from repro.evalx.parallel import WorkerPool, measure_task
+        from repro.generators.ncf import NcfParams, generate_ncf
+
+        phi = generate_ncf(NcfParams(dep=6, var=4, cls=12, lpc=5, seed=60001))
+        tasks = [
+            Task("paper", "PO", paper_example(), budget=Budget(decisions=4000)),
+            Task("ncf", "TO(eu_au)", phi, "to", "eu_au", Budget(decisions=3000)),
+            Task("ncf", "PO", phi, budget=Budget(decisions=3000)),
+        ]
+        pool = WorkerPool(1, measure_task, persistent=True)
+        try:
+            records = [run_tasks([task], pool=pool)[0] for task in tasks]
+            assert pool.forks == 1  # one warm worker took all three, pickled
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+        for record, task in zip(records, tasks):
+            assert record.ok, record.error
+            got, want = record.measurement, execute_task(task)
+            assert (got.outcome, got.decisions, got.learned_clauses, got.learned_cubes) == (
+                want.outcome, want.decisions, want.learned_clauses, want.learned_cubes,
+            )
+        # the third solve learned from scratch in a reused interpreter
+        assert records[2].measurement.learned_cubes > 0
+
+    def test_a_caller_pool_refuses_an_executor(self):
+        from repro.evalx.parallel import WorkerPool, measure_task
+
+        pool = WorkerPool(1, measure_task, persistent=True)
+        with pytest.raises(ValueError, match="pool"):
+            run_tasks(make_tasks(["a"]), pool=pool, executor=crash_on_bad)
+        assert pool.forks == 0
+
+
+@pytest.mark.parametrize("checkpoints", [False, True])
+def test_hard_timeout_claims_a_salvaged_checkpoint_only_with_one(tmp_path, checkpoints):
+    from repro.smv.diameter import diameter_qbf
+    from repro.smv.models import model_by_name
+
+    phi = diameter_qbf(model_by_name("counter", 3), 8, form="tree")  # ~8 s to solve
+    ckpt_dir = str(tmp_path / "ckpt") if checkpoints else None
+    (record,) = run_tasks(
+        [Task("counter3-8", "PO", phi, budget=Budget(decisions=None))],
+        jobs=2, wall_timeout=0.5, max_retries=0, checkpoint_dir=ckpt_dir,
+    )
+    assert record.status == STATUS_HARD_TIMEOUT
+    assert record.measurement.interrupted  # the SIGTERM preempted it gracefully
+    assert ("checkpoint salvaged" in record.error) is checkpoints, record.error
+    if checkpoints:
+        assert os.listdir(ckpt_dir)

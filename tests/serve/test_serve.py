@@ -203,8 +203,10 @@ def test_sigkill_leaves_no_family_worker_and_a_reclaimable_socket(daemon, tmp_pa
     for family in ("counter", "semaphore"):
         reply = request(socket_path, {"kind": "smv-diameter", "family": family, "size": 2, "n": 0})
         assert reply["ok"] and not reply["cached"]
+    reply = request(socket_path, {"kind": "solve", "formula": "p cnf 1 1\na 1 0\n1 0\n"})
+    assert reply["ok"] and reply["outcome"] == "false"
     workers = _children(proc.pid)
-    assert len(workers) == 2  # one idle persistent worker per family
+    assert len(workers) == 3  # one idle worker per family, one warm solve worker
     proc.kill()
     proc.wait(timeout=30.0)
     end = time.monotonic() + 10.0
@@ -223,6 +225,29 @@ def test_sigkill_leaves_no_family_worker_and_a_reclaimable_socket(daemon, tmp_pa
     finally:
         successor.send_signal(signal.SIGTERM)
         assert successor.wait(timeout=30.0) == 0
+
+
+def test_sigterm_with_a_busy_and_an_idle_warm_worker_exits_clean(daemon):
+    proc, socket_path, _ = daemon
+    phi = diameter_qbf(model_by_name("counter", 3), 7, form="tree")  # ~3 s to solve
+    replies = []
+    slow = threading.Thread(target=lambda: replies.append(request(socket_path, {
+        "kind": "solve", "format": "qtree", "formula": qtree.dumps(phi),
+        "budget": {"decisions": None}, "deadline": 60.0,
+    }, timeout=60.0)))
+    slow.start()
+    end = time.monotonic() + 30.0
+    while not _children(proc.pid) and time.monotonic() < end:
+        time.sleep(0.02)
+    quick = request(socket_path, {"kind": "solve", "formula": "p cnf 1 1\na 1 0\n1 0\n"})
+    assert quick["ok"] and quick["outcome"] == "false"
+    workers = _children(proc.pid)
+    assert len(workers) == 2  # the slow solve's worker busy, the quick one's idle
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=60.0) == 0
+    slow.join(timeout=30.0)
+    assert replies and replies[0]["ok"] and replies[0]["outcome"] == "false"
+    assert not [pid for pid in workers if _alive(pid)]
 
 
 def test_requests_read_after_shutdown_start_no_solve(tmp_path):

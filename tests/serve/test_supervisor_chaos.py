@@ -165,7 +165,7 @@ class TestOverload:
         try:
             responses = asyncio.run(burst())
         finally:
-            daemon._pool.shutdown(wait=False)
+            daemon.close()
         for resp in responses:
             check_structured(resp)
         shed = [r for r in responses if r.get("status") == "overloaded"]
@@ -210,6 +210,7 @@ class TestStuckFamily:
         assert warm["outcome"] == "true"
         assert warm["incremental"] is True
         assert daemon._families["counter2"].pool.forks == 2
+        assert daemon._families["counter2"].restarts == 1  # stats' family_restarts
         snap = daemon.supervisor.snapshot()
         assert snap["degraded_solves"] == 0
         assert snap["breakers"]["tracked"] == 1
