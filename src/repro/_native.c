@@ -25,7 +25,7 @@
 
 /* version stamp surfaced as repro._native.KERNEL_VERSION; bump on any
  * change to the kernel semantics or the wrapper-facing API. */
-#define KERNEL_VERSION 2
+#define KERNEL_VERSION 3
 
 /* propagate() event codes (wrapper maps them to the backend protocol) */
 #define EV_NONE 0
@@ -1126,104 +1126,6 @@ NativeCore_build_model_cube(NativeCore *self, PyObject *Py_UNUSED(ignored))
     return result;
 }
 
-/* ------------------------------------------------- branching fast path */
-
-/* pick_levelsub(available, level, score_pos, score_neg, child_max,
- *               block_index) -> literal | None
- *
- * Exact port of heuristics.make_picker's "levelsub" closure: rank
- * available variables by the key (-level[v], max(eff(v), eff(-v)), -v)
- * where eff(±v) = score_±[v] + child_max[block_index[v]], keeping the
- * first maximal entry (max() semantics; the -v component makes ties
- * impossible anyway), then phase by score_pos[v] >= score_neg[v].
- * The caller must run the keeper's dirty recompute first.  All six
- * arguments are the keeper's/trail's own Python lists, read in place. */
-static PyObject *
-native_pick_levelsub(PyObject *Py_UNUSED(mod), PyObject *args)
-{
-    PyObject *avail_o, *level_o, *spos_o, *sneg_o, *cmax_o, *bidx_o;
-    PyObject *avail, *level, *spos, *sneg, *cmax, *bidx;
-    Py_ssize_t i, n, nvars, nblocks;
-    long best_v = 0, best_lv = 0;
-    double best_m = 0.0, sp, sn;
-    int have = 0;
-
-    if (!PyArg_ParseTuple(args, "OOOOOO", &avail_o, &level_o, &spos_o,
-                          &sneg_o, &cmax_o, &bidx_o))
-        return NULL;
-    avail = PySequence_Fast(avail_o, "available: expected a sequence");
-    level = PySequence_Fast(level_o, "level: expected a sequence");
-    spos = PySequence_Fast(spos_o, "score_pos: expected a sequence");
-    sneg = PySequence_Fast(sneg_o, "score_neg: expected a sequence");
-    cmax = PySequence_Fast(cmax_o, "child_max: expected a sequence");
-    bidx = PySequence_Fast(bidx_o, "block_index: expected a sequence");
-    if (avail == NULL || level == NULL || spos == NULL || sneg == NULL
-        || cmax == NULL || bidx == NULL)
-        goto fail;
-
-    n = PySequence_Fast_GET_SIZE(avail);
-    if (n == 0) {
-        Py_DECREF(avail); Py_DECREF(level); Py_DECREF(spos);
-        Py_DECREF(sneg); Py_DECREF(cmax); Py_DECREF(bidx);
-        Py_RETURN_NONE;
-    }
-    nvars = PySequence_Fast_GET_SIZE(level);
-    nblocks = PySequence_Fast_GET_SIZE(cmax);
-    for (i = 0; i < n; i++) {
-        long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(avail, i));
-        long lv, bi;
-        double cm, a, b, m;
-        int better;
-        if (v <= 0 || v >= nvars
-            || v >= PySequence_Fast_GET_SIZE(bidx)
-            || v >= PySequence_Fast_GET_SIZE(spos)
-            || v >= PySequence_Fast_GET_SIZE(sneg)) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_ValueError, "variable %ld out of range", v);
-            goto fail;
-        }
-        lv = PyLong_AsLong(PySequence_Fast_GET_ITEM(level, v));
-        bi = PyLong_AsLong(PySequence_Fast_GET_ITEM(bidx, v));
-        if (bi < 0 || bi >= nblocks) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_ValueError, "block index %ld out of range", bi);
-            goto fail;
-        }
-        cm = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(cmax, bi));
-        a = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(spos, v)) + cm;
-        b = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(sneg, v)) + cm;
-        if (PyErr_Occurred())
-            goto fail;
-        m = a >= b ? a : b;
-        if (!have)
-            better = 1;
-        else if (lv != best_lv)
-            better = lv < best_lv; /* key starts with -level */
-        else if (m != best_m)
-            better = m > best_m;
-        else
-            better = v < best_v; /* trailing -v tiebreak */
-        if (better) {
-            best_v = v;
-            best_lv = lv;
-            best_m = m;
-            have = 1;
-        }
-    }
-    sp = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(spos, best_v));
-    sn = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(sneg, best_v));
-    if (PyErr_Occurred())
-        goto fail;
-    Py_DECREF(avail); Py_DECREF(level); Py_DECREF(spos);
-    Py_DECREF(sneg); Py_DECREF(cmax); Py_DECREF(bidx);
-    return PyLong_FromLong(sp >= sn ? best_v : -best_v);
-
-fail:
-    Py_XDECREF(avail); Py_XDECREF(level); Py_XDECREF(spos);
-    Py_XDECREF(sneg); Py_XDECREF(cmax); Py_XDECREF(bidx);
-    return NULL;
-}
-
 static PyMethodDef NativeCore_methods[] = {
     {"add_record", (PyCFunction)NativeCore_add_record, METH_VARARGS,
      "add_record(is_cube, original, learned, lits, prim, sec) -> rec id"},
@@ -1251,12 +1153,18 @@ static PyMethodDef NativeCore_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+/* ------------------------------------------------- branching fast path */
+
 /* pick_frontier_levelsub(block_vars, block_unassigned, block_blockers,
  *                        value, level, score_pos, score_neg, child_max,
  *                        block_index) -> literal | None
  *
- * Trail.available_vars fused with the levelsub ranking: walk the trail's
- * incremental frontier counters (a block is open when it still has
+ * Exact port of heuristics.make_picker's fused "levelsub" picker: rank by
+ * the key (-level[v], max(eff(v), eff(-v)), -v) where eff(±v) =
+ * score_±[v] + child_max[block_index[v]], then phase by
+ * score_pos[v] >= score_neg[v]; the caller runs the keeper's dirty
+ * recompute first.  Trail.available_vars is fused with that ranking: walk
+ * the trail's incremental frontier counters (a block is open when it still has
  * unassigned variables and no unassigned ≺-predecessor block) and rank
  * its unassigned variables without materializing the candidate list.
  * Safe fusion: the ranking's trailing -v component is a strict tiebreak,
@@ -1387,9 +1295,6 @@ fail:
 }
 
 static PyMethodDef native_module_methods[] = {
-    {"pick_levelsub", (PyCFunction)native_pick_levelsub, METH_VARARGS,
-     "pick_levelsub(available, level, score_pos, score_neg, child_max, "
-     "block_index) -> literal | None"},
     {"pick_frontier_levelsub", (PyCFunction)native_pick_frontier_levelsub,
      METH_VARARGS,
      "pick_frontier_levelsub(block_vars, block_unassigned, block_blockers, "

@@ -28,6 +28,14 @@ formula. The converse is deliberately false — a tree-order reduction that
 the checked formula's order forbids is rejected, which is exactly the
 "illegal reduction" corruption class the tests exercise.
 
+The checker reads the quantifier tree only through its own flat arrays
+(:class:`_Scopes`), built from ``Prefix.blocks`` once per certificate. It
+never reads ``Prefix.tables()``: the solver's reductions run on those
+tables, and a checker that shared them could not catch a fault in them.
+Initial cubes are checked against per-literal clause bitmasks built at the
+certificate's first ``cube0`` step, so a cube costs one OR per literal
+instead of a sweep over the matrix.
+
 The certificate source is streamed; the checker keeps only the id ->
 literals map needed to resolve antecedent references.
 """
@@ -35,7 +43,9 @@ literals map needed to resolve antecedent references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from functools import reduce
+from operator import neg, or_
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.certify.store import (
     CERT_FORMAT,
@@ -52,7 +62,7 @@ from repro.certify.store import (
     read_certificate,
 )
 from repro.core.formula import QBF
-from repro.core.literals import EXISTS, FORALL, var_of
+from repro.core.literals import EXISTS, var_of
 
 #: check statuses.
 VERIFIED = "verified"  # complete proof, every step valid, conclusion holds
@@ -86,11 +96,63 @@ class _Reject(Exception):
 
 
 def _canon(lits: Iterable[int]) -> Tuple[int, ...]:
-    return tuple(sorted(set(int(l) for l in lits), key=lambda l: (var_of(l), l)))
+    """Distinct literals in ``(variable, literal)`` order: the ascending
+    sort puts ``-v`` before ``v`` and the stable sort by ``abs`` keeps it
+    there, both without a Python-level key."""
+    return tuple(sorted(sorted(set(map(int, lits))), key=abs))
+
+
+class _Scopes:
+    """The checker's own view of the quantifier tree, from ``Prefix.blocks``.
+
+    ``block[v]`` is the DFS index of the block binding variable ``v``;
+    ``level``, ``din`` and ``dout`` are indexed by block, so ``≺`` between
+    blocks ``a`` and ``b`` is ``level[a] < level[b] and din[a] <= din[b]
+    <= dout[a]``. ``existentials``/``universals`` hold both literals of
+    every variable of that quantifier, ``bound`` their union.
+    """
+
+    __slots__ = ("block", "level", "din", "dout", "existentials", "universals", "bound")
+
+    def __init__(self, prefix) -> None:
+        blocks = prefix.blocks
+        num_slots = 1 + max((max(b.variables) for b in blocks), default=0)
+        self.block: List[int] = [0] * num_slots
+        self.level = [b.level for b in blocks]
+        self.din = [b.din for b in blocks]
+        self.dout = [b.dout for b in blocks]
+        self.existentials: Set[int] = set()
+        self.universals: Set[int] = set()
+        for b in blocks:
+            lits = self.existentials if b.quant is EXISTS else self.universals
+            for v in b.variables:
+                self.block[v] = b.index
+                lits.add(v)
+                lits.add(-v)
+        self.bound = self.existentials | self.universals
+
+    def blocked(self, dropped: Iterable[int], anchors: Iterable[int]) -> bool:
+        """True when the variable of some ``dropped`` literal precedes
+        (``≺``) the variable of some ``anchors`` literal. ``≺`` depends only
+        on the blocks involved, so each distinct pair of blocks is tested
+        once."""
+        block = self.block
+        level = self.level
+        din = self.din
+        dout = self.dout
+        targets = [(level[b], din[b]) for b in set(map(block.__getitem__, map(abs, anchors)))]
+        for b in set(map(block.__getitem__, map(abs, dropped))):
+            b_level = level[b]
+            b_din = din[b]
+            b_dout = dout[b]
+            for a_level, a_din in targets:
+                if b_level < a_level and b_din <= a_din <= b_dout:
+                    return True
+        return False
 
 
 def _check_legal_reduction(
-    before: Sequence[int], after: Sequence[int], prefix, is_cube: bool, where: str
+    before: Sequence[int], after: Sequence[int], scopes: _Scopes, is_cube: bool, where: str
 ) -> None:
     """Verify ``after`` arises from ``before`` by deleting only reducible
     literals under the prefix's partial order (Lemma 3 / its dual).
@@ -98,9 +160,9 @@ def _check_legal_reduction(
     Existential reduction lets an existential literal leave a cube iff it
     precedes no universal literal of the cube (universals are never
     deletable); universal reduction lets a universal literal leave a clause
-    iff it precedes no existential literal of the clause. ``≺`` depends
-    only on the blocks involved, so the anchors are deduplicated by block,
-    and once a dropped literal is found legal, the rest of its block is too.
+    iff it precedes no existential literal of the clause. The whole step is
+    decided with set operations and one block-pair test; only an illegal
+    step walks its dropped literals one by one, to name the first one.
     """
     before_set = set(before)
     after_set = set(after)
@@ -110,53 +172,52 @@ def _check_legal_reduction(
     dropped = before_set - after_set
     if not dropped:
         return
+    kept = scopes.universals if is_cube else scopes.existentials
+    anchors = before_set & kept
+    if dropped.isdisjoint(kept) and not (anchors and scopes.blocked(dropped, anchors)):
+        return
     if is_cube:
-        deletable, kept_kind, drop_kind, shape = EXISTS, "universal", "existential", "cube"
+        kept_kind, drop_kind, shape = "universal", "existential", "cube"
     else:
-        deletable, kept_kind, drop_kind, shape = FORALL, "existential", "universal", "clause"
-    block_of = prefix.block_of
-    anchors: Dict[object, int] = {}
-    for l in before:
-        block = block_of(var_of(l))
-        if block.quant is not deletable and block not in anchors:
-            anchors[block] = l
-    legal: Set[object] = set()
+        kept_kind, drop_kind, shape = "existential", "universal", "clause"
     for l in dropped:
-        block = block_of(var_of(l))
-        if block.quant is not deletable:
+        if l in kept:
             raise _Reject(
                 "%s: reduction deleted %s %d from a %s" % (where, kept_kind, l, shape)
             )
-        if block in legal:
-            continue
-        if any(prefix.prec(l, a) for a in anchors.values()):
+        if scopes.blocked((l,), anchors):
             raise _Reject(
                 "%s: %s %d is blocked by a deeper %s" % (where, drop_kind, l, kept_kind)
             )
-        legal.add(block)
 
 
 def _resolve_checked(
-    a: Sequence[int], b: Sequence[int], pivot: int, prefix, is_cube: bool, where: str
+    a: Sequence[int], b: Sequence[int], pivot: int, scopes: _Scopes, is_cube: bool, where: str
 ) -> Tuple[int, ...]:
     """Verify and perform one resolution step; returns the raw resolvent."""
-    if pivot not in prefix:
+    if pivot <= 0 or pivot not in scopes.bound:
         raise _Reject("%s: pivot %d is not a bound variable" % (where, pivot))
     if is_cube:
-        if not prefix.is_universal(pivot):
+        if pivot not in scopes.universals:
             raise _Reject("%s: cube resolution pivot %d is not universal" % (where, pivot))
     else:
-        if not prefix.is_existential(pivot):
+        if pivot not in scopes.existentials:
             raise _Reject(
                 "%s: clause resolution pivot %d is not existential" % (where, pivot)
             )
-    a_signs = {l for l in a if var_of(l) == pivot}
-    b_signs = {l for l in b if var_of(l) == pivot}
-    if len(a_signs) != 1 or len(b_signs) != 1 or a_signs == b_signs:
+    a_set = set(a)
+    b_set = set(b)
+    a_pos = pivot in a_set
+    b_pos = pivot in b_set
+    if a_pos == (-pivot in a_set) or b_pos == (-pivot in b_set) or a_pos == b_pos:
         raise _Reject(
             "%s: pivot %d does not occur with opposite signs in the antecedents"
             % (where, pivot)
         )
+    resolvent = (a_set | b_set) - {pivot, -pivot}
+    if resolvent.isdisjoint(map(neg, resolvent)):
+        return _canon(resolvent)
+    # A variable with both signs: merge literal by literal to name it.
     merged: Dict[int, int] = {}
     for lit in a:
         if var_of(lit) != pivot:
@@ -171,23 +232,40 @@ def _resolve_checked(
     return _canon(merged.values())
 
 
-def _check_initial_cube(lits: Sequence[int], formula: QBF, where: str) -> None:
-    """Term axiom rule: a consistent implicant of the whole matrix."""
-    prefix = formula.prefix
-    seen: Dict[int, int] = {}
-    for l in lits:
-        v = var_of(l)
-        if v not in prefix:
-            raise _Reject("%s: literal %d is not bound by the prefix" % (where, l))
-        if seen.get(v, l) != l:
-            raise _Reject("%s: contradictory literals on variable %d" % (where, v))
-        seen[v] = l
-    cube = set(lits)
+def _clause_masks(formula: QBF, scopes: _Scopes) -> Tuple[Dict[int, int], int]:
+    """Per bound literal, the bitmask of the matrix clauses it occurs in
+    (bit ``i`` for clause ``i``), and the mask of all clauses."""
+    masks = dict.fromkeys(scopes.bound, 0)
     for index, clause in enumerate(formula.clauses):
-        if cube.isdisjoint(clause.lits):
-            raise _Reject(
-                "%s: matrix clause %d is not satisfied by the cube" % (where, index)
-            )
+        bit = 1 << index
+        for l in clause.lits:
+            masks[l] |= bit
+    return masks, (1 << len(formula.clauses)) - 1
+
+
+def _check_initial_cube(
+    lits: Sequence[int], scopes: _Scopes, masks: Dict[int, int], full: int, where: str
+) -> None:
+    """Term axiom rule: a consistent implicant of the whole matrix.
+
+    ``lits`` is canonical (distinct literals), so two literals share a
+    variable only when they contradict each other. The cube satisfies the
+    matrix iff the OR of its literals' clause masks is ``full``; the lowest
+    bit missing names the first clause it leaves unsatisfied.
+    """
+    if not scopes.bound.issuperset(lits) or len(set(map(abs, lits))) != len(lits):
+        seen: Dict[int, int] = {}
+        for l in lits:
+            v = var_of(l)
+            if l not in scopes.bound:
+                raise _Reject("%s: literal %d is not bound by the prefix" % (where, l))
+            if seen.get(v, l) != l:
+                raise _Reject("%s: contradictory literals on variable %d" % (where, v))
+            seen[v] = l
+    missing = full & ~reduce(or_, map(masks.__getitem__, lits), 0)
+    if missing:
+        index = (missing & -missing).bit_length() - 1
+        raise _Reject("%s: matrix clause %d is not satisfied by the cube" % (where, index))
 
 
 def check_certificate(formula: QBF, source: CertificateSource) -> CheckReport:
@@ -196,7 +274,11 @@ def check_certificate(formula: QBF, source: CertificateSource) -> CheckReport:
     Never raises on malformed certificates — every defect is reported as an
     ``invalid`` :class:`CheckReport` with the offending step in ``error``.
     """
-    prefix = formula.prefix
+    scopes = _Scopes(formula.prefix)
+    #: clause bitmasks, built at the first initial cube (FALSE proofs and
+    #: unknown runs may have none).
+    masks: Optional[Dict[int, int]] = None
+    full = 0
     derived: Dict[int, Tuple[bool, Tuple[int, ...]]] = {}
     steps = 0
     saw_header = False
@@ -244,11 +326,13 @@ def check_certificate(formula: QBF, source: CertificateSource) -> CheckReport:
                     raise _Reject("%s: bad matrix clause index %r" % (where, index))
                 lits = _canon(step.get("lits", ()))
                 original = _canon(formula.clauses[index].lits)
-                _check_legal_reduction(original, lits, prefix, False, where)
+                _check_legal_reduction(original, lits, scopes, False, where)
                 record(step.get("id"), False, lits, where)
             elif t == INITIAL_CUBE:
                 lits = _canon(step.get("lits", ()))
-                _check_initial_cube(lits, formula, where)
+                if masks is None:
+                    masks, full = _clause_masks(formula, scopes)
+                _check_initial_cube(lits, scopes, masks, full, where)
                 record(step.get("id"), True, lits, where)
             elif t == RESOLUTION:
                 is_cube = step.get("kind") == KIND_CUBE
@@ -260,9 +344,9 @@ def check_certificate(formula: QBF, source: CertificateSource) -> CheckReport:
                 pivot = step.get("pivot")
                 if not isinstance(pivot, int):
                     raise _Reject("%s: bad pivot %r" % (where, pivot))
-                resolvent = _resolve_checked(a, b, pivot, prefix, is_cube, where)
+                resolvent = _resolve_checked(a, b, pivot, scopes, is_cube, where)
                 lits = _canon(step.get("lits", ()))
-                _check_legal_reduction(resolvent, lits, prefix, is_cube, where)
+                _check_legal_reduction(resolvent, lits, scopes, is_cube, where)
                 record(step.get("id"), is_cube, lits, where)
             elif t == REDUCTION:
                 is_cube = step.get("kind") == KIND_CUBE
@@ -271,7 +355,7 @@ def check_certificate(formula: QBF, source: CertificateSource) -> CheckReport:
                     raise _Reject("%s: reduction needs one antecedent" % where)
                 before = fetch(ant[0], is_cube, where)
                 lits = _canon(step.get("lits", ()))
-                _check_legal_reduction(before, lits, prefix, is_cube, where)
+                _check_legal_reduction(before, lits, scopes, is_cube, where)
                 record(step.get("id"), is_cube, lits, where)
             elif t == CONCLUSION:
                 conclusion = step

@@ -113,17 +113,13 @@ class PropagationBackend:
     reduce_cube_fast = None
     native_model_cube = None
 
-    def accelerated_picker(self, policy, keeper):
-        """A compiled branching closure for ``policy``, or None for the
-        pure-Python :func:`~repro.core.heuristics.make_picker` ranking."""
-        return None
-
     def accelerated_frontier_picker(self, policy, keeper, trail):
-        """A compiled decision function fusing ``trail.available_vars()``
-        with the ``policy`` ranking (no candidate list materialized), or
-        None for the two-step Python path. Fusion is only sound because
-        every ranking ends in a strict ``-v`` tiebreak, making the result
-        independent of frontier enumeration order."""
+        """A compiled decision function fusing the trail's frontier scan
+        with the ``policy`` ranking, or None for the pure-Python fused
+        picker (:func:`~repro.core.heuristics.make_picker` with ``trail``).
+        Fusion is only sound because every ranking ends in a strict ``-v``
+        tiebreak, making the result independent of frontier enumeration
+        order."""
         return None
 
     def __init__(self, formula, prefix, config, stats, trail, keeper):

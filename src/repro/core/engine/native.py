@@ -300,40 +300,15 @@ class NativeBackend(PropagationBackend):
         runs without touching a Python object."""
         return self._core.build_model_cube()
 
-    def accelerated_picker(self, policy: str, keeper):
-        """A compiled branching closure for ``policy``, or None.
-
-        Only the default ``levelsub`` ranking has a C port; the ablation
-        policies keep the pure-Python picker (they never run in the perf
-        lane). The keeper's lazily-recomputed subtree maxima stay in
-        Python — the closure flushes the dirty flag, then ranks the
-        available list in C against the keeper's own score arrays."""
-        if policy != "levelsub":
-            return None
-        pick_levelsub = _native.pick_levelsub
-        level = keeper._level
-        score_pos = keeper.score_pos
-        score_neg = keeper.score_neg
-        child_max = keeper._child_max
-        block_index = keeper._block_index
-
-        def pick(available):
-            if not available:
-                return None
-            if keeper._dirty:
-                keeper._recompute()
-            return pick_levelsub(
-                available, level, score_pos, score_neg, child_max, block_index
-            )
-
-        return pick
-
     def accelerated_frontier_picker(self, policy: str, keeper, trail):
-        """Fused ``available_vars`` + ``levelsub`` ranking, one C call.
+        """Fused frontier scan + ``levelsub`` ranking, one C call.
 
         Reads the trail's incremental frontier counters and the keeper's
-        score arrays in place; no candidate list is built. Same
-        ``levelsub``-only restriction as :meth:`accelerated_picker`."""
+        score arrays in place; no candidate list is built. Only the
+        default ``levelsub`` ranking has a C port; the ablation policies
+        keep the pure-Python fused picker (they never run in the perf
+        lane). The keeper's lazily-recomputed subtree maxima stay in
+        Python: the closure flushes the dirty flag before the C call."""
         if policy != "levelsub":
             return None
         pick_frontier = _native.pick_frontier_levelsub

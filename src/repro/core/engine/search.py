@@ -114,15 +114,12 @@ class SearchEngine:
         self.backend: PropagationBackend = backend_cls(
             formula, self.prefix, self.config, self.stats, self.trail, self._keeper
         )
-        # The branching closure is built once here (not per decision); the
-        # backend supplies a compiled ranking when it carries one, and
-        # optionally a fused frontier-scan + ranking used by _decide.
-        self._pick = self.backend.accelerated_picker(
-            self.config.policy, self._keeper
-        ) or make_picker(self.config.policy, self._keeper)
+        # The branching closure is built once here (not per decision): a
+        # fused frontier scan + ranking over the trail, compiled when the
+        # backend carries one.
         self._frontier_pick = self.backend.accelerated_frontier_picker(
             self.config.policy, self._keeper, self.trail
-        )
+        ) or make_picker(self.config.policy, self._keeper, self.trail)
         if self._proof is not None:
             self._proof.register_formula(formula)
         self._view = TrailView(
@@ -163,10 +160,10 @@ class SearchEngine:
         strictly lower level (blocks them) and pending variables in
         ancestors of the same level (blocks only deeper levels).
 
-        This is the *reference* computation: ``_decide`` uses the trail's
-        incrementally maintained frontier (``Trail.available_vars``), which
-        must return exactly this list in exactly this order — a contract
-        enforced by the frontier property tests.
+        This is the *reference* computation: ``_decide`` scans the trail's
+        incrementally maintained frontier (``Trail.available_vars`` lists
+        it), which must hold exactly these variables, in this order — a
+        contract enforced by the frontier property tests.
         """
         out: List[int] = []
         value = self.trail.value
@@ -189,10 +186,7 @@ class SearchEngine:
 
     def _decide(self) -> bool:
         """Branch on a heuristic literal; False when no variable remains."""
-        if self._frontier_pick is not None:
-            lit = self._frontier_pick()
-        else:
-            lit = self._pick(self.trail.available_vars())
+        lit = self._frontier_pick()
         if lit is None:
             return False
         self.stats.decisions += 1

@@ -32,9 +32,12 @@ tests; hot paths read the arrays directly.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.prefix import Prefix
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine.trail import Trail
 
 #: pick policy names accepted by the solver configuration.
 POLICIES = ("levelsub", "subtree", "counter", "naive")
@@ -206,12 +209,11 @@ class ScoreKeeper:
 def make_picker(
     policy: str,
     keeper: ScoreKeeper,
-) -> Callable[[Sequence[int]], Optional[int]]:
+    trail: Optional["Trail"] = None,
+) -> Callable[..., Optional[int]]:
     """Build the branching function for ``policy`` once, at solver init.
 
-    Historically :func:`pick_literal` rebuilt its key lambda on every
-    decision; the engine now hoists that construction here and calls the
-    returned closure per decision. The ranking is unchanged:
+    The policies rank available variables:
 
     ``levelsub`` — rank by (prefix level, subtree score): Section VI's
     requirement that the queue account for "both their position in the
@@ -225,9 +227,18 @@ def make_picker(
     ``naive`` — smallest variable id, positive phase (ablation).
 
     Every key ends in ``-v``, a strict tiebreak, so the result never depends
-    on the order of ``available``. The returned function maps an available
-    list to a literal, or None when the list is empty.
+    on the order of the candidates. Without ``trail`` the returned function
+    maps an available list to a literal, or None when the list is empty.
+    With ``trail`` it takes no argument: it walks the trail's open blocks
+    (those :meth:`~repro.core.engine.trail.Trail.available_vars` lists) and
+    ranks their unassigned variables in place, without building the list,
+    and returns the literal the list form returns on
+    ``trail.available_vars()`` — what the search engine decides with.
     """
+    if policy not in POLICIES:
+        raise ValueError("unknown branching policy %r" % policy)
+    if trail is not None:
+        return _frontier_picker(policy, keeper, trail)
     if policy == "naive":
         def pick_naive(available: Sequence[int]) -> Optional[int]:
             if not available:
@@ -254,15 +265,13 @@ def make_picker(
             a = score_pos[v]
             b = score_neg[v]
             return ((a if a >= b else b) + child_max[block_index[v]], -v)
-    elif policy == "levelsub":
+    else:
         level = keeper._level
 
         def key(v: int) -> Tuple:
             a = score_pos[v]
             b = score_neg[v]
             return (-level[v], (a if a >= b else b) + child_max[block_index[v]], -v)
-    else:
-        raise ValueError("unknown branching policy %r" % policy)
     tree = policy != "counter"
 
     def pick(available: Sequence[int]) -> Optional[int]:
@@ -272,6 +281,79 @@ def make_picker(
             keeper._recompute()
         var = max(available, key=key)
         return var if score_pos[var] >= score_neg[var] else -var
+
+    return pick
+
+
+def _frontier_picker(
+    policy: str, keeper: ScoreKeeper, trail: "Trail"
+) -> Callable[[], Optional[int]]:
+    """The fused form of :func:`make_picker`: frontier scan plus ranking.
+
+    A block is open when it still has an unassigned variable and no
+    unassigned ``≺``-predecessor block (the trail's frontier counters).
+    Every ranked policy is one loop over per-block keys: ``levelsub`` ranks
+    by (lower block level, higher score, lower id), ``subtree`` is the same
+    with every level 0, and ``counter`` also adds a zero ``child_max``
+    (``x + 0.0 == x`` for the nonnegative scores), so each computes the
+    same float its list key compares. Under ``levelsub`` a block deeper
+    than the best so far cannot win and is skipped whole.
+    """
+    value = trail.value
+    block_vars = trail.block_vars
+    block_unassigned = trail.block_unassigned
+    block_blockers = trail.block_blockers
+    n_blocks = len(block_vars)
+
+    if policy == "naive":
+        def pick_naive() -> Optional[int]:
+            best = 0
+            for bi in range(n_blocks):
+                if block_unassigned[bi] and not block_blockers[bi]:
+                    for v in block_vars[bi]:
+                        if not value[v] and (not best or v < best):
+                            best = v
+            return best or None
+
+        return pick_naive
+
+    score_pos = keeper.score_pos
+    score_neg = keeper.score_neg
+    if policy == "levelsub":
+        levels = [block.level for block in keeper.prefix.blocks]
+    else:
+        levels = [0] * n_blocks
+    tree = policy != "counter"
+    child_max = keeper._child_max if tree else [0.0] * n_blocks
+
+    def pick() -> Optional[int]:
+        if tree and keeper._dirty:
+            keeper._recompute()
+        best = 0
+        best_level = 0
+        best_score = 0.0
+        for bi in range(n_blocks):
+            if not block_unassigned[bi] or block_blockers[bi]:
+                continue
+            lv = levels[bi]
+            if best:
+                if lv > best_level:
+                    continue
+                if lv < best_level:
+                    best = 0
+            best_level = lv
+            cm = child_max[bi]
+            for v in block_vars[bi]:
+                if not value[v]:
+                    a = score_pos[v]
+                    b = score_neg[v]
+                    s = (a if a >= b else b) + cm
+                    if not best or s > best_score or (s == best_score and v < best):
+                        best = v
+                        best_score = s
+        if not best:
+            return None
+        return best if score_pos[best] >= score_neg[best] else -best
 
     return pick
 

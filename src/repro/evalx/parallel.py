@@ -489,13 +489,19 @@ def _worker_main(
     cancel sent at any time after the fork preempts the job (the solver
     flushes its checkpoint and reports a partial measurement instead of
     dying mid-search), and caps the address space at ``mem_limit_mb``.
+    That holds only while the worker holds a job: an idle persistent
+    worker dies of SIGTERM as if it had no handler, so an exiting parent
+    that never closed its pool (multiprocessing SIGTERMs and joins every
+    daemonic child) does not wait forever on a worker waiting for a job.
+    A cancel that lands after the pool sent a job but before the worker
+    read it therefore ends the job ``cancelled``, with no report.
 
     Each job is reported as ``(status, payload)``. The worker exits after a
     failed job (the pool forks a fresh one), after its one job unless
-    ``persistent``, when the parent sends ``None``, and when the parent
-    dies while the worker waits for its next job. The pool signals a
-    worker only while it holds a job and never hands a signalled worker
-    another one, so the flag needs no clearing between jobs.
+    ``persistent``, after a job during which it was signalled (the pool
+    never hands a signalled worker another one, so the flag needs no
+    clearing between jobs), when the parent sends ``None``, and when the
+    parent dies while the worker waits for its next job.
 
     ``KeyboardInterrupt``/``SystemExit`` are reported as a crash but then
     *re-raised*: swallowing them would leave the worker running after the
@@ -507,7 +513,16 @@ def _worker_main(
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    signal.signal(signal.SIGTERM, flag.set)
+    idle = False
+
+    def on_sigterm(signum, frame) -> None:
+        if not idle:
+            flag.set(signum, frame)
+            return
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    signal.signal(signal.SIGTERM, on_sigterm)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     _apply_memory_limit(mem_limit_mb)
     parent = multiprocessing.parent_process()
@@ -520,6 +535,9 @@ def _worker_main(
                 raise
             if not _send(conn, report) or not persistent or report[0] != STATUS_OK:
                 return
+            idle = True
+            if flag.is_set():
+                return  # signalled during the job
             # A recv alone never sees EOF once the parent is gone: this
             # worker, and every process forked after it, holds a copy of
             # the parent's end of the pipe. The parent's sentinel fires once
@@ -532,6 +550,7 @@ def _worker_main(
                 job, attempt = conn.recv() or (None, 0)
             except (EOFError, OSError):
                 return
+            idle = False
     finally:
         conn.close()
 

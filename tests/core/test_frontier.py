@@ -5,7 +5,9 @@ The frontier contract: ``Trail.available_vars()`` (per-block counters
 maintained under push/unassign) must return exactly what the recursive
 quantifier-tree walk ``SearchEngine._available_vars()`` returns — same
 variables, same (DFS) order — in *every* reachable search state, for every
-engine, on prenex (TO) and tree (PO) prefixes alike.
+engine, on prenex (TO) and tree (PO) prefixes alike. The picker contract:
+the fused frontier picker (``make_picker`` with a trail, or the engine's
+compiled one) returns the literal the list picker returns on that list.
 """
 
 import random
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import SearchEngine
 from repro.core.engine.config import SolverConfig
 from repro.core.engine.trail import Trail
-from repro.core.heuristics import ScoreKeeper, make_picker, pick_literal
+from repro.core.heuristics import POLICIES, ScoreKeeper, make_picker, pick_literal
 from repro.core.literals import EXISTS
 from repro.core.prefix import Prefix
 from repro.generators.random_qbf import random_qbf
@@ -48,6 +50,17 @@ def _reference_available(prefix, value):
 # -- direct push/unassign driver on a bare Trail ------------------------------
 
 
+#: counter values for random score states: few, so that ties are common,
+#: and one tiny enough to vanish when a subtree maximum is added.
+_SCORES = (0.0, 1e-30, 0.25, 1.0, 3.0, 7.5)
+
+
+def _random_scores(rng, keeper):
+    for lit in keeper.score:
+        keeper.score[lit] = rng.choice(_SCORES)
+    keeper._dirty = True  # the subtree maxima are stale
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_frontier_matches_tree_walk_under_random_stack_ops(seed):
@@ -55,8 +68,8 @@ def test_frontier_matches_tree_walk_under_random_stack_ops(seed):
     phi = random_qbf(
         rng,
         prenex=False,
-        depth=rng.randint(1, 3),
-        branching=rng.randint(1, 2),
+        depth=rng.randint(1, 4),
+        branching=rng.randint(1, 3),
         block_size=rng.randint(1, 3),
         clauses_per_scope=1,
         clause_len=2,
@@ -64,6 +77,9 @@ def test_frontier_matches_tree_walk_under_random_stack_ops(seed):
     prefix = phi.prefix
     nv = max(prefix.variables, default=0)
     trail = Trail(nv, prefix=prefix)
+    keeper = ScoreKeeper(prefix)
+    _random_scores(rng, keeper)
+    pickers = [(make_picker(p, keeper), make_picker(p, keeper, trail)) for p in POLICIES]
     assigned = []  # stack of literals, mirroring real trail discipline
     for _ in range(rng.randint(5, 60)):
         unassigned = [v for v in prefix.variables if trail.value[v] == 0]
@@ -74,32 +90,50 @@ def test_frontier_matches_tree_walk_under_random_stack_ops(seed):
                 trail.unassign(lit)
             del assigned[keep:]
         elif unassigned:
-            v = rng.choice(unassigned)
-            lit = v if rng.random() < 0.5 else -v
-            trail.push(lit, None)
-            assigned.append(lit)
-        assert trail.available_vars() == _reference_available(prefix, trail.value)
+            # any variable, or (as a search would) all of an available
+            # block, which leaves frontiers spanning several levels
+            if rng.random() < 0.5:
+                block = [rng.choice(unassigned)]
+            else:
+                block = prefix.block_of(rng.choice(trail.available_vars())).variables
+            for v in block:
+                if trail.value[v] == 0:
+                    lit = v if rng.random() < 0.5 else -v
+                    trail.push(lit, None)
+                    assigned.append(lit)
+        available = _reference_available(prefix, trail.value)
+        assert trail.available_vars() == available
+        for listed, fused in pickers:
+            assert fused() == listed(available)
 
 
 # -- in-search equivalence: every decision point of a real solve --------------
 
 
-def _solve_checking_frontier(phi, engine):
-    config = SolverConfig(max_decisions=300, engine=engine)
+def _solve_checking_frontier(phi, engine, policy):
+    """Solve, checking the frontier and the pickers before every decision."""
+    config = SolverConfig(max_decisions=300, engine=engine, policy=policy)
     solver = SearchEngine(phi, config)
-    checks = 0
+    listed = make_picker(policy, solver._keeper)
+    fused = make_picker(policy, solver._keeper, solver.trail)
+    decided = []
     inner = solver._decide
 
     def checked():
-        assert solver.trail.available_vars() == solver._available_vars()
+        available = solver._available_vars()
+        assert solver.trail.available_vars() == available
+        want = listed(available)
+        assert fused() == want
+        assert solver._frontier_pick() == want  # compiled on native levelsub
+        decided.append(want)
         return inner()
 
     solver._decide = checked
     solver.solve()
     assert solver.stats.engine_fallback == ""
+    assert len([lit for lit in decided if lit is not None]) == solver.stats.decisions
     # final state (post-backtracks) must agree too
     assert solver.trail.available_vars() == solver._available_vars()
-    return checks
 
 
 @pytest.mark.parametrize("engine", ENGINE_LEGS)
@@ -118,7 +152,8 @@ def test_frontier_matches_walk_at_every_decision(seed, pipeline, engine):
     )
     if pipeline == "to":
         phi = prenex(phi)
-    _solve_checking_frontier(phi, engine)
+    for policy in POLICIES:
+        _solve_checking_frontier(phi, engine, policy)
 
 
 # -- the paranoid double-assignment guard -------------------------------------

@@ -557,6 +557,36 @@ class TestCallerOwnedPool:
             run_tasks(make_tasks(["a"]), pool=pool, executor=crash_on_bad)
         assert pool.forks == 0
 
+    def test_a_process_that_never_closes_its_pool_still_exits(self):
+        # multiprocessing's exit handler SIGTERMs every daemonic child and
+        # joins it: the idle persistent worker must die of that SIGTERM,
+        # not wait for a job that never comes.
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.evalx.parallel import WorkerPool\n"
+            "pool = WorkerPool(1, abs, persistent=True)\n"
+            "pool.submit(-3)\n"
+            "(job,) = pool.wait()\n"
+            "assert (job.status, job.result) == ('ok', 3), job.result\n"
+            "print(*(w.process.pid for w in pool._workers.values()))\n"
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert time.monotonic() - start < 10
+        (worker,) = map(int, done.stdout.split())
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker, 0)  # joined (so reaped) by the exiting script
+
 
 @pytest.mark.parametrize("checkpoints", [False, True])
 def test_hard_timeout_claims_a_salvaged_checkpoint_only_with_one(tmp_path, checkpoints):
