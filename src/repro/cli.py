@@ -13,14 +13,6 @@ Usage examples::
     python -m repro.cli certify emit instance.qtree -o proof.jsonl
     python -m repro.cli certify check instance.qtree proof.jsonl
     python -m repro.cli certify stats proof.jsonl
-    python -m repro.cli cube run instance.qtree --jobs 4 --certify
-    python -m repro.cli cube bench --quick -o BENCH_cube.json
-
-``cube run`` solves ONE instance cube-and-conquer style: the splitter cuts
-the quantifier tree's branchable frontier into cubes, ``--jobs N`` worker
-processes solve them independently, verdicts fold back up the split tree,
-and with ``--certify`` the per-cube proof fragments are merged into one
-certificate that must check against the original formula.
 
 ``evalx run`` drives a whole TO-vs-PO suite sweep through the
 fault-isolated parallel harness: ``--jobs N`` fans runs out over worker
@@ -310,77 +302,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if report["decision_identity_ok"] and report["gates_ok"] else 1
 
 
-def cmd_cube_run(args: argparse.Namespace) -> int:
-    """Cube-and-conquer solve: split, fan out over N processes, fold."""
-    from repro.cube import run_cube
-    from repro.robustness import global_flag, handling_signals
-
-    phi = _read(args.input)
-    flag = global_flag()
-    flag.clear()
-    with handling_signals(flag):
-        report = run_cube(
-            phi,
-            jobs=args.jobs,
-            leaf_decisions=args.leaf_decisions,
-            certify=args.certify,
-            seed=args.seed,
-            engine=args.engine,
-            max_depth=args.max_depth,
-            initial_cubes=args.initial_cubes,
-            total_decisions=args.max_decisions,
-            wall_timeout=args.wall_timeout,
-            interrupt=flag,
-        )
-    print("result      %s" % report.outcome.value.upper())
-    print("jobs        %d (%d worker processes launched)"
-          % (report.jobs, report.workers_launched))
-    print("cubes       %d leaves, %d re-splits, %d budget escalations, "
-          "%d cancelled" % (report.leaves, report.resplits,
-                            report.escalations, report.cancelled))
-    print("decisions   %d (across all workers)" % report.total_decisions)
-    print("time        %.3fs" % report.seconds)
-    if args.certify:
-        print("certificate %s (%s)"
-              % (report.certificate_status,
-                 "complete" if report.certificate.complete
-                 else "incomplete: %s" % report.certificate.reason))
-        if args.cert_out:
-            import json
-
-            with open(args.cert_out, "w") as handle:
-                for step in report.certificate.steps:
-                    handle.write(json.dumps(step) + "\n")
-            print("written to  %s" % args.cert_out)
-        if report.certificate_status != "verified":
-            return 1
-    if report.outcome is Outcome.UNKNOWN:
-        return EXIT_INTERRUPTED if report.interrupted else EXIT_UNKNOWN
-    return EXIT_TRUE if report.outcome is Outcome.TRUE else EXIT_FALSE
-
-
-def cmd_cube_bench(args: argparse.Namespace) -> int:
-    """Cube-and-conquer speedup benchmark; emits BENCH_cube.json."""
-    from repro.cube.bench import (
-        CubeDivergence,
-        render_report,
-        run_cube_bench,
-        write_report,
-    )
-
-    try:
-        report = run_cube_bench(quick=args.quick, seed=args.seed)
-    except CubeDivergence as exc:
-        write_report(exc.report, args.output)
-        print(render_report(exc.report))
-        print("FAILED: %s (report in %s)" % (exc, args.output), file=sys.stderr)
-        return 1
-    write_report(report, args.output)
-    print(render_report(report))
-    print("report written to %s" % args.output)
-    return 0
-
-
 def cmd_certify_emit(args: argparse.Namespace) -> int:
     """Solve while logging the resolution proof; self-check unless asked not to."""
     from repro.certify import (
@@ -668,61 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="bench the small model set only")
     p_sbench.add_argument("-o", "--output", default="BENCH_serve.json")
     p_sbench.set_defaults(func=cmd_serve_bench)
-
-    p_cube = sub.add_parser(
-        "cube",
-        help="cube-and-conquer: parallel search inside one instance "
-        "(run, bench)",
-    )
-    cube_sub = p_cube.add_subparsers(dest="cube_command", required=True)
-    p_crun = cube_sub.add_parser(
-        "run",
-        help="split one instance over the quantifier tree's branchable "
-        "frontier and solve the cubes across N processes "
-        "(exit 10=true, 20=false, 2=unknown, 3=interrupted)",
-    )
-    p_crun.add_argument("input")
-    p_crun.add_argument("--jobs", type=int, default=2,
-                        help="worker processes; 1 = the sequential baseline "
-                        "(no splitting, no fork)")
-    p_crun.add_argument(
-        "--certify", action="store_true",
-        help="every worker logs its proof fragment; the fragments are "
-        "merged into one certificate and checked against the original "
-        "formula (exit 1 unless it verifies)",
-    )
-    p_crun.add_argument("--cert-out", default=None, metavar="CERT.JSONL",
-                        help="also write the merged certificate here")
-    p_crun.add_argument(
-        "--seed", type=int, default=0,
-        help="split-tree tie-breaking seed; the folded verdict is "
-        "deterministic per seed, and so is the decision total unless a "
-        "cube was cancelled; wall-clock is not (see DESIGN.md §13)",
-    )
-    p_crun.add_argument("--engine", default=None, choices=ENGINES,
-                        help="propagation backend for every worker")
-    p_crun.add_argument("--leaf-decisions", type=int, default=500,
-                        help="per-cube decision budget before the "
-                        "coordinator re-splits or escalates (default 500)")
-    p_crun.add_argument("--initial-cubes", type=int, default=None,
-                        help="initial split-tree leaves (default 16*jobs)")
-    p_crun.add_argument("--max-depth", type=int, default=12,
-                        help="cube length cap for dynamic re-splitting")
-    p_crun.add_argument("--max-decisions", type=int, default=None,
-                        help="total decision budget (jobs=1 baseline only)")
-    p_crun.add_argument("--wall-timeout", type=float, default=None,
-                        help="overall wall-clock cap in seconds")
-    p_crun.set_defaults(func=cmd_cube_run)
-    p_cbench = cube_sub.add_parser(
-        "bench",
-        help="speedup vs the sequential baseline on the Figure-6 series; "
-        "emits BENCH_cube.json, exits nonzero on any verdict disagreement",
-    )
-    p_cbench.add_argument("--quick", action="store_true",
-                          help="CI smoke series (small instances, jobs 1-2)")
-    p_cbench.add_argument("--seed", type=int, default=0)
-    p_cbench.add_argument("-o", "--output", default="BENCH_cube.json")
-    p_cbench.set_defaults(func=cmd_cube_bench)
 
     p_cert = sub.add_parser(
         "certify", help="clause/term resolution certificates (emit, check, stats)"

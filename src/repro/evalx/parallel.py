@@ -21,11 +21,9 @@ batch harness needs:
   recorded, so an interrupted sweep continues where it left off.
 
 The processes themselves belong to :class:`WorkerPool`, the one place that
-forks, waits on, signals and kills solver workers. Sweeps, the serve
-daemon's lanes and the cube-and-conquer coordinator
-(:mod:`repro.cube.coordinator`, persistent workers) all run on it, so
-memory ceilings, injected faults and the kill escalation behave the same
-in every tier.
+forks, waits on, signals and kills solver workers. Sweeps and the serve
+daemon's lanes (persistent workers) all run on it, so memory ceilings,
+injected faults and the kill escalation behave the same in every tier.
 
 ``jobs=1`` is the serial degenerate case: tasks run in-process, in order,
 with no worker processes involved, so existing single-process results stay

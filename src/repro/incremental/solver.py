@@ -99,21 +99,9 @@ class IncrementalSolver:
     of the retained set, the conservative direction.
     """
 
-    def __init__(
-        self,
-        config: Optional[SolverConfig] = None,
-        certify: bool = False,
-        retain: bool = True,
-    ):
+    def __init__(self, config: Optional[SolverConfig] = None, certify: bool = False):
         self.config = config or SolverConfig()
         self.certify = certify
-        #: ``retain=False`` turns off cross-solve constraint retention and
-        #: with it the proof-closure bookkeeping every solve otherwise pays
-        #: (a ProofLogger feeding a ClosureSink). Callers that use this
-        #: solver purely for its assumption scopes — one-shot cube jobs,
-        #: throwaway probes — get a measurably leaner solve; ``certify=True``
-        #: still logs, since the certificate needs the derivation.
-        self.retain = retain
         self._formula: Optional[QBF] = None
         self._scopes: List[List[int]] = []
         self._retained: List[Retained] = []
@@ -250,25 +238,16 @@ class IncrementalSolver:
 
     # -- solving -----------------------------------------------------------
 
-    def solve(
-        self,
-        interrupt: Optional[object] = None,
-        checkpoint_to: Optional[str] = None,
-        resume_from: Optional[object] = None,
-    ) -> SolveResult:
+    def solve(self, interrupt: Optional[object] = None) -> SolveResult:
         """Solve the current effective formula, reusing what can be reused."""
         formula = self.effective_formula()
-        retaining = self.retain or self.certify
-        if retaining:
-            inner = MemorySink() if self.certify else None
-            sink = ClosureSink(inner)
-            logger = ProofLogger(sink)
-        else:
-            inner = sink = logger = None
+        inner = MemorySink() if self.certify else None
+        sink = ClosureSink(inner)
+        logger = ProofLogger(sink)
         config = certifying_config(self.config) if self.certify else self.config
         engine = QdpllSolver(formula, config, proof=logger, interrupt=interrupt)
 
-        survivors = self._survivors(formula) if retaining else []
+        survivors = self._survivors(formula)
         clauses = cubes = 0
         pre_bound = -1
         for r in survivors:
@@ -291,9 +270,9 @@ class IncrementalSolver:
         # re-derives them (harvest falls back to these entries by literals).
         self._retained = survivors
 
-        result = engine.solve(resume_from=resume_from, checkpoint_to=checkpoint_to)
+        result = engine.solve()
 
-        self._retained = self._harvest(engine, logger, sink) if retaining else []
+        self._retained = self._harvest(engine, logger, sink)
         self._last_prefix = formula.prefix
         self._last_formula = formula
         self.last_certificate = inner

@@ -250,8 +250,7 @@ def _degraded_entry(family: str, size: int, max_n: int) -> Dict[str, object]:
         "answers": counts,
         "supervisor": {
             k: supervisor.get(k)
-            for k in ("degraded_solves", "memouts", "poisoned",
-                      "family_restarts")
+            for k in ("memouts", "poisoned", "family_restarts")
         },
         "clean_sigterm_exit": returncode == 0,
     }

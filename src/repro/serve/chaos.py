@@ -15,8 +15,8 @@ against it and checks the supervision invariants:
   error;
 * **never a daemon exit**: the process survives the whole battery, still
   answers ``ping``, and exits 0 on SIGTERM afterwards;
-* **counters reconcile**: the client's tally of sheds, memouts, poisoned
-  refusals and degraded solves equals the daemon's own ``stats``;
+* **counters reconcile**: the client's tally of sheds, memouts and
+  poisoned refusals equals the daemon's own ``stats``;
 * **the cache stays clean**: the persisted verdict log reloads (torn line
   included) and contains only ``ok`` records.
 
@@ -92,7 +92,6 @@ class _Battery:
             "overloaded": 0,
             "stuck": 0,
             "deadline": 0,
-            "degraded": 0,
         }
         self.violations: List[str] = []
         self.smv_answers: Dict[int, str] = {}
@@ -107,10 +106,6 @@ class _Battery:
         resp = request(self.socket_path, payload, timeout=120.0)
         with self._lock:
             self.counts["requests"] += 1
-            if resp.get("degraded"):
-                # A degraded answer can be either a verdict or a deadline
-                # failure; the daemon counts both, so the client must too.
-                self.counts["degraded"] += 1
             if resp.get("ok"):
                 self.counts["ok"] += 1
                 if resp.get("cached"):
@@ -312,7 +307,6 @@ def _reconcile(stats: Dict[str, object], battery: _Battery, rounds: int) -> None
         ("shed_total", admission.get("shed_total"), battery.counts["overloaded"]),
         ("poisoned", sup.get("poisoned"), battery.counts["poisoned"]),
         ("memouts", sup.get("memouts"), battery.counts["memout"]),
-        ("degraded_solves", sup.get("degraded_solves"), battery.counts["degraded"]),
     ]
     for name, daemon_side, client_side in checks:
         if daemon_side != client_side:
@@ -363,8 +357,8 @@ def render_report(report: Dict[str, object]) -> str:
     lines = [
         "serve chaos (schema %s, seed %s, %s rounds, %.1fs)"
         % (report["schema"], report["seed"], report["rounds"], report["seconds"]),
-        "  requests %d: ok %d (cached %d, degraded %d)"
-        % (counts["requests"], counts["ok"], counts["cached"], counts["degraded"]),
+        "  requests %d: ok %d (cached %d)"
+        % (counts["requests"], counts["ok"], counts["cached"]),
         "  structured failures: memout %d, poisoned %d, overloaded %d, "
         "stuck %d, deadline %d"
         % (counts["memout"], counts["poisoned"], counts["overloaded"],

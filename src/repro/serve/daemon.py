@@ -21,9 +21,8 @@ Every worker the daemon owns ends: one that has held no job for
 ``_IDLE_RETIRE`` seconds is closed from the event loop, and its pool forks
 afresh for the next job (a solve pays one fork, a family one cold bound).
 
-``cube-solve`` requests fan out through :func:`repro.cube.run_cube`. A
-malformed ``engine`` or ``strategy`` comes back as a structured protocol
-error before any worker is spawned.
+A malformed ``engine`` or ``strategy`` comes back as a structured
+protocol error before any worker is spawned.
 
 Between the protocol and those lanes sits the supervision layer
 (:mod:`repro.serve.supervisor`):
@@ -40,8 +39,7 @@ Between the protocol and those lanes sits the supervision layer
   workers included) instead of host-level OOM kills;
 * a family solve that outlives its deadline by a grace has its worker
   signalled by the pool and answers ``stuck``; the family's next bound
-  re-forks the worker, cold. A cube solve whose worker pool died under it
-  degrades to a scratch solve on the solve lane.
+  re-forks the worker, cold.
 
 Verdicts are cached by the :meth:`repro.evalx.parallel.Task.key`
 fingerprint triple and persisted to a :class:`~repro.evalx.parallel.
@@ -93,7 +91,6 @@ from repro.incremental import IncrementalSolver
 from repro.robustness.faults import FaultPlan
 from repro.robustness.interrupt import InterruptFlag, global_flag
 from repro.serve.protocol import (
-    MAX_CUBE_JOBS,
     PROTOCOL_VERSION,
     ProtocolError,
     check_formula_shape,
@@ -125,7 +122,7 @@ _STREAM_LIMIT = 2 * 4_000_000
 
 #: request kinds that go through admission control; everything else
 #: (ping/stats/shutdown) is control-plane and always answered.
-SOLVE_KINDS = ("solve", "smv-diameter", "cube-solve")
+SOLVE_KINDS = ("solve", "smv-diameter")
 
 #: default bound on admitted-but-unfinished solve-lane requests.
 DEFAULT_MAX_INFLIGHT = 16
@@ -304,14 +301,12 @@ class ServeDaemon:
         #: workers closed by the idle rule, solve and family alike.
         self.idle_retirements = 0
         # Admission: one total budget, per-kind sub-budgets so one lane
-        # cannot starve the others; cube-solve gets half — each such
-        # request fans out to several worker processes of its own.
+        # cannot starve the other.
         self.supervisor = Supervisor(
             total_limit=max(1, max_inflight),
             kind_limits={
                 "solve": max(1, (3 * max_inflight) // 4),
                 "smv-diameter": max(1, (3 * max_inflight) // 4),
-                "cube-solve": max(1, max_inflight // 2),
             },
             failure_threshold=failure_threshold,
             cooldown=breaker_cooldown,
@@ -429,33 +424,26 @@ class ServeDaemon:
         breaker = self.supervisor.check(Supervisor.task_breaker_key(task.key))
 
         async with self._slots:
-            record = await self._run_warm(task, deadline, self.checkpoint_dir)
+            pool = self._free_pools.pop()
+            try:
+                (record,) = await asyncio.get_running_loop().run_in_executor(
+                    self._pool,
+                    lambda: run_tasks(
+                        [task],
+                        wall_timeout=deadline,
+                        faults=self._faults,
+                        checkpoint_dir=self.checkpoint_dir,
+                        pool=pool,
+                    ),
+                )
+            finally:
+                self._free_pools.append(pool)
         self.stats["solves"] += 1
         self.supervisor.record_outcome(breaker, record.status, record.error)
         await self._cache_put(record)
         out = self._cached_response(record)
         out["cached"] = False
         return out
-
-    async def _run_warm(
-        self, task: Task, wall_timeout: float, checkpoint_dir: Optional[str] = None
-    ) -> Record:
-        """Run ``task`` on a free warm solve worker; the caller holds a slot."""
-        pool = self._free_pools.pop()
-        try:
-            (record,) = await asyncio.get_running_loop().run_in_executor(
-                self._pool,
-                lambda: run_tasks(
-                    [task],
-                    wall_timeout=wall_timeout,
-                    faults=self._faults,
-                    checkpoint_dir=checkpoint_dir,
-                    pool=pool,
-                ),
-            )
-        finally:
-            self._free_pools.append(pool)
-        return record
 
     async def _handle_smv(self, req: Dict[str, object]) -> Dict[str, object]:
         family_name, size, n = validate_smv_request(req)
@@ -584,110 +572,6 @@ class ServeDaemon:
             "protocol": PROTOCOL_VERSION,
         }
 
-    async def _handle_cube(self, req: Dict[str, object]) -> Dict[str, object]:
-        """Cube-and-conquer solve across worker processes (``cube-solve``)."""
-        from repro.cube import run_cube
-
-        formula = self._parse_formula(req)
-        deadline = self._effective_deadline(req)
-        jobs = req.get("jobs", 2)
-        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-            raise ProtocolError("cube-solve jobs must be a positive integer")
-        if jobs > MAX_CUBE_JOBS:
-            raise ProtocolError(
-                "cube-solve jobs must be at most %d" % MAX_CUBE_JOBS
-            )
-        seed = req.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ProtocolError("cube-solve seed must be an integer")
-        certify = parse_flag(req, "certify")
-        engine = parse_engine(req)
-
-        loop = asyncio.get_running_loop()
-        interrupt = self._interrupt
-        mem_limit_mb = self.mem_limit_mb
-        async with self._slots:
-            report = await loop.run_in_executor(
-                self._pool,
-                lambda: run_cube(
-                    formula,
-                    jobs=jobs,
-                    certify=certify,
-                    seed=seed,
-                    engine=engine,
-                    wall_timeout=deadline,
-                    interrupt=interrupt,
-                    mem_limit_mb=mem_limit_mb,
-                ),
-            )
-        self.stats["solves"] += 1
-        out: Dict[str, object] = {
-            "ok": True,
-            "cached": False,
-            "outcome": report.outcome.value,
-            "decisions": report.total_decisions,
-            "seconds": report.seconds,
-            "interrupted": report.interrupted,
-            "jobs": report.jobs,
-            "leaves": report.leaves,
-            "resplits": report.resplits,
-            "escalations": report.escalations,
-            "cancelled": report.cancelled,
-            "crashes": report.crashes,
-            "respawns": report.respawns,
-            "protocol": PROTOCOL_VERSION,
-        }
-        if report.outcome is Outcome.UNKNOWN and not report.interrupted:
-            remaining = max(0.0, deadline - report.seconds)
-            if report.crashes > 0 and not certify and remaining >= 0.5:
-                # Degradation ladder: the cube pool lost workers and never
-                # settled — spend the request's remaining deadline on one
-                # plain scratch solve instead of returning a failure the
-                # client would just retry anyway.
-                fallback = await self._cube_fallback(req, formula, engine, remaining)
-                if fallback is not None:
-                    out.update(fallback)
-                    self.supervisor.note_degraded()
-                    return out
-            # Deadline ran out before the fold settled: structured failure.
-            out["ok"] = False
-            out["status"] = "deadline"
-            out["error"] = (
-                "cube-solve did not settle within its %.1fs deadline" % deadline
-            )
-        if certify:
-            out["certificate_status"] = report.certificate_status
-            out["certificate_complete"] = report.certificate.complete
-        return out
-
-    async def _cube_fallback(
-        self, req, formula, engine, remaining
-    ) -> Optional[Dict[str, object]]:
-        """Scratch solve on the solve lane after a crash-degraded cube run;
-        returns the response fields on a determinate verdict, else
-        ``None``."""
-        task = Task(
-            instance="%s:cube-fallback" % req.get("instance", "serve"),
-            solver="PO",
-            formula=formula,
-            mode="po",
-            budget=Budget(decisions=None, seconds=remaining),
-            overrides=(("engine", engine),) if engine is not None else (),
-        )
-        async with self._slots:
-            record = await self._run_warm(task, remaining)
-        m = record.measurement
-        if not record.ok or m is None or m.outcome is Outcome.UNKNOWN:
-            return None
-        return {
-            "ok": True,
-            "degraded": True,
-            "fallback": "scratch",
-            "outcome": m.outcome.value,
-            "decisions": m.decisions,
-            "seconds": m.seconds,
-        }
-
     async def dispatch(self, req: Dict[str, object]) -> Dict[str, object]:
         kind = req.get("kind", "solve")
         if kind == "ping":
@@ -716,7 +600,6 @@ class ServeDaemon:
         handlers = {
             "solve": self._handle_solve,
             "smv-diameter": self._handle_smv,
-            "cube-solve": self._handle_cube,
         }
         handler = handlers.get(kind)
         if handler is None:

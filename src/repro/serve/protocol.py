@@ -19,29 +19,21 @@ one JSON response line. ``kind`` selects the handler:
     solver. A bound whose formula φ_n would exceed :data:`MAX_CLAUSES` or
     :data:`MAX_VARS` is a structured protocol error, decided before φ_n is
     encoded.
-``cube-solve``
-    a cube-and-conquer solve of an inlined formula across worker
-    processes: ``formula`` + ``format`` like ``solve``, plus optional
-    ``jobs`` (default 2, capped at :data:`MAX_CUBE_JOBS`), ``certify``,
-    ``seed``, ``engine``. Responses add the coordinator's work accounting
-    (``leaves``, ``resplits``, ``escalations``, ``cancelled``) and, when
-    certifying, ``certificate_status``.
 
-The ``engine`` field of ``solve`` and ``cube-solve`` names a propagation
-backend from :data:`repro.core.engine.config.ENGINES` (aliases included);
-absent, the kind's default applies. The ``strategy`` field of ``solve``
-names a prenexing strategy from
-:data:`repro.prenexing.strategies.STRATEGIES` (default ``eu_au``). Any
-other value of either is a structured protocol error, never an attempted
-solve. So is any other ``kind``.
+The ``engine`` field of ``solve`` names a propagation backend from
+:data:`repro.core.engine.config.ENGINES` (aliases included); absent, the
+default applies. The ``strategy`` field of ``solve`` names a prenexing
+strategy from :data:`repro.prenexing.strategies.STRATEGIES` (default
+``eu_au``). Any other value of either is a structured protocol error,
+never an attempted solve. So is any other ``kind``.
 
 The ``certify`` flag must be a JSON boolean. A ``budget`` caps
 ``decisions`` (a positive integer; default 2000, ``null`` for none) and
 ``seconds`` (a finite positive number).
 
-Every solve-lane request (``solve``, ``cube-solve``, ``smv-diameter``) may
-carry a ``deadline`` — a finite positive number of wall-clock seconds for
-*this request*. A request that exceeds it returns a structured
+Every solve-lane request (``solve``, ``smv-diameter``) may carry a
+``deadline`` — a finite positive number of wall-clock seconds for *this
+request*. A request that exceeds it returns a structured
 ``{"ok": false, "status": ...}`` response instead of leaving the client
 hanging until its socket times out; requests that don't set one get
 :data:`DEFAULT_DEADLINE_SECONDS` (the daemon's ``--wall-timeout`` further
@@ -57,8 +49,6 @@ Responses always carry ``ok``; successful solve responses add ``outcome``,
 ``decisions``, ``seconds``, ``cached`` (verdict served from the fingerprint
 cache) and — for smv requests — ``incremental`` (the family solver had
 prior state) and ``retained`` (constraints transferred into this solve).
-A cube-solve answered by the scratch fallback after a crash-degraded
-cube run additionally carries ``degraded: true``.
 
 Failure responses are always structured — ``{"ok": false, "status": ...,
 "error": ...}`` — and the supervision layer adds these statuses beyond
@@ -98,7 +88,7 @@ from repro.prenexing.strategies import STRATEGIES
 #: bumped when a response field changes meaning; echoed on every response.
 PROTOCOL_VERSION = 1
 
-KINDS = ("ping", "stats", "solve", "smv-diameter", "cube-solve", "shutdown")
+KINDS = ("ping", "stats", "solve", "smv-diameter", "shutdown")
 
 #: wall-clock cap applied to solve-lane requests that set no ``deadline``;
 #: guarantees every request eventually gets a structured response.
@@ -109,9 +99,6 @@ DEFAULT_DEADLINE_SECONDS = 300.0
 MAX_FORMULA_BYTES = 4_000_000
 MAX_CLAUSES = 100_000
 MAX_VARS = 50_000
-
-#: cap on ``cube-solve`` worker processes per request.
-MAX_CUBE_JOBS = 8
 
 #: cap on an ``smv-diameter`` model's ``size``; φ_1 of the largest family
 #: (semaphore) has 89,385 clauses at this size.
@@ -186,10 +173,10 @@ def parse_strategy(req: Dict[str, object]) -> str:
 def parse_deadline(req: Dict[str, object]) -> float:
     """The request's wall-clock deadline, in seconds.
 
-    ``smv-diameter`` and ``cube-solve`` apply it to the request. A
-    ``solve`` applies it to each attempt, and its one hard-timeout retry
-    gets the deadline afresh: a solve that never finishes is answered
-    within 2 x (deadline + ``term_grace``).
+    ``smv-diameter`` applies it to the request. A ``solve`` applies it
+    to each attempt, and its one hard-timeout retry gets the deadline
+    afresh: a solve that never finishes is answered within
+    2 x (deadline + ``term_grace``).
     """
     deadline = req.get("deadline")
     if deadline is None:

@@ -17,7 +17,7 @@ three pieces the daemon composes:
   spawned. After ``cooldown`` seconds the breaker goes half-open and lets
   exactly one probe through: success closes it, failure re-opens it.
 * :class:`Supervisor` — the bundle the daemon owns: one admission
-  controller, one breaker board and the degradation counters, with a
+  controller, one breaker board and the memout and poisoned counters, with a
   single ``snapshot()`` merged into the daemon's ``stats`` response.
 
 Everything takes an injectable ``clock`` so the state machines are tested
@@ -274,7 +274,6 @@ class Supervisor:
         self.breakers = BreakerBoard(
             failure_threshold=failure_threshold, cooldown=cooldown, clock=clock
         )
-        self.degraded_solves = 0
         self.memouts = 0
         self.poisoned = 0
 
@@ -313,18 +312,12 @@ class Supervisor:
         else:
             breaker.record_success()
 
-    # -- degradation -------------------------------------------------------
-
-    def note_degraded(self) -> None:
-        self.degraded_solves += 1
-
     # -- reporting ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         return {
             "admission": self.admission.snapshot(),
             "breakers": self.breakers.snapshot(),
-            "degraded_solves": self.degraded_solves,
             "memouts": self.memouts,
             "poisoned": self.poisoned,
         }

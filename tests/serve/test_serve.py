@@ -343,9 +343,7 @@ def test_parse_flag_validation():
             parse_flag({"certify": bad}, "certify")
 
 
-@pytest.mark.parametrize("kind, flag", [
-    ("solve", "certify"), ("cube-solve", "certify"),
-])
+@pytest.mark.parametrize("kind, flag", [("solve", "certify")])
 def test_string_flags_are_refused_before_any_solve(tmp_path, kind, flag):
     # "false" is a truthy string: a flag read by truthiness would turn on.
     daemon = ServeDaemon(str(tmp_path / "unused.sock"), jobs=1)

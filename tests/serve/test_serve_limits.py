@@ -1,8 +1,7 @@
-"""Serve daemon: cube-solve lane, deadlines, and oversize rejection.
+"""Serve daemon request limits: per-request deadlines and formula caps.
 
-Covers ISSUE 7 satellite 1 (structured errors instead of connection
-timeouts for unsolvable/oversized requests; per-request ``deadline``)
-and the new ``cube-solve`` request kind.
+An unsolvable or oversized request gets a structured error, never a
+connection that times out.
 """
 
 import os
@@ -15,7 +14,6 @@ import pytest
 from repro.core.formula import QBF
 from repro.core.literals import EXISTS, FORALL
 from repro.core.prefix import Prefix
-from repro.io import qtree
 from repro.serve.client import request, wait_ready
 from repro.serve.protocol import (
     DEFAULT_DEADLINE_SECONDS,
@@ -26,8 +24,6 @@ from repro.serve.protocol import (
     check_formula_size,
     parse_deadline,
 )
-from repro.smv.diameter import diameter_qbf
-from repro.smv.models import model_by_name
 
 
 @pytest.fixture
@@ -53,7 +49,6 @@ def daemon(tmp_path):
 
 
 QD_TRUE = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"
-QD_FALSE = "p cnf 2 4\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n1 -2 0\n-1 2 0\n"
 
 
 def test_parse_deadline_validation():
@@ -75,35 +70,6 @@ def test_formula_caps():
     )
     with pytest.raises(ProtocolError):
         check_formula_shape(big)
-
-
-def test_cube_solve_roundtrip_and_certify(daemon):
-    _, socket_path = daemon
-    out = request(
-        socket_path,
-        {"kind": "cube-solve", "formula": QD_FALSE, "format": "qdimacs", "jobs": 2},
-    )
-    assert out["ok"] and out["outcome"] == "false"
-    assert out["jobs"] == 2 and out["leaves"] >= 1
-
-    certified = request(
-        socket_path,
-        {"kind": "cube-solve", "formula": QD_FALSE, "format": "qdimacs",
-         "jobs": 2, "certify": True},
-    )
-    assert certified["ok"] and certified["outcome"] == "false"
-    assert certified["certificate_status"] == "verified"
-    assert certified["certificate_complete"]
-
-
-def test_cube_solve_rejects_bad_jobs(daemon):
-    _, socket_path = daemon
-    out = request(
-        socket_path,
-        {"kind": "cube-solve", "formula": QD_TRUE, "format": "qdimacs",
-         "jobs": 10_000},
-    )
-    assert not out["ok"] and "jobs" in out["error"]
 
 
 def test_oversized_request_gets_structured_error(daemon):
@@ -141,17 +107,3 @@ def test_bad_deadline_and_expired_deadline_are_structured(daemon):
     assert proc.poll() is None
     alive = request(socket_path, {"kind": "ping"})
     assert alive["ok"]
-
-
-def test_sequential_cube_solve_answers_deadline(daemon):
-    _, socket_path = daemon
-    # About 9000 decisions with no budget: seconds, well past the deadline.
-    phi = diameter_qbf(model_by_name("counter", 3), 8, form="tree")
-    out = request(
-        socket_path,
-        {"kind": "cube-solve", "formula": qtree.dumps(phi), "format": "qtree",
-         "jobs": 1, "deadline": 0.3},
-    )
-    assert not out["ok"] and out["status"] == "deadline", out
-    assert out["outcome"] == "unknown" and not out["interrupted"]
-    assert out["seconds"] < 1.5

@@ -46,14 +46,13 @@ def test_parse_engine_validation():
 
 def test_bad_engine_is_refused_before_any_worker(daemon):
     _, socket_path = daemon
-    for kind in ("solve", "cube-solve"):
-        out = request(
-            socket_path, {"kind": kind, "formula": QD, "engine": "magic"}
-        )
-        assert not out["ok"] and "unknown engine" in out["error"], (kind, out)
-        stats = request(socket_path, {"kind": "stats"})
-        assert stats["solves"] == 0, kind
-        assert stats["supervisor"]["breakers"]["tracked"] == 0, kind
+    out = request(
+        socket_path, {"kind": "solve", "formula": QD, "engine": "magic"}
+    )
+    assert not out["ok"] and "unknown engine" in out["error"], out
+    stats = request(socket_path, {"kind": "stats"})
+    assert stats["solves"] == 0
+    assert stats["supervisor"]["breakers"]["tracked"] == 0
 
 
 def test_parse_strategy_validation():
@@ -81,10 +80,16 @@ def test_bad_strategy_is_refused_before_any_worker(daemon):
 
 def test_unknown_kind_is_refused_before_admission(daemon):
     _, socket_path = daemon
-    out = request(
-        socket_path, {"kind": "portfolio", "formula": QD, "jobs": 2}
-    )
-    assert not out["ok"] and "unknown request kind" in out["error"], out
-    stats = request(socket_path, {"kind": "stats"})
-    assert stats["solves"] == 0
-    assert stats["supervisor"]["breakers"]["tracked"] == 0
+    # Kinds of retired solving tiers, with the fields they used to take.
+    for kind in ("portfolio", "cube-solve"):
+        out = request(
+            socket_path,
+            {"kind": kind, "formula": QD, "jobs": 2, "certify": True},
+        )
+        assert not out["ok"] and "unknown request kind" in out["error"], out
+        stats = request(socket_path, {"kind": "stats"})
+        assert stats["solves"] == 0, kind
+        admission = stats["supervisor"]["admission"]
+        assert admission["admitted"] == 0, kind
+        assert kind not in admission["kind_limits"], kind
+        assert stats["supervisor"]["breakers"]["tracked"] == 0, kind

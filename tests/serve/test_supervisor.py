@@ -56,13 +56,13 @@ class TestAdmissionController:
 
     def test_per_kind_budget_sheds_before_total(self):
         adm = AdmissionController(
-            total_limit=10, kind_limits={"cube-solve": 1}, clock=FakeClock()
+            total_limit=10, kind_limits={"smv-diameter": 1}, clock=FakeClock()
         )
-        adm.admit("cube-solve")
+        adm.admit("smv-diameter")
         with pytest.raises(OverloadedError) as exc:
-            adm.admit("cube-solve")
-        assert exc.value.dimension == "cube-solve"
-        # Other kinds are unaffected by the full cube lane.
+            adm.admit("smv-diameter")
+        assert exc.value.dimension == "smv-diameter"
+        # Other kinds are unaffected by the full smv lane.
         adm.admit("solve")
 
     def test_release_is_idempotent(self):
@@ -298,40 +298,3 @@ class TestCachePutGate:
         assert record.instance == "good"
         assert record.status == STATUS_OK
 
-
-class TestMemoryCeilingReachesEveryLane:
-    """``--mem-limit`` caps the cube-solve lane's workers too, not only the
-    solve lane's."""
-
-    QD_TRUE = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"
-
-    def dispatch(self, tmp_path, monkeypatch, module, name, req):
-        import importlib
-
-        from repro.robustness.interrupt import InterruptFlag
-
-        owner = importlib.import_module(module)
-        real = getattr(owner, name)
-        seen = []
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("mem_limit_mb"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, spy)
-        daemon = ServeDaemon(
-            socket_path=str(tmp_path / "d.sock"),
-            mem_limit_mb=2048,
-            interrupt=InterruptFlag(),
-        )
-        try:
-            out = asyncio.run(daemon.dispatch(dict(req, formula=self.QD_TRUE)))
-        finally:
-            daemon._pool.shutdown(wait=False)
-        assert out["ok"] and out["outcome"] == "true", out
-        return seen
-
-    def test_cube_solve_forwards_the_ceiling(self, tmp_path, monkeypatch):
-        req = {"kind": "cube-solve", "jobs": 2}
-        seen = self.dispatch(tmp_path, monkeypatch, "repro.cube", "run_cube", req)
-        assert seen == [2048]

@@ -135,3 +135,9 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "certificates:" in out
         assert "0 invalid" in out
+
+
+def test_retired_cube_subcommand_exits_2(tree_file):
+    with pytest.raises(SystemExit) as info:
+        main(["cube", "run", tree_file])
+    assert info.value.code == 2
