@@ -25,7 +25,7 @@
 
 /* version stamp surfaced as repro._native.KERNEL_VERSION; bump on any
  * change to the kernel semantics or the wrapper-facing API. */
-#define KERNEL_VERSION 3
+#define KERNEL_VERSION 4
 
 /* propagate() event codes (wrapper maps them to the backend protocol) */
 #define EV_NONE 0
@@ -886,7 +886,7 @@ done:
                          self->d_clause_visits, self->d_cube_visits);
 }
 
-/* ---- pure-candidate set plumbing (backs the Python set facade) --------- */
+/* ---- pure-candidate hand-off (install time) ----------------------------- */
 
 static PyObject *
 NativeCore_set_candidates(NativeCore *self, PyObject *arg)
@@ -912,41 +912,6 @@ NativeCore_set_candidates(NativeCore *self, PyObject *arg)
         self->pure_cand[v] = 1;
     }
     Py_DECREF(fast);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-NativeCore_get_candidates(NativeCore *self, PyObject *Py_UNUSED(ignored))
-{
-    PyObject *out = PyList_New(0);
-    int v;
-    if (out == NULL)
-        return NULL;
-    for (v = 1; v < self->num_slots; v++) {
-        if (self->pure_cand[v]) {
-            PyObject *num = PyLong_FromLong(v);
-            if (num == NULL || PyList_Append(out, num) < 0) {
-                Py_XDECREF(num);
-                Py_DECREF(out);
-                return NULL;
-            }
-            Py_DECREF(num);
-        }
-    }
-    return out;
-}
-
-static PyObject *
-NativeCore_add_candidate(NativeCore *self, PyObject *args)
-{
-    int v;
-    if (!PyArg_ParseTuple(args, "i", &v))
-        return NULL;
-    if (v <= 0 || v >= self->num_slots) {
-        PyErr_Format(PyExc_ValueError, "variable %d out of range", v);
-        return NULL;
-    }
-    self->pure_cand[v] = 1;
     Py_RETURN_NONE;
 }
 
@@ -1140,10 +1105,6 @@ static PyMethodDef NativeCore_methods[] = {
      "replay fused in; returns (event, rid, qh, max_trail, stats...)"},
     {"set_candidates", (PyCFunction)NativeCore_set_candidates, METH_O,
      "replace the pure-literal candidate set"},
-    {"get_candidates", (PyCFunction)NativeCore_get_candidates, METH_NOARGS,
-     "current pure-literal candidates, ascending"},
-    {"add_candidate", (PyCFunction)NativeCore_add_candidate, METH_VARARGS,
-     "flag one variable as a pure-literal candidate"},
     {"trail_len", (PyCFunction)NativeCore_trail_len, METH_NOARGS,
      "length of the native trail mirror (debugging aid)"},
     {"reduce", (PyCFunction)NativeCore_reduce, METH_VARARGS,

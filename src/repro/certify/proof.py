@@ -70,50 +70,6 @@ class ProofLogger:
         self.outcome: Optional[str] = None
         self._emit(header_step())
 
-    # -- checkpoint continuation -------------------------------------------
-
-    def export_state(self) -> Dict[str, object]:
-        """The logger's resumable state (id counter, name map, flags).
-
-        The emitted *steps* live in the sink, not here; a checkpointing
-        caller snapshots them separately (a :class:`~repro.certify.store.
-        MemorySink` exposes ``steps``) and rebuilds both sides with
-        :meth:`resumed`.
-        """
-        return {
-            "next_id": self._next_id,
-            "ids": [
-                [1 if is_cube else 0, list(lits), step_id]
-                for (is_cube, lits), step_id in self._ids.items()
-            ],
-            "complete": self.complete,
-            "incomplete_reason": self.incomplete_reason,
-            "concluded": self.concluded,
-            "outcome": self.outcome,
-        }
-
-    @classmethod
-    def resumed(cls, sink, state: Dict[str, object]) -> "ProofLogger":
-        """Rebuild a logger mid-derivation onto ``sink``.
-
-        ``sink`` must already hold the steps recorded before the
-        interruption (header included), so no header is re-emitted; new
-        steps continue the old id sequence and ``register_formula`` becomes
-        a no-op because every input clause is already in the name map.
-        """
-        logger = cls.__new__(cls)
-        logger._sink = sink
-        logger._next_id = int(state["next_id"])
-        logger._ids = {
-            (bool(is_cube), tuple(lits)): step_id
-            for is_cube, lits, step_id in state["ids"]
-        }
-        logger.complete = bool(state["complete"])
-        logger.incomplete_reason = state.get("incomplete_reason")
-        logger.concluded = bool(state["concluded"])
-        logger.outcome = state.get("outcome")
-        return logger
-
     # -- plumbing ----------------------------------------------------------
 
     def _emit(self, step: Dict[str, object]) -> None:

@@ -55,8 +55,8 @@ from repro.prenexing.strategies import STRATEGIES, prenex
 
 #: stable exit-code contract for ``solve`` (SAT-solver convention). A budget
 #: that ran dry and a preemption are different events: the former means the
-#: instance is too hard at this budget, the latter that a checkpoint likely
-#: exists and a rerun with ``--checkpoint`` will pick up where this left off.
+#: instance is too hard at this budget, the latter that SIGTERM/SIGINT
+#: stopped the search early; both print the partial stats.
 EXIT_TRUE = 10
 EXIT_FALSE = 20
 EXIT_UNKNOWN = 2
@@ -82,7 +82,7 @@ def _write(formula: QBF, path: Optional[str]) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    import os
+    from repro.robustness.interrupt import global_flag, handling_signals
 
     phi = _read(args.input)
     if args.to:
@@ -96,42 +96,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         max_seconds=args.max_seconds,
         engine=args.engine,
     )
-    checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint is None:
-        result = solve(phi, config)
-    else:
-        from repro.robustness import (
-            CheckpointError,
-            global_flag,
-            handling_signals,
-            load_checkpoint,
-        )
-
-        resume = None
-        if os.path.exists(checkpoint):
-            try:
-                resume = load_checkpoint(checkpoint)
-            except CheckpointError as exc:
-                print("warning: ignoring unusable checkpoint %s: %s"
-                      % (checkpoint, exc), file=sys.stderr)
-        flag = global_flag()
-        flag.clear()
-        with handling_signals(flag):
-            try:
-                result = solve(
-                    phi,
-                    config,
-                    interrupt=flag,
-                    resume_from=resume,
-                    checkpoint_to=checkpoint,
-                )
-            except CheckpointError as exc:
-                # The snapshot loaded but belongs to another formula/config.
-                print("warning: checkpoint %s does not match this run: %s"
-                      % (checkpoint, exc), file=sys.stderr)
-                result = solve(
-                    phi, config, interrupt=flag, checkpoint_to=checkpoint
-                )
+    flag = global_flag()
+    flag.clear()
+    with handling_signals(flag):
+        result = solve(phi, config, interrupt=flag)
     stats = result.stats
     print("result      %s" % result.outcome.value.upper())
     if stats.engine_fallback:
@@ -147,15 +115,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print("time        %.3fs" % result.seconds)
     if result.outcome is Outcome.UNKNOWN:
         if result.interrupted:
-            if checkpoint is not None and os.path.exists(checkpoint):
-                print("interrupted (checkpoint saved to %s; rerun with "
-                      "--checkpoint to resume)" % checkpoint)
-            else:
-                print("interrupted")
+            print("interrupted")
             return EXIT_INTERRUPTED
-        if checkpoint is not None and os.path.exists(checkpoint):
-            print("budget exhausted (checkpoint saved to %s; rerun with a "
-                  "larger budget to resume)" % checkpoint)
+        print("budget exhausted")
         return EXIT_UNKNOWN
     return EXIT_TRUE if result.value else EXIT_FALSE
 
@@ -212,7 +174,6 @@ def cmd_evalx_run(args: argparse.Namespace) -> int:
         wall_timeout=args.wall_timeout,
         certify=args.certify,
         engine=args.engine,
-        checkpoint_dir=args.checkpoint_dir,
         faults=faults,
         durable=not args.no_fsync,
         mem_limit_mb=args.mem_limit,
@@ -387,7 +348,6 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_path=args.cache,
         wall_timeout=args.wall_timeout,
-        checkpoint_dir=args.checkpoint_dir,
         mem_limit_mb=args.mem_limit,
         faults=faults,
         max_inflight=args.max_inflight,
@@ -454,7 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve a QBF (exit 10=true, 20=false, 2=unknown)")
+    p_solve = sub.add_parser(
+        "solve",
+        help="solve a QBF (exit 10=true, 20=false, 2=budget exhausted, "
+        "3=interrupted by SIGTERM/SIGINT)",
+    )
     p_solve.add_argument("input")
     p_solve.add_argument("--to", action="store_true", help="prenex first (QUBE(TO) pipeline)")
     p_solve.add_argument("--po", action="store_true", help="solve the tree directly (default)")
@@ -469,13 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--max-decisions", type=int, default=None)
     p_solve.add_argument("--max-seconds", type=float, default=None)
-    p_solve.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="resume from this snapshot if it exists, and save one there on "
-        "preemption (SIGTERM/SIGINT) or budget exhaustion; exit %d means "
-        "interrupted-with-checkpoint, %d plain budget-unknown"
-        % (EXIT_INTERRUPTED, EXIT_UNKNOWN),
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_prenex = sub.add_parser("prenex", help="convert to prenex form")
@@ -533,9 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "reloaded on restart")
     p_srun.add_argument("--wall-timeout", type=float, default=None,
                         help="hard per-request seconds for worker-shard solves")
-    p_srun.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="directory for preemption checkpoints of "
-                        "worker-shard solves")
     p_srun.add_argument("--mem-limit", type=float, default=None, metavar="MB",
                         help="per-worker address-space ceiling (RLIMIT_AS) in "
                         "MiB; a breaching solve returns a structured 'memout' "
@@ -665,12 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="propagation backend for every run in the sweep; a non-default "
         "choice lands in the task fingerprints, so results files keyed on "
         "the default stay resumable (default: $REPRO_ENGINE or counters)",
-    )
-    p_run.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="per-task solver snapshots land here; a preempted or "
-        "hard-timed-out worker's retry (or a whole rerun) resumes its "
-        "search instead of starting over",
     )
     p_run.add_argument(
         "--fault-plan", default=None, metavar="PLAN.JSON",

@@ -95,12 +95,12 @@ class SolverConfig:
     engine: str = field(default_factory=default_engine)
     #: refuse to run when ``engine="native"`` is requested but the compiled
     #: kernel is unavailable, instead of degrading to the counter backend.
-    #: Selection-policy only — never changes decisions — so it is excluded
-    #: from checkpoint config digests, like `engine` and `paranoid`.
+    #: Selection-policy only — never changes decisions, like `engine` and
+    #: `paranoid`.
     require_native: bool = field(default_factory=default_require_native)
     #: keep the trail's hot-path invariant guards (double-assignment check
-    #: in push) active. Diagnostic only — never changes decisions — so it is
-    #: excluded from checkpoint config digests, like `engine`.
+    #: in push) active. Diagnostic only — never changes decisions, like
+    #: `engine`.
     paranoid: bool = field(default_factory=default_paranoid)
 
     def __post_init__(self) -> None:

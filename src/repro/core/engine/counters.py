@@ -255,9 +255,9 @@ class CounterBackend(PropagationBackend):
                 self.occ_unsat[lit] += 1
 
     def _install_learned_cube(self, rec: Rec) -> None:
-        # A cube born dead (checkpoint restore and incremental retention
-        # install outside the search loop) is filed under the negation of
-        # its false literal of least trail position, as assign would have.
+        # A cube installed outside the search loop may be born dead (a
+        # literal already false); it is filed under the negation of its
+        # false literal of least trail position, as assign would have.
         trail = self.trail
         lit_val = trail.lit_val
         base = trail.base

@@ -35,7 +35,7 @@ turn the fallback into a structured :class:`NativeUnavailableError`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.engine.backend import (
     CONFLICT,
@@ -99,44 +99,6 @@ def kernel_version() -> Optional[int]:
     return None if _native is None else int(_native.KERNEL_VERSION)
 
 
-class _NativeCandidates:
-    """Set facade over the kernel's pure-literal candidate flags.
-
-    The checkpoint layer treats ``backend.pure_candidates`` as a mutable
-    set (``capture`` sorts it, ``restore`` clears and refills it); the
-    backends add to it during backtracking.  For the native backend the
-    flags live in C, so this facade forwards the handful of set operations
-    the rest of the system uses.
-    """
-
-    __slots__ = ("_core",)
-
-    def __init__(self, core):
-        self._core = core
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._core.get_candidates())
-
-    def __len__(self) -> int:
-        return len(self._core.get_candidates())
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._core.get_candidates()
-
-    def add(self, v: int) -> None:
-        self._core.add_candidate(v)
-
-    def clear(self) -> None:
-        self._core.set_candidates(())
-
-    def update(self, vs: Iterable[int]) -> None:
-        for v in vs:
-            self._core.add_candidate(v)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NativeCandidates(%r)" % (self._core.get_candidates(),)
-
-
 class NativeBackend(PropagationBackend):
     """Compiled eager-counter propagation behind the backend interface."""
 
@@ -163,8 +125,9 @@ class NativeBackend(PropagationBackend):
             rid = core.add_record(0, 1, 0, rec.lits, rec.prim, rec.sec)
             assert rid == len(self._recs)
             self._recs.append(rec)
+        # The kernel owns the pure-literal candidates from here on.
         core.set_candidates(sorted(self.pure_candidates))
-        self.pure_candidates = _NativeCandidates(core)  # type: ignore[assignment]
+        self.pure_candidates = None  # type: ignore[assignment]
         #: paranoid runs keep the two-step replay through Trail.push so the
         #: trail's double-assignment guard still sees every assignment.
         self._fast_replay = not config.paranoid

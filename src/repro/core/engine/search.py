@@ -212,52 +212,13 @@ class SearchEngine:
 
     # -- main loop ---------------------------------------------------------------------
 
-    def solve(
-        self,
-        resume_from: Optional[object] = None,
-        checkpoint_to: Optional[str] = None,
-    ) -> SolveResult:
-        """Run the search to completion, budget exhaustion, or interruption.
-
-        ``resume_from`` (a :class:`repro.robustness.checkpoint.Checkpoint`
-        or a path to one) replays an earlier run's frontier into this
-        freshly built engine before searching; the resumed run continues
-        decision-for-decision where the interrupted one stopped. A bad
-        checkpoint raises :class:`~repro.robustness.checkpoint.
-        CheckpointError` before any state is mutated.
-
-        ``checkpoint_to`` names a snapshot file: flushed (atomically) when
-        the run ends UNKNOWN — preempted or out of budget — and removed on
-        a determinate outcome, so a stale snapshot never outlives the
-        answer it was saved to reach.
-        """
+    def solve(self) -> SolveResult:
+        """Run the search to completion, budget exhaustion, or interruption."""
         start = time.monotonic()
-        resumed_seconds = 0.0
-        if resume_from is not None:
-            from repro.robustness.checkpoint import load_checkpoint, restore
-
-            if isinstance(resume_from, str):
-                resume_from = load_checkpoint(resume_from)
-            resumed_seconds = restore(self, resume_from)
         if self.config.max_seconds is not None:
-            # The checkpointed run already spent part of the wall budget.
-            self._deadline = start + max(self.config.max_seconds - resumed_seconds, 0.0)
+            self._deadline = start + self.config.max_seconds
         outcome = self._run()
-        seconds = resumed_seconds + (time.monotonic() - start)
-        if checkpoint_to is not None:
-            if outcome is Outcome.UNKNOWN:
-                # Capture before concluding the proof: the snapshot must
-                # carry a logger state that can still reach a conclusion.
-                from repro.robustness.checkpoint import capture, save_checkpoint
-
-                save_checkpoint(capture(self, seconds=seconds), checkpoint_to)
-            else:
-                import os
-
-                try:
-                    os.unlink(checkpoint_to)
-                except OSError:
-                    pass
+        seconds = time.monotonic() - start
         if self._proof is not None and not self._proof.concluded:
             # A verdict that never passed through a Terminal analysis:
             # budget exhaustion, or search exhausted by chronological flips
@@ -278,7 +239,7 @@ class SearchEngine:
 
     def _should_stop(self) -> bool:
         """Budget *or* preemption — polled only at quiescent points, so an
-        UNKNOWN exit always leaves a checkpointable frontier."""
+        UNKNOWN exit always leaves consistent stats behind."""
         if self._interrupt_requested():
             self.interrupted = True
             return True

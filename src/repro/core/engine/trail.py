@@ -191,19 +191,6 @@ class Trail:
         self.level_start.append(len(self.lits))
         self.decision.append((lit, flipped))
 
-    def snapshot(self) -> dict:
-        """Copy of the replayable frontier (for checkpoint serialization):
-        the literal stack, per-level start positions, the decision
-        (literal, flipped) pairs for levels 1..N, and the queue head.
-        Values/levels/positions/reasons are derivable by replaying these
-        through a backend's ``assign``, so they are not duplicated here."""
-        return {
-            "lits": list(self.lits),
-            "level_start": list(self.level_start),
-            "decision": [(lit, flipped) for lit, flipped in self.decision[1:]],
-            "queue_head": self.queue_head,
-        }
-
     def shrink(self, to_level: int, target: int) -> None:
         """Drop the trail suffix from position ``target`` and the levels
         above ``to_level``; the caller has already unassigned the values."""

@@ -95,19 +95,6 @@ class QBF:
         """True when every variable is existential (a plain SAT problem)."""
         return all(b.quant is EXISTS for b in self.prefix.blocks)
 
-    def literals(self) -> Iterable[int]:
-        """All literal occurrences of the matrix (with repetitions)."""
-        for clause in self.clauses:
-            for lit in clause:
-                yield lit
-
-    def occurrence_counts(self) -> Dict[int, int]:
-        """Literal -> number of matrix occurrences (for heuristics/purity)."""
-        counts: Dict[int, int] = {}
-        for lit in self.literals():
-            counts[lit] = counts.get(lit, 0) + 1
-        return counts
-
     # -- semantics-preserving operations ------------------------------------
 
     def assign(self, lit: int) -> "QBF":

@@ -26,8 +26,8 @@ arithmetic is unchanged from the dict-backed original — bump adds the same
 1.0, decay multiplies every counter by the same factor, ``_recompute`` folds
 the same ``max(score + kid)`` per block — so decisions are bit-identical;
 only the indexing cost changed. ``keeper.score`` remains available as a
-dict-like signed-literal view (:class:`_ScoreView`) for checkpoints and
-tests; hot paths read the arrays directly.
+signed-literal view (:class:`_ScoreView`) for tests; hot paths read the
+arrays directly.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ POLICIES = ("levelsub", "subtree", "counter", "naive")
 
 
 class _ScoreView:
-    """Dict-like signed-literal facade over the flat score arrays.
+    """Signed-literal facade over the flat score arrays.
 
-    Supports exactly what the cold paths need: indexing by signed literal,
-    iteration over the signed literals of the prefix (insertion order of the
-    historical dict: ``v, -v`` per variable, ascending), ``dict(view)`` for
-    checkpoint capture and ``view.update(mapping)`` for restore.
+    Supports indexing by signed literal and iteration over the signed
+    literals of the prefix (insertion order of the historical dict:
+    ``v, -v`` per variable, ascending).
     """
 
     __slots__ = ("_keeper",)
@@ -72,27 +71,6 @@ class _ScoreView:
         for v in self._keeper.prefix.variables:
             yield v
             yield -v
-
-    def __len__(self) -> int:
-        return 2 * len(self._keeper.prefix.variables)
-
-    def __contains__(self, lit: int) -> bool:
-        v = lit if lit > 0 else -lit
-        return v in self._keeper.prefix.variables
-
-    def keys(self) -> List[int]:
-        return list(self)
-
-    def items(self) -> List[Tuple[int, float]]:
-        return [(lit, self[lit]) for lit in self]
-
-    def values(self) -> List[float]:
-        return [self[lit] for lit in self]
-
-    def update(self, other) -> None:
-        items = other.items() if hasattr(other, "items") else other
-        for lit, value in items:
-            self[lit] = value
 
 
 class ScoreKeeper:

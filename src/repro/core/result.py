@@ -86,10 +86,9 @@ class SolverStats:
 class SolveResult:
     """Outcome + cost of a solver run.
 
-    ``seconds`` accumulates across resumed attempts (the spent budget rides
-    along in the checkpoint); ``interrupted`` distinguishes a cooperative
-    preemption (SIGTERM/SIGINT via an interrupt flag) from an exhausted
-    budget — both report ``Outcome.UNKNOWN``.
+    ``interrupted`` distinguishes a cooperative preemption (SIGTERM/SIGINT
+    via an interrupt flag) from an exhausted budget — both report
+    ``Outcome.UNKNOWN`` with the stats spent so far.
     """
 
     outcome: Outcome

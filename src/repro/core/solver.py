@@ -61,15 +61,10 @@ def solve(
     config: Optional[SolverConfig] = None,
     proof: Optional[object] = None,
     interrupt: Optional[object] = None,
-    resume_from: Optional[object] = None,
-    checkpoint_to: Optional[str] = None,
 ) -> SolveResult:
     """Solve ``formula`` with a fresh engine; see :class:`SolverConfig`.
 
-    ``interrupt``/``resume_from``/``checkpoint_to`` are the preemption and
-    checkpoint hooks of :meth:`SearchEngine.solve` (see
-    :mod:`repro.robustness`).
+    ``interrupt`` is the engine's preemption hook (see
+    :mod:`repro.robustness.interrupt`).
     """
-    return QdpllSolver(formula, config, proof=proof, interrupt=interrupt).solve(
-        resume_from=resume_from, checkpoint_to=checkpoint_to
-    )
+    return QdpllSolver(formula, config, proof=proof, interrupt=interrupt).solve()

@@ -9,7 +9,7 @@ batch harness needs:
   its worker killed, not merely asked to stop via the solver's cooperative
   ``max_seconds`` check (which a pathological propagation loop may never
   reach). Killing escalates: SIGTERM first (the worker's handler flips the
-  solver's interrupt flag, letting it flush a checkpoint and report a
+  solver's interrupt flag, letting it stop at its next poll and report a
   partial measurement), SIGKILL after a grace period;
 * **crash isolation** — a worker that dies (OOM kill, ``RecursionError``, a
   solver bug) produces a structured failure :class:`Record` for that one
@@ -40,7 +40,7 @@ import os
 import signal
 import time
 import traceback
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from multiprocessing.connection import wait as _wait_ready
 from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Tuple
 
@@ -53,7 +53,6 @@ from repro.evalx.runner import (
     solve_po,
     solve_to,
 )
-from repro.robustness.checkpoint import CheckpointError, load_checkpoint
 from repro.robustness.faults import FaultPlan
 from repro.robustness.interrupt import global_flag
 
@@ -64,8 +63,7 @@ STATUS_HARD_TIMEOUT = "hard-timeout"
 STATUS_DISAGREEMENT = "disagreement"
 #: the worker breached its address-space ceiling (``mem_limit_mb``). Never
 #: retried: an allocation that failed at this ceiling fails again at this
-#: ceiling, so the record is written immediately (any checkpoint an earlier
-#: attempt salvaged stays on disk for a future run at a higher ceiling).
+#: ceiling, so the record is written immediately.
 STATUS_MEMOUT = "memout"
 #: :meth:`WorkerPool.cancel` stopped the job's worker before it reported.
 STATUS_CANCELLED = "cancelled"
@@ -155,23 +153,10 @@ class Task:
     #: the certifying config (pure literals off), so their keys must not
     #: collide with uncertified runs of the same instance.
     certify: bool = False
-    #: directory for solver checkpoints. When set, a preempted or
-    #: hard-timed-out run flushes its search frontier there and a retry (or
-    #: a whole re-invoked sweep) resumes instead of restarting. Excluded
-    #: from the fingerprint: checkpoints are an execution detail, not part
-    #: of what the run measures.
-    checkpoint_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("po", "to"):
             raise ValueError("unknown task mode %r" % (self.mode,))
-
-    def checkpoint_path(self) -> Optional[str]:
-        """Per-key snapshot file under ``checkpoint_dir`` (None when off)."""
-        if self.checkpoint_dir is None:
-            return None
-        digest = hashlib.sha256("|".join(self.key).encode("utf-8")).hexdigest()[:16]
-        return os.path.join(self.checkpoint_dir, digest + ".ckpt")
 
     def fingerprint(self) -> str:
         """Stable digest of everything that shapes the run besides the formula.
@@ -280,27 +265,12 @@ def _failure_measurement(task: Task, seconds: float) -> Measurement:
 def execute_task(task: Task) -> Measurement:
     """Run one task in the current process (the default worker body).
 
-    With ``task.checkpoint_dir`` set, a valid snapshot from an earlier
-    preempted attempt is resumed (a torn or foreign one is ignored — the
-    run simply restarts), and the solver flushes a fresh snapshot if this
-    attempt is preempted in turn. The solver polls the process-global
-    interrupt flag, which pool workers wire to SIGTERM (:func:`_worker_main`).
+    The solver polls the process-global interrupt flag, which pool workers
+    wire to SIGTERM (:func:`_worker_main`), so a preempted attempt reports
+    a partial measurement.
     """
     overrides = dict(task.overrides)
-    ckpt_path = task.checkpoint_path()
-    resume = None
-    if ckpt_path is not None and os.path.exists(ckpt_path):
-        try:
-            resume = load_checkpoint(ckpt_path)
-        except CheckpointError:
-            resume = None  # detected by version/digest: fall back to fresh
-    common = dict(
-        budget=task.budget,
-        certify=task.certify,
-        interrupt=global_flag(),
-        resume_from=resume,
-        checkpoint_to=ckpt_path,
-    )
+    common = dict(budget=task.budget, certify=task.certify, interrupt=global_flag())
     if task.mode == "to":
         m = solve_to(
             task.formula, task.instance, strategy=task.strategy, **dict(common, **overrides)
@@ -485,7 +455,7 @@ def _worker_main(
     the parent loop's self-pipe and read back as a shutdown of the parent.
     It then routes SIGTERM to the interrupt flag and unblocks it, so a
     cancel sent at any time after the fork preempts the job (the solver
-    flushes its checkpoint and reports a partial measurement instead of
+    stops at its next poll and reports a partial measurement instead of
     dying mid-search), and caps the address space at ``mem_limit_mb``.
     That holds only while the worker holds a job: an idle persistent
     worker dies of SIGTERM as if it had no handler, so an exiting parent
@@ -844,7 +814,6 @@ def run_tasks(
     term_grace: float = 2.0,
     retry_backoff: float = 0.5,
     faults: Optional[FaultPlan] = None,
-    checkpoint_dir: Optional[str] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
     pool: Optional[WorkerPool] = None,
@@ -861,15 +830,13 @@ def run_tasks(
             already-recorded keys are skipped (resume) and every new record
             is appended as it completes.
         wall_timeout: hard per-run seconds; an exceeded run's worker gets
-            SIGTERM (a chance to checkpoint), then SIGKILL after
-            ``term_grace`` seconds. Only enforced on a pool (``jobs > 1``
+            SIGTERM (a chance to report its partial measurement), then
+            SIGKILL after ``term_grace`` seconds. Only enforced on a pool (``jobs > 1``
             or ``pool``: a single process cannot kill itself safely);
             serial runs still honor the budget's cooperative limits.
         max_retries: how many times a crashed or hard-timed-out task is
-            re-queued before its failure record is written. With
-            ``checkpoint_dir`` set, a hard-timeout retry resumes from the
-            checkpoint the SIGTERM salvaged, so the wall clock resets but
-            the search doesn't.
+            re-queued before its failure record is written. Every retry
+            restarts the run from scratch.
         executor: the task body, a module-level callable mapping Task ->
             Measurement. Defaults to :func:`execute_task`, looked up at
             each call (:func:`measure_task`); tests substitute
@@ -879,8 +846,6 @@ def run_tasks(
             (deterministically jittered per task); 0 disables the delay.
         faults: a :class:`repro.robustness.faults.FaultPlan` injecting
             deterministic failures (tests/CI chaos legs).
-        checkpoint_dir: directory for per-task solver snapshots; stamped
-            onto every task (see :attr:`Task.checkpoint_dir`).
         durable: fsync the results log after each append (see
             :class:`ResultsLog`).
         mem_limit_mb: per-worker address-space ceiling in MiB (POSIX,
@@ -899,9 +864,6 @@ def run_tasks(
         raise ValueError("jobs must be >= 1")
     if pool is not None and executor is not None:
         raise ValueError("a caller's pool runs its own body; pass no executor")
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        tasks = [replace(task, checkpoint_dir=checkpoint_dir) for task in tasks]
 
     log: Optional[ResultsLog]
     if results is None:
@@ -976,13 +938,11 @@ def _settle(
     measurement = result if status == STATUS_OK else None
     error = None if status == STATUS_OK else result
     if status == STATUS_OK and timed_out and measurement.interrupted:
-        # Our SIGTERM preempted it: the worker reported gracefully (its
-        # checkpoint is on disk), but the *task* still overran the wall
-        # clock — classify as a hard timeout so a retry can resume.
+        # Our SIGTERM preempted it: the worker reported gracefully, but the
+        # *task* still overran the wall clock — classify as a hard timeout
+        # (the partial measurement rides along) so it gets its retry.
         status = STATUS_HARD_TIMEOUT
         error = "hard wall-clock timeout after %.1fs" % seconds
-        if task.checkpoint_path() is not None:
-            error += " (checkpoint salvaged)"
     if status == STATUS_OK:
         return Record.of(
             task, STATUS_OK, measurement=measurement, attempts=attempt, backoff=entry.backoff
@@ -996,9 +956,8 @@ def _settle(
                 entry.index, task, attempt + 1, time.monotonic() + delay, entry.backoff + delay
             )
         if status == STATUS_HARD_TIMEOUT:
-            # Immediate requeue: time was the failure, not the machine. With
-            # checkpointing on, the retry resumes the salvaged frontier
-            # instead of re-spending the whole wall budget.
+            # Immediate requeue: time was the failure, not the machine. The
+            # retry restarts the run with a fresh wall budget.
             return _Pending(entry.index, task, attempt + 1, backoff=entry.backoff)
     # Memouts are final: the same allocation fails the same way again.
     return Record.of(

@@ -72,8 +72,8 @@ class Measurement:
     #: certified.
     certificate_status: Optional[str] = None
     #: True when the run was preempted (SIGTERM/SIGINT) rather than ending
-    #: on a verdict or its own budget; the outcome is UNKNOWN and a
-    #: checkpoint may exist to resume from.
+    #: on a verdict or its own budget; the outcome is UNKNOWN and the stats
+    #: are those spent up to the preemption.
     interrupted: bool = False
 
     @classmethod
@@ -131,69 +131,34 @@ def _measure(
     config: SolverConfig,
     check_formula: Optional[QBF] = None,
     interrupt: Optional[object] = None,
-    resume_from: Optional[object] = None,
-    checkpoint_to: Optional[str] = None,
 ) -> Measurement:
     """Run once; with ``check_formula`` set, certify and self-check the run.
 
     ``check_formula`` is the formula the certificate is validated against —
     the *original* (possibly non-prenex) instance, which may differ from the
     ``formula`` actually solved (the TO pipeline solves the prenex form).
-
-    ``interrupt``/``resume_from``/``checkpoint_to`` are the preemption hooks
-    of :meth:`SearchEngine.solve`. A certified resume rebuilds the proof
-    sink from the steps carried in the checkpoint, so the resumed run's
-    certificate is one continuous derivation. A checkpoint that fails its
-    digest or belongs to another formula/config is discarded and the run
-    starts fresh — corrupt snapshots cost the saved work, never a sweep.
+    ``interrupt`` is the engine's preemption hook.
     """
+    certificate_status: Optional[str] = None
+    if check_formula is not None:
+        from repro.certify import (
+            MemorySink,
+            ProofLogger,
+            certifying_config,
+            check_certificate,
+        )
 
-    def run(resume: Optional[object]) -> Measurement:
-        certificate_status: Optional[str] = None
-        if check_formula is not None:
-            from repro.certify import (
-                MemorySink,
-                ProofLogger,
-                certifying_config,
-                check_certificate,
-            )
-
-            sink = MemorySink()
-            logger = None
-            if resume is not None and getattr(resume, "proof", None) is not None:
-                steps = resume.extra.get("proof_steps")
-                if steps is not None:
-                    sink.steps = [dict(step) for step in steps]
-                    logger = ProofLogger.resumed(sink, resume.proof)
-            if logger is None:
-                logger = ProofLogger(sink)
-            result = solve(
-                formula,
-                certifying_config(config),
-                proof=logger,
-                interrupt=interrupt,
-                resume_from=resume,
-                checkpoint_to=checkpoint_to,
-            )
-            certificate_status = check_certificate(check_formula, sink).status
-        else:
-            result = solve(
-                formula,
-                config,
-                interrupt=interrupt,
-                resume_from=resume,
-                checkpoint_to=checkpoint_to,
-            )
-        return Measurement.from_result(instance, solver, result, certificate_status)
-
-    if resume_from is not None:
-        from repro.robustness.checkpoint import CheckpointError
-
-        try:
-            return run(resume_from)
-        except CheckpointError:
-            pass  # stale/corrupt/foreign checkpoint: fall back to fresh
-    return run(None)
+        sink = MemorySink()
+        result = solve(
+            formula,
+            certifying_config(config),
+            proof=ProofLogger(sink),
+            interrupt=interrupt,
+        )
+        certificate_status = check_certificate(check_formula, sink).status
+    else:
+        result = solve(formula, config, interrupt=interrupt)
+    return Measurement.from_result(instance, solver, result, certificate_status)
 
 
 def solve_po(
@@ -202,8 +167,6 @@ def solve_po(
     budget: Budget = Budget(),
     certify: bool = False,
     interrupt: Optional[object] = None,
-    resume_from: Optional[object] = None,
-    checkpoint_to: Optional[str] = None,
     **overrides,
 ) -> Measurement:
     """QUBE(PO): solve the (possibly non-prenex) formula directly."""
@@ -214,8 +177,6 @@ def solve_po(
         budget.to_config(**overrides),
         check_formula=formula if certify else None,
         interrupt=interrupt,
-        resume_from=resume_from,
-        checkpoint_to=checkpoint_to,
     )
 
 
@@ -226,8 +187,6 @@ def solve_to(
     budget: Budget = Budget(),
     certify: bool = False,
     interrupt: Optional[object] = None,
-    resume_from: Optional[object] = None,
-    checkpoint_to: Optional[str] = None,
     **overrides,
 ) -> Measurement:
     """QUBE(TO): prenex with ``strategy``, then solve the total order.
@@ -245,8 +204,6 @@ def solve_to(
         budget.to_config(**overrides),
         check_formula=formula if certify else None,
         interrupt=interrupt,
-        resume_from=resume_from,
-        checkpoint_to=checkpoint_to,
     )
 
 

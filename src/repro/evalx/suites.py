@@ -111,7 +111,6 @@ def _run_batch(
     jobs: int,
     log: Optional[ResultsLog],
     wall_timeout: Optional[float],
-    checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     mem_limit_mb: Optional[float] = None,
 ) -> Dict[Tuple[str, str], Measurement]:
@@ -120,7 +119,6 @@ def _run_batch(
         jobs=jobs,
         results=log,
         wall_timeout=wall_timeout,
-        checkpoint_dir=checkpoint_dir,
         faults=faults,
         mem_limit_mb=mem_limit_mb,
     )
@@ -167,7 +165,6 @@ def run_ncf(
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
@@ -189,8 +186,7 @@ def run_ncf(
             meta.append((params.label, setting))
     with_log = _open_log(results_path, durable=durable, faults=faults)
     by_key = _run_batch(
-        tasks, jobs, with_log, wall_timeout, checkpoint_dir, faults,
-        mem_limit_mb,
+        tasks, jobs, with_log, wall_timeout, faults, mem_limit_mb,
     )
     results: List[PairResult] = []
     for label, setting in meta:
@@ -236,7 +232,6 @@ def run_fpv(
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
@@ -254,8 +249,7 @@ def run_fpv(
         labels.append(params.label)
     with_log = _open_log(results_path, durable=durable, faults=faults)
     by_key = _run_batch(
-        tasks, jobs, with_log, wall_timeout, checkpoint_dir, faults,
-        mem_limit_mb,
+        tasks, jobs, with_log, wall_timeout, faults, mem_limit_mb,
     )
     results: List[PairResult] = []
     for label in labels:
@@ -315,7 +309,6 @@ def run_dia(
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
@@ -335,8 +328,7 @@ def run_dia(
         labels.append(label)
     with_log = _open_log(results_path, durable=durable, faults=faults)
     by_key = _run_batch(
-        tasks, jobs, with_log, wall_timeout, checkpoint_dir, faults,
-        mem_limit_mb,
+        tasks, jobs, with_log, wall_timeout, faults, mem_limit_mb,
     )
     results: List[PairResult] = []
     for label in labels:
@@ -430,7 +422,6 @@ def run_eval06(
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    checkpoint_dir: Optional[str] = None,
     faults: Optional["FaultPlan"] = None,
     durable: bool = True,
     mem_limit_mb: Optional[float] = None,
@@ -459,8 +450,7 @@ def run_eval06(
         labels.append(label)
     with_log = _open_log(results_path, durable=durable, faults=faults)
     by_key = _run_batch(
-        tasks, jobs, with_log, wall_timeout, checkpoint_dir, faults,
-        mem_limit_mb,
+        tasks, jobs, with_log, wall_timeout, faults, mem_limit_mb,
     )
     results: List[PairResult] = []
     for label in labels:

@@ -1,47 +1,26 @@
-"""Robustness layer: checkpoints, preemption and deterministic fault injection.
+"""Robustness layer: preemption and deterministic fault injection.
 
-Three independent pieces that together make long sweeps preemptible and
+Two independent pieces that together make long sweeps preemptible and
 recoverable:
 
-* :mod:`repro.robustness.checkpoint` — versioned, digest-protected solver
-  snapshots (learned constraints, branching scores, spent budget, and the
-  chronological search frontier) that
-  :meth:`repro.core.solver.QdpllSolver.solve` can flush on interruption and
-  replay deterministically via ``resume_from=``.
 * :mod:`repro.robustness.interrupt` — a SIGTERM/SIGINT-safe cooperative
   interrupt flag the engine polls alongside its budget checks, plus a
-  context manager that installs and restores the signal handlers.
+  context manager that installs and restores the signal handlers. A
+  preempted run ends UNKNOWN with its partial stats; a sweep's JSONL
+  results file keeps every finished run, so a rerun skips them.
 * :mod:`repro.robustness.faults` — a seeded, deterministic fault-injection
-  plan (worker crashes, hangs, torn JSONL appends, truncated checkpoints)
-  threaded through the parallel harness so every recovery path is exercised
-  end-to-end in tests and CI.
+  plan (worker crashes, hangs, torn JSONL appends, worker OOMs, stuck
+  family workers) threaded through the parallel harness and the serve
+  daemon so every recovery path is exercised end-to-end in tests and CI.
 """
 
-from repro.robustness.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-    Checkpoint,
-    CheckpointError,
-    capture,
-    load_checkpoint,
-    restore,
-    save_checkpoint,
-)
 from repro.robustness.faults import FaultPlan, InjectedFault
 from repro.robustness.interrupt import InterruptFlag, global_flag, handling_signals
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
-    "CHECKPOINT_VERSION",
-    "Checkpoint",
-    "CheckpointError",
     "FaultPlan",
     "InjectedFault",
     "InterruptFlag",
-    "capture",
     "global_flag",
     "handling_signals",
-    "load_checkpoint",
-    "restore",
-    "save_checkpoint",
 ]

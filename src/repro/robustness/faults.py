@@ -16,9 +16,6 @@ Fault kinds and where they fire:
 * ``torn-append`` — :class:`repro.evalx.parallel.ResultsLog` writes the
   record's line half-finished, once; exercises torn-line tolerance on load
   and fingerprint-keyed re-running.
-* ``torn-checkpoint`` — a garbage checkpoint file is planted where the
-  task would resume from (first attempt only); exercises digest detection
-  and the fall-back-to-fresh path.
 * ``worker-oom`` — the worker raises :class:`MemoryError` before solving,
   exactly what an allocation hitting the ``RLIMIT_AS`` ceiling looks like;
   exercises the ``memout`` record classification and — at the serve layer —
@@ -46,10 +43,9 @@ from typing import Dict, Iterable, List, Optional, Set
 CRASH = "crash"
 HANG = "hang"
 TORN_APPEND = "torn-append"
-TORN_CHECKPOINT = "torn-checkpoint"
 WORKER_OOM = "worker-oom"
 STUCK_FAMILY = "stuck-family"
-KINDS = (CRASH, HANG, TORN_APPEND, TORN_CHECKPOINT, WORKER_OOM, STUCK_FAMILY)
+KINDS = (CRASH, HANG, TORN_APPEND, WORKER_OOM, STUCK_FAMILY)
 
 
 class InjectedFault(RuntimeError):
@@ -71,7 +67,6 @@ class FaultPlan:
         crashes: int = 0,
         hangs: int = 0,
         torn_appends: int = 0,
-        torn_checkpoints: int = 0,
         worker_ooms: int = 0,
         stuck_families: int = 0,
         hang_seconds: float = 3600.0,
@@ -81,7 +76,6 @@ class FaultPlan:
         self.crashes = crashes
         self.hangs = hangs
         self.torn_appends = torn_appends
-        self.torn_checkpoints = torn_checkpoints
         self.worker_ooms = worker_ooms
         self.stuck_families = stuck_families
         self.hang_seconds = hang_seconds
@@ -114,7 +108,6 @@ class FaultPlan:
             [CRASH] * self.crashes
             + [HANG] * self.hangs
             + [TORN_APPEND] * self.torn_appends
-            + [TORN_CHECKPOINT] * self.torn_checkpoints
             + [WORKER_OOM] * self.worker_ooms
             + [STUCK_FAMILY] * self.stuck_families
         )
@@ -144,11 +137,6 @@ class FaultPlan:
             raise InjectedFault("injected crash for %s" % self.label(task))
         if kind == HANG:
             time.sleep(self.hang_seconds)
-        if kind == TORN_CHECKPOINT:
-            path = task.checkpoint_path()
-            if path is not None:
-                with open(path, "w") as fh:
-                    fh.write('{"format": "repro-ckpt", "version": 1, "sha2')
 
     def torn_append(self, label: str) -> bool:
         """Should this record's JSONL line be torn? One-shot per label."""
@@ -174,7 +162,6 @@ class FaultPlan:
             "crashes": self.crashes,
             "hangs": self.hangs,
             "torn_appends": self.torn_appends,
-            "torn_checkpoints": self.torn_checkpoints,
             "worker_ooms": self.worker_ooms,
             "stuck_families": self.stuck_families,
             "hang_seconds": self.hang_seconds,
@@ -185,12 +172,13 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
+        """The plan :meth:`to_dict` wrote. Keys it does not know, such as
+        the count of a retired fault kind, are ignored."""
         return cls(
             seed=int(data.get("seed", 0)),
             crashes=int(data.get("crashes", 0)),
             hangs=int(data.get("hangs", 0)),
             torn_appends=int(data.get("torn_appends", 0)),
-            torn_checkpoints=int(data.get("torn_checkpoints", 0)),
             worker_ooms=int(data.get("worker_ooms", 0)),
             stuck_families=int(data.get("stuck_families", 0)),
             hang_seconds=float(data.get("hang_seconds", 3600.0)),

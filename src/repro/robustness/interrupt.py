@@ -2,12 +2,12 @@
 
 The engine cannot be preempted asynchronously — an assignment or a
 backjump caught halfway would leave the trail and the occurrence counters
-inconsistent, and a checkpoint written from that state would be garbage.
-Instead, SIGTERM/SIGINT handlers set an :class:`InterruptFlag`, and
-:meth:`SearchEngine.solve` polls it at exactly the points where it already
-checks the budget — quiescence before a decision, and after every
-conflict/solution analysis — where the solver state is a well-defined
-search frontier that :mod:`repro.robustness.checkpoint` can serialize.
+inconsistent, and the partial stats (or a certificate's conclusion) read
+from that state would be garbage. Instead, SIGTERM/SIGINT handlers set an
+:class:`InterruptFlag`, and :meth:`SearchEngine.solve` polls it at exactly
+the points where it already checks the budget — quiescence before a
+decision, and after every conflict/solution analysis — where the run can
+end UNKNOWN with consistent stats, exactly like an exhausted budget.
 
 Setting a ``bool`` attribute is atomic under CPython and async-signal-safe
 in the sense that matters here (no allocation, no locks), so the same flag

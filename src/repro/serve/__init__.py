@@ -4,7 +4,7 @@
 newline-delimited JSON solve requests (see :mod:`repro.serve.protocol`).
 Generic QDIMACS/tree-prefix requests dispatch to :func:`repro.evalx.
 parallel.run_tasks` on warm persistent workers — inheriting its fault
-isolation, wall timeouts and checkpoint-based preemption — while SMV
+isolation, wall timeouts and SIGTERM preemption — while SMV
 diameter-bound requests run on one persistent :class:`repro.evalx.parallel.
 WorkerPool` worker per model family, whose :class:`repro.incremental.
 IncrementalSolver` carries learned constraints across bounds. Every solve

@@ -8,9 +8,8 @@ blocks:
   run_tasks` on one of ``jobs`` warm solve workers, each a persistent
   single-worker :class:`~repro.evalx.parallel.WorkerPool` forked on first
   use and handed to one request at a time. The task travels over the
-  worker's pipe, the batch harness's retry, wall-timeout/SIGTERM and
-  checkpoint machinery applies unchanged, and no solver state outlives a
-  request;
+  worker's pipe, the batch harness's retry and wall-timeout/SIGTERM
+  machinery applies unchanged, and no solver state outlives a request;
 * ``smv-diameter`` requests run on their model family's one persistent
   :class:`~repro.evalx.parallel.WorkerPool` worker, which holds the
   family's encoder and :class:`~repro.incremental.IncrementalSolver`, so
@@ -119,10 +118,6 @@ SMV_SOLVER_LABEL = "INC(stable)"
 #: framing slack, so an oversized-formula request is still *readable* and
 #: gets the structured protocol error instead of a torn connection.
 _STREAM_LIMIT = 2 * 4_000_000
-
-#: request kinds that go through admission control; everything else
-#: (ping/stats/shutdown) is control-plane and always answered.
-SOLVE_KINDS = ("solve", "smv-diameter")
 
 #: default bound on admitted-but-unfinished solve-lane requests.
 DEFAULT_MAX_INFLIGHT = 16
@@ -259,7 +254,6 @@ class ServeDaemon:
         jobs: int = 2,
         cache_path: Optional[str] = None,
         wall_timeout: Optional[float] = None,
-        checkpoint_dir: Optional[str] = None,
         interrupt: Optional[InterruptFlag] = None,
         mem_limit_mb: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
@@ -270,7 +264,6 @@ class ServeDaemon:
         self.socket_path = socket_path
         self.jobs = max(1, jobs)
         self.wall_timeout = wall_timeout
-        self.checkpoint_dir = checkpoint_dir
         self.mem_limit_mb = mem_limit_mb
         self._faults = faults
         self._interrupt = interrupt if interrupt is not None else global_flag()
@@ -350,7 +343,7 @@ class ServeDaemon:
         if not record.ok:
             # Structured failure (deadline exceeded, memout, worker crash):
             # the client gets a reason, never a silently hung connection. A
-            # partial measurement (checkpoint flush) may still ride along.
+            # preempted attempt's partial measurement may still ride along.
             if record.status == "hard-timeout":
                 out["error"] = "solve exceeded its deadline and was killed"
             elif record.status == STATUS_MEMOUT:
@@ -432,7 +425,6 @@ class ServeDaemon:
                         [task],
                         wall_timeout=deadline,
                         faults=self._faults,
-                        checkpoint_dir=self.checkpoint_dir,
                         pool=pool,
                     ),
                 )
@@ -759,7 +751,6 @@ def run_daemon(
     jobs: int = 2,
     cache_path: Optional[str] = None,
     wall_timeout: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
     mem_limit_mb: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
@@ -776,7 +767,6 @@ def run_daemon(
             jobs=jobs,
             cache_path=cache_path,
             wall_timeout=wall_timeout,
-            checkpoint_dir=checkpoint_dir,
             interrupt=flag,
             mem_limit_mb=mem_limit_mb,
             faults=faults,

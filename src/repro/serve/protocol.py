@@ -88,8 +88,6 @@ from repro.prenexing.strategies import STRATEGIES
 #: bumped when a response field changes meaning; echoed on every response.
 PROTOCOL_VERSION = 1
 
-KINDS = ("ping", "stats", "solve", "smv-diameter", "shutdown")
-
 #: wall-clock cap applied to solve-lane requests that set no ``deadline``;
 #: guarantees every request eventually gets a structured response.
 DEFAULT_DEADLINE_SECONDS = 300.0

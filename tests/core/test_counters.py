@@ -127,9 +127,9 @@ def _decide(solver, lit):
 
 
 def test_cube_installed_dead_is_filed_under_its_first_false_literal():
-    # Checkpoint restore and incremental retention install cubes outside
-    # the search loop; one born dead must revive exactly when its false
-    # literal of least trail position is unassigned.
+    # A cube installed outside the search loop may already have false
+    # literals; one born dead must revive exactly when its false literal
+    # of least trail position is unassigned.
     phi = QBF.prenex([(EXISTS, [1, 2, 3, 4])], [(1, 2, 3, 4)])
     solver = QdpllSolver(phi, SolverConfig(engine="counters"))
     backend = solver.backend

@@ -1,20 +1,17 @@
 """The retired ``watched`` engine name: an exact alias of ``counters``.
 
-Command lines, ``REPRO_ENGINE`` settings, evalx results files and solver
-checkpoints written while the watched backend existed must keep working.
+Command lines, ``REPRO_ENGINE`` settings and evalx results files written
+while the watched backend existed must keep working.
 """
 
-import dataclasses
 import json
 
 from repro.cli import main
 from repro.core.engine.counters import CounterBackend
-from repro.core.result import Outcome
 from repro.core.solver import QdpllSolver, SolverConfig, solve
 from repro.evalx.parallel import ResultsLog
 from repro.generators.ncf import NcfParams, generate_ncf
 from repro.io import qtree
-from repro.robustness import load_checkpoint, save_checkpoint
 
 
 def _phi():
@@ -70,21 +67,3 @@ def test_evalx_results_keep_their_keys_and_resume(tmp_path):
     assert len(loaded) == len(rows)
     assert all(rec.measurement.stats.engine_fallback == "" for rec in loaded.values())
 
-
-def test_checkpoint_with_watcher_swaps_resumes(tmp_path):
-    phi = _phi()
-    path = str(tmp_path / "legacy.ckpt")
-    cut = QdpllSolver(phi, SolverConfig(engine="watched", max_decisions=3)).solve(
-        checkpoint_to=path
-    )
-    assert cut.outcome is Outcome.UNKNOWN
-    ckpt = load_checkpoint(path)
-    save_checkpoint(
-        dataclasses.replace(ckpt, stats={**ckpt.stats, "watcher_swaps": 5}), path
-    )
-    baseline = solve(phi, SolverConfig(max_decisions=100000))
-    resumed = QdpllSolver(
-        phi, SolverConfig(engine="watched", max_decisions=100000)
-    ).solve(resume_from=path)
-    assert resumed.outcome is baseline.outcome
-    assert resumed.stats.decisions == baseline.stats.decisions

@@ -86,9 +86,3 @@ class TestPaperExample:
         assert phi.num_clauses == 8
         assert not phi.is_prenex
         assert phi.prefix.prefix_level == 3
-
-    def test_occurrence_counts(self):
-        counts = paper_example().occurrence_counts()
-        assert counts[1] == 2  # x0 occurs positively twice
-        assert counts[2] == 1  # y1 once
-        assert sum(counts.values()) == sum(len(c) for c in paper_example().clauses)

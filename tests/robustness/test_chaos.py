@@ -1,10 +1,10 @@
 """Chaos suite: the harness must converge to fault-free results under fire.
 
-A seeded :class:`FaultPlan` schedules one worker crash, one hang, one torn
-results-file append and one truncated checkpoint across a small sweep. The
-sweep — retries, kill escalation, torn-line tolerance, checkpoint fallback
-and all — must terminate and produce measurements identical (modulo
-wall-clock seconds) to the same sweep run with no faults at all.
+A seeded :class:`FaultPlan` schedules one worker crash, one hang and one
+torn results-file append across a small sweep. The sweep — retries, kill
+escalation, torn-line tolerance and all — must terminate and produce
+measurements identical (modulo wall-clock seconds) to the same sweep run
+with no faults at all.
 """
 
 import json
@@ -28,7 +28,6 @@ from repro.robustness.faults import (
     HANG,
     InjectedFault,
     TORN_APPEND,
-    TORN_CHECKPOINT,
 )
 
 
@@ -55,15 +54,13 @@ def comparable(records):
 class TestFaultPlan:
     def test_bind_is_deterministic_and_disjoint(self):
         labels = ["i%d|PO" % k for k in range(8)]
-        a = FaultPlan(seed=3, crashes=1, hangs=1, torn_appends=1, torn_checkpoints=1)
-        b = FaultPlan(seed=3, crashes=1, hangs=1, torn_appends=1, torn_checkpoints=1)
+        a = FaultPlan(seed=3, crashes=1, hangs=1, torn_appends=1)
+        b = FaultPlan(seed=3, crashes=1, hangs=1, torn_appends=1)
         a.bind(labels)
         b.bind(reversed(labels))  # order of discovery must not matter
         assert a.assignments == b.assignments
-        assert len(a.assignments) == 4  # four distinct victims
-        assert sorted(a.assignments.values()) == sorted(
-            [CRASH, HANG, TORN_APPEND, TORN_CHECKPOINT]
-        )
+        assert len(a.assignments) == 3  # three distinct victims
+        assert sorted(a.assignments.values()) == sorted([CRASH, HANG, TORN_APPEND])
 
     def test_different_seed_different_victims(self):
         labels = ["i%d|PO" % k for k in range(20)]
@@ -97,6 +94,27 @@ class TestFaultPlan:
         for kind in ("meteor-strike", "flip-verdict"):
             with pytest.raises(ValueError, match="unknown fault kind"):
                 FaultPlan(assignments={"a|PO": kind})
+
+    def test_torn_checkpoint_is_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown fault kind 'torn-checkpoint'"):
+            FaultPlan(assignments={"a|PO": "torn-checkpoint"})
+        with pytest.raises(ValueError, match="unknown fault kind 'torn-checkpoint'"):
+            FaultPlan.from_dict({"assignments": {"a|PO": "torn-checkpoint"}})
+
+    def test_plan_with_a_torn_checkpoint_count_still_loads(self):
+        # A plan file written when the fault existed loads, ignores the
+        # count, and binds the crash, hang and torn-append victims it
+        # always bound (drawn before the torn-checkpoint one).
+        labels = ["i%d|PO" % k for k in range(8)]
+        plan = FaultPlan.from_dict({
+            "seed": 3, "crashes": 1, "hangs": 1, "torn_appends": 1,
+            "torn_checkpoints": 1, "hang_seconds": 60.0,
+        })
+        plan.bind(labels)
+        assert plan.assignments == {
+            "i3|PO": CRASH, "i4|PO": HANG, "i6|PO": TORN_APPEND,
+        }
+        assert "torn_checkpoints" not in plan.to_dict()
 
 
 class TestTornAppend:
@@ -149,11 +167,9 @@ class TestChaosSweep:
         assert all(r.status == STATUS_OK for r in baseline)
 
         plan = FaultPlan(
-            seed=5, crashes=1, hangs=1, torn_appends=1, torn_checkpoints=1,
-            hang_seconds=30.0,
+            seed=5, crashes=1, hangs=1, torn_appends=1, hang_seconds=30.0,
         )
         results = str(tmp_path / "chaos.jsonl")
-        ckdir = str(tmp_path / "ckpts")
         log = ResultsLog(results, faults=plan)
         records = run_tasks(
             tasks,
@@ -163,13 +179,10 @@ class TestChaosSweep:
             term_grace=0.3,
             retry_backoff=0.05,
             faults=plan,
-            checkpoint_dir=ckdir,
         )
         log.close()
         # every scheduled fault found a victim
-        assert sorted(plan.assignments.values()) == sorted(
-            [CRASH, HANG, TORN_APPEND, TORN_CHECKPOINT]
-        )
+        assert sorted(plan.assignments.values()) == sorted([CRASH, HANG, TORN_APPEND])
         # ...and the sweep still produced the fault-free measurements
         assert comparable(records) == want
         assert all(r.status == STATUS_OK for r in records)

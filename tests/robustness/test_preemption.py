@@ -1,7 +1,7 @@
 """Graceful preemption: interrupt flags, signal handling, CLI exit codes.
 
 Covers the cooperative interrupt path (flag polled next to the budget
-checks, checkpoint flushed on the way out), the ``handling_signals``
+checks, partial stats reported on the way out), the ``handling_signals``
 context manager, and the ``repro solve`` exit-code contract — the latter
 through real subprocesses, signals included, because that is the only way
 the contract is actually consumed.
@@ -15,15 +15,11 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.core.result import Outcome
 from repro.core.solver import QdpllSolver, SolverConfig
 from repro.generators.ncf import NcfParams, generate_ncf
-from repro.robustness import (
-    InterruptFlag,
-    global_flag,
-    handling_signals,
-    load_checkpoint,
-)
+from repro.robustness import InterruptFlag, global_flag, handling_signals
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -48,20 +44,17 @@ class TestInterruptFlag:
         flag.set(signal.SIGTERM, None)  # signal-handler calling convention
         assert flag.is_set() and flag.last_signal == signal.SIGTERM
 
-    def test_preset_flag_interrupts_immediately(self, tmp_path):
-        path = str(tmp_path / "x.ckpt")
+    def test_preset_flag_interrupts_immediately(self):
         flag = InterruptFlag()
         flag.set()
-        result = QdpllSolver(
-            small_ncf(), SolverConfig(), interrupt=flag
-        ).solve(checkpoint_to=path)
+        result = QdpllSolver(small_ncf(), SolverConfig(), interrupt=flag).solve()
         assert result.outcome is Outcome.UNKNOWN
         assert result.interrupted
-        assert load_checkpoint(path).stats["decisions"] == result.stats.decisions
+        assert result.stats.decisions == 0  # stopped at the first poll
 
-    def test_callable_interrupt_mid_search(self, tmp_path):
-        # Interrupt via a plain callable after a few polls; the resumed run
-        # must land on the uninterrupted verdict.
+    def test_callable_interrupt_mid_search(self):
+        # Interrupt via a plain callable after a few polls: the run stops
+        # UNKNOWN with the stats it spent, short of the uninterrupted run.
         phi = small_ncf()
         baseline = QdpllSolver(phi, SolverConfig(max_decisions=100000)).solve()
         polls = [0]
@@ -70,18 +63,12 @@ class TestInterruptFlag:
             polls[0] += 1
             return polls[0] > 40
 
-        path = str(tmp_path / "mid.ckpt")
         cut = QdpllSolver(
             phi, SolverConfig(max_decisions=100000), interrupt=tripwire
-        ).solve(checkpoint_to=path)
+        ).solve()
         assert cut.interrupted and cut.outcome is Outcome.UNKNOWN
         assert 0 < cut.stats.decisions < baseline.stats.decisions
-        resumed = QdpllSolver(
-            phi, SolverConfig(max_decisions=100000)
-        ).solve(resume_from=path)
-        assert resumed.outcome is baseline.outcome
-        assert resumed.stats.decisions == baseline.stats.decisions
-        assert not resumed.interrupted
+        assert not baseline.interrupted and baseline.outcome is not Outcome.UNKNOWN
 
     def test_determinate_run_ignores_late_flag(self):
         # A flag that never trips must not perturb the run.
@@ -147,40 +134,24 @@ class TestCliExitCodes:
         assert proc.returncode == 20, proc.stdout + proc.stderr
         assert "result      FALSE" in proc.stdout
 
-    def test_budget_unknown_is_2_and_resume_completes(self, qtree_file, tmp_path):
-        ckpt = str(tmp_path / "cli.ckpt")
-        cut = run_cli("solve", qtree_file, "--max-decisions", "3",
-                      "--checkpoint", ckpt)
+    def test_budget_unknown_is_2(self, qtree_file):
+        cut = run_cli("solve", qtree_file, "--max-decisions", "3")
         assert cut.returncode == 2, cut.stdout + cut.stderr
         assert "budget exhausted" in cut.stdout
-        assert os.path.exists(ckpt)
+        assert "decisions   3\n" in cut.stdout
+        # the same instance with room to finish reaches its verdict
+        assert run_cli("solve", qtree_file).returncode == 10
 
-        full = run_cli("solve", qtree_file, "--checkpoint", ckpt)
-        baseline = run_cli("solve", qtree_file)
-        assert full.returncode == baseline.returncode
-        # total decisions across interrupt + resume match the one-shot run
-        pick = lambda out: [l for l in out.splitlines() if l.startswith("decisions")]
-        assert pick(full.stdout) == pick(baseline.stdout)
-        # the verdict retires the snapshot
-        assert not os.path.exists(ckpt)
-
-    def test_unusable_checkpoint_warns_and_runs_fresh(self, qtree_file, tmp_path):
-        ckpt = str(tmp_path / "torn.ckpt")
-        open(ckpt, "w").write('{"format": "repro-ckpt", "version": 1, "sha2')
-        proc = run_cli("solve", qtree_file, "--checkpoint", ckpt)
-        assert proc.returncode == 10, proc.stdout + proc.stderr
-        assert "warning: ignoring unusable checkpoint" in proc.stderr
-
-    def test_sigterm_is_3_with_loadable_checkpoint(self, tmp_path):
+    def test_plain_solve_sigterm_is_3_with_partial_stats(self, tmp_path):
+        # No flag needed: `repro solve` always turns SIGTERM into the
+        # cooperative stop, so the signal yields stats, not a dead process.
         from repro.io import qtree
 
         inst = str(tmp_path / "slow.qtree")
-        ckpt = str(tmp_path / "slow.ckpt")
         qtree.dump(generate_ncf(NcfParams(**SLOW_NCF)), inst)
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "solve", inst,
-             "--checkpoint", ckpt],
+            [sys.executable, "-m", "repro.cli", "solve", inst],
             env=env, cwd=REPO,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
@@ -188,7 +159,18 @@ class TestCliExitCodes:
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 3, (proc.returncode, out, err)
-        assert "interrupted" in out
-        ck = load_checkpoint(ckpt)  # must parse: the snapshot is usable
-        assert ck.stats["decisions"] > 0
-        assert len(ck.trail_lits) > 0
+        assert "result      UNKNOWN" in out
+        assert out.rstrip().endswith("interrupted"), out
+        (line,) = [l for l in out.splitlines() if l.startswith("decisions")]
+        assert int(line.split()[1]) > 0, out
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "x.qtree", "--checkpoint", "p"],
+        ["evalx", "run", "ncf", "--checkpoint-dir", "d"],
+        ["serve", "run", "--socket", "s.sock", "--checkpoint-dir", "d"],
+    ], ids=["solve", "evalx-run", "serve-run"])
+    def test_retired_checkpoint_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
