@@ -54,7 +54,6 @@ from repro.certify.store import (
     HEADER,
     INITIAL_CUBE,
     INPUT_CLAUSE,
-    KIND_CLAUSE,
     KIND_CUBE,
     REDUCTION,
     RESOLUTION,

@@ -37,7 +37,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.certify.store import (
     CONCLUSION,
-    HEADER,
     INITIAL_CUBE,
     INPUT_CLAUSE,
     KIND_CLAUSE,

@@ -24,10 +24,10 @@ learned constraints prune more (the Section V and VII-C arguments).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.literals import check_no_duplicate_vars, var_of
-from repro.core.prefix import Prefix
+from repro.core.prefix import Prefix, PrefixTables
 
 
 class Constraint:
@@ -101,44 +101,55 @@ class Cube(Constraint):
     is_cube = True
 
 
+def dropped_blocks(blocks: Iterable[int], tab: PrefixTables, deletable_exist: bool) -> Set[int]:
+    """The blocks a reduction deletes, given the blocks a constraint touches.
+
+    A block of the deletable quantifier goes when no touched block of the
+    other quantifier lies in its scope. The ``≺`` test reads only a block's
+    level and DFS interval, so each distinct deletable block is tested once
+    against the distinct anchor blocks, on the per-block tables.
+    """
+    block_exist = tab.block_exist
+    deletable = []
+    anchors = []
+    for b in blocks:
+        if block_exist[b] == deletable_exist:
+            deletable.append(b)
+        else:
+            anchors.append(b)
+    dropped: Set[int] = set()
+    if not deletable:
+        return dropped
+    level = tab.block_level
+    din = tab.block_din
+    dout = tab.block_dout
+    for b in deletable:
+        b_level = level[b]
+        b_din = din[b]
+        b_dout = dout[b]
+        for a in anchors:
+            if b_level < level[a] and b_din <= din[a] <= b_dout:
+                break
+        else:
+            dropped.add(b)
+    return dropped
+
+
 def _reduce(lits: Sequence[int], prefix: Prefix, deletable_exist: bool) -> Tuple[int, ...]:
     """Drop every literal of the deletable quantifier that has no literal of
     the other quantifier in its scope; the rest keep their order.
 
-    The ``≺`` test reads only a variable's level and DFS interval, which
-    every variable of a block shares, so each distinct deletable block is
-    tested once against the distinct blocks of the other quantifier (one
-    representative variable stands for its block in the flat tables).
+    Every variable of a block shares the ``≺`` relations, so the blocks the
+    literals touch are found in one pass over the literal→block table and
+    decided by :func:`dropped_blocks`; the literals are filtered only when
+    a block goes.
     """
     tab = prefix.tables()
-    is_exist = tab.is_exist
-    block_index = tab.block_index
-    deletable = {}
-    anchors = {}
-    for lit in lits:
-        v = lit if lit > 0 else -lit
-        if is_exist[v] == deletable_exist:
-            deletable[block_index[v]] = v
-        else:
-            anchors[block_index[v]] = v
-    if not deletable:
-        return tuple(lits)
-    level = tab.level
-    din = tab.din
-    dout = tab.dout
-    dropped = set()
-    for b, v in deletable.items():
-        v_level = level[v]
-        v_din = din[v]
-        v_dout = dout[v]
-        for a in anchors.values():
-            if v_level < level[a] and v_din <= din[a] <= v_dout:
-                break
-        else:
-            dropped.add(b)
+    lit_block = tab.lit_block
+    dropped = dropped_blocks(set(map(lit_block.__getitem__, lits)), tab, deletable_exist)
     if not dropped:
         return tuple(lits)
-    return tuple([l for l in lits if block_index[l if l > 0 else -l] not in dropped])
+    return tuple([l for l in lits if lit_block[l] not in dropped])
 
 
 def universal_reduce(lits: Sequence[int], prefix: Prefix) -> Tuple[int, ...]:

@@ -219,25 +219,36 @@ class CounterBackend(PropagationBackend):
         ``backtrack`` update inline when a clause turns satisfied or
         unsatisfied, and the live-cube index.
         """
-        assigned = False
         candidates = sorted(self.pure_candidates)
         self.pure_candidates.clear()
         value = self.trail.value
         is_exist = self._tab.is_exist
         occ_unsat = self.occ_unsat
         live = self.live
+        assign = self.assign
+        n = 0
         for v in candidates:
-            if value[v] != 0:
+            if value[v]:
                 continue
-            exist = is_exist[v]
-            for l in (v, -v):
-                if occ_unsat[-l if exist else l] or live[l]:
+            # v before -v, and for each the occurrence test before the
+            # live-cube guard: the order the assignments depend on.
+            if is_exist[v]:
+                if not occ_unsat[-v] and not live[v]:
+                    lit = v
+                elif not occ_unsat[v] and not live[-v]:
+                    lit = -v
+                else:
                     continue
-                self.stats.pure_literals += 1
-                self.assign(l, PURE)
-                assigned = True
-                break
-        return assigned
+            elif not occ_unsat[v] and not live[v]:
+                lit = v
+            elif not occ_unsat[-v] and not live[-v]:
+                lit = -v
+            else:
+                continue
+            n += 1
+            assign(lit, PURE)
+        self.stats.pure_literals += n
+        return n > 0
 
     def _install_learned_clause(self, rec: Rec) -> None:
         trail = self.trail

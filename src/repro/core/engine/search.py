@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.constraints import Constraint
 from repro.core.engine.backend import CONFLICT, PropagationBackend, Rec
@@ -74,6 +74,18 @@ def resolve_backend(config: SolverConfig, stats: SolverStats) -> type:
     return cls
 
 
+def _reason_reader(reason: List[object]) -> Callable[[int], Optional[Constraint]]:
+    """The analyses' ``reason_of`` over a trail's reason list: the
+    constraint behind a variable's reason record, None for decisions and
+    pure literals."""
+
+    def reason_of(var: int) -> Optional[Constraint]:
+        r = reason[var]
+        return r.constraint if isinstance(r, Rec) else None
+
+    return reason_of
+
+
 class SearchEngine:
     """One solving session over a fixed QBF. Use :func:`solve` for one-shots.
 
@@ -122,11 +134,14 @@ class SearchEngine:
         ) or make_picker(self.config.policy, self._keeper, self.trail)
         if self._proof is not None:
             self._proof.register_formula(formula)
+        # Every callable below reads the trail, never the engine, so an
+        # engine holds no reference to itself and is freed as soon as it is
+        # dropped.
         self._view = TrailView(
             value=self._lit_value,
-            level_of=lambda v: self.trail.level[v],
-            pos_of=lambda v: self.trail.pos[v],
-            reason_of=self._reason_constraint,
+            level_of=self.trail.level.__getitem__,
+            pos_of=self.trail.pos.__getitem__,
+            reason_of=_reason_reader(self.trail.reason),
             prefix=self.prefix,
             lit_val=self.trail.lit_val,
             base=self.trail.base,
@@ -142,12 +157,6 @@ class SearchEngine:
     @property
     def current_level(self) -> int:
         return self.trail.current_level
-
-    def _reason_constraint(self, var: int) -> Optional[Constraint]:
-        reason = self.trail.reason[var]
-        if isinstance(reason, Rec):
-            return reason.constraint
-        return None
 
     # -- decisions ----------------------------------------------------------------
 
@@ -336,19 +345,26 @@ class SearchEngine:
         return None
 
     def _handle_solution(self, rec: Optional[Rec]) -> Optional[Outcome]:
+        # the model cube before existential reduction: a certificate's
+        # initial cube
+        initial: Tuple[int, ...] = ()
         if rec is not None:
             cube_lits: Tuple[int, ...] = rec.lits
         elif self.backend.native_model_cube is not None:
-            cube_lits = self.backend.native_model_cube()
+            cube_lits = initial = self.backend.native_model_cube()
         else:
+            # Reduced already; the chosen set it came from is sorted into
+            # the initial cube only when a certificate needs it.
             cube_lits = build_model_cube(self.backend.orig_clauses, self._view)
+            if self._proof is not None:
+                initial = tuple(sorted(self._view.model_set, key=abs))
         if self.config.learn_cubes:
             trace = None
             if self._proof is not None:
                 if rec is not None:
                     trace = self._proof.begin_cube(cube_lits)
                 else:
-                    trace = self._proof.begin_initial_cube(cube_lits)
+                    trace = self._proof.begin_initial_cube(initial)
             outcome = analyze_solution(cube_lits, self._view, trace)
             if isinstance(outcome, Terminal):
                 if self._proof is not None:

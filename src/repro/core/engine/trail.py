@@ -49,7 +49,11 @@ class Trail:
 
     ``push`` is selected at construction time: the release path skips the
     double-assignment guard; ``paranoid=True`` (or ``REPRO_PARANOID=1`` via
-    :class:`repro.core.engine.config.SolverConfig`) keeps it.
+    :class:`repro.core.engine.config.SolverConfig`) keeps it by making the
+    trail a :class:`_CheckedTrail`. The choice is made by class, not by a
+    bound method stored on the instance, so a trail holds no reference to
+    itself and is freed, with everything its reasons reach, as soon as its
+    engine is dropped.
     """
 
     __slots__ = (
@@ -64,13 +68,15 @@ class Trail:
         "decision",
         "lit_val",
         "base",
-        "push",
         "block_index",
         "block_vars",
         "block_unassigned",
         "block_blockers",
         "_deeper_desc",
     )
+
+    def __new__(cls, num_vars: int, prefix: Optional["Prefix"] = None, paranoid: bool = False):
+        return object.__new__(_CheckedTrail if paranoid else cls)
 
     def __init__(
         self,
@@ -89,9 +95,6 @@ class Trail:
         self.decision: List[Tuple[int, bool]] = [(0, False)]  # slot per level
         self.base = self.num_slots
         self.lit_val: List[int] = [0] * (2 * self.num_slots)
-        # `push` is an instance slot, not a method, so the paranoid check
-        # costs nothing when it is off.
-        self.push = self._push_checked if paranoid else self._push_fast
         if prefix is not None:
             tab = prefix.tables()
             self.block_index = tab.block_index
@@ -148,6 +151,8 @@ class Trail:
             raise AssertionError("double assignment of %d" % v)
         self._push_fast(lit, reason)
 
+    push = _push_fast
+
     def unassign(self, lit: int) -> int:
         """Clear one literal's assignment state (values, reason, frontier
         counters) and return its variable. Backends call this from their
@@ -198,3 +203,11 @@ class Trail:
         del self.level_start[to_level + 1 :]
         del self.decision[to_level + 1 :]
         self.queue_head = len(self.lits)
+
+
+class _CheckedTrail(Trail):
+    """The paranoid trail: its ``push`` refuses a double assignment."""
+
+    __slots__ = ()
+
+    push = Trail._push_checked

@@ -7,7 +7,7 @@ quantified variables and the matrix is a set of clauses.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.constraints import Clause
 from repro.core.literals import EXISTS, Quant, var_of

@@ -21,17 +21,19 @@ the policies differ only in ranking.
 
 Storage layout: the counters live in two flat lists indexed by variable
 (``score_pos[v]`` for literal ``v``, ``score_neg[v]`` for ``-v``), and the
-per-block subtree maxima in two lists indexed by block DFS index. The
-arithmetic is unchanged from the dict-backed original — bump adds the same
-1.0, decay multiplies every counter by the same factor, ``_recompute`` folds
-the same ``max(score + kid)`` per block — so decisions are bit-identical;
-only the indexing cost changed. ``keeper.score`` remains available as a
-signed-literal view (:class:`_ScoreView`) for tests; hot paths read the
-arrays directly.
+per-block maxima in three lists indexed by block DFS index: each block's
+largest counter (kept current as counters change) and its subtree maxima.
+The arithmetic is unchanged from the dict-backed original — bump adds the
+same 1.0, decay multiplies every counter by the same factor, and
+``_recompute`` yields the same ``max(score + kid)`` per block — so
+decisions are bit-identical; only the cost changed. ``keeper.score``
+remains available as a signed-literal view (:class:`_ScoreView`) for tests;
+hot paths read the arrays directly.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.prefix import Prefix
@@ -62,10 +64,17 @@ class _ScoreView:
 
     def __setitem__(self, lit: int, value: float) -> None:
         k = self._keeper
+        v = lit if lit > 0 else -lit
         if lit > 0:
-            k.score_pos[lit] = value
+            k.score_pos[v] = value
         else:
-            k.score_neg[-lit] = value
+            k.score_neg[v] = value
+        # The write may lower the block's largest counter: refold it.
+        b = k._block_index[v]
+        k._block_max[b] = max(
+            max(k.score_pos[u], k.score_neg[u]) for u in k.prefix.tables().block_vars[b]
+        )
+        k._dirty = True
 
     def __iter__(self) -> Iterator[int]:
         for v in self._keeper.prefix.variables:
@@ -74,7 +83,15 @@ class _ScoreView:
 
 
 class ScoreKeeper:
-    """Literal activity counters with periodic decay and subtree maxima."""
+    """Literal activity counters with periodic decay and subtree maxima.
+
+    ``_block_max[b]`` is the largest counter of block ``b``'s literals,
+    kept exact as counters change: a bump (of the matrix or of a learned
+    constraint) only raises a counter, so it raises the block's maximum to
+    the bumped counter at most; decay halves every counter, and since
+    rounding is monotone ``fl(max(s) * 0.5) == max(fl(s * 0.5))``, it
+    halves the maxima too. A write through ``score`` refolds its block.
+    """
 
     #: decay factor applied every :attr:`decay_interval` learned constraints
     #: ("halving the old score", Section VI).
@@ -89,40 +106,66 @@ class ScoreKeeper:
         self._level = tab.level
         self._block_index = tab.block_index
         n_blocks = len(tab.block_vars)
+        self._block_max: List[float] = [0.0] * n_blocks
         self._subtree_max: List[float] = [0.0] * n_blocks
         self._child_max: List[float] = [0.0] * n_blocks
+        #: bottom-up fold order: (block, children one alternation deeper,
+        #: same-level children), children before parents.
+        self._fold: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = [
+            (
+                block.index,
+                tuple(c.index for c in block.children if c.level > block.level),
+                tuple(c.index for c in block.children if c.level == block.level),
+            )
+            for block in reversed(prefix.blocks)
+        ]
         self.decay_interval = decay_interval
         self._since_decay = 0
         self._dirty = True
-        self.score = _ScoreView(self)
 
-    def _bump(self, lit: int) -> None:
-        # Section VI: an existential literal counts the constraints it
-        # occurs in; a universal literal counts the constraints its
-        # *complement* occurs in (the universal player branches to falsify).
-        if lit > 0:
-            if self._is_exist[lit]:
-                self.score_pos[lit] += 1.0
+    @property
+    def score(self) -> _ScoreView:
+        """A signed-literal view of the counters, made per access so the
+        keeper holds no reference to itself."""
+        return _ScoreView(self)
+
+    def _bump(self, lits: Iterable[int]) -> None:
+        """Count each literal once, raising its block's maximum.
+
+        Section VI: an existential literal counts the constraints it occurs
+        in; a universal literal counts the constraints its *complement*
+        occurs in (the universal player branches to falsify).
+        """
+        is_exist = self._is_exist
+        score_pos = self.score_pos
+        score_neg = self.score_neg
+        block_index = self._block_index
+        block_max = self._block_max
+        for lit in lits:
+            if lit > 0:
+                v = lit
+                if is_exist[v]:
+                    s = score_pos[v] = score_pos[v] + 1.0
+                else:
+                    s = score_neg[v] = score_neg[v] + 1.0
             else:
-                self.score_neg[lit] += 1.0
-        else:
-            v = -lit
-            if self._is_exist[v]:
-                self.score_neg[v] += 1.0
-            else:
-                self.score_pos[v] += 1.0
+                v = -lit
+                if is_exist[v]:
+                    s = score_neg[v] = score_neg[v] + 1.0
+                else:
+                    s = score_pos[v] = score_pos[v] + 1.0
+            b = block_index[v]
+            if s > block_max[b]:
+                block_max[b] = s
 
     def bump_initial(self, clauses: Iterable[Sequence[int]]) -> None:
         """Initialize counters from matrix occurrences."""
-        for clause in clauses:
-            for lit in clause:
-                self._bump(lit)
+        self._bump(chain.from_iterable(clauses))
         self._dirty = True
 
     def on_learned(self, lits: Sequence[int]) -> None:
         """Bump the literals of a freshly learned constraint and maybe decay."""
-        for lit in lits:
-            self._bump(lit)
+        self._bump(lits)
         self._since_decay += 1
         if self._since_decay >= self.decay_interval:
             self._since_decay = 0
@@ -134,6 +177,9 @@ class ScoreKeeper:
             for i in range(len(score_pos)):
                 score_pos[i] *= decay
                 score_neg[i] *= decay
+            block_max = self._block_max
+            for b in range(len(block_max)):
+                block_max[b] *= decay
         self._dirty = True
 
     # -- PO subtree scores ---------------------------------------------------
@@ -145,34 +191,29 @@ class ScoreKeeper:
         of ``score(l) + child_max(b)``, where ``child_max(b)`` is the largest
         ``subtree_max`` among the children of ``b`` (0 for leaves). This is
         precisely the Section VI definition, evaluated per block since all
-        variables of a block share the same children.
+        variables of a block share the same children. Rounding is monotone,
+        so the maximum of ``fl(score + kid)`` over the block is
+        ``fl(block_max + kid)``: the pass folds blocks only, never
+        variables. (Every block binds a variable: the prefix splices empty
+        ones out.)
         """
         subtree_max = self._subtree_max
         child_max = self._child_max
-        score_pos = self.score_pos
-        score_neg = self.score_neg
-        for block in reversed(self.prefix.blocks):
+        block_max = self._block_max
+        for b, deeper, same in self._fold:
             kid = 0.0
-            level = block.level
-            for child in block.children:
-                if child.level > level:
-                    # One alternation deeper: the child's own literals are
-                    # the "prefix level k+1" literals of the definition.
-                    kid = max(kid, subtree_max[child.index])
-                else:
-                    # Same-level child (branch point without alternation):
-                    # only its strictly deeper descendants count.
-                    kid = max(kid, child_max[child.index])
-            child_max[block.index] = kid
-            best = 0.0
-            for v in block.variables:
-                s = score_pos[v] + kid
-                if s > best:
-                    best = s
-                s = score_neg[v] + kid
-                if s > best:
-                    best = s
-            subtree_max[block.index] = best
+            for c in deeper:
+                # One alternation deeper: the child's own literals are the
+                # "prefix level k+1" literals of the definition.
+                if subtree_max[c] > kid:
+                    kid = subtree_max[c]
+            for c in same:
+                # Same-level child (branch point without alternation): only
+                # its strictly deeper descendants count.
+                if child_max[c] > kid:
+                    kid = child_max[c]
+            child_max[b] = kid
+            subtree_max[b] = block_max[b] + kid
         self._dirty = False
 
     def effective(self, lit: int) -> float:

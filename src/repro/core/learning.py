@@ -32,11 +32,12 @@ under the total order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Set, Tuple, Union
 
 from repro.core.constraints import (
     Clause,
     Cube,
+    dropped_blocks,
     existential_reduce,
     resolve,
     universal_reduce,
@@ -94,6 +95,11 @@ class TrailView:
     ``base``) and its level/position arrays — which the hot analyses index
     directly. They are optional: views built over plain callables (unit
     tests, tools) leave them None and the analyses fall back to calling.
+
+    Two slots serve :func:`build_model_cube`'s record path: ``model_set``
+    is the literal set its last call chose, before reduction (the engine
+    sorts it into a certificate's initial cube), and :meth:`block_lits`
+    holds the per-block literal sets it intersects that set with.
     """
 
     def __init__(
@@ -124,6 +130,19 @@ class TrailView:
         #: its backend carries them; None falls back to the Python reference.
         self.reduce_clause = reduce_clause
         self.reduce_cube = reduce_cube
+        self.model_set: Optional[Set[int]] = None
+        self._block_lits: Optional[list] = None
+
+    def block_lits(self) -> list:
+        """Per block, DFS order: the set of both literals of each of its
+        variables. Built on first use and kept by this view alone, so the
+        sets live only as long as the solve they serve."""
+        if self._block_lits is None:
+            self._block_lits = [
+                frozenset(vs).union([-v for v in vs])
+                for vs in self.prefix.tables().block_vars
+            ]
+        return self._block_lits
 
 
 def _clause_backjump(work: Sequence[int], view: TrailView) -> Optional[AnalysisOutcome]:
@@ -456,8 +475,7 @@ def build_model_cube(
     Picks, for every clause, one satisfying literal of the current
     assignment (preferring literals already chosen, then the earliest
     assigned), producing a set ``S`` with ``C ∩ S ≠ ∅`` for every clause
-    ``C``. The caller passes the result to :func:`analyze_solution`, which
-    existentially reduces it.
+    ``C``.
 
     This runs once per solution over the whole matrix, making it one of the
     hottest call sites on true-heavy instances. With the engine's view
@@ -466,11 +484,20 @@ def build_model_cube(
     says whether the clause is satisfied and by how many literals, and
     ``first`` is its true literal of least trail position. A clause is
     skipped when a chosen literal hits it, which for a clause with one true
-    literal is ``first in chosen``. A view over plain callables (unit tests,
-    tools) takes literal sequences and derives both by probing every
-    literal; it is the reference the record path must match. The cube holds
-    only true literals, never both polarities of a variable, so sorting by
-    ``abs`` gives the canonical (variable, literal) order.
+    literal is ``first in chosen``. The record path then returns ``S``
+    already existentially reduced, as :func:`analyze_solution` would
+    reduce it: the blocks ``S`` touches are read off the literal→block
+    table, the surviving blocks' literals are kept by intersecting ``S``
+    with their literal sets, and only those are sorted. On the fig6 counter
+    series ``S`` holds ~337 literals and ~27 survive. ``view.model_set``
+    keeps ``S`` for the certificate's initial cube.
+
+    A view over plain callables (unit tests, tools) takes literal sequences
+    and derives both by probing every literal; it is the reference the
+    record path must match, and returns ``S`` whole: the record path's
+    result is ``existential_reduce`` of it. The cube holds only true
+    literals, never both polarities of a variable, so sorting by ``abs``
+    gives the canonical (variable, literal) order.
     """
     chosen: Set[int] = set()
     if view.lit_val is not None:
@@ -487,6 +514,18 @@ def build_model_cube(
                     add(first)
             else:
                 raise ValueError("matrix clause not satisfied: %r" % (rec.lits,))
+        view.model_set = chosen
+        tab = view.prefix.tables()
+        blocks = set(map(tab.lit_block.__getitem__, chosen))
+        dropped = dropped_blocks(blocks, tab, True)
+        if dropped:
+            block_lits = view.block_lits()
+            survivors = []
+            for b in blocks:
+                if b not in dropped:
+                    survivors.extend(chosen.intersection(block_lits[b]))
+            survivors.sort(key=abs)
+            return tuple(survivors)
     else:
         for clause in clauses:
             sats = [l for l in clause if view.value(l) is True]

@@ -133,9 +133,17 @@ class PrefixTables:
       test ``a ≺ b`` becomes three comparisons on these arrays:
       ``level[a] < level[b] and din[a] <= din[b] <= dout[a]``.
     * ``block_index[v]`` — index of the binding block in DFS order.
+    * ``lit_block[l]`` — the same index for a literal of either sign. The
+      list holds ``2 * num_slots - 1`` slots: positive literals index from
+      the front and negative ones from the back, by Python's own negative
+      indexing, so ``map(lit_block.__getitem__, lits)`` finds the blocks of
+      a constraint in one C-level pass with no per-literal offset.
 
-    Per-block tables support the incremental branching frontier
-    (:meth:`repro.core.engine.trail.Trail.available_vars`):
+    Per-block tables, indexed by block: ``block_level``/``block_exist``/
+    ``block_din``/``block_dout`` carry the block's alternation level,
+    quantifier and DFS interval, so the reductions test ``≺`` once per pair
+    of blocks. The incremental branching frontier
+    (:meth:`repro.core.engine.trail.Trail.available_vars`) reads:
 
     * ``block_vars[bi]`` — the block's variable tuple, DFS block order.
     * ``init_blockers[bi]`` — how many proper ancestors sit at a strictly
@@ -153,6 +161,11 @@ class PrefixTables:
         "din",
         "dout",
         "block_index",
+        "lit_block",
+        "block_level",
+        "block_exist",
+        "block_din",
+        "block_dout",
         "block_vars",
         "init_blockers",
         "deeper_descendants",
@@ -176,6 +189,13 @@ class PrefixTables:
                 self.din[v] = block.din
                 self.dout[v] = block.dout
                 self.block_index[v] = block.index
+        # Layout [unused, 1..nv, -nv..-1]: the reversed copy puts the
+        # entry for -v at index -v.
+        self.lit_block: List[int] = self.block_index + self.block_index[:0:-1]
+        self.block_level: List[int] = [b.level for b in blocks]
+        self.block_exist: List[bool] = [b.quant is EXISTS for b in blocks]
+        self.block_din: List[int] = [b.din for b in blocks]
+        self.block_dout: List[int] = [b.dout for b in blocks]
         deeper: List[List[int]] = [[] for _ in blocks]
         init_blockers = []
         for block in blocks:

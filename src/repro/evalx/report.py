@@ -9,7 +9,7 @@ Figures 3-5/7), and scaling studies as per-size series (Figure 6).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.evalx.scatter import ScalingSeries, ScatterPoint, summarize_scatter
 

@@ -23,7 +23,7 @@ are comparable only with other certified runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.formula import QBF

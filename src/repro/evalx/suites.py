@@ -15,8 +15,8 @@ every suite finishes in minutes on a laptop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.formula import QBF
 from repro.core.solver import default_engine

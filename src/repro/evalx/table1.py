@@ -15,7 +15,7 @@ to decisions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.evalx.runner import Measurement, SolverDisagreement, check_agreement

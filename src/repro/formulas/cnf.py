@@ -36,7 +36,6 @@ from repro.formulas.ast import (
     free_vars,
     is_quantifier_free,
     nnf,
-    rename,
 )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.formula import QBF
-from repro.core.literals import EXISTS, FORALL, Quant
+from repro.core.literals import Quant
 from repro.core.prefix import Prefix
 from repro.generators.random_qbf import random_prenex_qbf
 

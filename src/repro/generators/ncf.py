@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from repro.core.formula import QBF
-from repro.core.literals import EXISTS, FORALL, Quant
+from repro.core.literals import EXISTS, Quant
 from repro.core.prefix import Prefix, Spec
 
 

@@ -27,7 +27,7 @@ import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.formula import QBF
-from repro.core.literals import EXISTS, FORALL, Quant
+from repro.core.literals import EXISTS, Quant
 from repro.core.prefix import Prefix, Spec
 
 

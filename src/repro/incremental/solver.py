@@ -37,7 +37,7 @@ stronger, and what soundness actually requires.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.certify import MemorySink, ProofLogger, certifying_config, check_certificate
 from repro.core.constraints import universal_reduce
@@ -47,7 +47,6 @@ from repro.core.result import SolveResult
 from repro.core.solver import QdpllSolver, SolverConfig
 from repro.incremental.provenance import (
     CLAUSE_LEAF,
-    CUBE_LEAF,
     ClosureSink,
     Retained,
 )

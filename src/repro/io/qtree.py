@@ -23,7 +23,7 @@ from typing import Iterable, List, TextIO, Tuple, Union
 
 from repro.core.formula import QBF
 from repro.core.literals import EXISTS, FORALL
-from repro.core.prefix import Block, Prefix, Spec
+from repro.core.prefix import Prefix, Spec
 
 
 class QtreeError(ValueError):

@@ -25,7 +25,7 @@ that are ordered in the prenex prefix but incomparable in the tree.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple, Union
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.core.formula import QBF
 from repro.core.literals import EXISTS, FORALL, Quant, var_of

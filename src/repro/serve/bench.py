@@ -33,7 +33,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.robustness.faults import FaultPlan
 from repro.serve.client import request, wait_ready

@@ -39,7 +39,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core.formula import QBF
 from repro.core.result import Outcome, SolveResult
 from repro.core.solver import SolverConfig, solve
-from repro.formulas.ast import And, Exists, Forall, Formula, Not, Or, conj, disj
+from repro.formulas.ast import And, Exists, Forall, Formula, Not, conj, disj
 from repro.formulas.cnf import to_qbf
 from repro.smv.models import SymbolicModel, equal_states
 

@@ -13,7 +13,7 @@ the benchmarks use (≤ ~10 bits).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.formulas.ast import evaluate_closed
 from repro.smv.models import SymbolicModel

@@ -58,7 +58,6 @@ _SCORES = (0.0, 1e-30, 0.25, 1.0, 3.0, 7.5)
 def _random_scores(rng, keeper):
     for lit in keeper.score:
         keeper.score[lit] = rng.choice(_SCORES)
-    keeper._dirty = True  # the subtree maxima are stale
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import (
     Clause,
+    dropped_blocks,
     existential_reduce,
     resolve,
     universal_reduce,
@@ -16,13 +17,14 @@ from repro.core.expansion import evaluate
 from repro.core.formula import QBF
 from repro.core.heuristics import ScoreKeeper, make_picker
 from repro.core.learning import TrailView, build_model_cube
-from repro.core.literals import EXISTS, FORALL
+from repro.core.literals import EXISTS, FORALL, check_no_duplicate_vars
 from repro.core.prefix import Prefix
 from repro.core.solver import SolverConfig, solve
 from repro.generators.random_qbf import random_prenex_qbf, random_qbf
 from repro.io import qtree
 from repro.prenexing.miniscoping import miniscope
 from repro.prenexing.strategies import STRATEGIES, prenex
+from tests.engines import BUILT_BACKENDS
 
 # A compact strategy for random prefixes: alternating blocks over 1..n.
 prefix_strategy = st.integers(min_value=1, max_value=4).flatmap(
@@ -313,10 +315,12 @@ def test_model_cube_array_path_matches_callable_path(seed):
     arrays = TrailView(lit_val=lit_val, base=num_slots, pos_arr=pos, **common)
     by_callables = build_model_cube(clauses, TrailView(**common))
     by_arrays = build_model_cube(records, arrays)
-    assert by_arrays == by_callables
-    assert list(by_arrays) == sorted(by_arrays, key=lambda l: (abs(l), l))
-    assert all(value(l) is True for l in by_arrays)
-    assert all(set(clause) & set(by_arrays) for clause in clauses)
+    # The record path chooses the same set and returns it reduced.
+    assert arrays.model_set == set(by_callables)
+    assert by_arrays == existential_reduce(by_callables, prefix)
+    assert list(by_callables) == sorted(by_callables, key=lambda l: (abs(l), l))
+    assert all(value(l) is True for l in by_callables)
+    assert all(set(clause) & set(by_callables) for clause in clauses)
     # An unsatisfied clause is refused on both paths.
     unsat = Rec(Clause([-truth[assigned[0]]]), original=True)
     for view, matrix in ((arrays, records + [unsat]),
@@ -325,23 +329,25 @@ def test_model_cube_array_path_matches_callable_path(seed):
             build_model_cube(matrix, view)
 
 
+def _brute_child_max(keeper, block):
+    """Section VI by recursion: the largest score one alternation deeper
+    in the block's scope (0 when there is none)."""
+    best = 0.0
+    for child in block.children:
+        best = max(best, _brute_subtree_max(keeper, child) if child.level > block.level
+                   else _brute_child_max(keeper, child))
+    return best
+
+
+def _brute_subtree_max(keeper, block):
+    kid = _brute_child_max(keeper, block)
+    return max([0.0] + [keeper.score[l] + kid
+                        for v in block.variables for l in (v, -v)])
+
+
 def _brute_effective(keeper, prefix, lit):
-    """Section VI by recursion: the literal's counter plus the largest
-    score one alternation deeper in its scope (0 when there is none)."""
-
-    def child_max(block):
-        best = 0.0
-        for child in block.children:
-            best = max(best, subtree_max(child) if child.level > block.level
-                       else child_max(child))
-        return best
-
-    def subtree_max(block):
-        kid = child_max(block)
-        return max([0.0] + [keeper.score[l] + kid
-                            for v in block.variables for l in (v, -v)])
-
-    return keeper.score[lit] + child_max(prefix.block_of(abs(lit)))
+    """The literal's counter plus its block's deeper-subtree maximum."""
+    return keeper.score[lit] + _brute_child_max(keeper, prefix.block_of(abs(lit)))
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -376,3 +382,162 @@ def test_tree_pickers_match_brute_force_effective_ranking(seed):
         ):
             var = max(available, key=key)
             assert got[policy] == (var if keeper.score[var] >= keeper.score[-var] else -var)
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=150, deadline=None)
+def test_subtree_maxima_match_the_definition_under_every_score_write(seed):
+    """The per-block counter maxima stay exact under bumps, decays, the
+    matrix bump and direct writes that lower a counter, so the block-only
+    fold yields the Section VI maxima bit for bit."""
+    rng = random.Random(seed)
+    prefix = _random_tree_prefix(rng)
+    variables = list(prefix.variables)
+    keeper = ScoreKeeper(prefix, decay_interval=rng.randint(1, 4))
+    keeper.bump_initial([[v if rng.random() < 0.5 else -v for v in rng.sample(variables, 2)]
+                         for _ in range(rng.randint(0, 4))] if len(variables) > 1 else [])
+    for _ in range(rng.randint(1, 12)):
+        op = rng.random()
+        if op < 0.5:
+            keeper.on_learned([v if rng.random() < 0.5 else -v
+                               for v in rng.sample(variables, rng.randint(1, len(variables)))])
+        else:
+            v = rng.choice(variables)
+            keeper.score[v if op < 0.75 else -v] = rng.choice((0.0, 1e-30, 0.5, 2.0, 9.0))
+        keeper.effective(variables[0])  # refresh the maxima
+        for block in prefix.blocks:
+            assert keeper._child_max[block.index] == _brute_child_max(keeper, block)
+            assert keeper._subtree_max[block.index] == _brute_subtree_max(keeper, block)
+
+
+def _lits_of_blocks(prefix, blocks):
+    return {l for b in blocks for v in prefix.blocks[b].variables for l in (v, -v)}
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=150, deadline=None)
+def test_block_table_names_every_literals_block_and_the_dropped_ones(seed):
+    rng = random.Random(seed)
+    prefix = _random_tree_prefix(rng)
+    tab = prefix.tables()
+    for v in prefix.variables:
+        assert tab.lit_block[v] == tab.lit_block[-v] == prefix.block_of(v).index
+    lits = _shuffled_lits(rng, prefix)
+    blocks = {prefix.block_of(abs(l)).index for l in lits}
+    for deletable_exist, reduce in ((False, universal_reduce), (True, existential_reduce)):
+        dropped = dropped_blocks(blocks, tab, deletable_exist)
+        assert set(reduce(lits, prefix)) == set(lits) - _lits_of_blocks(prefix, dropped)
+
+
+def _old_check_no_duplicate_vars(lits):
+    """The per-literal validation the C-speed one replaced, verbatim."""
+    out = sorted(set(lits), key=lambda l: (abs(l), l))
+    seen = set()
+    for lit in out:
+        if lit == 0:
+            raise ValueError("0 is not a literal")
+        v = abs(lit)
+        if v in seen:
+            raise ValueError("variable %d occurs twice in %r" % (v, out))
+        seen.add(v)
+    return tuple(out)
+
+
+@given(st.lists(st.integers(min_value=-6, max_value=6), max_size=10), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_duplicate_check_matches_the_literal_walk(lits, as_tuple):
+    arg = tuple(lits) if as_tuple else lits
+    try:
+        want = _old_check_no_duplicate_vars(lits)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            check_no_duplicate_vars(arg)
+        assert str(caught.value) == str(exc)
+        return
+    got = check_no_duplicate_vars(arg)
+    assert type(got) is tuple and got == want
+    # A canonical tuple comes back as itself; anything else as a new tuple.
+    assert (got is arg) == (as_tuple and arg == want)
+    assert check_no_duplicate_vars(want) is want
+
+
+def _reference_model_cube(engine):
+    """The callable-view reference over the engine's current trail."""
+    trail = engine.trail
+    view = TrailView(value=trail.lit_value, level_of=trail.level.__getitem__,
+                     pos_of=trail.pos.__getitem__, reason_of=lambda v: None,
+                     prefix=engine.prefix)
+    return build_model_cube([rec.lits for rec in engine.backend.orig_clauses], view)
+
+
+def _check_model_cubes(engine, seed):
+    """At every solution no learned cube covers, the counters engine's
+    record-path cube is the reference's cube existentially reduced, and a
+    certificate logs the reference's full cube, on a random tree formula
+    and on its prenexing; the keeper's maxima end every solve exact.
+    Returns how many record-path cubes the reduction shortened."""
+    from unittest import mock
+
+    from repro.certify import MemorySink, ProofLogger, certifying_config
+    from repro.core.engine import search
+    from repro.core.solver import QdpllSolver
+
+    rng = random.Random(seed)
+    # Deep trees with long clauses are often true with universals in their
+    # model cubes, so the reduction keeps some literals and drops others.
+    phi = random_qbf(rng, prenex=False, depth=4, branching=2,
+                     block_size=rng.randint(2, 3), clauses_per_scope=2, clause_len=5)
+    refs, built, logged = [], [], []
+    handle = search.SearchEngine._handle_solution
+    build = search.build_model_cube
+    begin = ProofLogger.begin_initial_cube
+
+    def traced_handle(self, rec):
+        if rec is None:
+            refs.append(_reference_model_cube(self))
+        return handle(self, rec)
+
+    def traced_build(clauses, view):
+        built.append(build(clauses, view))
+        return built[-1]
+
+    def traced_begin(self, lits):
+        logged.append(lits)
+        return begin(self, lits)
+
+    shortened = 0
+    for variant in (phi, prenex(phi, rng.choice(STRATEGIES))):
+        for certified in (False, True):
+            config = SolverConfig(engine=engine)
+            refs.clear(), built.clear(), logged.clear()
+            with mock.patch.object(search.SearchEngine, "_handle_solution", traced_handle), \
+                    mock.patch.object(search, "build_model_cube", traced_build), \
+                    mock.patch.object(ProofLogger, "begin_initial_cube", traced_begin):
+                if certified:
+                    solver = QdpllSolver(variant, certifying_config(config),
+                                         proof=ProofLogger(MemorySink()))
+                else:
+                    solver = QdpllSolver(variant, config)
+                solver.solve()
+            if engine == "counters":
+                assert built == [existential_reduce(c, variant.prefix) for c in refs]
+                shortened += sum(0 < len(b) < len(c) for b, c in zip(built, refs))
+            else:
+                assert built == []
+            assert logged == (refs if certified else [])
+            keeper = solver._keeper
+            keeper._recompute()
+            for block in variant.prefix.blocks:
+                assert keeper._subtree_max[block.index] == _brute_subtree_max(keeper, block)
+    return shortened
+
+
+@pytest.mark.parametrize("engine", BUILT_BACKENDS)
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=40, deadline=None)
+def test_model_cubes_match_the_reference_at_every_solution(engine, seed):
+    _check_model_cubes(engine, seed)
+
+
+def test_the_model_cube_property_sees_partial_reductions():
+    assert sum(_check_model_cubes("counters", seed) for seed in range(20)) >= 20

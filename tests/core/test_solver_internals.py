@@ -245,3 +245,37 @@ class TestPureLiteralBacktracking:
                 or fixed.stats.decisions != broken.stats.decisions
             )
         assert diverged, "backtrack re-seeding had no observable effect"
+
+
+class TestLifetime:
+    """A finished engine is freed by reference counting alone: nothing in
+    it refers back to itself, so its trail, records and learned constraints
+    go when the caller drops it, not at the next cyclic collection."""
+
+    @pytest.mark.parametrize("engine", BUILT_BACKENDS)
+    @pytest.mark.parametrize("certified", [False, True])
+    @pytest.mark.parametrize("paranoid", [False, True])
+    def test_a_finished_engine_leaves_no_cyclic_garbage(self, engine, certified, paranoid):
+        import gc
+
+        from repro.certify import MemorySink, ProofLogger, certifying_config
+        from repro.smv.diameter import diameter_qbf
+        from repro.smv.models import model_by_name
+
+        phi = diameter_qbf(model_by_name("counter", 2), 2, form="tree")  # TRUE
+        config = SolverConfig(engine=engine, paranoid=paranoid)
+        proof = ProofLogger(MemorySink()) if certified else None
+        if certified:
+            config = certifying_config(config)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solver = QdpllSolver(phi, config, proof=proof)
+            assert solver.solve().outcome is Outcome.TRUE
+            assert solver.stats.learned_cubes
+            del solver
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -244,3 +246,11 @@ def test_run_series_smoke():
     assert series.po[0].points
     assert len(series.runs) == 2 * len(series.po[0].points)
     assert [r["instance"] for r in series.runs[:2]] == ["dme3/n=0/PO", "dme3/n=0/TO"]
+
+
+def test_committed_report_names_the_kernel_the_source_builds():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    source = (root / "src" / "repro" / "_native.c").read_text()
+    built = int(re.search(r"^#define KERNEL_VERSION (\d+)$", source, re.M).group(1))
+    report = json.loads((root / "BENCH_paper.json").read_text())
+    assert report["kernel"]["version"] == built
