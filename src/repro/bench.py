@@ -11,6 +11,9 @@ can run (``counters``, and the compiled ``native`` kernel when built):
   learned-good lengths;
 * the NCF grid of ``repro evalx run ncf``'s defaults, where the NCF
   claims do not hold yet, as an extra row that is never gated;
+* Section VII-C's diameter sweep on six SMV families, bound by bound on
+  one incremental solver and from scratch, with the families where
+  retention does not save decisions reported but not gated;
 * the kernel rows: the Figure 6 counter series with the pure-literal rule
   on and off, with throughput, the recorded pre-kernel baseline and the
   native kernel's speedup over the same-run counters rows.
@@ -46,6 +49,7 @@ from repro.core.engine.native import (
     native_available,
     native_import_error,
 )
+from repro.core.solver import SolverConfig
 from repro.evalx.report import render_kv, render_scaling, render_scatter
 from repro.evalx.runner import Budget, Measurement, solve_po, solve_to
 from repro.evalx.scatter import (
@@ -59,11 +63,12 @@ from repro.evalx.table1 import Table1Row, build_row, render_table
 from repro.generators.ncf import NcfParams, generate_ncf
 from repro.prenexing.strategies import STRATEGIES
 from repro.smv.diameter import diameter_qbf
+from repro.smv.incremental import incremental_diameter, scratch_diameter
 from repro.smv.models import DmeModel, RingModel, SemaphoreModel, model_by_name
 from repro.smv.reachability import eccentricity
 
 #: bump on any change to the JSON layout so downstream tooling can dispatch.
-SCHEMA = "repro-bench/3"
+SCHEMA = "repro-bench/4"
 REFERENCE_ENGINE = "counters"
 
 # -- the grid ------------------------------------------------------------------
@@ -93,6 +98,14 @@ FIG6_DECISIONS = 8000
 HEURISTIC_BUDGET = Budget(decisions=6000, seconds=15.0)
 POLICIES = ("levelsub", "subtree", "counter", "naive")
 LEARNING_BUDGET = Budget(decisions=5000, seconds=15.0)
+
+#: the incremental diameter sweeps, (model family, size), each run to its
+#: diameter without a budget. Retention saves decisions on the gated ones;
+#: the others are reported, never gated (semaphore2 costs more decisions
+#: incrementally than from scratch).
+INCREMENTAL_FAMILIES = (("counter", 2), ("dme", 5), ("ring", 4),
+                        ("dme", 4), ("ring", 3), ("semaphore", 2))
+INCREMENTAL_GATED = ("counter2", "dme5", "ring4")
 
 #: Decision totals of the kernel series, the same since the pre-kernel
 #: baseline below and reproduced literally by every backend. Update them
@@ -272,6 +285,31 @@ def _cube_lengths(engine: str) -> Tuple[dict, List[Tuple[str, int]]]:
     return means, runs
 
 
+def _incremental(engine: str) -> Tuple[dict, List[Tuple[str, int]]]:
+    """Section VII-C's sweep on the stable-id encoder, per family: bound by
+    bound on one incremental solver, then from scratch."""
+    config = SolverConfig(engine=engine)
+    families = {}
+    runs = []
+    for family, size in INCREMENTAL_FAMILIES:
+        model = model_by_name(family, size)
+        inc = incremental_diameter(model, config)
+        scratch = scratch_diameter(model, config)
+        for kind, sweep in (("incremental", inc), ("scratch", scratch)):
+            runs += [("%s/n=%d %s" % (model.name, n, kind), r.stats.decisions)
+                     for n, r in enumerate(sweep.results)]
+        families[model.name] = {
+            "bfs_diameter": eccentricity(model),
+            "incremental_diameter": inc.diameter,
+            "scratch_diameter": scratch.diameter,
+            "incremental_decisions": inc.total_decisions,
+            "scratch_decisions": scratch.total_decisions,
+            "retained_per_bound": inc.retained_per_bound,
+            "gated": model.name in INCREMENTAL_GATED,
+        }
+    return families, runs
+
+
 COUNTER_ON = config_key("fig6_counter", True)
 COUNTER_OFF = config_key("fig6_counter", False)
 #: every part of the bench, in run order. The kernel series go first, while
@@ -281,11 +319,14 @@ SECTIONS = (
     COUNTER_ON, COUNTER_OFF, "fig6_semaphore",
     "ncf", "fpv", "dia", "prob", "fixed", "ncf_default_grid",
     "ablation_heuristic", "ablation_learning", "ablation_cube_lengths",
+    "incremental_diameter",
 )
-_ABLATIONS = {
+#: the sections that run serially in this process.
+_IN_PROCESS = {
     "ablation_heuristic": _heuristic,
     "ablation_learning": _learning,
     "ablation_cube_lengths": _cube_lengths,
+    "incremental_diameter": _incremental,
 }
 
 
@@ -311,7 +352,7 @@ def measure(name: str, engine: str, jobs: int) -> Section:
         data = run_series(*panel, engine, pure=name != COUNTER_OFF)
         runs = [(r["instance"], r["decisions"]) for r in data.runs]
     else:
-        data, runs = _ABLATIONS[name](engine)
+        data, runs = _IN_PROCESS[name](engine)
     return Section(data, runs, time.perf_counter() - start)
 
 
@@ -475,7 +516,36 @@ def _sections(measured: Dict[str, Dict[str, Section]]) -> Dict[str, dict]:
               "ncf_default_grid"),
         gated=False,
     )
+    families = ref["incremental_diameter"].data
+    strictly_fewer = all(f["incremental_decisions"] < f["scratch_decisions"]
+                         for f in families.values())
+    out["incremental_diameter"] = {
+        "families": families,
+        # over every family, the ungated ones included
+        "incremental_strictly_fewer": strictly_fewer,
+        "wall_seconds": wall("incremental_diameter"),
+        "rendered": _render_incremental(families, strictly_fewer),
+    }
     return out
+
+
+def _render_incremental(families: Dict[str, dict], strictly_fewer: bool) -> List[str]:
+    lines = [
+        "Incremental vs scratch diameter sweeps (decisions over every bound)",
+        "  %-12s %-22s %11s %8s %6s  %s" % (
+            "model", "diameter bfs/inc/scr", "incremental", "scratch", "saved", "gated"),
+    ]
+    for model, f in families.items():
+        lines.append("  %-12s %-22s %11d %8d %6d  %s" % (
+            model,
+            "%s/%s/%s" % (f["bfs_diameter"], f["incremental_diameter"],
+                          f["scratch_diameter"]),
+            f["incremental_decisions"], f["scratch_decisions"],
+            f["scratch_decisions"] - f["incremental_decisions"],
+            "yes" if f["gated"] else "no",
+        ))
+    lines.append("incremental strictly fewer on every family: %s" % strictly_fewer)
+    return lines
 
 
 # -- gates -------------------------------------------------------------------------
@@ -568,6 +638,17 @@ def paper_gates(sections: Dict[str, dict], configs: Sequence[dict]) -> List[dict
     lengths = sections["ablation_cube_lengths"]
     gates.append(gate("ablation_cube_lengths.po_shorter",
                       lengths["po_mean_cube_lits"], "<", lengths["to_mean_cube_lits"]))
+    # retained constraints save decisions on the gated families, and no sweep
+    # of any family misses the explicit-state diameter
+    families = sections["incremental_diameter"]["families"]
+    for model, f in families.items():
+        if f["gated"]:
+            gates.append(gate("incremental_diameter.%s.incremental_fewer" % model,
+                              f["incremental_decisions"], "<", f["scratch_decisions"]))
+    gates.append(gate("incremental_diameter.diameters_match_bfs",
+                      sum(f[key] != f["bfs_diameter"] for f in families.values()
+                          for key in ("incremental_diameter", "scratch_diameter")),
+                      "==", 0))
     for config in configs:
         gates.append(gate("kernel.%s.decisions" % config["key"], config["decisions"],
                           "==", PINNED_DECISIONS[config["pure_literals"]]))
@@ -708,6 +789,10 @@ def _grid() -> dict:
         "fig6_semaphore": panel(*FIG6_SEMAPHORE),
         "ablation_heuristic": budget(HEURISTIC_BUDGET),
         "ablation_learning": budget(LEARNING_BUDGET),
+        "incremental_diameter": {
+            "families": ["%s%d" % pair for pair in INCREMENTAL_FAMILIES],
+            "gated": list(INCREMENTAL_GATED),
+        },
         "tie_margin": TIE_MARGIN,
         "hard_timeout_seconds": HARD_TIMEOUT_SECONDS,
     }
@@ -760,7 +845,8 @@ def run_bench() -> dict:
 def render_report(report: dict) -> str:
     """Every table and figure, the gates and the kernel rows, as text."""
     lines = [
-        "repro bench — Table I, Figures 3-7, ablations and kernel rows",
+        "repro bench — Table I, Figures 3-7, ablations, incremental sweeps "
+        "and kernel rows",
         "engines: %s (reference %s), %d worker process(es)"
         % (", ".join(report["engines"]), report["reference_engine"], report["jobs"]),
     ]

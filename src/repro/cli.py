@@ -24,10 +24,11 @@ self-checks it against the original formula and stamps the verdict on the
 results row.
 
 ``bench`` is the paper bench: the Table I suites, Figures 3-7, both
-ablations and the kernel rows under every available engine, each run's
-decisions checked against ``counters`` and each of the paper's shape claims
-checked as a named gate. It writes one ``BENCH_paper.json`` either way and
-exits 0 only when identity holds and every gate passes.
+ablations, the incremental-vs-scratch diameter sweeps and the kernel rows
+under every available engine, each run's decisions checked against
+``counters`` and each of the paper's shape claims checked as a named gate.
+It writes one ``BENCH_paper.json`` either way and exits 0 only when
+identity holds and every gate passes.
 
 ``certify`` works with proofs directly: ``emit`` solves while logging the
 resolution derivation to a JSONL certificate, ``check`` replays a
@@ -399,17 +400,6 @@ def cmd_serve_request(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Incremental-vs-scratch sweeps + daemon throughput; BENCH_serve.json."""
-    from repro.serve.bench import render_report, run_serve_bench, write_report
-
-    report = run_serve_bench(quick=args.quick)
-    write_report(report, args.output)
-    print(render_report(report))
-    print("report written to %s" % args.output)
-    return 0 if report["incremental_strictly_fewer"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -462,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="paper bench: Table I, Figures 3-7, the ablations and the kernel "
-        "rows on every available engine (counters/native), decision identity "
+        help="paper bench: Table I, Figures 3-7, the ablations, the incremental "
+        "diameter sweeps and the kernel rows on every available engine "
+        "(counters/native), decision identity "
         "against counters, the paper's shape gates, schema-versioned JSON report",
     )
     p_bench.add_argument(
@@ -534,15 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sreq.add_argument("request", help="path to a JSON request file, or '-'")
     p_sreq.add_argument("--timeout", type=float, default=300.0)
     p_sreq.set_defaults(func=cmd_serve_request)
-    p_sbench = serve_sub.add_parser(
-        "bench",
-        help="incremental-vs-scratch SMV sweeps + daemon throughput; "
-        "emits BENCH_serve.json",
-    )
-    p_sbench.add_argument("--quick", action="store_true",
-                          help="bench the small model set only")
-    p_sbench.add_argument("-o", "--output", default="BENCH_serve.json")
-    p_sbench.set_defaults(func=cmd_serve_bench)
 
     p_cert = sub.add_parser(
         "certify", help="clause/term resolution certificates (emit, check, stats)"

@@ -81,13 +81,8 @@ class SolverConfig:
     learn_clauses: bool = True
     learn_cubes: bool = True
     pure_literals: bool = True
-    #: backtrack target for asserting constraints: "assert" jumps to the
-    #: classical asserting level, "shallow" to the least destructive level
-    #: at which the learned constraint is still unit.
-    backjump: str = "assert"
     max_decisions: Optional[int] = None
     max_seconds: Optional[float] = None
-    decay_interval: int = 64
     #: propagation backend (see ENGINES). Purely an implementation choice:
     #: every backend must produce the same decisions, trail and outcome.
     #: An alias (see ENGINE_ALIASES) is replaced by its backend on
@@ -106,8 +101,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError("unknown policy %r" % (self.policy,))
-        if self.backjump not in ("assert", "shallow"):
-            raise ValueError("unknown backjump mode %r" % (self.backjump,))
         if self.engine not in ENGINES:
             raise ValueError("unknown engine %r (choose from %s)" % (self.engine, ENGINES))
         self.engine = ENGINE_ALIASES.get(self.engine, self.engine)

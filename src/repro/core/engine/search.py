@@ -121,7 +121,7 @@ class SearchEngine:
         nv = max(self.prefix.variables, default=0)
         self.trail = Trail(nv, prefix=self.prefix, paranoid=self.config.paranoid)
         self._lit_value = self.trail.lit_value
-        self._keeper = ScoreKeeper(self.prefix, decay_interval=self.config.decay_interval)
+        self._keeper = ScoreKeeper(self.prefix)
         backend_cls = self.backend_override or resolve_backend(self.config, self.stats)
         self.backend: PropagationBackend = backend_cls(
             formula, self.prefix, self.config, self.stats, self.trail, self._keeper
@@ -305,11 +305,6 @@ class SearchEngine:
 
     # -- analysis plumbing ----------------------------------------------------------
 
-    def _backjump_target(self, outcome: Backjump) -> int:
-        if self.config.backjump == "shallow":
-            return outcome.shallow_level
-        return outcome.level
-
     def _bind_learned(self, trace: Optional[object], is_cube: bool, lits: Tuple[int, ...]) -> None:
         """Name a learned constraint after its derivation's final step."""
         if trace is None or not trace.ok:
@@ -333,7 +328,7 @@ class SearchEngine:
                 return Outcome.FALSE
             if isinstance(outcome, Backjump):
                 self.stats.backjumps += 1
-                self.backend.backtrack(self._backjump_target(outcome))
+                self.backend.backtrack(outcome.level)
                 learned = self.backend.add_learned_clause(outcome.lits)
                 self._bind_learned(trace, False, outcome.lits)
                 if self._lit_value(outcome.assert_lit) is None:
@@ -374,7 +369,7 @@ class SearchEngine:
                 return Outcome.TRUE
             if isinstance(outcome, Backjump):
                 self.stats.backjumps += 1
-                self.backend.backtrack(self._backjump_target(outcome))
+                self.backend.backtrack(outcome.level)
                 learned = self.backend.add_learned_cube(outcome.lits)
                 self._bind_learned(trace, True, outcome.lits)
                 if self._lit_value(outcome.assert_lit) is None:

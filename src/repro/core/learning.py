@@ -56,20 +56,14 @@ class Backjump:
 
     For a clause, ``assert_lit`` is the existential literal that becomes unit
     (to be assigned true); for a cube, it is the universal literal whose
-    *negation* must be assigned. The constraint is unit at every level in
-    ``[level, shallow_level]``: ``level`` is the classical asserting level
-    (deepest jump), ``shallow_level`` the least destructive one; the engine
-    picks according to its configuration.
+    *negation* must be assigned. ``level`` is the classical asserting level:
+    the lowest decision level at which the constraint is unit (the deepest
+    jump).
     """
 
     lits: Tuple[int, ...]
     level: int
     assert_lit: int
-    shallow_level: int = -1
-
-    def __post_init__(self) -> None:
-        if self.shallow_level < self.level:
-            self.shallow_level = self.level
 
 
 @dataclass
@@ -224,7 +218,7 @@ def _clause_backjump(work: Sequence[int], view: TrailView) -> Optional[AnalysisO
                 return None
             b_hi = min(b_hi, level_of(uv) - 1)
     if b_lo <= b_hi:
-        return Backjump(tuple(work), b_lo, estar, b_hi)
+        return Backjump(tuple(work), b_lo, estar)
     return None
 
 
@@ -296,7 +290,7 @@ def _cube_backjump(work: Sequence[int], view: TrailView) -> Optional[AnalysisOut
                 return None
             b_hi = min(b_hi, level_of(sv) - 1)
     if b_lo <= b_hi:
-        return Backjump(tuple(work), b_lo, ustar, b_hi)
+        return Backjump(tuple(work), b_lo, ustar)
     return None
 
 

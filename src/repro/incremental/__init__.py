@@ -1,4 +1,4 @@
-"""Incremental QBF solving: assumption scopes + learned-constraint retention.
+"""Incremental QBF solving: learned-constraint retention across reloads.
 
 The SMV sweeps of Section VII-C re-solve closely related formulas — φ_n and
 φ_{n+1} differ only in the bound — yet a one-shot :func:`repro.core.solver.

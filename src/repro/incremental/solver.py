@@ -1,10 +1,8 @@
-"""The incremental solving API: push/pop assumptions + constraint retention.
+"""The incremental solving API: reloads with learned-constraint retention.
 
-An :class:`IncrementalSolver` owns a base formula (:meth:`load`) and a stack
-of assumption scopes (:meth:`push`/:meth:`pop`). Each :meth:`solve` builds
-the *effective* formula — base clauses plus one unit clause per active
-assumption — and runs a fresh engine over it, seeded with every previously
-learned clause/cube that is still sound.
+An :class:`IncrementalSolver` holds one formula at a time (:meth:`load`).
+Each :meth:`solve` runs a fresh engine over the loaded formula, seeded with
+every previously learned clause/cube that is still sound for it.
 
 Retention rule
 --------------
@@ -12,7 +10,7 @@ Retention rule
 A learned constraint is a resolution consequence of its *axiom closure*
 (:mod:`repro.incremental.provenance`): reduced input clauses for learned
 clauses, initial (model) cubes for learned cubes. It is retained for the
-next effective formula iff its derivation would replay there verbatim:
+next loaded formula iff its derivation would replay there verbatim:
 
 * every variable of the closure (and of the constraint itself) is still
   bound, with the same quantifier;
@@ -23,9 +21,10 @@ next effective formula iff its derivation would replay there verbatim:
 * every initial-cube leaf still satisfies every clause of the new matrix
   (i.e. remains an implicant).
 
-Assumption soundness falls out for free: assuming ``l`` adds the unit
-clause ``(l,)``, so constraints derived *from* an assumption carry it as a
-closure leaf and are dropped the moment the assumption is popped.
+Assumptions need no API of their own: assuming ``l`` is a reload with the
+unit clause ``(l,)`` added, and retracting it a reload without it.
+Constraints derived *from* the unit clause carry it as a closure leaf, so
+they are dropped the moment a reload removes it.
 
 Because the leaves pin the whole derivation, the quantifier-prefix
 compatibility demanded by the retention contract ("a learned constraint
@@ -42,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.certify import MemorySink, ProofLogger, certifying_config, check_certificate
 from repro.core.constraints import universal_reduce
 from repro.core.formula import QBF
-from repro.core.literals import EXISTS
 from repro.core.result import SolveResult
 from repro.core.solver import QdpllSolver, SolverConfig
 from repro.incremental.provenance import (
@@ -102,7 +100,6 @@ class IncrementalSolver:
         self.config = config or SolverConfig()
         self.certify = certify
         self._formula: Optional[QBF] = None
-        self._scopes: List[List[int]] = []
         self._retained: List[Retained] = []
         self._last_prefix = None
         #: aggregate counters across the solver's lifetime.
@@ -115,62 +112,12 @@ class IncrementalSolver:
         self.last_certificate: Optional[MemorySink] = None
         self._last_formula: Optional[QBF] = None
 
-    # -- formula and assumption management ---------------------------------
+    # -- the formula -------------------------------------------------------
 
     def load(self, formula: QBF) -> None:
-        """Set (or replace) the base formula; the retained database is kept
+        """Set (or replace) the formula; the retained database is kept
         and re-validated against the new formula at the next solve."""
         self._formula = formula
-
-    def push(self, *assumptions: int) -> None:
-        """Open a scope assuming each literal (outermost existential vars)."""
-        if self._formula is None:
-            raise ValueError("push() before load()")
-        prefix = self._formula.prefix
-        # top_variables() = bound, outermost (nothing precedes them); a
-        # single membership probe replaces the per-literal O(vars) scans.
-        top = set(prefix.top_variables())
-        bound = set(prefix.variables)
-        active = {abs(l) for scope in self._scopes for l in scope}
-        scope: List[int] = []
-        for lit in assumptions:
-            var = abs(lit)
-            if var not in bound:
-                raise ValueError("assumption variable %d is not bound" % var)
-            if prefix.quant(var) is not EXISTS:
-                raise ValueError("assumption variable %d is universal" % var)
-            if var not in top:
-                raise ValueError(
-                    "assumption variable %d is not in an outermost block" % var
-                )
-            if var in active or var in {abs(l) for l in scope}:
-                raise ValueError("variable %d already assumed" % var)
-            scope.append(lit)
-        self._scopes.append(scope)
-
-    def pop(self) -> None:
-        """Close the innermost assumption scope."""
-        if not self._scopes:
-            raise ValueError("pop() with no open scope")
-        self._scopes.pop()
-
-    @property
-    def depth(self) -> int:
-        return len(self._scopes)
-
-    @property
-    def assumptions(self) -> Tuple[int, ...]:
-        return tuple(l for scope in self._scopes for l in scope)
-
-    def effective_formula(self) -> QBF:
-        """The formula the next :meth:`solve` actually runs on."""
-        if self._formula is None:
-            raise ValueError("no formula loaded")
-        lits = self.assumptions
-        if not lits:
-            return self._formula
-        clauses = [c.lits for c in self._formula.clauses] + [(l,) for l in lits]
-        return QBF(self._formula.prefix, clauses)
 
     # -- retention ---------------------------------------------------------
 
@@ -238,8 +185,10 @@ class IncrementalSolver:
     # -- solving -----------------------------------------------------------
 
     def solve(self, interrupt: Optional[object] = None) -> SolveResult:
-        """Solve the current effective formula, reusing what can be reused."""
-        formula = self.effective_formula()
+        """Solve the loaded formula, reusing what can be reused."""
+        formula = self._formula
+        if formula is None:
+            raise ValueError("no formula loaded")
         inner = MemorySink() if self.certify else None
         sink = ClosureSink(inner)
         logger = ProofLogger(sink)

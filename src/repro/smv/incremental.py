@@ -140,31 +140,26 @@ class IncrementalDiameterRun(DiameterRun):
     #: constraints transferred into the solve of each tested bound.
     retained_per_bound: List[int] = field(default_factory=list)
 
-    @property
-    def total_retained(self) -> int:
-        return sum(self.retained_per_bound)
-
 
 def incremental_diameter(
     model: SymbolicModel,
     config: Optional[SolverConfig] = None,
     max_n: int = 64,
     certify: bool = False,
-    interrupt: Optional[object] = None,
-    solver: Optional[IncrementalSolver] = None,
 ) -> IncrementalDiameterRun:
     """The Section VII-C loop on one persistent :class:`IncrementalSolver`.
 
-    Pass ``solver`` to keep the family's solver (and its learned database)
-    alive across calls — what the serve daemon does for repeated bound
-    requests on the same model.
+    Each bound's φ_n is loaded into the same solver, so every learned
+    constraint that passes the retention check carries to the next bound.
+    The serve daemon's family workers keep such a solver per model across
+    requests instead of running this loop.
     """
     fam = DiameterFamily(model)
-    inc = solver if solver is not None else IncrementalSolver(config, certify=certify)
+    inc = IncrementalSolver(config, certify=certify)
     run = IncrementalDiameterRun(model_name=model.name, diameter=None)
     for n in range(max_n + 1):
         inc.load(fam.formula(n))
-        result = inc.solve(interrupt=interrupt)
+        result = inc.solve()
         run.results.append(result)
         run.retained_per_bound.append(
             inc.last_retained_clauses + inc.last_retained_cubes

@@ -69,7 +69,6 @@ class TestClauseAnalysis:
         assert isinstance(out, Backjump)
         assert out.assert_lit == 2
         assert out.level == 1
-        assert out.shallow_level == 1
         assert out.lits == (1, 2)
 
     def test_unit_conflict_asserts_without_resolution(self, eae_prefix):

@@ -82,7 +82,6 @@ def _all_configs():
     configs.append(SolverConfig(policy="naive"))
     configs.append(SolverConfig(policy="counter"))
     configs.append(SolverConfig(policy="subtree"))
-    configs.append(SolverConfig(backjump="shallow"))
     return configs
 
 

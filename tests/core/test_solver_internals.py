@@ -120,16 +120,6 @@ class TestLearningMachinery:
             for lit in lits:
                 assert abs(lit) in phi.prefix
 
-    def test_backjump_modes_agree_on_value(self):
-        phi = paper_example()
-        a = solve(phi, SolverConfig(backjump="assert"))
-        b = solve(phi, SolverConfig(backjump="shallow"))
-        assert a.outcome == b.outcome
-
-    def test_bad_backjump_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(backjump="diagonal")
-
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(policy="wishful")

@@ -1,9 +1,10 @@
 """Property tests: the incremental solver agrees with from-scratch solves.
 
-The contract under test: across any push/pop sequence, on every
-engine, in both pipelines (PO = solve the tree as-is, TO = prenex first),
-with certification on, :class:`repro.incremental.IncrementalSolver` returns
-outcomes identical to a fresh solve of the same effective formula.
+The contract under test: across any sequence of reloads, on every engine,
+in both pipelines (PO = solve the tree as-is, TO = prenex first), with
+certification on, :class:`repro.incremental.IncrementalSolver` returns
+outcomes identical to a fresh solve of the loaded formula. Assumptions are
+reloads with unit clauses added ("push") and removed again ("pop").
 """
 
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.certify import INVALID, certifying_config
+from repro.core.formula import QBF
 from repro.core.literals import EXISTS
 from repro.core.solver import SolverConfig, solve
 from repro.generators.random_qbf import random_prenex_qbf, random_tree_qbf
@@ -43,6 +45,11 @@ def _outer_exists(prefix):
     ]
 
 
+def _with_units(phi, units):
+    """``phi`` with one unit clause per assumed literal."""
+    return QBF(phi.prefix, [c.lits for c in phi.clauses] + [(l,) for l in units])
+
+
 def _random_script(rng, prefix, steps=4):
     """A random push/pop script over the outermost existential variables."""
     available = _outer_exists(prefix)
@@ -72,12 +79,14 @@ def test_push_pop_matches_fresh_solves(engine, mode):
         first = inc.solve()
         assert first.stats.engine_fallback == ""
         assert first.outcome is solve(phi, config).outcome
+        units = []
         for op, lit in _random_script(rng, phi.prefix):
             if op == "push":
-                inc.push(lit)
+                units.append(lit)
             else:
-                inc.pop()
-            effective = inc.effective_formula()
+                units.pop()
+            effective = _with_units(phi, units)
+            inc.load(effective)
             assert inc.solve().outcome is solve(effective, config).outcome
 
 
@@ -92,20 +101,22 @@ def test_certified_incremental_matches_and_stays_valid(engine):
         rng = random.Random(seed)
         phi = _formula(rng, "po")
         inc = IncrementalSolver(config, certify=True)
-        inc.load(phi)
         free = _outer_exists(phi.prefix)
         rng.shuffle(free)
+        units = []
         for step in range(3):
+            effective = _with_units(phi, units)
+            inc.load(effective)
             result = inc.solve()
-            fresh = solve(inc.effective_formula(), certifying_config(config))
+            fresh = solve(effective, certifying_config(config))
             assert result.stats.engine_fallback == ""
             assert result.outcome is fresh.outcome
             assert inc.check_last_certificate().status != INVALID
-            if free and (inc.depth == 0 or rng.random() < 0.6):
+            if free and (not units or rng.random() < 0.6):
                 var = free.pop()
-                inc.push(var if rng.random() < 0.5 else -var)
-            elif inc.depth:
-                inc.pop()
+                units.append(var if rng.random() < 0.5 else -var)
+            elif units:
+                units.pop()
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -130,8 +141,6 @@ def test_growing_formula_chain_property(seed):
         size = rng.randint(1, min(3, len(pool)))
         chosen = rng.sample(pool, size)
         extra.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
-    from repro.core.formula import QBF
-
     grown = QBF(phi.prefix, [c.lits for c in phi.clauses] + extra)
     inc.load(grown)
     assert inc.solve().outcome is solve(grown).outcome
@@ -152,48 +161,3 @@ def test_identical_resolve_retains_database():
     if learned:
         assert inc.last_retained_clauses + inc.last_retained_cubes > 0
     assert second.outcome is first.outcome
-
-
-def test_push_rejects_bad_assumptions():
-    from repro.core.formula import QBF
-    from repro.core.literals import FORALL
-    from repro.core.prefix import Prefix
-
-    phi = QBF.prenex([(EXISTS, [1]), (FORALL, [2]), (EXISTS, [3])], [(1, 2, 3)])
-    inc = IncrementalSolver()
-    with pytest.raises(ValueError):
-        inc.push(1)  # before load
-    inc.load(phi)
-    with pytest.raises(ValueError):
-        inc.push(2)  # universal
-    with pytest.raises(ValueError):
-        inc.push(-3)  # not outermost
-    with pytest.raises(ValueError):
-        inc.push(99)  # unbound
-    inc.push(1)
-    with pytest.raises(ValueError):
-        inc.push(-1)  # already assumed
-    with pytest.raises(ValueError):
-        inc.push(1)  # already assumed, same polarity
-    inc.pop()
-    with pytest.raises(ValueError):
-        inc.pop()  # no open scope
-
-
-def test_assumption_scopes_stack():
-    from repro.core.formula import QBF
-
-    phi = QBF.prenex([(EXISTS, [1, 2, 3])], [(1, 2, 3)])
-    inc = IncrementalSolver()
-    inc.load(phi)
-    inc.push(1, 2)
-    inc.push(-3)
-    assert inc.depth == 2
-    assert inc.assumptions == (1, 2, -3)
-    assert inc.solve().outcome.value == "true"
-    inc.pop()
-    assert inc.assumptions == (1, 2)
-    # assuming all literals false forces the single clause unsatisfied
-    inc.pop()
-    inc.push(-1, -2, -3)
-    assert inc.solve().outcome.value == "false"

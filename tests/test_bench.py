@@ -14,13 +14,16 @@ from repro.prenexing.strategies import STRATEGIES
 from repro.smv.diameter import diameter_qbf
 from repro.smv.models import SemaphoreModel
 
-#: the 31 shape claims of Table I, Figures 3-7 and the ablations.
-SHAPE_GATES = 31
+#: the 35 shape claims of Table I, Figures 3-7, the ablations and the
+#: incremental diameter sweeps.
+SHAPE_GATES = 35
+#: the tiny grid sweeps counter2 alone, so dme5's and ring4's gates are absent
+TINY_SHAPE_GATES = SHAPE_GATES - 2
 SECTIONS = [
     "table1_ncf", "table1_fpv", "table1_dia", "table1_eval06",
     "fig3_ncf", "fig4_fpv", "fig5_dia", "fig6_counter", "fig6_semaphore",
     "fig7_eval06", "ablation_heuristic", "ablation_learning",
-    "ablation_cube_lengths", "ncf_default_grid",
+    "ablation_cube_lengths", "ncf_default_grid", "incremental_diameter",
 ]
 
 
@@ -58,6 +61,12 @@ def _suite(po, to, labels=("eu_au",)):
             "table1": {s: dict(row) for s in labels}}
 
 
+def _sweep(incremental, scratch, gated):
+    return {"bfs_diameter": 3, "incremental_diameter": 3, "scratch_diameter": 3,
+            "incremental_decisions": incremental, "scratch_decisions": scratch,
+            "gated": gated}
+
+
 def _sections():
     """Aggregates where every shape gate sits exactly on its bound."""
     line = {"po_decisions": 130, "to_decisions": 100,
@@ -81,6 +90,11 @@ def _sections():
             "PO-decisions (learning)": 120, "PO-decisions (no-learning)": 120,
             "TO-decisions (learning)": 100, "TO-decisions (no-learning)": 100}},
         "ablation_cube_lengths": {"po_mean_cube_lits": 9.8, "to_mean_cube_lits": 21.9},
+        # the ungated rows save nothing or cost decisions, like semaphore2
+        "incremental_diameter": {"families": {
+            "counter2": _sweep(99, 100, True), "dme5": _sweep(99, 100, True),
+            "ring4": _sweep(99, 100, True), "dme4": _sweep(100, 100, False),
+            "ring3": _sweep(101, 100, False), "semaphore2": _sweep(374, 371, False)}},
     }
 
 
@@ -93,6 +107,8 @@ def test_paper_gates_at_their_bounds_all_hold():
     assert len(gates) == SHAPE_GATES + len(CONFIGS)
     assert len({g["name"] for g in gates}) == len(gates)
     assert all(g["ok"] for g in gates), [g for g in gates if not g["ok"]]
+    assert not [g for g in gates
+                if any(model in g["name"] for model in ("dme4", "ring3", "semaphore2"))]
 
 
 def _set(path, value):
@@ -130,6 +146,14 @@ def _set(path, value):
      {"ablation_learning.po_learning_helps"}),
     (_set("ablation_cube_lengths/po_mean_cube_lits", 21.9),
      {"ablation_cube_lengths.po_shorter"}),
+    (_set("incremental_diameter/families/counter2/incremental_decisions", 100),
+     {"incremental_diameter.counter2.incremental_fewer"}),
+    (_set("incremental_diameter/families/dme5/scratch_decisions", 99),
+     {"incremental_diameter.dme5.incremental_fewer"}),
+    (_set("incremental_diameter/families/ring4/incremental_decisions", 100),
+     {"incremental_diameter.ring4.incremental_fewer"}),
+    (_set("incremental_diameter/families/semaphore2/scratch_diameter", 2),
+     {"incremental_diameter.diameters_match_bfs"}),
 ])
 def test_paper_gates_one_step_past_a_bound_fail_by_name(mutate, failing):
     sections = _sections()
@@ -162,6 +186,7 @@ def tiny_sections():
             ("FIG6_SEMAPHORE", ("semaphore", (1,), 1)),
             ("HEURISTIC_BUDGET", tiny), ("LEARNING_BUDGET", tiny),
             ("heuristic_sample", lambda: sample), ("learning_sample", lambda: sample),
+            ("INCREMENTAL_FAMILIES", (("counter", 2),)),
         ]:
             mp.setattr(bench, name, value)
         return {name: bench.measure(name, "counters", 1) for name in bench.SECTIONS}
@@ -175,16 +200,28 @@ def canned(monkeypatch, tiny_sections):
     monkeypatch.setattr(bench, "native_available", lambda: False)
 
 
-def test_tiny_report_has_every_section_and_gate(canned):
+def test_tiny_report_has_every_section_and_gate(canned, tiny_sections):
     report = bench.run_bench()
     assert report["schema"] == bench.SCHEMA
     assert report["engines"] == ["counters"]
     assert report["kernel"]["fallback"] == "counters"
     assert list(report["sections"]) == SECTIONS
-    assert len(report["gates"]) == SHAPE_GATES + 2
+    assert len(report["gates"]) == TINY_SHAPE_GATES + 2
     assert report["decision_identity_ok"] and report["identity_mismatches"] == []
     assert report["sections"]["ncf_default_grid"]["gated"] is False
     assert not any(g["name"].startswith("ncf_default_grid") for g in report["gates"])
+    incremental = report["sections"]["incremental_diameter"]
+    counter2 = incremental["families"]["counter2"]
+    assert list(incremental["families"]) == ["counter2"] and counter2["gated"]
+    assert (counter2["incremental_decisions"], counter2["scratch_decisions"]) == (97, 103)
+    assert incremental["incremental_strictly_fewer"]
+    assert [g["name"] for g in report["gates"] if g["name"].startswith("incremental")] == [
+        "incremental_diameter.counter2.incremental_fewer",
+        "incremental_diameter.diameters_match_bfs"]
+    # every bound of both sweeps enters the identity check
+    assert [run for run, _ in tiny_sections["incremental_diameter"].runs] == [
+        "counter2/n=%d %s" % (n, kind) for kind in ("incremental", "scratch")
+        for n in range(4)]
     text = bench.render_report(report)
     for section in report["sections"].values():
         assert "\n".join(section["rendered"]) in text

@@ -141,3 +141,10 @@ def test_retired_cube_subcommand_exits_2(tree_file):
     with pytest.raises(SystemExit) as info:
         main(["cube", "run", tree_file])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--quick"]])
+def test_retired_serve_bench_subcommand_exits_2(flags):
+    with pytest.raises(SystemExit) as info:
+        main(["serve", "bench"] + flags)
+    assert info.value.code == 2
