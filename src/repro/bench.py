@@ -58,10 +58,9 @@ from repro.evalx.scatter import (
     setting_medians,
     summarize_scatter,
 )
-from repro.evalx.suites import PairResult, run_dia, run_eval06, run_fpv, run_ncf
-from repro.evalx.table1 import Table1Row, build_row, render_table
+from repro.evalx.suites import SUITES, PairResult, run_suite, table1_rows
+from repro.evalx.table1 import Table1Row, render_table
 from repro.generators.ncf import NcfParams, generate_ncf
-from repro.prenexing.strategies import STRATEGIES
 from repro.smv.diameter import diameter_qbf
 from repro.smv.incremental import incremental_diameter, scratch_diameter
 from repro.smv.models import DmeModel, RingModel, SemaphoreModel, model_by_name
@@ -333,20 +332,18 @@ _IN_PROCESS = {
 def measure(name: str, engine: str, jobs: int) -> Section:
     """One section of the bench under ``engine``, named explicitly on every run."""
     suites = {
-        "ncf": (run_ncf, dict(budget=NCF_BUDGET, instances=NCF_INSTANCES)),
-        "fpv": (run_fpv, dict(budget=FPV_BUDGET, count=FPV_COUNT)),
-        "dia": (run_dia, dict(budget=DIA_BUDGET, max_n_cap=DIA_MAX_N)),
-        "prob": (run_eval06, dict(kind="prob", budget=EVAL06_BUDGET, count=EVAL06_COUNT)),
-        "fixed": (run_eval06, dict(kind="fixed", budget=EVAL06_BUDGET, count=EVAL06_COUNT)),
-        "ncf_default_grid": (run_ncf, dict(budget=NCF_DEFAULT_BUDGET,
-                                           instances=NCF_DEFAULT_INSTANCES)),
+        "ncf": ("ncf", NCF_INSTANCES, NCF_BUDGET),
+        "fpv": ("fpv", FPV_COUNT, FPV_BUDGET),
+        "dia": ("dia", DIA_MAX_N, DIA_BUDGET),
+        "prob": ("prob", EVAL06_COUNT, EVAL06_BUDGET),
+        "fixed": ("fixed", EVAL06_COUNT, EVAL06_BUDGET),
+        "ncf_default_grid": ("ncf", NCF_DEFAULT_INSTANCES, NCF_DEFAULT_BUDGET),
     }
     start = time.perf_counter()
     if name in suites:
-        runner, kwargs = suites[name]
-        data = runner(engine=engine, jobs=jobs, wall_timeout=HARD_TIMEOUT_SECONDS,
-                      **kwargs)
-        runs = _pair_runs(data[0] if isinstance(data, tuple) else data)
+        data = run_suite(*suites[name], jobs=jobs, wall_timeout=HARD_TIMEOUT_SECONDS,
+                         engine=engine)
+        runs = _pair_runs(data[0])
     elif name in (COUNTER_ON, COUNTER_OFF, "fig6_semaphore"):
         panel = FIG6_SEMAPHORE if name == "fig6_semaphore" else FIG6_COUNTER
         data = run_series(*panel, engine, pure=name != COUNTER_OFF)
@@ -367,22 +364,12 @@ def _columns(row: Table1Row) -> Dict[str, int]:
     return {k: v for k, v in asdict(row).items() if k not in ("suite", "strategy")}
 
 
-def _suite(
-    results: List[PairResult], suite: str, strategies: Dict[str, str]
-) -> Tuple[dict, List[Table1Row]]:
-    """One suite's Table I rows and decision totals.
-
-    ``strategies`` maps each row's strategy label to the key of its TO run
-    (DIA's prenex form is the encoder's equation (16), recorded as eu_au).
-    """
-    rows = [
-        build_row(suite, label, [(r.to_run(key), r.po_run) for r in results],
-                  tie_margin=TIE_MARGIN)
-        for label, key in strategies.items()
-    ]
+def _table1(suite: str, results: List[PairResult]) -> Tuple[dict, List[Table1Row]]:
+    """One suite's Table I rows and decision totals."""
+    rows = table1_rows(suite, results, TIE_MARGIN)
     po = sum(r.po_run.decisions for r in results)
     to = {label: sum(r.to_run(key).decisions for r in results)
-          for label, key in strategies.items()}
+          for label, key in SUITES[suite].rows}
     summary = {
         "instances": len(results),
         "table1": {row.strategy: _columns(row) for row in rows},
@@ -438,15 +425,14 @@ def _sections(measured: Dict[str, Dict[str, Section]]) -> Dict[str, dict]:
         return dict(summary, wall_seconds=wall(*names),
                     rendered=render_table(rows).split("\n"))
 
-    ncf, fpv, dia = ref["ncf"].data, ref["fpv"].data, ref["dia"].data
-    (prob, prob_dropped), (fixed, fixed_dropped) = ref["prob"].data, ref["fixed"].data
-    all_strategies = {s: s for s in STRATEGIES}
+    (ncf, _), (fpv, _), (dia, _), (prob, prob_dropped), (fixed, fixed_dropped) = (
+        ref[name].data for name in ("ncf", "fpv", "dia", "prob", "fixed"))
     out: Dict[str, dict] = {}
-    out["table1_ncf"] = table(*_suite(ncf, "NCF", all_strategies), "ncf")
-    out["table1_fpv"] = table(*_suite(fpv, "FPV", {"eu_au": "eu_au"}), "fpv")
-    out["table1_dia"] = table(*_suite(dia, "DIA", {"eq16": "eu_au"}), "dia")
-    prob_summary, prob_rows = _suite(prob, "PROB", {"eu_au": "eu_au"})
-    fixed_summary, fixed_rows = _suite(fixed, "FIXED", {"eu_au": "eu_au"})
+    out["table1_ncf"] = table(*_table1("ncf", ncf), "ncf")
+    out["table1_fpv"] = table(*_table1("fpv", fpv), "fpv")
+    out["table1_dia"] = table(*_table1("dia", dia), "dia")
+    prob_summary, prob_rows = _table1("prob", prob)
+    fixed_summary, fixed_rows = _table1("fixed", fixed)
     note = (
         "filter (footnote 9, PO/TO > 20%%): prob kept %d dropped %d; "
         "fixed kept %d dropped %d"
@@ -512,8 +498,7 @@ def _sections(measured: Dict[str, Dict[str, Section]]) -> Dict[str, dict]:
     # the NCF claims fail on this grid: reported so it stays visible, never
     # gated, never shrunk
     out["ncf_default_grid"] = dict(
-        table(*_suite(ref["ncf_default_grid"].data, "NCF", all_strategies),
-              "ncf_default_grid"),
+        table(*_table1("ncf", ref["ncf_default_grid"].data[0]), "ncf_default_grid"),
         gated=False,
     )
     families = ref["incremental_diameter"].data

@@ -159,71 +159,28 @@ def cmd_evalx_run(args: argparse.Namespace) -> int:
     from repro.evalx.runner import Budget
     from repro.evalx.report import render_scatter
     from repro.evalx.scatter import pair_points
-    from repro.evalx.suites import run_dia, run_eval06, run_fpv, run_ncf
-    from repro.evalx.table1 import build_row, render_table
+    from repro.evalx.suites import run_suite, table1_rows
+    from repro.evalx.table1 import render_table
 
     faults = None
     if args.fault_plan:
         from repro.robustness.faults import FaultPlan
 
         faults = FaultPlan.from_file(args.fault_plan)
-    budget = Budget(decisions=args.decisions, seconds=args.seconds)
-    common = dict(
-        budget=budget,
+    results, filtered_out = run_suite(
+        args.suite,
+        args.instances,
+        Budget(decisions=args.decisions, seconds=args.seconds),
         jobs=args.jobs,
         results_path=args.results,
         wall_timeout=args.wall_timeout,
         certify=args.certify,
         engine=args.engine,
         faults=faults,
-        durable=not args.no_fsync,
         mem_limit_mb=args.mem_limit,
     )
-    filtered_out = None
-    if args.suite == "ncf":
-        results = run_ncf(instances=args.instances, **common)
-        strategies = sorted({s for r in results for s in r.to_runs})
-        rows = [
-            build_row(
-                "NCF",
-                s,
-                [(r.to_run(s), r.po_run) for r in results],
-                tie_margin=args.tie_margin,
-            )
-            for s in strategies
-        ]
-    elif args.suite == "fpv":
-        results = run_fpv(count=args.instances, **common)
-        rows = [
-            build_row(
-                "FPV",
-                "eu_au",
-                [(r.to_run("eu_au"), r.po_run) for r in results],
-                tie_margin=args.tie_margin,
-            )
-        ]
-    elif args.suite == "dia":
-        results = run_dia(**common)
-        rows = [
-            build_row(
-                "DIA",
-                "eq16",
-                [(r.to_best, r.po_run) for r in results],
-                tie_margin=args.tie_margin,
-            )
-        ]
-    else:  # prob / fixed
-        results, filtered_out = run_eval06(args.suite, count=args.instances, **common)
-        rows = [
-            build_row(
-                args.suite.upper(),
-                "eu_au",
-                [(r.to_run("eu_au"), r.po_run) for r in results],
-                tie_margin=args.tie_margin,
-            )
-        ]
-    print(render_table(rows))
-    if filtered_out is not None:
+    print(render_table(table1_rows(args.suite, results, args.tie_margin)))
+    if args.suite in ("prob", "fixed"):
         print("structure filter dropped %d instance(s)" % filtered_out)
     if args.scatter:
         triples = [(r.instance, r.to_best, r.po_run) for r in results]
@@ -585,8 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="cooperative per-run wall cap; off by default so decision "
         "metrics stay machine-independent",
     )
-    p_run.add_argument("--instances", type=int, default=8,
-                       help="instances per setting (ncf) or instance count")
+    p_run.add_argument(
+        "--instances", type=int, default=8,
+        help="suite size (default 8): instances per setting (ncf), instance "
+        "count (fpv, prob, fixed) or the cap on the tested bound n (dia)",
+    )
     p_run.add_argument("--tie-margin", type=int, default=50)
     p_run.add_argument("--scatter", action="store_true",
                        help="also render the ASCII scatter of the sweep")
@@ -606,11 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-plan", default=None, metavar="PLAN.JSON",
         help="deterministic fault-injection plan (see repro.robustness."
         "faults.FaultPlan) for chaos-testing the harness itself",
-    )
-    p_run.add_argument(
-        "--no-fsync", action="store_true",
-        help="skip fsync after each results row; faster, but a host crash "
-        "can lose or tear the final line",
     )
     p_run.add_argument(
         "--mem-limit", type=float, default=None, metavar="MB",

@@ -305,8 +305,10 @@ class ResultsLog:
 
     ``durable`` (the default) fsyncs after every append: an acknowledged
     record must survive a machine crash, or the resume logic re-runs the
-    task against a results file that silently lost its history. ``faults``
-    optionally injects torn appends (tests/CI only).
+    task against a results file that silently lost its history. Sweeps
+    always open it durable; only the serve daemon's verdict cache, whose
+    lost rows are merely re-solved, opens it with ``durable=False``.
+    ``faults`` optionally injects torn appends (tests/CI only).
     """
 
     def __init__(self, path: str, durable: bool = True, faults: Optional[FaultPlan] = None):
@@ -814,7 +816,6 @@ def run_tasks(
     term_grace: float = 2.0,
     retry_backoff: float = 0.5,
     faults: Optional[FaultPlan] = None,
-    durable: bool = True,
     mem_limit_mb: Optional[float] = None,
     pool: Optional[WorkerPool] = None,
 ) -> List[Record]:
@@ -828,7 +829,8 @@ def run_tasks(
             worker per task attempt.
         results: a :class:`ResultsLog`, a path string, or None. When given,
             already-recorded keys are skipped (resume) and every new record
-            is appended as it completes.
+            is appended as it completes; a path opens a durable log, which
+            fsyncs every append.
         wall_timeout: hard per-run seconds; an exceeded run's worker gets
             SIGTERM (a chance to report its partial measurement), then
             SIGKILL after ``term_grace`` seconds. Only enforced on a pool (``jobs > 1``
@@ -846,8 +848,6 @@ def run_tasks(
             (deterministically jittered per task); 0 disables the delay.
         faults: a :class:`repro.robustness.faults.FaultPlan` injecting
             deterministic failures (tests/CI chaos legs).
-        durable: fsync the results log after each append (see
-            :class:`ResultsLog`).
         mem_limit_mb: per-worker address-space ceiling in MiB (POSIX,
             ``jobs > 1`` only — a process cannot safely cap itself while
             holding the whole sweep's state). A worker that breaches it
@@ -871,7 +871,7 @@ def run_tasks(
     elif isinstance(results, ResultsLog):
         log = results
     else:
-        log = ResultsLog(results, durable=durable, faults=faults)
+        log = ResultsLog(results, faults=faults)
     done: Dict[Tuple[str, str, str], Record] = log.load() if log is not None else {}
 
     out: List[Optional[Record]] = [None] * len(tasks)

@@ -1,9 +1,11 @@
 """The reproduction's benchmark suites, scaled for a pure-Python solver.
 
-One function per Section VII suite. Each returns plain data (labels +
-measurement pairs) that the Table-I builder and the figure renderers
-consume. ``repro bench`` (:mod:`repro.bench`) drives them at the paper
-bench's grid sizes; ``repro evalx run`` drives one suite at a time with
+Every Section VII suite is a list of TO/PO instance pairs solved under one
+budget. Below, the function that lists each suite's runs sits next to its
+Table I title and rows. :func:`run_suite` solves any of them through the
+fault-isolated batch runner and :func:`table1_rows` folds the pairs into
+Table I, for both callers: ``repro bench`` (:mod:`repro.bench`) at the
+paper bench's grid sizes, and ``repro evalx run`` one suite at a time with
 its resume, certify and fault-plan options.
 
 Scaling note (documented per suite): the paper runs hundreds to thousands
@@ -15,8 +17,10 @@ every suite finishes in minutes on a laptop.
 
 from __future__ import annotations
 
+import functools
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.formula import QBF
 from repro.core.solver import default_engine
@@ -35,6 +39,7 @@ from repro.evalx.runner import (
     check_agreement,
 )
 from repro.evalx.scatter import virtual_best
+from repro.evalx.table1 import Table1Row, build_row
 from repro.generators.fixed import FixedParams, generate_fixed
 from repro.generators.fpv import FpvParams, generate_fpv
 from repro.generators.ncf import NcfParams, generate_ncf
@@ -65,25 +70,6 @@ class PairResult:
         return virtual_best(self.to_runs)
 
 
-# -- batch plumbing -----------------------------------------------------------
-#
-# Every suite builds a flat task list and hands it to the fault-isolated
-# batch runner (repro.evalx.parallel). ``jobs=1`` runs serially in-process,
-# which is the exact legacy execution model; ``jobs>1`` fans out over worker
-# processes with hard per-run timeouts and crash isolation. ``results_path``
-# makes the sweep resumable (already-recorded runs are skipped).
-
-
-def _open_log(
-    results_path: Optional[str],
-    durable: bool = True,
-    faults: Optional["FaultPlan"] = None,
-) -> Optional[ResultsLog]:
-    if not results_path:
-        return None
-    return ResultsLog(results_path, durable=durable, faults=faults)
-
-
 def engine_overrides(engine: str) -> Tuple[Tuple[str, object], ...]:
     """Task overrides for a propagation-backend choice.
 
@@ -98,31 +84,28 @@ def engine_overrides(engine: str) -> Tuple[Tuple[str, object], ...]:
     return (("engine", engine),)
 
 
-def _checked(to_run: Measurement, po_run: Measurement, log: Optional[ResultsLog]) -> None:
-    """TO/PO agreement: raise when unlogged, record as data when logged."""
-    try:
-        check_agreement(to_run, po_run)
-    except SolverDisagreement as exc:
-        note_disagreement(exc, log)
+#: builds one task of a sweep from (instance, solver, formula[, mode,
+#: strategy]); the sweep's budget, engine and certify flag are bound in.
+TaskFactory = Callable[..., Task]
+#: one instance of a suite: its setting and its runs, in submission order.
+#: Every run but "PO" is a TO run, keyed by its task's strategy.
+Instance = Tuple[str, List[Task]]
 
 
-def _run_batch(
-    tasks: Sequence[Task],
-    jobs: int,
-    log: Optional[ResultsLog],
-    wall_timeout: Optional[float],
-    faults: Optional["FaultPlan"] = None,
-    mem_limit_mb: Optional[float] = None,
-) -> Dict[Tuple[str, str], Measurement]:
-    records = run_tasks(
-        tasks,
-        jobs=jobs,
-        results=log,
-        wall_timeout=wall_timeout,
-        faults=faults,
-        mem_limit_mb=mem_limit_mb,
-    )
-    return measurements_by_key(records)
+@dataclass(frozen=True)
+class Suite:
+    """One Section VII suite: its Table I title and rows, and its runs."""
+
+    title: str
+    #: Table I rows in paper order: (row label, strategy of the TO run read).
+    rows: Tuple[Tuple[str, str], ...]
+    #: (size, task factory) -> the suite's instances. An instance with no
+    #: runs is one the footnote-9 structure filter dropped.
+    build: Callable[[int, TaskFactory], Iterator[Instance]]
+
+
+SUITES: Dict[str, Suite] = {}
+EU_AU_ROW = (("eu_au", "eu_au"),)
 
 
 # -- NCF (Section VII-A / Table I rows 1-4 / Figure 3) -------------------------
@@ -156,48 +139,16 @@ def ncf_settings(instances: int = 4) -> List[Tuple[str, List[NcfParams]]]:
     return out
 
 
-def run_ncf(
-    budget: Budget = Budget(decisions=3000),
-    instances: int = 4,
-    strategies: Sequence[str] = STRATEGIES,
-    jobs: int = 1,
-    results_path: Optional[str] = None,
-    wall_timeout: Optional[float] = None,
-    certify: bool = False,
-    engine: str = "counters",
-    faults: Optional["FaultPlan"] = None,
-    durable: bool = True,
-    mem_limit_mb: Optional[float] = None,
-) -> List[PairResult]:
-    """Run QUBE(TO) under each strategy and QUBE(PO) on the NCF sweep."""
-    overrides = engine_overrides(engine)
-    tasks: List[Task] = []
-    meta: List[Tuple[str, str]] = []
+def _ncf(instances: int, task: TaskFactory) -> Iterator[Instance]:
+    """QUBE(TO) under each strategy and QUBE(PO), ``instances`` per setting."""
     for setting, params_list in ncf_settings(instances):
         for params in params_list:
             phi = generate_ncf(params)
-            for s in strategies:
-                tasks.append(
-                    Task(params.label, "TO(%s)" % s, phi, "to", s, budget,
-                         overrides=overrides, certify=certify)
-                )
-            tasks.append(Task(params.label, "PO", phi, "po", budget=budget,
-                              overrides=overrides, certify=certify))
-            meta.append((params.label, setting))
-    with_log = _open_log(results_path, durable=durable, faults=faults)
-    by_key = _run_batch(
-        tasks, jobs, with_log, wall_timeout, faults, mem_limit_mb,
-    )
-    results: List[PairResult] = []
-    for label, setting in meta:
-        to_runs = {s: by_key[(label, "TO(%s)" % s)] for s in strategies}
-        po_run = by_key[(label, "PO")]
-        for m in to_runs.values():
-            _checked(m, po_run, with_log)
-        results.append(PairResult(label, setting, to_runs, po_run))
-    if with_log is not None:
-        with_log.close()
-    return results
+            runs = [task(params.label, "TO(%s)" % s, phi, "to", s) for s in STRATEGIES]
+            yield setting, runs + [task(params.label, "PO", phi)]
+
+
+SUITES["ncf"] = Suite("NCF", tuple((s, s) for s in STRATEGIES), _ncf)
 
 
 # -- FPV (Section VII-B / Table I row 5 / Figure 4) -----------------------------
@@ -223,43 +174,15 @@ def fpv_instances(count: int = 24, seed_base: int = 0) -> List[FpvParams]:
     return out
 
 
-def run_fpv(
-    budget: Budget = Budget(decisions=4000),
-    count: int = 24,
-    strategy: str = "eu_au",
-    jobs: int = 1,
-    results_path: Optional[str] = None,
-    wall_timeout: Optional[float] = None,
-    certify: bool = False,
-    engine: str = "counters",
-    faults: Optional["FaultPlan"] = None,
-    durable: bool = True,
-    mem_limit_mb: Optional[float] = None,
-) -> List[PairResult]:
-    """Run the FPV suite with the ∃↑∀↑ strategy (the paper's choice)."""
-    overrides = engine_overrides(engine)
-    tasks: List[Task] = []
-    labels: List[str] = []
+def _fpv(count: int, task: TaskFactory) -> Iterator[Instance]:
+    """TO under the ∃↑∀↑ strategy (the paper's choice) and PO."""
     for params in fpv_instances(count):
         phi = generate_fpv(params)
-        tasks.append(Task(params.label, "TO(%s)" % strategy, phi, "to", strategy,
-                          budget, overrides=overrides, certify=certify))
-        tasks.append(Task(params.label, "PO", phi, "po", budget=budget,
-                          overrides=overrides, certify=certify))
-        labels.append(params.label)
-    with_log = _open_log(results_path, durable=durable, faults=faults)
-    by_key = _run_batch(
-        tasks, jobs, with_log, wall_timeout, faults, mem_limit_mb,
-    )
-    results: List[PairResult] = []
-    for label in labels:
-        to_run = by_key[(label, "TO(%s)" % strategy)]
-        po_run = by_key[(label, "PO")]
-        _checked(to_run, po_run, with_log)
-        results.append(PairResult(label, "fpv", {strategy: to_run}, po_run))
-    if with_log is not None:
-        with_log.close()
-    return results
+        yield "fpv", [task(params.label, "TO(eu_au)", phi, "to", "eu_au"),
+                      task(params.label, "PO", phi)]
+
+
+SUITES["fpv"] = Suite("FPV", EU_AU_ROW, _fpv)
 
 
 # -- DIA (Section VII-C / Table I row 6 / Figure 5) ------------------------------
@@ -301,44 +224,17 @@ def dia_instances(max_n_cap: int = 8) -> List[Tuple[str, QBF, QBF]]:
     return out
 
 
-def run_dia(
-    budget: Budget = Budget(decisions=6000),
-    max_n_cap: int = 8,
-    jobs: int = 1,
-    results_path: Optional[str] = None,
-    wall_timeout: Optional[float] = None,
-    certify: bool = False,
-    engine: str = "counters",
-    faults: Optional["FaultPlan"] = None,
-    durable: bool = True,
-    mem_limit_mb: Optional[float] = None,
-) -> List[PairResult]:
-    """Run TO/PO on every DIA instance (prenex form == equation (16))."""
-    overrides = engine_overrides(engine)
-    tasks: List[Task] = []
-    labels: List[str] = []
+def _dia(max_n_cap: int, task: TaskFactory) -> Iterator[Instance]:
+    """PO on the tree form, TO on the prenex form (equation (16))."""
     for label, tree, flat in dia_instances(max_n_cap):
-        # The prenex form is built directly by the encoder (equation (16)),
-        # so measure it as-is ("po" mode) rather than re-prenexing the tree;
-        # the task's solver label records it as the TO side.
-        tasks.append(Task(label, "PO", tree, "po", budget=budget,
-                          overrides=overrides, certify=certify))
-        tasks.append(Task(label, "TO(eq16)", flat, "po", budget=budget,
-                          overrides=overrides, certify=certify))
-        labels.append(label)
-    with_log = _open_log(results_path, durable=durable, faults=faults)
-    by_key = _run_batch(
-        tasks, jobs, with_log, wall_timeout, faults, mem_limit_mb,
-    )
-    results: List[PairResult] = []
-    for label in labels:
-        po_run = by_key[(label, "PO")]
-        to_run = by_key[(label, "TO(eq16)")]
-        _checked(to_run, po_run, with_log)
-        results.append(PairResult(label, label.rsplit("-", 1)[0], {"eu_au": to_run}, po_run))
-    if with_log is not None:
-        with_log.close()
-    return results
+        # The encoder builds the prenex form itself, so it is solved as-is
+        # ("po" mode, where the strategy does not enter the fingerprint) and
+        # recorded as the TO side under eu_au, the order equation (16) is.
+        yield label.rsplit("-", 1)[0], [task(label, "PO", tree),
+                                        task(label, "TO(eq16)", flat, "po", "eu_au")]
+
+
+SUITES["dia"] = Suite("DIA", (("eq16", "eu_au"),), _dia)
 
 
 # -- QBFEVAL'06-style suites (Section VII-D / Table I rows 7-8 / Figure 7) -------
@@ -412,52 +308,93 @@ def _fixed_pool(count: int, seed_base: int) -> List[FixedParams]:
     return out
 
 
-def run_eval06(
-    kind: str,
-    budget: Budget = Budget(decisions=4000),
-    count: int = 30,
-    min_ratio: float = 0.2,
+#: footnote 9: an instance is kept only if miniscoping recovers more
+#: structure than this PO/TO ratio.
+MIN_STRUCTURE_RATIO = 0.2
+
+
+def _eval06(kind: str, count: int, task: TaskFactory) -> Iterator[Instance]:
+    """The Figure-7 pipeline: miniscope, filter by PO/TO ratio, compare.
+
+    The (cheap) miniscoping filter runs in-process; only the solver runs
+    are fanned out. The paper reports that the vast majority of evaluation
+    instances show no tangible structure.
+    """
+    for label, phi in eval06_instances(kind, count):
+        tree = miniscope(phi)
+        if structure_ratio(phi, tree) <= MIN_STRUCTURE_RATIO:
+            yield kind, []
+            continue
+        yield kind, [task(label, "TO(eu_au)", phi, "to", "eu_au"), task(label, "PO", tree)]
+
+
+SUITES["prob"] = Suite("PROB", EU_AU_ROW, functools.partial(_eval06, "prob"))
+SUITES["fixed"] = Suite("FIXED", EU_AU_ROW, functools.partial(_eval06, "fixed"))
+
+
+# -- the sweep -------------------------------------------------------------------
+
+
+def run_suite(
+    suite: str,
+    size: int,
+    budget: Budget,
     jobs: int = 1,
     results_path: Optional[str] = None,
     wall_timeout: Optional[float] = None,
     certify: bool = False,
     engine: str = "counters",
-    faults: Optional["FaultPlan"] = None,
-    durable: bool = True,
+    faults: Optional[FaultPlan] = None,
     mem_limit_mb: Optional[float] = None,
 ) -> Tuple[List[PairResult], int]:
-    """The Figure-7 pipeline: miniscope, filter by PO/TO ratio, compare.
+    """Solve every TO/PO pair of ``suite`` in one batch.
 
-    Returns the pair results for instances that pass the footnote-9 filter
-    plus the number of instances filtered out (the paper reports that the
-    vast majority of evaluation instances show no tangible structure). The
-    (cheap) miniscoping filter runs in-process; only the solver runs are
-    fanned out.
+    ``size`` is the instances per NCF setting, the FPV/PROB/FIXED instance
+    count, or the DIA bound cap. The batch goes to
+    :func:`repro.evalx.parallel.run_tasks`: ``jobs=1`` runs serially
+    in-process, ``jobs>1`` fans out over worker processes with hard
+    per-run ``wall_timeout`` kills and crash isolation, and
+    ``results_path`` makes the sweep resumable (recorded runs are skipped).
+    A TO/PO disagreement is recorded as a results row, or raised when no
+    results file records it. Returns the pairs and how many instances the
+    footnote-9 filter dropped (0 outside PROB/FIXED).
     """
-    overrides = engine_overrides(engine)
-    tasks: List[Task] = []
-    labels: List[str] = []
-    filtered_out = 0
-    for label, phi in eval06_instances(kind, count):
-        tree = miniscope(phi)
-        if structure_ratio(phi, tree) <= min_ratio:
-            filtered_out += 1
-            continue
-        tasks.append(Task(label, "TO(eu_au)", phi, "to", "eu_au", budget,
-                          overrides=overrides, certify=certify))
-        tasks.append(Task(label, "PO", tree, "po", budget=budget,
-                          overrides=overrides, certify=certify))
-        labels.append(label)
-    with_log = _open_log(results_path, durable=durable, faults=faults)
-    by_key = _run_batch(
-        tasks, jobs, with_log, wall_timeout, faults, mem_limit_mb,
-    )
-    results: List[PairResult] = []
-    for label in labels:
-        to_run = by_key[(label, "TO(eu_au)")]
-        po_run = by_key[(label, "PO")]
-        _checked(to_run, po_run, with_log)
-        results.append(PairResult(label, kind, {"eu_au": to_run}, po_run))
-    if with_log is not None:
-        with_log.close()
-    return results, filtered_out
+    task = functools.partial(Task, budget=budget, overrides=engine_overrides(engine),
+                             certify=certify)
+    built = list(SUITES[suite].build(size, task))
+    kept = [(setting, runs) for setting, runs in built if runs]
+    pairs: List[PairResult] = []
+    with ResultsLog(results_path, faults=faults) if results_path else nullcontext() as log:
+        records = run_tasks(
+            [t for _, runs in kept for t in runs],
+            jobs=jobs,
+            results=log,
+            wall_timeout=wall_timeout,
+            faults=faults,
+            mem_limit_mb=mem_limit_mb,
+        )
+        by_key = measurements_by_key(records)
+        for setting, runs in kept:
+            label = runs[0].instance
+            po_run = by_key[(label, "PO")]
+            to_runs = {t.strategy: by_key[(label, t.solver)]
+                       for t in runs if t.solver != "PO"}
+            for m in to_runs.values():
+                try:
+                    check_agreement(m, po_run)
+                except SolverDisagreement as exc:
+                    note_disagreement(exc, log)
+            pairs.append(PairResult(label, setting, to_runs, po_run))
+    return pairs, len(built) - len(kept)
+
+
+def table1_rows(
+    suite: str, pairs: Sequence[PairResult], tie_margin: int
+) -> List[Table1Row]:
+    """``suite``'s Table I rows, in paper order, over its solved pairs."""
+    spec = SUITES[suite]
+    return [
+        build_row(spec.title, label, [(p.to_run(key), p.po_run) for p in pairs],
+                  tie_margin=tie_margin)
+        for label, key in spec.rows
+    ]

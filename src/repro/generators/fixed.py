@@ -100,23 +100,3 @@ def _chained(params: FixedParams) -> QBF:
         clause_len=params.clause_len,
     )
     return phi
-
-
-def fixed_sweep(count: int = 24, seed_base: int = 0) -> List[FixedParams]:
-    """A mixed pool of structured instances (both families)."""
-    out: List[FixedParams] = []
-    rng = random.Random(seed_base)
-    for i in range(count):
-        family = "interleaved" if i % 3 != 2 else "chained"
-        out.append(
-            FixedParams(
-                family=family,
-                groups=rng.randint(2, 3),
-                blocks_per_group=3,
-                block_size=rng.randint(1, 2),
-                clauses_per_group=rng.randint(5, 10),
-                clause_len=3,
-                seed=seed_base + i,
-            )
-        )
-    return out

@@ -104,23 +104,3 @@ def generate_fpv(params: FpvParams) -> QBF:
     branches = [round_spec(1, config, []) for _ in range(params.requirements)]
     prefix = Prefix.tree([(EXISTS, tuple(config), tuple(branches))])
     return QBF(prefix, clauses)
-
-
-def fpv_sweep(count: int = 30, seed_base: int = 0) -> List[FpvParams]:
-    """A spread of FPV instances of growing width and depth."""
-    out: List[FpvParams] = []
-    rng = random.Random(seed_base)
-    for i in range(count):
-        out.append(
-            FpvParams(
-                config_bits=rng.randint(2, 4),
-                requirements=rng.randint(2, 3),
-                levels=rng.randint(2, 3),
-                env_bits=2,
-                run_bits=rng.randint(3, 4),
-                ratio=rng.choice((2.5, 3.0)),
-                clause_len=4,
-                seed=seed_base + i,
-            )
-        )
-    return out

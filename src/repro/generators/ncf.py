@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.core.formula import QBF
 from repro.core.literals import EXISTS, Quant
@@ -104,31 +104,6 @@ def generate_ncf(params: NcfParams) -> QBF:
 
     root = grow(1, EXISTS, [], [])
     return QBF(Prefix.tree([root]), clauses)
-
-
-def ncf_sweep(
-    deps: Tuple[int, ...] = (3,),
-    vars_: Tuple[int, ...] = (2, 3, 4),
-    ratios: Tuple[int, ...] = (1, 2, 3, 4, 5),
-    lpcs: Tuple[int, ...] = (2, 3),
-    instances: int = 5,
-    seed_base: int = 0,
-) -> Iterator[NcfParams]:
-    """The Section VII-A parameter sweep, scaled for a Python solver.
-
-    The paper fixes DEP=6, VAR ∈ {4,8,16}, CLS/VAR ∈ {1..5}, LPC ∈ {3..6}
-    and draws 100 instances per setting; the defaults here shrink each axis
-    so a full sweep stays tractable in pure Python while covering the same
-    grid shape. ``CLS`` is derived from the ratio as ``ratio * VAR``.
-    """
-    seed = seed_base
-    for dep in deps:
-        for var in vars_:
-            for ratio in ratios:
-                for lpc in lpcs:
-                    for _ in range(instances):
-                        yield NcfParams(dep=dep, var=var, cls=ratio * var, lpc=lpc, seed=seed)
-                        seed += 1
 
 
 def scope_clauses_check(formula: QBF) -> bool:

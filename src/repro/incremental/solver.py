@@ -102,13 +102,11 @@ class IncrementalSolver:
         self._formula: Optional[QBF] = None
         self._retained: List[Retained] = []
         self._last_prefix = None
-        #: aggregate counters across the solver's lifetime.
+        #: solves over the solver's lifetime.
         self.solves = 0
-        self.total_decisions = 0
-        #: constraints injected into / harvested from the most recent solve.
+        #: constraints injected into the most recent solve.
         self.last_retained_clauses = 0
         self.last_retained_cubes = 0
-        self.last_result: Optional[SolveResult] = None
         self.last_certificate: Optional[MemorySink] = None
         self._last_formula: Optional[QBF] = None
 
@@ -224,18 +222,8 @@ class IncrementalSolver:
         self._last_prefix = formula.prefix
         self._last_formula = formula
         self.last_certificate = inner
-        self.last_result = result
         self.solves += 1
-        self.total_decisions += result.stats.decisions
         return result
-
-    @property
-    def retained_clauses(self) -> int:
-        return sum(1 for r in self._retained if not r.is_cube)
-
-    @property
-    def retained_cubes(self) -> int:
-        return sum(1 for r in self._retained if r.is_cube)
 
     def check_last_certificate(self):
         """Independently check the last solve's certificate (certify mode)."""

@@ -27,8 +27,9 @@ Both share the same CNF conversion, with definition variables innermost —
 matching the worked example in Section VII-C where the single CNF variable
 ``x`` ends up in the last block of prefixes (18) and (19).
 
-:func:`compute_diameter` runs the paper's outer loop: test φ_0, φ_1, …
-until the first false formula, whose index is the diameter.
+:func:`sweep_bounds` runs the paper's outer loop: test φ_0, φ_1, … until
+the first false formula, whose index is the diameter. :func:`compute_diameter`
+runs it on these formulas; :mod:`repro.smv.incremental` on stable ids.
 """
 
 from __future__ import annotations
@@ -102,9 +103,13 @@ def diameter_qbf(model: SymbolicModel, n: int, form: str = "tree") -> QBF:
     return phi
 
 
+#: the longest bound a sweep tests; every model here has a far smaller diameter.
+MAX_BOUND = 64
+
+
 @dataclass
 class DiameterRun:
-    """Outcome of one :func:`compute_diameter` call."""
+    """Outcome of one diameter sweep (:func:`sweep_bounds`)."""
 
     model_name: str
     diameter: Optional[int]
@@ -116,33 +121,30 @@ class DiameterRun:
         return sum(r.stats.decisions for r in self.results)
 
     @property
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.results)
-
-    @property
     def timed_out(self) -> bool:
         return self.diameter is None
 
 
-def compute_diameter(
-    model: SymbolicModel,
-    form: str = "tree",
-    config: Optional[SolverConfig] = None,
-    max_n: int = 64,
-    solve_fn: Callable[[QBF, Optional[SolverConfig]], SolveResult] = solve,
-) -> DiameterRun:
-    """Run the Section VII-C loop: the diameter is the first n with φ_n false.
+def sweep_bounds(run: DiameterRun, solve_bound: Callable[[int], SolveResult]) -> DiameterRun:
+    """The Section VII-C loop: the diameter is the first n with φ_n false.
 
-    A budget exhaustion (UNKNOWN) at any n aborts the run with
+    ``solve_bound(n)`` solves φ_n; every result is appended to ``run``. A
+    budget exhaustion (UNKNOWN) at any n ends the sweep with
     ``diameter=None`` — the reproduction's "timeout" outcome.
     """
-    run = DiameterRun(model_name=model.name, diameter=None)
-    for n in range(max_n + 1):
-        result = solve_fn(diameter_qbf(model, n, form), config)
+    for n in range(MAX_BOUND + 1):
+        result = solve_bound(n)
         run.results.append(result)
-        if result.outcome is Outcome.UNKNOWN:
-            return run
         if result.outcome is Outcome.FALSE:
             run.diameter = n
-            return run
+        if result.outcome is not Outcome.TRUE:
+            break
     return run
+
+
+def compute_diameter(
+    model: SymbolicModel, form: str = "tree", config: Optional[SolverConfig] = None
+) -> DiameterRun:
+    """The sweep on :func:`diameter_qbf`'s φ_n in ``form``, one solve per bound."""
+    return sweep_bounds(DiameterRun(model.name, None),
+                        lambda n: solve(diameter_qbf(model, n, form), config))

@@ -32,12 +32,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.formula import QBF
 from repro.core.literals import EXISTS, FORALL
-from repro.core.result import Outcome
+from repro.core.result import SolveResult
 from repro.core.solver import SolverConfig, solve
 from repro.formulas.ast import Formula, Not, nnf
 from repro.formulas.cnf import _Clausifier
 from repro.incremental import IncrementalSolver
-from repro.smv.diameter import DiameterRun, t_prime
+from repro.smv.diameter import DiameterRun, sweep_bounds, t_prime
 from repro.smv.models import SymbolicModel, equal_states
 
 #: a group label: ("init-x",), ("fwd", i), ("neg-t-y", i), ("neg-eq", n), …
@@ -144,7 +144,6 @@ class IncrementalDiameterRun(DiameterRun):
 def incremental_diameter(
     model: SymbolicModel,
     config: Optional[SolverConfig] = None,
-    max_n: int = 64,
     certify: bool = False,
 ) -> IncrementalDiameterRun:
     """The Section VII-C loop on one persistent :class:`IncrementalSolver`.
@@ -156,39 +155,23 @@ def incremental_diameter(
     """
     fam = DiameterFamily(model)
     inc = IncrementalSolver(config, certify=certify)
-    run = IncrementalDiameterRun(model_name=model.name, diameter=None)
-    for n in range(max_n + 1):
+    run = IncrementalDiameterRun(model.name, None)
+
+    def solve_bound(n: int) -> SolveResult:
         inc.load(fam.formula(n))
         result = inc.solve()
-        run.results.append(result)
-        run.retained_per_bound.append(
-            inc.last_retained_clauses + inc.last_retained_cubes
-        )
-        if result.outcome is Outcome.UNKNOWN:
-            return run
-        if result.outcome is Outcome.FALSE:
-            run.diameter = n
-            return run
-    return run
+        run.retained_per_bound.append(inc.last_retained_clauses + inc.last_retained_cubes)
+        return result
+
+    return sweep_bounds(run, solve_bound)
 
 
 def scratch_diameter(
-    model: SymbolicModel,
-    config: Optional[SolverConfig] = None,
-    max_n: int = 64,
+    model: SymbolicModel, config: Optional[SolverConfig] = None
 ) -> DiameterRun:
     """The same sweep on the same stable formulas, one fresh solve per bound.
 
     This is the apples-to-apples baseline for the incremental sweep: the
     formulas are bit-identical, only the retention is missing."""
     fam = DiameterFamily(model)
-    run = DiameterRun(model_name=model.name, diameter=None)
-    for n in range(max_n + 1):
-        result = solve(fam.formula(n), config)
-        run.results.append(result)
-        if result.outcome is Outcome.UNKNOWN:
-            return run
-        if result.outcome is Outcome.FALSE:
-            run.diameter = n
-            return run
-    return run
+    return sweep_bounds(DiameterRun(model.name, None), lambda n: solve(fam.formula(n), config))

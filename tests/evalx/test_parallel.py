@@ -384,32 +384,28 @@ class TestDisagreementPlumbing:
 
 
 class TestSuiteIntegration:
-    def test_run_ncf_parallel_equals_serial(self):
-        from repro.evalx.suites import run_ncf
+    def test_parallel_sweep_equals_serial(self):
+        from repro.evalx.suites import run_suite
 
         tiny = Budget(decisions=150)
-        serial = run_ncf(budget=tiny, instances=1, strategies=("eu_au",))
-        parallel = run_ncf(
-            budget=tiny, instances=1, strategies=("eu_au",), jobs=2, wall_timeout=60
-        )
+        serial, _ = run_suite("ncf", 1, tiny)
+        parallel, _ = run_suite("ncf", 1, tiny, jobs=2, wall_timeout=60)
         def key(results):
             return [
                 (r.instance, r.setting, r.po_run.outcome, r.po_run.decisions,
-                 r.to_run("eu_au").outcome, r.to_run("eu_au").decisions)
+                 [(s, m.outcome, m.decisions) for s, m in r.to_runs.items()])
                 for r in results
             ]
         assert key(serial) == key(parallel)
 
-    def test_run_ncf_resumable(self, tmp_path):
-        from repro.evalx.suites import run_ncf
+    def test_sweep_resumes(self, tmp_path):
+        from repro.evalx.suites import run_suite
 
         path = str(tmp_path / "ncf.jsonl")
         tiny = Budget(decisions=150)
-        first = run_ncf(budget=tiny, instances=1, strategies=("eu_au",),
-                        results_path=path)
+        first, _ = run_suite("ncf", 1, tiny, results_path=path)
         lines_after_first = sum(1 for _ in open(path))
-        again = run_ncf(budget=tiny, instances=1, strategies=("eu_au",),
-                        results_path=path)
+        again, _ = run_suite("ncf", 1, tiny, results_path=path)
         assert sum(1 for _ in open(path)) == lines_after_first
         assert [r.instance for r in first] == [r.instance for r in again]
 

@@ -11,11 +11,9 @@ from repro.evalx.suites import (
     eval06_instances,
     fpv_instances,
     ncf_settings,
-    run_dia,
-    run_eval06,
-    run_fpv,
-    run_ncf,
+    run_suite,
 )
+from repro.prenexing.strategies import STRATEGIES
 
 TINY = Budget(decisions=200, seconds=5.0)
 
@@ -52,29 +50,27 @@ class TestPools:
             eval06_instances("quantum", count=1)
 
 
-class TestRunners:
-    def test_run_ncf_smoke(self):
-        results = run_ncf(budget=TINY, instances=1, strategies=("eu_au",))
-        assert len(results) == 6
-        for r in results:
-            assert isinstance(r, PairResult)
-            assert r.po_run.solver == "PO"
-            assert r.to_run("eu_au").solver == "TO(eu_au)"
-            assert r.to_best is r.to_run("eu_au")
+#: suite -> (size, pairs, filtered out, TO run labels by strategy)
+SWEEPS = {
+    "ncf": (1, 6, 0, {s: "TO(%s)" % s for s in STRATEGIES}),
+    "fpv": (2, 2, 0, {"eu_au": "TO(eu_au)"}),
+    # one bound (n = 0) per model
+    "dia": (0, 10, 0, {"eu_au": "TO(eq16)"}),
+    "prob": (4, 2, 2, {"eu_au": "TO(eu_au)"}),
+    "fixed": (4, 4, 0, {"eu_au": "TO(eu_au)"}),
+}
 
-    def test_run_fpv_smoke(self):
-        results = run_fpv(budget=TINY, count=2)
-        assert len(results) == 2
 
-    def test_run_dia_smoke(self):
-        results = run_dia(budget=TINY, max_n_cap=0)
-        assert results
-        # Each model contributes n = 0 .. min(d+1, 0)+1 instances.
-        assert all("-n" in r.instance for r in results)
-
-    def test_run_eval06_smoke(self):
-        kept, filtered = run_eval06("prob", budget=TINY, count=4)
-        assert len(kept) + filtered == pytest.approx(4, abs=0)
+@pytest.mark.parametrize("suite", list(SWEEPS))
+def test_run_suite(suite):
+    size, count, dropped, labels = SWEEPS[suite]
+    pairs, filtered_out = run_suite(suite, size, TINY)
+    assert (len(pairs), filtered_out) == (count, dropped)
+    assert len({r.instance for r in pairs}) == count
+    for r in pairs:
+        assert isinstance(r, PairResult)
+        assert r.po_run.solver == "PO" and r.po_run.instance == r.instance
+        assert {s: m.solver for s, m in r.to_runs.items()} == labels
 
 
 def test_engine_overrides_name_every_non_default_engine(monkeypatch):

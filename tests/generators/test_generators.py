@@ -7,9 +7,10 @@ import pytest
 from repro.core.expansion import evaluate
 from repro.core.literals import EXISTS, FORALL
 from repro.core.solver import SolverConfig, solve
-from repro.generators.fixed import FixedParams, fixed_sweep, generate_fixed
-from repro.generators.fpv import FpvParams, fpv_sweep, generate_fpv
-from repro.generators.ncf import NcfParams, generate_ncf, ncf_sweep, scope_clauses_check
+from repro.evalx.suites import _fixed_pool, ncf_settings
+from repro.generators.fixed import FixedParams, generate_fixed
+from repro.generators.fpv import FpvParams, generate_fpv
+from repro.generators.ncf import NcfParams, generate_ncf, scope_clauses_check
 from repro.generators.random_qbf import random_prenex_qbf, random_tree_qbf
 from repro.prenexing.miniscoping import miniscope, structure_ratio
 from repro.prenexing.strategies import STRATEGIES, prenex
@@ -44,9 +45,12 @@ class TestNcf:
             NcfParams(dep=0)
 
     def test_sweep_covers_grid(self):
-        settings = list(ncf_sweep(deps=(2,), vars_=(2, 3), ratios=(1, 2), lpcs=(2,), instances=2))
-        assert len(settings) == 2 * 2 * 1 * 2
-        assert len({p.seed for p in settings}) == len(settings)
+        settings = ncf_settings(instances=2)
+        pool = [p for _, params in settings for p in params]
+        assert len({p.seed for p in pool}) == len(pool) == 6 * 2
+        for label, params in settings:
+            assert {"d%d-v%d-r%d-l%d" % (p.dep, p.var, p.cls // p.var, p.lpc)
+                    for p in params} == {label}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_prenexings_preserve_value(self, seed):
@@ -84,11 +88,6 @@ class TestFpv:
             for j in range(i + 1, len(branch_vars)):
                 assert not (branch_vars[i] & branch_vars[j])
 
-    def test_sweep(self):
-        pool = fpv_sweep(count=10, seed_base=7)
-        assert len(pool) == 10
-        assert len({p.label for p in pool}) == 10
-
     @pytest.mark.parametrize("seed", range(4))
     def test_value_matches_oracle_when_small(self, seed):
         phi = generate_fpv(
@@ -123,7 +122,7 @@ class TestFixed:
             generate_fixed(FixedParams(family="wavy"))
 
     def test_sweep_mixes_families(self):
-        pool = fixed_sweep(count=12, seed_base=0)
+        pool = _fixed_pool(12, seed_base=0)
         families = {p.family for p in pool}
         assert families == {"interleaved", "chained"}
 

@@ -174,3 +174,10 @@ class TestCliExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
+
+    def test_retired_no_fsync_flag_exits_2(self, capsys):
+        # sweeps always fsync their results rows
+        with pytest.raises(SystemExit) as exc:
+            main(["evalx", "run", "ncf", "--no-fsync"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-fsync" in capsys.readouterr().err

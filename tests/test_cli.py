@@ -5,7 +5,7 @@ import pytest
 from repro.cli import main
 from repro.core.formula import paper_example
 from repro.io import qdimacs, qtree
-from repro.prenexing.strategies import prenex
+from repro.prenexing.strategies import STRATEGIES, prenex
 
 
 @pytest.fixture
@@ -135,6 +135,31 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "certificates:" in out
         assert "0 invalid" in out
+
+
+#: suite -> (--instances, pairs solved, Table I title, its row labels)
+EVALX_SUITES = {
+    "ncf": ("1", 6, "NCF", list(STRATEGIES)),
+    "fpv": ("2", 2, "FPV", ["eu_au"]),
+    "dia": ("0", 10, "DIA", ["eq16"]),
+    "prob": ("4", 2, "PROB", ["eu_au"]),
+    "fixed": ("4", 4, "FIXED", ["eu_au"]),
+}
+
+
+@pytest.mark.parametrize("suite", list(EVALX_SUITES))
+def test_evalx_run_prints_one_table1_row_per_strategy(suite, capsys):
+    size, pairs, title, labels = EVALX_SUITES[suite]
+    assert main(["evalx", "run", suite, "--instances", size, "--decisions", "200"]) == 0
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.split()[:1] == [title]]
+    assert [row[1] for row in rows] == labels
+    for row in rows:
+        # >, < and = split the pairs: every pair is counted in exactly one
+        assert sum(int(c) for c in row[2:5]) == pairs
+    filtered = [line for line in out.splitlines() if line.startswith("structure filter")]
+    assert filtered == (["structure filter dropped %d instance(s)" % (int(size) - pairs)]
+                        if suite in ("prob", "fixed") else [])
 
 
 def test_retired_cube_subcommand_exits_2(tree_file):
