@@ -5,9 +5,9 @@
  * Trail.lit_val), per-record satisfaction counters, occurrence lists as
  * growable int vectors, the occ_unsat / cube_count pure-literal sidecar and
  * the propagation trail itself.  The Python wrapper
- * (repro.core.engine.native.NativeBackend) forwards every assign/backtrack
- * and replays the kernel's push log onto the Python Trail after each
- * propagate() call, so the Python-visible search state stays identical.
+ * (repro.core.engine.native.NativeBackend) forwards every assign/backtrack,
+ * and each propagate_into() call replays the kernel's push log onto the
+ * Python Trail's lists, so the Python-visible search state stays identical.
  *
  * THE CONTRACT: this file is a line-for-line port of the eager
  * counter-backend semantics (repro/core/engine/counters.py and the shared
@@ -25,9 +25,9 @@
 
 /* version stamp surfaced as repro._native.KERNEL_VERSION; bump on any
  * change to the kernel semantics or the wrapper-facing API. */
-#define KERNEL_VERSION 4
+#define KERNEL_VERSION 5
 
-/* propagate() event codes (wrapper maps them to the backend protocol) */
+/* propagate_into() event codes (wrapper maps them to the backend protocol) */
 #define EV_NONE 0
 #define EV_CONFLICT 1
 #define EV_SOLUTION 2
@@ -128,7 +128,7 @@ typedef struct {
     IntVec scratch_kept;
     unsigned char *chosen; /* literal-indexed, model-cube construction */
 
-    /* push log of one propagate() call: (lit, tag, rec_id) triples */
+    /* push log of one propagate_into() call: (lit, tag, rec_id) triples */
     IntVec push_log;
 
     /* per-propagate stat deltas */
@@ -621,114 +621,25 @@ NativeCore_backtrack(NativeCore *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* propagate(queue_head)
- *   -> (event, rec_id, pushes, new_queue_head,
- *       max_trail, propagations, pure_literals, clause_visits, cube_visits)
- *
- * The dequeue loop of CounterBackend.propagate.  `pushes` lists every
- * assignment made inside this call as (lit, tag, rec_id) triples, in
- * chronological order, for the wrapper to replay onto the Python Trail.
- * Stats are deltas for this call; max_trail is the running peak. */
-static PyObject *
-NativeCore_propagate(NativeCore *self, PyObject *args)
-{
-    Py_ssize_t qh, i;
-    int event = EV_NONE;
-    int event_rid = -1;
-    PyObject *pushes, *result;
-
-    if (!PyArg_ParseTuple(args, "n", &qh))
-        return NULL;
-    if (qh < 0 || qh > self->trail.len) {
-        PyErr_Format(PyExc_ValueError, "queue head %zd out of range", qh);
-        return NULL;
-    }
-    self->push_log.len = 0;
-    self->d_propagations = 0;
-    self->d_pure_literals = 0;
-    self->d_clause_visits = 0;
-    self->d_cube_visits = 0;
-
-    for (;;) {
-        while (qh < self->trail.len) {
-            int lit = self->trail.data[qh++];
-            IntVec *occ = &self->clause_occ[self->base - lit];
-            for (i = 0; i < occ->len; i++) {
-                int rid = occ->data[i];
-                if (self->recs[rid].n_true == 0) {
-                    event = examine(self, rid, 0);
-                    if (event < 0)
-                        return PyErr_NoMemory();
-                    if (event != EV_NONE) {
-                        event_rid = rid;
-                        goto done;
-                    }
-                }
-            }
-            occ = &self->cube_occ[self->base + lit];
-            for (i = 0; i < occ->len; i++) {
-                int rid = occ->data[i];
-                if (self->recs[rid].n_false == 0) {
-                    event = examine(self, rid, 1);
-                    if (event < 0)
-                        return PyErr_NoMemory();
-                    if (event != EV_NONE) {
-                        event_rid = rid;
-                        goto done;
-                    }
-                }
-            }
-        }
-        if (self->n_unsat_orig == 0) {
-            event = EV_MODEL;
-            goto done;
-        }
-        if (self->track_pure) {
-            int assigned = apply_pure(self);
-            if (assigned < 0)
-                return PyErr_NoMemory();
-            if (assigned)
-                continue;
-        }
-        event = EV_NONE;
-        goto done;
-    }
-
-done:
-    pushes = PyList_New(self->push_log.len / 3);
-    if (pushes == NULL)
-        return NULL;
-    for (i = 0; i < self->push_log.len / 3; i++) {
-        PyObject *t = Py_BuildValue("(iii)", self->push_log.data[3 * i],
-                                    self->push_log.data[3 * i + 1],
-                                    self->push_log.data[3 * i + 2]);
-        if (t == NULL) {
-            Py_DECREF(pushes);
-            return NULL;
-        }
-        PyList_SET_ITEM(pushes, i, t);
-    }
-    result = Py_BuildValue("(iiNnLLLLL)", event, event_rid, pushes, qh,
-                           self->max_trail, self->d_propagations,
-                           self->d_pure_literals, self->d_clause_visits,
-                           self->d_cube_visits);
-    return result;
-}
-
 /* propagate_into(queue_head, value, lit_val, level, pos, reason, lits,
  *                level_no, block_index, block_unassigned, block_blockers,
  *                deeper_desc, recs, pure_sentinel)
  *   -> (event, rec_id, new_queue_head,
  *       max_trail, propagations, pure_literals, clause_visits, cube_visits)
  *
- * propagate() with the push replay fused in: instead of returning the push
- * log for the wrapper to walk, the kernel performs Trail._push_fast itself
- * on the engine's own Python lists — values, levels, positions, reasons,
- * the literal stack and the incremental frontier counters.  All pushes of
- * one propagate call share the current decision level (propagation never
- * opens levels), passed in as `level_no`.  `recs` maps the kernel's record
- * ids back to the wrapper's Rec objects for the reason column;
- * `pure_sentinel` is the PURE reason marker. */
+ * The dequeue loop of CounterBackend.propagate, then the replay of every
+ * assignment it made onto the engine's own Python lists: the kernel
+ * performs Trail._push_fast itself on the values, levels, positions,
+ * reasons, the literal stack and the incremental frontier counters.  All
+ * pushes of one propagate call share the current decision level
+ * (propagation never opens levels), passed in as `level_no`.  `recs` maps
+ * the kernel's record ids back to the wrapper's Rec objects for the reason
+ * column; `pure_sentinel` is the PURE reason marker.  Stats are deltas for
+ * this call; max_trail is the running peak.
+ *
+ * replay_push refuses a variable the Python trail already holds, on every
+ * run, as Trail's checked push does: the two trails disagreeing is an
+ * engine bug, never a property of the input. */
 static int
 replay_push(NativeCore *self, int lit, PyObject *reason_obj, PyObject *value,
             PyObject *lit_val, PyObject *level, PyObject *pos,
@@ -739,6 +650,16 @@ replay_push(NativeCore *self, int lit, PyObject *reason_obj, PyObject *value,
     long bi, n;
     PyObject *num;
 
+    num = PyList_GetItem(value, v);
+    if (num == NULL)
+        return -1;
+    n = PyLong_AsLong(num);
+    if (n == -1 && PyErr_Occurred())
+        return -1;
+    if (n != 0) {
+        PyErr_Format(PyExc_AssertionError, "double assignment of %ld", v);
+        return -1;
+    }
     if (PyList_SetItem(value, v, PyLong_FromLong(lit > 0 ? 1 : -1)) < 0)
         return -1;
     if (PyList_SetItem(lit_val, self->base + lit, PyLong_FromLong(1)) < 0)
@@ -815,8 +736,8 @@ NativeCore_propagate_into(NativeCore *self, PyObject *args)
     self->d_cube_visits = 0;
 
     for (;;) {
-        /* same dequeue loop as propagate(); the replay onto the Python
-         * lists is deferred to the end — nothing below reads them */
+        /* the replay onto the Python lists is deferred to the end:
+         * nothing in the loop reads them */
         while (qh < self->trail.len) {
             int lit = self->trail.data[qh++];
             IntVec *occ = &self->clause_occ[self->base - lit];
@@ -1098,11 +1019,9 @@ static PyMethodDef NativeCore_methods[] = {
      "assign(lit): push a literal, updating the eager counters"},
     {"backtrack", (PyCFunction)NativeCore_backtrack, METH_VARARGS,
      "backtrack(target_len): pop the trail to target_len, reversing counters"},
-    {"propagate", (PyCFunction)NativeCore_propagate, METH_VARARGS,
-     "propagate(queue_head) -> (event, rid, pushes, qh, max_trail, stats...)"},
     {"propagate_into", (PyCFunction)NativeCore_propagate_into, METH_VARARGS,
-     "propagate(queue_head, <trail lists>, recs, PURE) with the push "
-     "replay fused in; returns (event, rid, qh, max_trail, stats...)"},
+     "propagate_into(queue_head, <trail lists>, recs, PURE): propagate and "
+     "replay the pushes; returns (event, rid, qh, max_trail, stats...)"},
     {"set_candidates", (PyCFunction)NativeCore_set_candidates, METH_O,
      "replace the pure-literal candidate set"},
     {"trail_len", (PyCFunction)NativeCore_trail_len, METH_NOARGS,

@@ -31,17 +31,15 @@ from repro.core.prefix import Prefix, PrefixTables
 
 
 class Constraint:
-    """A clause or cube: canonical literal tuple plus solver bookkeeping."""
+    """A clause or cube: a canonical literal tuple."""
 
-    __slots__ = ("lits", "learned", "activity")
+    __slots__ = ("lits",)
 
     #: Subclasses override: True for cubes (conjunctions), False for clauses.
     is_cube = False
 
-    def __init__(self, lits: Iterable[int], learned: bool = False):
+    def __init__(self, lits: Iterable[int]):
         self.lits: Tuple[int, ...] = check_no_duplicate_vars(lits)
-        self.learned = learned
-        self.activity = 0.0
 
     def __len__(self) -> int:
         return len(self.lits)

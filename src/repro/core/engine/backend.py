@@ -215,7 +215,7 @@ class PropagationBackend:
         rec = self.learned_clauses.get(lits)
         if rec is not None:
             return rec
-        rec = Rec(Clause(lits, learned=True), original=False)
+        rec = Rec(Clause(lits), original=False)
         self._split_primaries(rec)
         self.learned_clauses[lits] = rec
         self._install_learned_clause(rec)
@@ -228,7 +228,7 @@ class PropagationBackend:
         rec = self.learned_cubes.get(lits)
         if rec is not None:
             return rec
-        rec = Rec(Cube(lits, learned=True), original=False)
+        rec = Rec(Cube(lits), original=False)
         self._split_primaries(rec)
         self.learned_cubes[lits] = rec
         self._install_learned_cube(rec)

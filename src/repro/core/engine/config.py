@@ -57,10 +57,13 @@ def default_require_native() -> bool:
 def default_paranoid() -> bool:
     """Debug-assertion default: the REPRO_PARANOID environment knob.
 
-    When truthy (anything but empty/``0``), the trail's release-path
-    invariant checks — e.g. the double-assignment guard in ``Trail.push`` —
-    stay active. Off by default: the guards sit on the hottest loop in the
-    solver and only ever fire on engine bugs, never on user input.
+    When truthy (anything but empty/``0``), two invariant checks stay
+    active: the trail's checked push, which refuses a double assignment,
+    and the counter backend's check that a learned cube revived on
+    backtrack has no false literal. Off by default: both sit on hot loops
+    and only ever fire on engine bugs, never on user input. The native
+    kernel's replay onto the trail refuses a double assignment on every
+    run, paranoid or not.
     """
     return os.environ.get("REPRO_PARANOID", "") not in ("", "0")
 
@@ -93,9 +96,9 @@ class SolverConfig:
     #: Selection-policy only — never changes decisions, like `engine` and
     #: `paranoid`.
     require_native: bool = field(default_factory=default_require_native)
-    #: keep the trail's hot-path invariant guards (double-assignment check
-    #: in push) active. Diagnostic only — never changes decisions, like
-    #: `engine`.
+    #: keep two hot-path invariant checks active: the trail's checked push
+    #: (no double assignment) and the counter backend's cube revival check.
+    #: Diagnostic only — never changes decisions, like `engine`.
     paranoid: bool = field(default_factory=default_paranoid)
 
     def __post_init__(self) -> None:

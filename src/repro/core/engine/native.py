@@ -16,12 +16,13 @@ constraints and outcome.  The wrapper keeps the Python
 :class:`~repro.core.engine.trail.Trail` authoritative for everything the
 search layer reads (values, levels, positions, reasons, the branching
 frontier): forwarded ``assign``/``backtrack`` calls update both sides, and
-assignments made *inside* a native ``propagate()`` come back as a
-chronological push log that is replayed onto the Python trail before the
-event is returned.  Only the per-record bookkeeping (occurrence lists,
-satisfaction counters, the pure-literal sidecar) lives exclusively in C —
-the Python ``Rec`` objects remain as identity tokens for the search layer
-and the proof logger.
+assignments made *inside* a native ``propagate()`` are replayed onto the
+Python trail's lists by the kernel itself before the event is returned.
+The replay refuses a variable the Python trail already holds, on every
+run, with the ``AssertionError`` of the trail's checked push.  Only the
+per-record bookkeeping (occurrence lists, satisfaction counters, the
+pure-literal sidecar) lives exclusively in C — the Python ``Rec`` objects
+remain as identity tokens for the search layer and the proof logger.
 
 **Fallback.** When the extension is missing the backend cannot run.  The
 engine-selection layer (:func:`repro.core.engine.search.resolve_backend`)
@@ -128,9 +129,6 @@ class NativeBackend(PropagationBackend):
         # The kernel owns the pure-literal candidates from here on.
         core.set_candidates(sorted(self.pure_candidates))
         self.pure_candidates = None  # type: ignore[assignment]
-        #: paranoid runs keep the two-step replay through Trail.push so the
-        #: trail's double-assignment guard still sees every assignment.
-        self._fast_replay = not config.paranoid
         self._core = core
 
     # -- install hooks ------------------------------------------------------
@@ -175,52 +173,35 @@ class NativeBackend(PropagationBackend):
         trail = self.trail
         stats = self.stats
         recs = self._recs
-        if self._fast_replay:
-            # The kernel replays its own push log onto the trail's lists
-            # (the C twin of Trail._push_fast), so no per-literal Python
-            # code runs at all on the propagation path.
-            (
-                event,
-                rid,
-                queue_head,
-                max_trail,
-                propagations,
-                pure_literals,
-                clause_visits,
-                cube_visits,
-            ) = self._core.propagate_into(
-                trail.queue_head,
-                trail.value,
-                trail.lit_val,
-                trail.level,
-                trail.pos,
-                trail.reason,
-                trail.lits,
-                trail.current_level,
-                trail.block_index,
-                trail.block_unassigned,
-                trail.block_blockers,
-                trail._deeper_desc,
-                recs,
-                PURE,
-            )
-        else:
-            # Paranoid mode: replay through Trail.push so its invariant
-            # guards (double-assignment check) stay on the hot path.
-            (
-                event,
-                rid,
-                pushes,
-                queue_head,
-                max_trail,
-                propagations,
-                pure_literals,
-                clause_visits,
-                cube_visits,
-            ) = self._core.propagate(trail.queue_head)
-            push = trail.push
-            for lit, tag, reason_rid in pushes:
-                push(lit, PURE if tag == 1 else recs[reason_rid])
+        # The kernel replays its own push log onto the trail's lists (the C
+        # twin of Trail._push_fast, refusing a double assignment as the
+        # checked push does), so no per-literal Python code runs at all on
+        # the propagation path.
+        (
+            event,
+            rid,
+            queue_head,
+            max_trail,
+            propagations,
+            pure_literals,
+            clause_visits,
+            cube_visits,
+        ) = self._core.propagate_into(
+            trail.queue_head,
+            trail.value,
+            trail.lit_val,
+            trail.level,
+            trail.pos,
+            trail.reason,
+            trail.lits,
+            trail.current_level,
+            trail.block_index,
+            trail.block_unassigned,
+            trail.block_blockers,
+            trail._deeper_desc,
+            recs,
+            PURE,
+        )
         trail.queue_head = queue_head
         stats.propagations += propagations
         stats.pure_literals += pure_literals

@@ -29,6 +29,7 @@ from repro.core.engine.trail import Trail
 from repro.core.formula import QBF
 from repro.core.heuristics import ScoreKeeper, make_picker
 from repro.core.learning import (
+    AnalysisOutcome,
     Backjump,
     Terminal,
     TrailView,
@@ -143,10 +144,6 @@ class SearchEngine:
             pos_of=self.trail.pos.__getitem__,
             reason_of=_reason_reader(self.trail.reason),
             prefix=self.prefix,
-            lit_val=self.trail.lit_val,
-            base=self.trail.base,
-            level_arr=self.trail.level,
-            pos_arr=self.trail.pos,
             reduce_clause=self.backend.reduce_clause_fast,
             reduce_cube=self.backend.reduce_cube_fast,
         )
@@ -315,29 +312,12 @@ class SearchEngine:
             trace.fail("learned constraint does not match its derivation")
 
     def _handle_conflict(self, rec: Rec) -> Optional[Outcome]:
-        if self.config.learn_clauses:
-            trace = None
-            if self._proof is not None:
-                trace = self._proof.begin_clause(rec.lits)
-            outcome = analyze_conflict(rec.lits, self._view, trace)
-            if isinstance(outcome, Terminal):
-                if self._proof is not None:
-                    self._proof.conclude(
-                        "false", trace.final_id if trace is not None else None
-                    )
-                return Outcome.FALSE
-            if isinstance(outcome, Backjump):
-                self.stats.backjumps += 1
-                self.backend.backtrack(outcome.level)
-                learned = self.backend.add_learned_clause(outcome.lits)
-                self._bind_learned(trace, False, outcome.lits)
-                if self._lit_value(outcome.assert_lit) is None:
-                    self.stats.propagations += 1
-                    self.backend.assign(outcome.assert_lit, learned)
-                return None
-        if not self._flip_chronological(EXISTS):
-            return Outcome.FALSE
-        return None
+        if not self.config.learn_clauses:
+            return self._settle(False, None, None)
+        trace = None
+        if self._proof is not None:
+            trace = self._proof.begin_clause(rec.lits)
+        return self._settle(False, analyze_conflict(rec.lits, self._view, trace), trace)
 
     def _handle_solution(self, rec: Optional[Rec]) -> Optional[Outcome]:
         # the model cube before existential reduction: a certificate's
@@ -353,29 +333,48 @@ class SearchEngine:
             cube_lits = build_model_cube(self.backend.orig_clauses, self._view)
             if self._proof is not None:
                 initial = tuple(sorted(self._view.model_set, key=abs))
-        if self.config.learn_cubes:
-            trace = None
+        if not self.config.learn_cubes:
+            return self._settle(True, None, None)
+        trace = None
+        if self._proof is not None:
+            if rec is not None:
+                trace = self._proof.begin_cube(cube_lits)
+            else:
+                trace = self._proof.begin_initial_cube(initial)
+        return self._settle(True, analyze_solution(cube_lits, self._view, trace), trace)
+
+    def _settle(
+        self, is_cube: bool, outcome: Optional[AnalysisOutcome], trace: Optional[object]
+    ) -> Optional[Outcome]:
+        """The shared tail of a conflict (clauses) or a solution (cubes).
+
+        A Terminal analysis concludes the search: FALSE after a conflict,
+        TRUE after a solution. A Backjump backtracks, learns its constraint
+        and asserts it: the existential literal of a clause, the negation
+        of the universal literal of a cube. Anything else (a Fallback, or
+        learning switched off) flips the deepest unflipped decision of the
+        side that lost: existential after a conflict, universal after a
+        solution. Returns the verdict, or None to search on.
+        """
+        verdict = Outcome.TRUE if is_cube else Outcome.FALSE
+        if isinstance(outcome, Terminal):
             if self._proof is not None:
-                if rec is not None:
-                    trace = self._proof.begin_cube(cube_lits)
-                else:
-                    trace = self._proof.begin_initial_cube(initial)
-            outcome = analyze_solution(cube_lits, self._view, trace)
-            if isinstance(outcome, Terminal):
-                if self._proof is not None:
-                    self._proof.conclude(
-                        "true", trace.final_id if trace is not None else None
-                    )
-                return Outcome.TRUE
-            if isinstance(outcome, Backjump):
-                self.stats.backjumps += 1
-                self.backend.backtrack(outcome.level)
+                self._proof.conclude(verdict.value, trace.final_id)
+            return verdict
+        if isinstance(outcome, Backjump):
+            self.stats.backjumps += 1
+            self.backend.backtrack(outcome.level)
+            if is_cube:
                 learned = self.backend.add_learned_cube(outcome.lits)
-                self._bind_learned(trace, True, outcome.lits)
-                if self._lit_value(outcome.assert_lit) is None:
-                    self.stats.propagations += 1
-                    self.backend.assign(-outcome.assert_lit, learned)
-                return None
-        if not self._flip_chronological(FORALL):
-            return Outcome.TRUE
+                lit = -outcome.assert_lit
+            else:
+                learned = self.backend.add_learned_clause(outcome.lits)
+                lit = outcome.assert_lit
+            self._bind_learned(trace, is_cube, outcome.lits)
+            if self._lit_value(lit) is None:
+                self.stats.propagations += 1
+                self.backend.assign(lit, learned)
+            return None
+        if not self._flip_chronological(FORALL if is_cube else EXISTS):
+            return verdict
         return None

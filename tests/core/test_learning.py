@@ -10,7 +10,7 @@ from repro.core.learning import (
     TrailView,
     analyze_conflict,
     analyze_solution,
-    build_model_cube,
+    reference_model_cube,
 )
 from repro.core.literals import EXISTS, FORALL
 from repro.core.prefix import Prefix
@@ -193,7 +193,7 @@ class TestBuildModelCube:
                 5: (True, 3, 4, None),
             },
         )
-        cube = build_model_cube(clauses, trail.view())
+        cube = reference_model_cube(clauses, trail.view())
         for clause in clauses:
             assert any(l in cube for l in clause.lits)
         # Only true literals are selected.
@@ -204,7 +204,7 @@ class TestBuildModelCube:
         clauses = [Clause((1,))]
         trail = FakeTrail(eae_prefix, {1: (False, 1, 0, None)})
         with pytest.raises(ValueError):
-            build_model_cube(clauses, trail.view())
+            reference_model_cube(clauses, trail.view())
 
     def test_prefers_already_chosen_literals(self, eae_prefix):
         # Both clauses satisfied by literal 1: the cube stays a singleton.
@@ -213,5 +213,5 @@ class TestBuildModelCube:
             eae_prefix,
             {1: (True, 1, 0, None), 4: (True, 2, 1, None), 5: (True, 2, 2, None)},
         )
-        cube = build_model_cube(clauses, trail.view())
+        cube = reference_model_cube(clauses, trail.view())
         assert cube == (1,)

@@ -1,12 +1,12 @@
-"""Native-kernel specifics: fallback policy, strict mode, paranoid replay.
+"""Native-kernel specifics: fallback policy, strict mode, the trail replay.
 
 Decision identity between the native backend and the reference is covered
 by the cross-engine parametrization in ``test_engine_equivalence.py``; this
 module pins everything *around* the kernel — what happens when the compiled
 extension is missing (loud fallback or structured error, never a silent
-engine change), and that the paranoid-mode replay path (which routes every
-kernel assignment back through ``Trail.push`` and its invariant guards)
-still matches the reference decision for decision.
+engine change), that paranoid runs (the trail's checked push) still match
+the reference decision for decision, and that the kernel's replay onto the
+Python trail refuses a double assignment.
 """
 
 import dataclasses
@@ -25,8 +25,10 @@ from repro.core.engine.native import (
     native_available,
     native_import_error,
 )
-from repro.core.engine.search import resolve_backend
-from repro.core.formula import paper_example
+from repro.core.engine.search import SearchEngine, resolve_backend
+from repro.core.formula import QBF, paper_example
+from repro.core.literals import EXISTS
+from repro.core.prefix import Prefix
 from repro.core.result import SolverStats
 from repro.core.solver import QdpllSolver, SolverConfig, solve
 from repro.generators.ncf import NcfParams, generate_ncf
@@ -123,8 +125,8 @@ class TestIntrospection:
 
 @needs_native
 class TestParanoidReplay:
-    """Paranoid mode swaps the fused in-kernel trail replay for the two-step
-    path through ``Trail.push``; both must be invisible to the search."""
+    """The kernel replays its pushes onto the Python trail on every run;
+    paranoid mode only checks the pushes the search layer makes itself."""
 
     @pytest.mark.parametrize("pure", [True, False], ids=["pure-on", "pure-off"])
     @pytest.mark.parametrize("seed", range(6))
@@ -158,15 +160,18 @@ class TestParanoidReplay:
         assert par.stats.solutions == ref.stats.solutions
         assert par.stats.propagations == ref.stats.propagations
 
-    def test_flag_selects_the_replay_path(self, monkeypatch):
-        # the default config reads REPRO_PARANOID: clear any ambient setting
-        monkeypatch.delenv("REPRO_PARANOID", raising=False)
-        fast = QdpllSolver(paper_example(), SolverConfig(engine="native"))
-        slow = QdpllSolver(
-            paper_example(), SolverConfig(engine="native", paranoid=True)
+    def test_replay_refuses_a_double_assignment(self):
+        # ∃{1,2} (¬1 ∨ 2)(1 ∨ 2) with pure literals off: deciding 1 makes
+        # the kernel propagate 2, which the Python trail already holds.
+        phi = QBF(Prefix.linear([(EXISTS, [1, 2])]), [(-1, 2), (1, 2)])
+        engine = SearchEngine(
+            phi, SolverConfig(engine="native", pure_literals=False, paranoid=False)
         )
-        assert fast.backend._fast_replay is True
-        assert slow.backend._fast_replay is False
+        engine.trail.open_level(1, flipped=False)
+        engine.backend.assign(1, None)
+        engine.trail.value[2] = 1
+        with pytest.raises(AssertionError, match="double assignment of 2"):
+            engine.backend.propagate()
 
 
 def test_fallback_warning_is_a_runtime_warning():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import (
     Clause,
+    Cube,
     dropped_blocks,
     existential_reduce,
     resolve,
@@ -16,7 +17,16 @@ from repro.core.engine.backend import Rec
 from repro.core.expansion import evaluate
 from repro.core.formula import QBF
 from repro.core.heuristics import ScoreKeeper, make_picker
-from repro.core.learning import TrailView, build_model_cube
+from repro.core.learning import (
+    Backjump,
+    Fallback,
+    Terminal,
+    TrailView,
+    analyze_conflict,
+    analyze_solution,
+    build_model_cube,
+    reference_model_cube,
+)
 from repro.core.literals import EXISTS, FORALL, check_no_duplicate_vars
 from repro.core.prefix import Prefix
 from repro.core.solver import SolverConfig, solve
@@ -274,6 +284,8 @@ def test_reductions_match_the_prec_definition_on_trees(seed):
 @given(st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=150, deadline=None)
 def test_model_cube_array_path_matches_callable_path(seed):
+    """The engine's record path (build_model_cube) against the reference
+    that probes every literal (reference_model_cube)."""
     rng = random.Random(seed)
     prefix = _random_tree_prefix(rng)
     variables = list(prefix.variables)
@@ -303,30 +315,103 @@ def test_model_cube_array_path_matches_callable_path(seed):
         rec.n_true = len(sats)
         rec.first = min(sats, key=lambda l: position[abs(l)])
         records.append(rec)
-    num_slots = max(variables) + 1
-    lit_val = [0] * (2 * num_slots)
-    pos = [-1] * num_slots
-    for v, t in truth.items():
-        lit_val[num_slots + t] = 1
-        lit_val[num_slots - t] = -1
-        pos[v] = position[v]
-    common = dict(value=value, level_of=lambda v: 1, pos_of=position.__getitem__,
-                  reason_of=lambda v: None, prefix=prefix)
-    arrays = TrailView(lit_val=lit_val, base=num_slots, pos_arr=pos, **common)
-    by_callables = build_model_cube(clauses, TrailView(**common))
-    by_arrays = build_model_cube(records, arrays)
+    view = TrailView(value=value, level_of=lambda v: 1, pos_of=position.__getitem__,
+                     reason_of=lambda v: None, prefix=prefix)
+    by_probing = reference_model_cube(clauses, view)
+    by_records = build_model_cube(records, view)
     # The record path chooses the same set and returns it reduced.
-    assert arrays.model_set == set(by_callables)
-    assert by_arrays == existential_reduce(by_callables, prefix)
-    assert list(by_callables) == sorted(by_callables, key=lambda l: (abs(l), l))
-    assert all(value(l) is True for l in by_callables)
-    assert all(set(clause) & set(by_callables) for clause in clauses)
+    assert view.model_set == set(by_probing)
+    assert by_records == existential_reduce(by_probing, prefix)
+    assert list(by_probing) == sorted(by_probing, key=lambda l: (abs(l), l))
+    assert all(value(l) is True for l in by_probing)
+    assert all(set(clause) & set(by_probing) for clause in clauses)
     # An unsatisfied clause is refused on both paths.
     unsat = Rec(Clause([-truth[assigned[0]]]), original=True)
-    for view, matrix in ((arrays, records + [unsat]),
-                         (TrailView(**common), clauses + [unsat.constraint])):
-        with pytest.raises(ValueError):
-            build_model_cube(matrix, view)
+    with pytest.raises(ValueError):
+        build_model_cube(records + [unsat], view)
+    with pytest.raises(ValueError):
+        reference_model_cube(clauses + [unsat.constraint], view)
+
+
+class _RecordingTrace:
+    """Stands in for a certificate's DerivationTrace: keeps the reduce and
+    resolve steps an analysis reports, in order."""
+
+    def __init__(self):
+        self.ok = True
+        self.steps = []
+
+    def reduced(self, lits):
+        self.steps.append(("reduce", tuple(lits)))
+
+    def resolved(self, reason_lits, pivot, lits):
+        self.steps.append(("resolve", tuple(reason_lits), pivot, tuple(lits)))
+
+    def fail(self, reason):
+        self.ok = False
+        self.steps.append(("fail",))
+
+
+def _flip_quantifiers(spec):
+    quant, variables, children = spec
+    return (quant.dual, variables, tuple(_flip_quantifiers(c) for c in children))
+
+
+def _analyses_of_a_case_and_its_mirror(seed):
+    """Conflict analysis of a scripted case and solution analysis of its
+    mirror: every quantifier flipped, every value negated, every reason
+    clause turned into a cube. Returns both outcomes and recorded traces."""
+    rng = random.Random(seed)
+    phi = random_qbf(rng, prenex=False, depth=rng.randint(1, 3), branching=2,
+                     block_size=rng.randint(1, 2), clauses_per_scope=1,
+                     root_quant=rng.choice((EXISTS, FORALL)))
+    prefix = phi.prefix
+    order = list(prefix.variables)
+    rng.shuffle(order)
+    truth, level, pos, reason = {}, {}, {}, {}
+    lvl = 0
+    for p, v in enumerate(order):
+        lvl += p > 0 and rng.random() < 0.4  # nondecreasing along the trail
+        truth[v] = v if rng.random() < 0.5 else -v
+        level[v] = lvl
+        pos[v] = p
+        reason[v] = None
+        if p and rng.random() < 0.6:
+            earlier = rng.sample(order[:p], rng.randint(0, min(3, p)))
+            reason[v] = Clause([truth[v]] + [-truth[u] for u in earlier])
+    work = _random_lits(rng, prefix, 6)
+    mirror = Prefix.tree([_flip_quantifiers(spec) for spec in prefix.to_spec()])
+    cubes = {v: None if r is None else Cube(r.lits) for v, r in reason.items()}
+
+    def view(on, value, reasons):
+        return TrailView(value=value, level_of=level.__getitem__, pos_of=pos.__getitem__,
+                         reason_of=reasons.__getitem__, prefix=on)
+
+    conflict_trace, solution_trace = _RecordingTrace(), _RecordingTrace()
+    conflict = analyze_conflict(work, view(prefix, lambda l: truth[abs(l)] == l, reason),
+                                conflict_trace)
+    solution = analyze_solution(work, view(mirror, lambda l: truth[abs(l)] != l, cubes),
+                                solution_trace)
+    return conflict, solution, conflict_trace.steps, solution_trace.steps
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=300, deadline=None)
+def test_solution_analysis_is_the_dual_of_conflict_analysis(seed):
+    conflict, solution, conflict_steps, solution_steps = _analyses_of_a_case_and_its_mirror(seed)
+    # the same outcome type and, on a Backjump, the same lits/level/assert_lit
+    assert solution == conflict
+    assert solution_steps == conflict_steps
+
+
+def test_the_duality_property_sees_every_outcome_and_resolution():
+    outcomes, resolutions = set(), 0
+    for seed in range(200):
+        conflict, _, steps, _ = _analyses_of_a_case_and_its_mirror(seed)
+        outcomes.add(type(conflict))
+        resolutions += sum(step[0] == "resolve" for step in steps)
+    assert outcomes == {Terminal, Backjump, Fallback}
+    assert resolutions >= 20
 
 
 def _brute_child_max(keeper, block):
@@ -462,12 +547,12 @@ def test_duplicate_check_matches_the_literal_walk(lits, as_tuple):
 
 
 def _reference_model_cube(engine):
-    """The callable-view reference over the engine's current trail."""
+    """The probing reference over the engine's current trail."""
     trail = engine.trail
     view = TrailView(value=trail.lit_value, level_of=trail.level.__getitem__,
                      pos_of=trail.pos.__getitem__, reason_of=lambda v: None,
                      prefix=engine.prefix)
-    return build_model_cube([rec.lits for rec in engine.backend.orig_clauses], view)
+    return reference_model_cube([rec.lits for rec in engine.backend.orig_clauses], view)
 
 
 def _check_model_cubes(engine, seed):
