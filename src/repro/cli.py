@@ -295,12 +295,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_serve_run(args: argparse.Namespace) -> int:
     """Run the persistent solver daemon until SIGTERM/SIGINT."""
     from repro.serve import run_daemon
+    from repro.serve.daemon import check_fault_plan
 
     faults = None
     if args.fault_plan:
         from repro.robustness.faults import FaultPlan
 
         faults = FaultPlan.from_file(args.fault_plan)
+        try:
+            check_fault_plan(faults)
+        except ValueError as exc:
+            print("serve run: %s" % exc, file=sys.stderr)
+            return 2
     return run_daemon(
         args.socket,
         jobs=args.jobs,
@@ -454,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "half-open probe through (default 30)")
     p_srun.add_argument("--fault-plan", default=None, metavar="PLAN.JSON",
                         help="deterministic fault-injection plan for chaos-"
-                        "testing the serve path (use explicit 'assignments'; "
-                        "see repro.robustness.faults.FaultPlan)")
+                        "testing the serve path; it must give explicit "
+                        "'assignments' (a count-only plan exits 2; see "
+                        "repro.robustness.faults.FaultPlan)")
     p_srun.set_defaults(func=cmd_serve_run)
     p_schaos = serve_sub.add_parser(
         "chaos",

@@ -582,7 +582,9 @@ class WorkerPool:
     (no polling) and always reads a worker's report before it counts the
     worker's exit as a crash. A job past its deadline, or one passed to
     :meth:`cancel`, gets SIGTERM (the worker's interrupt flag) and, after
-    ``term_grace`` seconds without a report, SIGKILL.
+    ``term_grace`` seconds without a report, SIGKILL. An event loop waits
+    the same way without blocking: it watches :meth:`handles`, wakes by
+    :meth:`next_wake` at the latest, and collects with ``wait(0)``.
     """
 
     def __init__(
@@ -651,32 +653,42 @@ class WorkerPool:
                 self._terminate(worker)
                 return
 
+    def handles(self) -> List[object]:
+        """Each worker's pipe and process sentinel: what :meth:`wait` blocks
+        on, for a caller that waits on them itself and then calls
+        ``wait(0)``."""
+        return [h for w in self._workers.values() for h in (w.conn, w.process.sentinel)]
+
+    def next_wake(self) -> Optional[float]:
+        """Monotonic time of the next SIGTERM or SIGKILL the pool owes a busy
+        worker (a job's deadline, or a signalled worker's grace), or None."""
+        wakes = []
+        for worker in self._workers.values():
+            if worker.termed_at is not None:
+                wakes.append(worker.termed_at + self.term_grace)
+            elif worker.job is not None and worker.job.deadline is not None:
+                wakes.append(worker.job.deadline)
+        return min(wakes, default=None)
+
     def wait(self, timeout: Optional[float] = None) -> List[Job]:
-        """Block until some jobs are done (returned) or ``timeout`` passes."""
+        """Block until some jobs are done (returned) or ``timeout`` passes.
+
+        ``wait(0)`` never blocks: it sends the signals that are due and
+        collects whatever :meth:`handles` says is ready.
+        """
         end = None if timeout is None else time.monotonic() + timeout
         while True:
             done = self._enforce_deadlines()
             if done:
                 self.last_active = time.monotonic()
                 return done
-            now = time.monotonic()
-            wakes = [end] if end is not None else []
-            for worker in self._workers.values():
-                if worker.termed_at is not None:
-                    wakes.append(worker.termed_at + self.term_grace)
-                elif worker.job is not None and worker.job.deadline is not None:
-                    wakes.append(worker.job.deadline)
-            delay = max(0.0, min(wakes) - now) if wakes else None
+            wakes = [t for t in (end, self.next_wake()) if t is not None]
+            delay = max(0.0, min(wakes) - time.monotonic()) if wakes else None
             if not self._workers:
                 time.sleep(delay or 0.0)  # only a retry backoff to wait out
                 return []
             workers = list(self._workers.values())
-            ready = set(
-                _wait_ready(
-                    [w.conn for w in workers] + [w.process.sentinel for w in workers],
-                    delay,
-                )
-            )
+            ready = set(_wait_ready(self.handles(), delay))
             for worker in workers:
                 if worker.conn in ready or worker.process.sentinel in ready:
                     job = self._collect(worker)
@@ -778,8 +790,9 @@ class WorkerPool:
 
 
 @dataclass
-class _Pending:
-    """One queued (re)attempt, possibly delayed by retry backoff."""
+class Attempt:
+    """One queued (re)attempt of a task, possibly delayed by retry backoff.
+    ``index`` is the task's place in its sweep."""
 
     index: int
     task: Task
@@ -817,7 +830,6 @@ def run_tasks(
     retry_backoff: float = 0.5,
     faults: Optional[FaultPlan] = None,
     mem_limit_mb: Optional[float] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> List[Record]:
     """Run ``tasks`` and return one :class:`Record` per task, in task order.
 
@@ -833,8 +845,8 @@ def run_tasks(
             fsyncs every append.
         wall_timeout: hard per-run seconds; an exceeded run's worker gets
             SIGTERM (a chance to report its partial measurement), then
-            SIGKILL after ``term_grace`` seconds. Only enforced on a pool (``jobs > 1``
-            or ``pool``: a single process cannot kill itself safely);
+            SIGKILL after ``term_grace`` seconds. Only enforced when
+            ``jobs > 1`` (a single process cannot kill itself safely);
             serial runs still honor the budget's cooperative limits.
         max_retries: how many times a crashed or hard-timed-out task is
             re-queued before its failure record is written. Every retry
@@ -853,17 +865,9 @@ def run_tasks(
             holding the whole sweep's state). A worker that breaches it
             produces a ``memout`` record instead of a host-level OOM kill;
             memouts are never retried.
-        pool: a :class:`WorkerPool` the caller owns, whose body is
-            :func:`measure_task` (the serve daemon keeps persistent ones
-            warm). Every attempt runs on it, whatever ``jobs`` says, under
-            its own size, memory ceiling, faults and ``term_grace``, and it
-            stays open afterwards. Without it, ``jobs > 1`` forks a one-shot
-            pool for this call and closes it.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if pool is not None and executor is not None:
-        raise ValueError("a caller's pool runs its own body; pass no executor")
 
     log: Optional[ResultsLog]
     if results is None:
@@ -875,13 +879,13 @@ def run_tasks(
     done: Dict[Tuple[str, str, str], Record] = log.load() if log is not None else {}
 
     out: List[Optional[Record]] = [None] * len(tasks)
-    pending: List[_Pending] = []
+    pending: List[Attempt] = []
     for i, task in enumerate(tasks):
         cached = done.get(task.key)
         if cached is not None:
             out[i] = cached
         else:
-            pending.append(_Pending(i, task, 1))
+            pending.append(Attempt(i, task, 1))
     if faults is not None:
         # Bind fault victims before any worker forks, so every process
         # (and a rerun with the same seed) sees the same assignments.
@@ -893,9 +897,7 @@ def run_tasks(
         if log is not None:
             log.append(record)
 
-    if pool is not None:
-        _run_pool(pending, pool, wall_timeout, max_retries, retry_backoff, finish)
-    elif jobs == 1:
+    if jobs == 1:
         _run_serial(
             pending, executor or execute_task, max_retries, retry_backoff, faults, finish
         )
@@ -919,7 +921,7 @@ def run_tasks(
 
 
 def _settle(
-    entry: _Pending,
+    entry: Attempt,
     status: str,
     result: object,
     seconds: float,
@@ -928,7 +930,7 @@ def _settle(
     timed_out: bool = False,
 ):
     """The retry policy for one finished attempt: its :class:`Record`, or
-    the :class:`_Pending` retry to run instead.
+    the :class:`Attempt` retry to run instead.
 
     ``result`` is the :class:`Measurement` when ``status`` is ``ok``, else
     the error text; ``timed_out`` says the pool SIGTERMed the attempt at its
@@ -952,13 +954,13 @@ def _settle(
             # Exponential backoff with deterministic jitter: don't hammer a
             # transiently failing (e.g. OOMing) box.
             delay = _backoff_delay(retry_backoff, task.key, attempt)
-            return _Pending(
+            return Attempt(
                 entry.index, task, attempt + 1, time.monotonic() + delay, entry.backoff + delay
             )
         if status == STATUS_HARD_TIMEOUT:
             # Immediate requeue: time was the failure, not the machine. The
             # retry restarts the run with a fresh wall budget.
-            return _Pending(entry.index, task, attempt + 1, backoff=entry.backoff)
+            return Attempt(entry.index, task, attempt + 1, backoff=entry.backoff)
     # Memouts are final: the same allocation fails the same way again.
     return Record.of(
         task,
@@ -970,8 +972,22 @@ def _settle(
     )
 
 
+def settle_job(
+    entry: Attempt, job: Job, max_retries: int = 1, retry_backoff: float = 0.5
+):
+    """The retry policy for one finished :func:`measure_task` job on a
+    :class:`WorkerPool`: its :class:`Record`, or the :class:`Attempt` to
+    submit instead once its ``not_before`` has passed. The defaults are
+    :func:`run_tasks`'s."""
+    ok = job.status == STATUS_OK
+    result = measurement_from_dict(job.result) if ok else job.result
+    return _settle(
+        entry, job.status, result, job.seconds, max_retries, retry_backoff, job.timed_out
+    )
+
+
 def _run_serial(
-    pending: List[_Pending],
+    pending: List[Attempt],
     executor: Callable[[Task], Measurement],
     max_retries: int,
     retry_backoff: float,
@@ -1000,7 +1016,7 @@ def _run_serial(
 
 
 def _run_pool(
-    pending: List[_Pending],
+    pending: List[Attempt],
     pool: WorkerPool,
     wall_timeout: Optional[float],
     max_retries: int,
@@ -1011,11 +1027,10 @@ def _run_pool(
 
     Sweeps run on one-shot workers, one per attempt: every task starts from
     the parent's memory image, so a sweep's peak RSS is one task's, not the
-    accumulation of everything a reused worker ever solved. The serve
-    daemon passes persistent workers instead, to skip the fork per request.
+    accumulation of everything a reused worker ever solved.
     """
-    queue: List[_Pending] = list(pending)
-    running: Dict[Job, _Pending] = {}
+    queue: List[Attempt] = list(pending)
+    running: Dict[Job, Attempt] = {}
     try:
         while queue or running:
             now = time.monotonic()
@@ -1031,13 +1046,8 @@ def _run_pool(
                 timeout = max(0.0, min(p.not_before for p in queue) - now)
             for job in pool.wait(timeout):
                 entry = running.pop(job)
-                ok = job.status == STATUS_OK
-                result = measurement_from_dict(job.result) if ok else job.result
-                settled = _settle(
-                    entry, job.status, result, job.seconds, max_retries, retry_backoff,
-                    job.timed_out,
-                )
-                if isinstance(settled, _Pending):
+                settled = settle_job(entry, job, max_retries, retry_backoff)
+                if isinstance(settled, Attempt):
                     queue.append(settled)
                 else:
                     finish(entry.index, entry.task, settled)

@@ -58,7 +58,8 @@ class FaultPlan:
 
     Either pass ``assignments`` (label → kind) directly, or pass counts and
     a seed and let :meth:`bind` draw victims from the task labels once they
-    are known.
+    are known. The serve daemon, which never knows its labels in advance,
+    takes only the former.
     """
 
     def __init__(

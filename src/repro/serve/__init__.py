@@ -2,13 +2,14 @@
 
 ``repro serve run`` starts an asyncio daemon on a unix socket that accepts
 newline-delimited JSON solve requests (see :mod:`repro.serve.protocol`).
-Generic QDIMACS/tree-prefix requests dispatch to :func:`repro.evalx.
-parallel.run_tasks` on warm persistent workers — inheriting its fault
-isolation, wall timeouts and SIGTERM preemption — while SMV
-diameter-bound requests run on one persistent :class:`repro.evalx.parallel.
-WorkerPool` worker per model family, whose :class:`repro.incremental.
-IncrementalSolver` carries learned constraints across bounds. Every solve
-runs in a forked worker, so ``--mem-limit`` caps them all. Verdicts (and
+Generic QDIMACS/tree-prefix requests run on warm persistent
+:class:`repro.evalx.parallel.WorkerPool` workers under the batch harness's
+retry policy, wall timeouts and SIGTERM preemption, while SMV
+diameter-bound requests run on one persistent pool worker per model
+family, whose :class:`repro.incremental.IncrementalSolver` carries learned
+constraints across bounds. Every solve runs in a forked worker, so
+``--mem-limit`` caps them all, and the daemon's one thread waits on them
+from its event loop. Verdicts (and
 certificate statuses) are cached under the existing :meth:`repro.evalx.
 parallel.Task.key` fingerprint and persisted through :class:`repro.evalx.
 parallel.ResultsLog`. Every solve-lane request runs under a per-request wall-clock

@@ -1,20 +1,22 @@
 """The asyncio serve daemon: persistent solving over a unix socket.
 
-Protocol work (accept, parse, cache lookups) stays on the event loop; every
-solve runs elsewhere, driven from a thread-pool slot so the loop never
-blocks:
+The daemon is one thread. Protocol work (accept, parse, cache lookups)
+runs on its event loop, and every solve runs in a forked
+:class:`~repro.evalx.parallel.WorkerPool` worker, whose pipe and process
+sentinel the same loop watches (:meth:`ServeDaemon._finish`), so the loop
+never blocks on a solve:
 
-* generic ``solve`` requests run through :func:`repro.evalx.parallel.
-  run_tasks` on one of ``jobs`` warm solve workers, each a persistent
-  single-worker :class:`~repro.evalx.parallel.WorkerPool` forked on first
-  use and handed to one request at a time. The task travels over the
-  worker's pipe, the batch harness's retry and wall-timeout/SIGTERM
-  machinery applies unchanged, and no solver state outlives a request;
+* generic ``solve`` requests run on one of ``jobs`` warm solve workers,
+  each a persistent single-worker pool forked on first use and handed to
+  one request at a time. The task travels over the worker's pipe, the
+  batch harness's retry policy (:func:`repro.evalx.parallel.settle_job`)
+  and wall-timeout/SIGTERM machinery apply unchanged, and no solver state
+  outlives a request;
 * ``smv-diameter`` requests run on their model family's one persistent
-  :class:`~repro.evalx.parallel.WorkerPool` worker, which holds the
-  family's encoder and :class:`~repro.incremental.IncrementalSolver`, so
-  learned constraints carry from bound to bound; an asyncio lock per
-  family serializes its bounds.
+  pool worker, which holds the family's encoder and
+  :class:`~repro.incremental.IncrementalSolver`, so learned constraints
+  carry from bound to bound; an asyncio lock per family serializes its
+  bounds.
 
 Every worker the daemon owns ends: one that has held no job for
 ``_IDLE_RETIRE`` seconds is closed from the event loop, and its pool forks
@@ -48,15 +50,15 @@ settled ``ok`` verdicts are ever cached: ``interrupted``, ``hard-timeout``,
 ``memout`` and crash records are refused by :meth:`ServeDaemon._cache_put`
 so a transient failure can never be replayed as an answer.
 
-Shutdown follows the repository's preemption path: SIGTERM/SIGINT set
-:func:`repro.robustness.interrupt.global_flag`, which every in-process
-solve polls and every family wait turns into a cancel of its worker, and
-stop the accept loop; the requests already read are answered (possibly
-with ``interrupted`` UNKNOWN verdicts, which are never cached), then every
-worker stops, the socket is removed and the process exits 0. A daemon
-killed *without* that grace (SIGKILL, OOM) leaves its socket file behind;
-the next daemon probes the stale path, sees the connection refused, and
-unlinks it before binding (:func:`claim_socket_path`).
+Shutdown follows the repository's preemption path: SIGTERM/SIGINT (or a
+``shutdown`` request) call :meth:`ServeDaemon.stop`, which stops the
+accept loop and cancels every family job in progress, so its worker
+reports an ``interrupted`` UNKNOWN (never cached) at its next decision; a
+``solve`` runs on to its verdict. The requests already read are answered,
+then every worker stops, the socket is removed and the process exits 0.
+A daemon killed *without* that grace (SIGKILL, OOM) leaves its socket file
+behind; the next daemon probes the stale path, sees the connection
+refused, and unlinks it before binding (:func:`claim_socket_path`).
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ import socket as socket_module
 import stat
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.core.result import Outcome
 from repro.evalx.parallel import (
+    Attempt,
     Job,
     Record,
     ResultsLog,
@@ -83,12 +85,12 @@ from repro.evalx.parallel import (
     WorkerPool,
     measure_task,
     measurement_to_dict,
-    run_tasks,
+    settle_job,
 )
 from repro.evalx.runner import Budget, Measurement
 from repro.incremental import IncrementalSolver
 from repro.robustness.faults import FaultPlan
-from repro.robustness.interrupt import InterruptFlag, global_flag
+from repro.robustness.interrupt import global_flag
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -129,12 +131,24 @@ DEFAULT_MAX_INFLIGHT = 16
 #: so ``stuck`` comes at most this plus ``term_grace`` past the deadline.
 _STUCK_GRACE = 2.0
 
-#: seconds between the family wait's looks at the daemon's interrupt flag.
-_INTERRUPT_POLL = 0.05
-
 #: seconds a daemon worker may hold no job before the daemon closes it. A
 #: re-fork costs milliseconds, a small share of any idle period this long.
 _IDLE_RETIRE = 60.0
+
+
+def check_fault_plan(faults: Optional[FaultPlan]) -> None:
+    """Refuse a fault plan without explicit ``assignments``.
+
+    A count-only plan draws its victims from a sweep's task labels, but the
+    daemon sees one request at a time: bound per request, its first fault
+    would land on the first request and every other fault would be dropped.
+    """
+    if faults is not None and faults.assignments is None:
+        raise ValueError(
+            "the serve daemon needs a fault plan with explicit 'assignments' "
+            "(label -> kind); a count-only plan cannot be bound to requests "
+            "that arrive one at a time"
+        )
 
 
 def claim_socket_path(path: str) -> None:
@@ -232,18 +246,14 @@ class _Family:
             self._retired = True
         return closed
 
-    def run(self, work, timeout: float, interrupt: InterruptFlag) -> Job:
-        """Solve one bound in the worker; blocks, so call it from an
-        executor thread. Once ``interrupt`` is set the job is cancelled,
-        and the worker reports an interrupted UNKNOWN."""
+    def submit(self, work, timeout: float) -> Job:
+        """Start one bound in the worker; call it with the lock held. A fork
+        that replaces a failed worker counts as a restart."""
         forks = self.pool.forks
         job = self.pool.submit(work, timeout=timeout)
         if forks and self.pool.forks > forks and not self._retired:
             self.restarts += 1
         self._retired = False
-        while not self.pool.wait(_INTERRUPT_POLL):
-            if interrupt.is_set():
-                self.pool.cancel(job)
         return job
 
 
@@ -254,19 +264,18 @@ class ServeDaemon:
         jobs: int = 2,
         cache_path: Optional[str] = None,
         wall_timeout: Optional[float] = None,
-        interrupt: Optional[InterruptFlag] = None,
         mem_limit_mb: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         failure_threshold: int = 3,
         breaker_cooldown: float = 30.0,
     ):
+        check_fault_plan(faults)
         self.socket_path = socket_path
         self.jobs = max(1, jobs)
         self.wall_timeout = wall_timeout
         self.mem_limit_mb = mem_limit_mb
         self._faults = faults
-        self._interrupt = interrupt if interrupt is not None else global_flag()
         self._log = (
             ResultsLog(cache_path, durable=False, faults=faults)
             if cache_path
@@ -275,16 +284,17 @@ class ServeDaemon:
         self._cache: Dict[Tuple[str, str, str], Record] = (
             self._log.load() if self._log is not None else {}
         )
-        self._cache_lock = asyncio.Lock()
         self._families: Dict[str, _Family] = {}
         #: connection tasks between reading a request and writing its answer.
         self._answering: Set[asyncio.Task] = set()
-        self._pool = ThreadPoolExecutor(max_workers=self.jobs)
+        #: the worker slots: solve and family jobs in flight at once.
         self._slots = asyncio.Semaphore(self.jobs)
+        #: wake-up callbacks of the :meth:`_finish` waits in progress.
+        self._wakers: Set[Callable[[], None]] = set()
         #: the solve lane's warm workers, one per slot, forked on first use.
-        #: A request takes one from the free list for its run_tasks call;
-        #: only the event loop touches the list, and a slot holder always
-        #: finds one in it.
+        #: A request takes one from the free list for its attempts; only the
+        #: event loop touches the list, and a slot holder always finds one
+        #: in it.
         self._solve_pools = [
             WorkerPool(1, measure_task, persistent=True, mem_limit_mb=mem_limit_mb,
                        faults=faults)
@@ -316,7 +326,7 @@ class ServeDaemon:
 
     # -- cache -------------------------------------------------------------
 
-    async def _cache_put(self, record: Record) -> None:
+    def _cache_put(self, record: Record) -> None:
         """Persist a verdict — but only a settled one.
 
         The cache is a verdict store, not an incident log: ``crash``,
@@ -327,10 +337,9 @@ class ServeDaemon:
         m = record.measurement
         if record.status != STATUS_OK or m is None or m.interrupted:
             return
-        async with self._cache_lock:
-            self._cache[record.key] = record
-            if self._log is not None:
-                self._log.append(record)
+        self._cache[record.key] = record
+        if self._log is not None:
+            self._log.append(record)
 
     def _cached_response(self, record: Record) -> Dict[str, object]:
         m = record.measurement
@@ -362,6 +371,52 @@ class ServeDaemon:
             if m.certificate_status is not None:
                 out["certificate_status"] = m.certificate_status
         return out
+
+    # -- workers -----------------------------------------------------------
+
+    async def _finish(self, pool: WorkerPool, job: Job, cancel_on_stop: bool = False) -> Job:
+        """Wait on the event loop until ``job`` is done, and return it.
+
+        The loop watches the pool's pipes and sentinels and wakes by the
+        pool's next signal at the latest; ``pool.wait(0)`` then sends what
+        is due and collects the job if it is done. The caller holds
+        ``pool``, so no other wait watches its descriptors. With
+        ``cancel_on_stop``, a wait that finds the daemon stopping cancels
+        the job, and the worker reports an interrupted UNKNOWN.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            while job.status is None:
+                # Read the event, never await it: an asyncio.Event binds to
+                # the first loop that waits on it, and one daemon may be
+                # driven by several asyncio.run calls.
+                if cancel_on_stop and self.shutdown_event.is_set():
+                    pool.cancel(job)
+                woken = loop.create_future()
+
+                def wake() -> None:
+                    if not woken.done():
+                        woken.set_result(None)
+
+                handles = pool.handles()
+                for handle in handles:
+                    loop.add_reader(handle, wake)
+                due = pool.next_wake()
+                timer = None if due is None else loop.call_later(due - time.monotonic(), wake)
+                self._wakers.add(wake)
+                try:
+                    await woken
+                finally:
+                    self._wakers.discard(wake)
+                    if timer is not None:
+                        timer.cancel()
+                    for handle in handles:
+                        loop.remove_reader(handle)
+                pool.wait(0)
+        finally:
+            if job.status is None:
+                pool.close()  # abandoned mid-wait: leave no busy worker behind
+        return job
 
     # -- handlers ----------------------------------------------------------
 
@@ -419,20 +474,21 @@ class ServeDaemon:
         async with self._slots:
             pool = self._free_pools.pop()
             try:
-                (record,) = await asyncio.get_running_loop().run_in_executor(
-                    self._pool,
-                    lambda: run_tasks(
-                        [task],
-                        wall_timeout=deadline,
-                        faults=self._faults,
-                        pool=pool,
-                    ),
-                )
+                # run_tasks's policy: one retry, after a crash's backoff or
+                # at once after a hard timeout; a memout is final.
+                attempt = Attempt(0, task, 1)
+                while True:
+                    job = pool.submit(task, attempt.attempt, deadline)
+                    record = settle_job(attempt, await self._finish(pool, job))
+                    if isinstance(record, Record):
+                        break
+                    attempt = record
+                    await asyncio.sleep(max(0.0, attempt.not_before - time.monotonic()))
             finally:
                 self._free_pools.append(pool)
         self.stats["solves"] += 1
         self.supervisor.record_outcome(breaker, record.status, record.error)
-        await self._cache_put(record)
+        self._cache_put(record)
         out = self._cached_response(record)
         out["cached"] = False
         return out
@@ -469,7 +525,6 @@ class ServeDaemon:
         if fam is None:
             fam = self._families[model.name] = _Family(model, self.mem_limit_mb)
 
-        loop = asyncio.get_running_loop()
         async with fam.lock:
             # A request for the same bound may have solved it while this one
             # waited on the lock.
@@ -482,9 +537,8 @@ class ServeDaemon:
                 stall = self._faults.hang_seconds
             work = (n, budget.to_config(), stall)
             async with self._slots:
-                job = await loop.run_in_executor(
-                    self._pool, fam.run, work, deadline + _STUCK_GRACE, self._interrupt
-                )
+                job = fam.submit(work, deadline + _STUCK_GRACE)
+                await self._finish(fam.pool, job, cancel_on_stop=True)
         if job.timed_out or job.status != STATUS_OK:
             return self._smv_failure(job, breaker, deadline)
         result, incremental, retained = job.result
@@ -497,7 +551,7 @@ class ServeDaemon:
         self.supervisor.record_outcome(breaker, STATUS_OK)
         if result.outcome is not Outcome.UNKNOWN:
             m = Measurement.from_result(task.instance, task.solver, result)
-            await self._cache_put(Record.of(task, STATUS_OK, measurement=m))
+            self._cache_put(Record.of(task, STATUS_OK, measurement=m))
         return {
             "ok": True,
             "cached": False,
@@ -586,8 +640,7 @@ class ServeDaemon:
         if kind == "shutdown":
             # The supported path is SIGTERM; this exists for clients that
             # cannot signal (e.g. a remote-ish wrapper), and follows it.
-            self._interrupt.set()
-            self.shutdown_event.set()
+            self.stop()
             return {"ok": True, "stopping": True, "protocol": PROTOCOL_VERSION}
         handlers = {
             "solve": self._handle_solve,
@@ -600,7 +653,7 @@ class ServeDaemon:
             raise ProtocolError("daemon is shutting down")
         # Admission first: over-budget requests are shed with a hint, not
         # queued — the only waiting after this point is on the bounded
-        # executor slots. Sheds and poisoned refusals are deliberate
+        # worker slots. Sheds and poisoned refusals are deliberate
         # answers, so they do not count into stats["errors"].
         try:
             release = self.supervisor.admit(kind)
@@ -614,6 +667,14 @@ class ServeDaemon:
             release()
 
     # -- server loop -------------------------------------------------------
+
+    def stop(self) -> None:
+        """Begin the shutdown: stop accepting requests and wake every
+        :meth:`_finish` in progress, so each family job is cancelled; a
+        ``solve`` runs on to its verdict. Call it from the event loop."""
+        self.shutdown_event.set()
+        for wake in list(self._wakers):
+            wake()
 
     async def _respond(self, line: bytes) -> Dict[str, object]:
         """The response to one request line; every failure is structured."""
@@ -710,9 +771,8 @@ class ServeDaemon:
         for ``_IDLE_RETIRE`` seconds; return when the next one falls due.
 
         Only the event loop calls this, so a solve pool in the free list or
-        a family whose lock is free is in no executor thread's hands. A
-        worker never times itself out: a job already in its pipe would be
-        lost.
+        a family whose lock is free is held by no request. A worker never
+        times itself out: a job already in its pipe would be lost.
         """
         now = time.monotonic()
         wake = now + _IDLE_RETIRE
@@ -731,13 +791,12 @@ class ServeDaemon:
         return wake
 
     def close(self) -> None:
-        """Stop the executor and every worker; close the cache log.
+        """Stop every worker and close the cache log.
 
-        :meth:`run` calls it; a caller that drives :meth:`dispatch` itself
-        must, or the interpreter's exit waits on the idle persistent
-        workers forever.
+        :meth:`run` calls it. A caller that drives :meth:`dispatch` itself
+        should too: otherwise its idle workers live on, and the log's file
+        stays open, until the interpreter exits.
         """
-        self._pool.shutdown(wait=True)
         for pool in self._solve_pools:
             pool.close()
         for fam in self._families.values():
@@ -760,14 +819,11 @@ def run_daemon(
     """Blocking entry point: serve until SIGTERM/SIGINT, then exit 0."""
 
     async def main() -> None:
-        flag = global_flag()
-        flag.clear()
         daemon = ServeDaemon(
             socket_path,
             jobs=jobs,
             cache_path=cache_path,
             wall_timeout=wall_timeout,
-            interrupt=flag,
             mem_limit_mb=mem_limit_mb,
             faults=faults,
             max_inflight=max_inflight,
@@ -775,15 +831,8 @@ def run_daemon(
             breaker_cooldown=breaker_cooldown,
         )
         loop = asyncio.get_running_loop()
-
-        def initiate_shutdown(signum: int) -> None:
-            # Same cooperative path as the batch harness: the flag stops
-            # in-flight solves at their next poll, the event stops accepts.
-            flag.set(signum)
-            daemon.shutdown_event.set()
-
         for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, initiate_shutdown, sig)
+            loop.add_signal_handler(sig, daemon.stop)
         try:
             await daemon.run()
         finally:

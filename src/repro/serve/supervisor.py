@@ -73,8 +73,8 @@ class AdmissionController:
     ``admit(kind)`` either returns a release callable (call it exactly once
     when the request finishes, success or not) or raises
     :class:`OverloadedError`. Nothing ever queues here — bounded waiting
-    happens *after* admission, on the daemon's executor slots, and is
-    bounded precisely because admission is.
+    happens *after* admission, on the daemon's ``jobs`` worker slots, and
+    is bounded precisely because admission is.
     """
 
     def __init__(

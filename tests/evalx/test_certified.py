@@ -70,7 +70,8 @@ class TestTaskPlumbing:
         task = Task("i", "PO", paper_example(), certify=True)
         records = run_tasks([task], results=path)
         assert records[0].measurement.certificate_status == VERIFIED
-        row = json.loads(open(path).read().splitlines()[0])
+        with open(path) as handle:
+            row = json.loads(handle.readline())
         assert row["schema"] == SCHEMA_VERSION
         assert row["measurement"]["certificate_status"] == VERIFIED
         assert row["measurement"]["certificate_ok"] is True

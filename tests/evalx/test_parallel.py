@@ -403,10 +403,14 @@ class TestSuiteIntegration:
 
         path = str(tmp_path / "ncf.jsonl")
         tiny = Budget(decisions=150)
+        def lines():
+            with open(path) as handle:
+                return len(handle.readlines())
+
         first, _ = run_suite("ncf", 1, tiny, results_path=path)
-        lines_after_first = sum(1 for _ in open(path))
+        lines_after_first = lines()
         again, _ = run_suite("ncf", 1, tiny, results_path=path)
-        assert sum(1 for _ in open(path)) == lines_after_first
+        assert lines() == lines_after_first
         assert [r.instance for r in first] == [r.instance for r in again]
 
 
@@ -514,44 +518,50 @@ class TestPreemptionPlumbing:
 
 
 class TestCallerOwnedPool:
-    """``run_tasks(pool=...)``: attempts on a persistent pool the caller
-    keeps open, the serve daemon's warm solve lane."""
+    """A :class:`WorkerPool` the caller keeps open and, like the serve
+    daemon's event loop, waits on itself."""
 
-    def test_tasks_in_turn_on_one_worker_match_in_process_runs(self):
-        import multiprocessing
+    def test_next_wake_is_the_deadline_then_the_grace(self):
+        from multiprocessing.connection import wait
 
-        from repro.evalx.parallel import WorkerPool, measure_task
-        from repro.generators.ncf import NcfParams, generate_ncf
+        from repro.evalx.parallel import WorkerPool
 
-        phi = generate_ncf(NcfParams(dep=6, var=4, cls=12, lpc=5, seed=60001))
-        tasks = [
-            Task("paper", "PO", paper_example(), budget=Budget(decisions=4000)),
-            Task("ncf", "TO(eu_au)", phi, "to", "eu_au", Budget(decisions=3000)),
-            Task("ncf", "PO", phi, budget=Budget(decisions=3000)),
-        ]
-        pool = WorkerPool(1, measure_task, persistent=True)
+        pool = WorkerPool(1, ignore_cancel, term_grace=0.5)
         try:
-            records = [run_tasks([task], pool=pool)[0] for task in tasks]
-            assert pool.forks == 1  # one warm worker took all three, pickled
+            assert (pool.handles(), pool.next_wake()) == ([], None)
+            job = pool.submit("job", timeout=0.3)
+            assert len(pool.handles()) == 2  # the worker's pipe and sentinel
+            assert pool.next_wake() == job.deadline
+            assert pool.wait(0) == []  # nothing due, nothing ready
+            time.sleep(max(0.0, job.deadline - time.monotonic()) + 0.01)
+            assert pool.wait(0) == []  # sends the SIGTERM, which the job ignores
+            (worker,) = pool._workers.values()
+            assert job.timed_out and worker.termed_at is not None
+            assert pool.next_wake() == worker.termed_at + pool.term_grace
+            done, end = [], time.monotonic() + 30
+            while not done and time.monotonic() < end:
+                wait(pool.handles(), max(0.0, pool.next_wake() - time.monotonic()))
+                done = pool.wait(0)
         finally:
             pool.close()
-        assert multiprocessing.active_children() == []
-        for record, task in zip(records, tasks):
-            assert record.ok, record.error
-            got, want = record.measurement, execute_task(task)
-            assert (got.outcome, got.decisions, got.learned_clauses, got.learned_cubes) == (
-                want.outcome, want.decisions, want.learned_clauses, want.learned_cubes,
-            )
-        # the third solve learned from scratch in a reused interpreter
-        assert records[2].measurement.learned_cubes > 0
+        assert done == [job]
+        assert job.status == STATUS_HARD_TIMEOUT and "SIGKILL" in job.result, job.result
 
-    def test_a_caller_pool_refuses_an_executor(self):
-        from repro.evalx.parallel import WorkerPool, measure_task
+    def test_a_caller_that_waits_on_the_handles_collects_with_wait_zero(self):
+        from multiprocessing.connection import wait
 
-        pool = WorkerPool(1, measure_task, persistent=True)
-        with pytest.raises(ValueError, match="pool"):
-            run_tasks(make_tasks(["a"]), pool=pool, executor=crash_on_bad)
-        assert pool.forks == 0
+        from repro.evalx.parallel import WorkerPool
+
+        pool = WorkerPool(1, abs, persistent=True)
+        try:
+            for work in (-3, -4):
+                job = pool.submit(work)
+                assert wait(pool.handles(), 30)
+                assert pool.wait(0) == [job]
+                assert (job.status, job.result) == (STATUS_OK, -work)
+            assert pool.forks == 1  # the reports came over the warm worker's pipe
+        finally:
+            pool.close()
 
     def test_a_process_that_never_closes_its_pool_still_exits(self):
         # multiprocessing's exit handler SIGTERMs every daemonic child and

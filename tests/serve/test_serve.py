@@ -19,8 +19,8 @@ import time
 import pytest
 
 from repro.io import qtree
-from repro.robustness.interrupt import InterruptFlag
-from repro.serve.client import request, wait_ready
+from repro.robustness.faults import FaultPlan
+from repro.serve.client import request, request_with_retry, wait_ready
 from repro.serve.daemon import ServeDaemon
 from repro.serve.protocol import (
     MAX_CLAUSES,
@@ -250,8 +250,109 @@ def test_sigterm_with_a_busy_and_an_idle_warm_worker_exits_clean(daemon):
     assert not [pid for pid in workers if _alive(pid)]
 
 
+def test_one_thread_serves_both_lanes(daemon):
+    proc, socket_path, _ = daemon
+    phi = diameter_qbf(model_by_name("counter", 3), 7, form="tree")  # ~3 s to solve
+    payloads = {
+        "smv": {"kind": "smv-diameter", "family": "semaphore", "size": 3, "n": 3,
+                "budget": {"decisions": None}, "deadline": 60.0},
+        "solve": {"kind": "solve", "format": "qtree", "formula": qtree.dumps(phi),
+                  "budget": {"decisions": None}, "deadline": 60.0},
+    }
+    replies = {}
+
+    def ask(lane):
+        replies[lane] = request(socket_path, payloads[lane], timeout=60.0)
+
+    clients = [threading.Thread(target=ask, args=(lane,)) for lane in payloads]
+    for client in clients:
+        client.start()
+    end = time.monotonic() + 30.0
+    while len(_children(proc.pid)) < 2 and time.monotonic() < end:
+        time.sleep(0.02)
+    assert len(_children(proc.pid)) == 2  # a family worker and a solve worker, both busy
+    assert len(os.listdir("/proc/%d/task" % proc.pid)) == 1
+    start = time.monotonic()
+    assert request(socket_path, {"kind": "ping"}, timeout=5.0)["pong"]
+    assert time.monotonic() - start < 1.0
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=60.0) == 0
+    for client in clients:
+        client.join(timeout=30.0)
+        assert not client.is_alive()
+    assert replies["smv"]["ok"] and replies["smv"]["interrupted"] is True
+    assert replies["solve"]["ok"] and replies["solve"]["outcome"] == "false"
+
+
+def test_a_fault_plan_without_assignments_is_refused(tmp_path, capsys):
+    from repro.cli import main
+
+    with pytest.raises(ValueError, match="assignments"):
+        ServeDaemon(str(tmp_path / "d.sock"), faults=FaultPlan(seed=0, crashes=1, hangs=1))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"seed": 0, "crashes": 1, "hangs": 1}))
+    socket_path = str(tmp_path / "serve.sock")
+    assert main(["serve", "run", "--socket", socket_path, "--fault-plan", str(plan)]) == 2
+    assert "assignments" in capsys.readouterr().err
+    assert not os.path.exists(socket_path)
+
+
+class TestRequestWithRetry:
+    """The client's backpressure loop, against scripted daemon answers."""
+
+    @pytest.fixture
+    def script(self, monkeypatch):
+        from repro.serve import client
+
+        sent, sleeps = [], []
+
+        def install(*answers):
+            queue = list(answers)
+
+            def fake_request(socket_path, payload, timeout=300.0):
+                sent.append(payload)
+                return queue.pop(0)
+
+            monkeypatch.setattr(client, "request", fake_request)
+            return sent, sleeps
+
+        monkeypatch.setattr(client.time, "sleep", sleeps.append)
+        return install
+
+    def test_overloaded_and_stuck_are_retried_after_their_hints(self, script):
+        sent, sleeps = script(
+            {"ok": False, "status": "overloaded", "retry_after": 2.5},
+            {"ok": False, "status": "stuck", "retry_after": 0},
+            {"ok": True, "outcome": "true"},
+        )
+        assert request_with_retry("s", {"kind": "solve"}) == {"ok": True, "outcome": "true"}
+        assert len(sent) == 3 and sleeps == [2.5, 0]
+
+    def test_a_hint_is_capped_and_a_negative_one_sleeps_half_a_second(self, script):
+        _, sleeps = script(
+            {"ok": False, "status": "overloaded", "retry_after": 60.0},
+            {"ok": False, "status": "overloaded", "retry_after": -1},
+            {"ok": True},
+        )
+        assert request_with_retry("s", {}, max_backoff=5.0)["ok"]
+        assert sleeps == [5.0, 0.5]
+
+    def test_poisoned_is_returned_at_once(self, script):
+        poisoned = {"ok": False, "status": "poisoned", "retry_after": 17.0}
+        sent, sleeps = script(poisoned)
+        assert request_with_retry("s", {}) == poisoned
+        assert len(sent) == 1 and sleeps == []
+
+    def test_the_last_answer_is_returned_once_the_attempts_run_out(self, script):
+        answers = [{"ok": False, "status": "overloaded", "retry_after": 1.0, "n": n}
+                   for n in range(3)]
+        sent, sleeps = script(*answers)
+        assert request_with_retry("s", {}, attempts=3) == answers[-1]
+        assert len(sent) == 3 and sleeps == [1.0, 1.0]
+
+
 def test_requests_read_after_shutdown_start_no_solve(tmp_path):
-    daemon = ServeDaemon(str(tmp_path / "unused.sock"), jobs=1, interrupt=InterruptFlag())
+    daemon = ServeDaemon(str(tmp_path / "unused.sock"), jobs=1)
     daemon.shutdown_event.set()
     req = {"kind": "solve", "formula": "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"}
     with pytest.raises(ProtocolError, match="shutting down"):

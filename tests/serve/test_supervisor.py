@@ -4,7 +4,6 @@ claiming, and the cache's ok-only gate.
 Every state machine takes an injectable clock, so nothing here sleeps.
 """
 
-import asyncio
 import os
 import socket
 
@@ -269,15 +268,13 @@ def _record(status, measurement, instance="i"):
 
 class TestCachePutGate:
     def put(self, daemon, record):
-        asyncio.run(daemon._cache_put(record))
+        daemon._cache_put(record)
 
     def make_daemon(self, tmp_path):
-        daemon = ServeDaemon(
+        return ServeDaemon(
             socket_path=str(tmp_path / "d.sock"),
             cache_path=str(tmp_path / "cache.jsonl"),
         )
-        daemon._pool.shutdown(wait=False)
-        return daemon
 
     def test_only_ok_records_enter_the_cache(self, tmp_path):
         daemon = self.make_daemon(tmp_path)
@@ -290,6 +287,7 @@ class TestCachePutGate:
             _record(STATUS_OK, _measurement(interrupted=True), instance="preempted"),
         )
         self.put(daemon, _record(STATUS_OK, None, instance="measureless"))
+        daemon.close()
         assert [k[0] for k in daemon._cache] == ["good"]
         # The persisted log agrees: one row, and it is the ok one.
         loaded = ResultsLog(str(tmp_path / "cache.jsonl")).load()

@@ -24,7 +24,6 @@ import pytest
 
 from repro.incremental import IncrementalSolver
 from repro.robustness.faults import FaultPlan
-from repro.robustness.interrupt import InterruptFlag
 from repro.serve.daemon import ServeDaemon
 
 # Verdicts known by construction (same instances the serve tests use).
@@ -44,7 +43,6 @@ def make_daemon(tmp_path, faults=None, **kwargs):
     kwargs.setdefault("max_inflight", 4)
     kwargs.setdefault("failure_threshold", 2)
     kwargs.setdefault("breaker_cooldown", 300.0)
-    kwargs.setdefault("interrupt", InterruptFlag())
     return ServeDaemon(
         socket_path=str(tmp_path / "chaos.sock"),
         cache_path=str(tmp_path / "cache.jsonl"),

@@ -18,7 +18,6 @@ from repro.evalx.parallel import Task, execute_task
 from repro.generators.ncf import NcfParams, generate_ncf
 from repro.io import qtree
 from repro.robustness.faults import FaultPlan
-from repro.robustness.interrupt import InterruptFlag
 from repro.serve import daemon as daemon_module
 from repro.serve.client import request, wait_ready
 from repro.serve.daemon import ServeDaemon
@@ -88,6 +87,7 @@ def test_faulted_requests_recover_and_a_fresh_worker_answers_next(tmp_path):
         assignments={"crashy|PO": "crash", "hangy|PO": "hang", "fat|PO": "worker-oom"},
         hang_seconds=60.0,
     )
+    descriptors = sorted(os.listdir("/proc/self/fd"))
     daemon = make_daemon(tmp_path, faults=plan, jobs=1)
     crashy, hangy, fat, after_oom, clean, stats = ask(
         daemon,
@@ -107,6 +107,9 @@ def test_faulted_requests_recover_and_a_fresh_worker_answers_next(tmp_path):
     assert after_oom["supervisor"]["solve_forks"] == 3
     assert check_structured(clean)["ok"] and clean["outcome"] == "false"
     assert stats["supervisor"]["solve_forks"] == 4  # the clean request forked afresh
+    # every wait removed its readers, and every failed worker's pipe and
+    # sentinel closed with it
+    assert sorted(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_a_solve_that_never_ends_answers_within_twice_its_deadline(tmp_path):
@@ -127,7 +130,7 @@ def test_a_solve_that_never_ends_answers_within_twice_its_deadline(tmp_path):
 def test_idle_workers_retire_and_the_next_requests_refork(tmp_path, monkeypatch):
     monkeypatch.setattr(daemon_module, "_IDLE_RETIRE", 0.3)
     sock = str(tmp_path / "idle.sock")
-    daemon = ServeDaemon(sock, interrupt=InterruptFlag())
+    daemon = ServeDaemon(sock)
     thread = threading.Thread(target=asyncio.run, args=(daemon.run(),))
     thread.start()
 
